@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from .curvature import CurvatureBundle, christoffel, curvature_bundle
+from .curvature import CurvatureBundle, christoffel, curvature_bundle, stack_bundles
 from .expressions import Expr
 from .metrics import metric_from_potential, two_form_closedness
 from .symmetry_tensors import (
@@ -32,7 +32,7 @@ from .symmetry_tensors import (
     r_dot_s,
     tachibana_ricci,
 )
-from .tensor_algebra import ABS_FLOOR, hermitian_violation, max_norm
+from .tensor_algebra import ABS_FLOOR, floored_scale, hermitian_violation, max_norm
 from .zoo import ManifoldSpec
 
 PASS = "pass"
@@ -190,61 +190,81 @@ def preflight_kahler(
     return preflight_from_metrics(metrics, tolerance)
 
 
-# -- per-point evidence ----------------------------------------------------------
+# -- evidence at the sampled points ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class PointData:
-    """Curvature bundle plus derived tensors and samples at one point."""
+    """Curvature bundle, derived tensors and samples at every sampled point.
 
-    index: int
-    point: np.ndarray
+    Every field carries a leading point axis: ``bundle`` comes from
+    :func:`stack_bundles`, rs/q/qc are (P, m, m, m, m), dirs and planes
+    (P, count, m), and the scales (P,).
+    """
+
     bundle: CurvatureBundle
     rs: np.ndarray
     q: np.ndarray
     qc: np.ndarray
     dirs: np.ndarray
     planes: np.ndarray
-    scale_rs: float
-    scale_qc: float
-    dep_scale: float
+    scale_rs: np.ndarray
+    scale_qc: np.ndarray
+    dep_scale: np.ndarray
 
 
-def gather_evidence(potential: Expr, n: int, points, plan: SamplePlan):
-    """Depth-3 bundles and symmetry tensors at every sampled point."""
-    m = 2 * n
-    data = []
-    for index, point in enumerate(points):
-        bundle = curvature_bundle(metric_from_potential(potential, point, n))
-        g, s = bundle.metric.g, bundle.ricci
-        rs = r_dot_s(bundle)
-        q = tachibana_ricci(g, s)
-        qc = complex_tachibana_ricci(g, s, bundle.metric.J)
-        scale_rs = max(2.0 * m * max_norm(bundle.r13) * max_norm(s), ABS_FLOOR)
-        data.append(
-            PointData(
-                index=index,
-                point=np.asarray(point, dtype=float),
-                bundle=bundle,
-                rs=rs,
-                q=q,
-                qc=qc,
-                dirs=direction_samples(plan, index, m),
-                planes=plane_samples(plan, index, m),
-                scale_rs=scale_rs,
-                scale_qc=dependence_scale(qc, g, s),
-                dep_scale=dependence_scale(q, g, s),
-            )
-        )
-    return data
+def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
+    """Symmetry tensors and samples at the points of a stacked bundle."""
+    g, s, j = bundle.metric.g, bundle.ricci, bundle.metric.J
+    m = j.shape[0]
+    q = tachibana_ricci(g, s)
+    qc = complex_tachibana_ricci(g, s, j)
+    indices = range(len(s))
+    return PointData(
+        bundle=bundle,
+        rs=r_dot_s(bundle),
+        q=q,
+        qc=qc,
+        dirs=np.stack([direction_samples(plan, i, m) for i in indices]),
+        planes=np.stack([plane_samples(plan, i, m) for i in indices]),
+        scale_rs=floored_scale(2.0 * m * max_norm(bundle.r13, 4) * max_norm(s, 2)),
+        scale_qc=dependence_scale(qc, g, s),
+        dep_scale=dependence_scale(q, g, s),
+    )
+
+
+def sample_evidence(spec: ManifoldSpec, plan: SamplePlan):
+    """Sample the plan's points, expand one depth-3 metric jet at each,
+    preflight their g and dg, and gather the evidence.
+
+    Returns (points, preflight report, evidence).  Raises PreflightError
+    when the metric fails the Kahler checks; the curvature bundles are
+    built before that verdict, as each jet is expanded.
+    """
+    potential = spec.potential()
+    points = sample_points(spec.domain, plan)
+    first_order = []  # depth-1 views of the jets: the preflight reads g and dg
+
+    def bundles():
+        # One point at a time, so the full jets are never all alive at once.
+        for point in points:
+            m = metric_from_potential(potential, point, spec.n)
+            first_order.append(replace(m, ddg=None, dddg=None))
+            yield curvature_bundle(m)
+
+    bundle = stack_bundles(bundles())
+    report = preflight_from_metrics(first_order, plan.preflight_tolerance)
+    if not report.passed:
+        raise PreflightError(report)
+    return points, report, gather_evidence(bundle, plan)
 
 
 def _plane_reduce(t: np.ndarray, u_rows: np.ndarray, x_rows: np.ndarray,
                   j: np.ndarray) -> np.ndarray:
     """Values t(u,u;x,Jx) for all sampled directions u and plane seeds x."""
     jx_rows = x_rows @ j.T
-    diag = np.einsum("ijab,pi,pj->pab", t, u_rows, u_rows)
-    return np.einsum("pab,qa,qb->pq", diag, x_rows, jx_rows)
+    diag = np.einsum("...ijab,...pi,...pj->...pab", t, u_rows, u_rows)
+    return np.einsum("...pab,...qa,...qb->...pq", diag, x_rows, jx_rows)
 
 
 # -- criterion verdicts ----------------------------------------------------------
@@ -277,25 +297,23 @@ def _combine(name: str, direct: float, characterization: float | None,
 
 def _einstein(data, plan: SamplePlan):
     tol = plan.tol_for("einstein")
-    m = data[0].dirs.shape[1]
-    lams = [d.bundle.scal / m for d in data]
-    direct_pp = []
-    char_pp = []
-    for d, lam in zip(data, lams):
-        g, s = d.bundle.metric.g, d.bundle.ricci
-        scale = max(max_norm(s), abs(lam) * max_norm(g), ABS_FLOOR)
-        direct_pp.append(max_norm(s - lam * g) / scale)
-        values = _plane_reduce(d.qc, d.dirs, d.planes, d.bundle.metric.J)
-        char_pp.append(max_norm(values) / d.scale_qc)
-    spread = (max(lams) - min(lams)) / max(max(abs(l) for l in lams), ABS_FLOOR)
+    b = data.bundle
+    g, s = b.metric.g, b.ricci
+    m = g.shape[-1]
+    lams = b.scal / m
+    scale = floored_scale(max_norm(s, 2), np.abs(lams) * max_norm(g, 2))
+    direct_pp = max_norm(s - lams[:, None, None] * g, 2) / scale
+    values = _plane_reduce(data.qc, data.dirs, data.planes, b.metric.J)
+    char_pp = max_norm(values, 2) / data.scale_qc
+    spread = (lams.max() - lams.min()) / max(float(np.max(np.abs(lams))), ABS_FLOOR)
     details = {
         "lambda_mean": float(np.mean(lams)),
         "lambda_spread": float(spread),
     }
     verdict = _combine(
         "einstein",
-        max(max(direct_pp), spread),
-        max(char_pp),
+        max(float(direct_pp.max()), float(spread)),
+        float(char_pp.max()),
         tol,
         details,
     )
@@ -304,105 +322,90 @@ def _einstein(data, plan: SamplePlan):
 
 def _ricci_flat(data, plan: SamplePlan):
     tol = plan.tol_for("ricci_flat")
-    m = data[0].dirs.shape[1]
-    per_point = []
-    for d in data:
-        g, s = d.bundle.metric.g, d.bundle.ricci
-        scale = max(m * max_norm(d.bundle.r13) * max_norm(g), max_norm(s), ABS_FLOOR)
-        per_point.append(max_norm(s) / scale)
-    verdict = _combine("ricci_flat", max(per_point), None, tol, {})
+    b = data.bundle
+    g, s = b.metric.g, b.ricci
+    m = g.shape[-1]
+    scale = floored_scale(m * max_norm(b.r13, 4) * max_norm(g, 2), max_norm(s, 2))
+    per_point = max_norm(s, 2) / scale
+    verdict = _combine("ricci_flat", float(per_point.max()), None, tol, {})
     return verdict, per_point
 
 
 def _ricci_parallel(data, plan: SamplePlan):
     tol = plan.tol_for("ricci_parallel")
-    m = data[0].dirs.shape[1]
-    direct_pp = []
-    char_pp = []
-    for d in data:
-        b = d.bundle
-        scale = max(
-            max_norm(b.dricci),
-            m * max_norm(b.connection.gamma) * max_norm(b.ricci),
-            ABS_FLOOR,
-        )
-        direct_pp.append(max_norm(b.nabla_ricci) / scale)
-        xj = d.planes + d.planes @ b.metric.J.T
-        values = np.einsum("cab,qc->qab", b.nabla_ricci, xj)
-        values = np.einsum("qab,pa,pb->qp", values, d.dirs, d.dirs)
-        char_pp.append(max_norm(values) / scale)
+    b = data.bundle
+    m = b.metric.g.shape[-1]
+    scale = floored_scale(
+        max_norm(b.dricci, 3),
+        m * max_norm(b.connection.gamma, 3) * max_norm(b.ricci, 2),
+    )
+    direct_pp = max_norm(b.nabla_ricci, 3) / scale
+    xj = data.planes + data.planes @ b.metric.J.T
+    values = np.einsum("...cab,...qc->...qab", b.nabla_ricci, xj)
+    values = np.einsum("...qab,...pa,...pb->...qp", values, data.dirs, data.dirs)
+    char_pp = max_norm(values, 2) / scale
     verdict = _combine(
-        "ricci_parallel", max(direct_pp), max(char_pp), tol, {}
+        "ricci_parallel", float(direct_pp.max()), float(char_pp.max()), tol, {}
     )
     return verdict, direct_pp, char_pp
 
 
 def _ricci_semisymmetric(data, plan: SamplePlan):
     tol = plan.tol_for("ricci_semisymmetric")
-    direct_pp = []
-    char_pp = []
-    for d in data:
-        direct_pp.append(max_norm(d.rs) / d.scale_rs)
-        values = _plane_reduce(d.rs, d.dirs, d.planes, d.bundle.metric.J)
-        char_pp.append(max_norm(values) / d.scale_rs)
+    direct_pp = max_norm(data.rs, 4) / data.scale_rs
+    values = _plane_reduce(data.rs, data.dirs, data.planes, data.bundle.metric.J)
+    char_pp = max_norm(values, 2) / data.scale_rs
     verdict = _combine(
-        "ricci_semisymmetric", max(direct_pp), max(char_pp), tol, {}
+        "ricci_semisymmetric", float(direct_pp.max()), float(char_pp.max()), tol, {}
     )
     return verdict, direct_pp, char_pp
 
 
 def _holo_pseudosymmetric(data, plan: SamplePlan):
     """Constancy of the Deszcz quotient over holomorphic planes, then the
-    full tensor residual R.S - f_S Qc with the fitted f_S = L/2."""
+    full tensor residual R.S - f_S Qc with the fitted f_S = L/2.
+
+    Sample i pairs direction i mod (directions) with plane seed i."""
     tol = plan.tol_for("holo_ricci_pseudosymmetric")
-    spread_pp = []
-    residual_pp = []
-    f_hats: list[float | None] = []
-    defined_counts = []
-    near_counts = []
     attempted = plan.planes
-    for d in data:
-        j = d.bundle.metric.J
-        nums = np.empty(attempted)
-        dens = np.empty(attempted)
-        for i in range(attempted):
-            v = d.dirs[i % plan.directions]
-            x = d.planes[i]
-            jx = j @ x
-            nums[i] = np.einsum("ijab,i,j,a,b->", d.rs, v, v, x, jx)
-            dens[i] = np.einsum("ijab,i,j,a,b->", d.q, v, v, x, jx)
-        bound = plan.dependence_threshold * d.dep_scale
-        defined = np.abs(dens) > bound
-        near = (np.abs(dens) > 0.1 * bound) & (np.abs(dens) <= 10.0 * bound)
-        defined_counts.append(int(defined.sum()))
-        near_counts.append(int(near.sum()))
-        if defined.any():
-            num_d, den_d = nums[defined], dens[defined]
-            l_bar = float(np.dot(num_d, den_d) / np.dot(den_d, den_d))
-            f_hat = l_bar / 2.0
-            spread_pp.append(float(np.max(np.abs(num_d - l_bar * den_d))) / d.scale_rs)
-            residual_pp.append(max_norm(d.rs - f_hat * d.qc) / d.scale_rs)
-            f_hats.append(f_hat)
-        else:
-            vacuous = max_norm(d.rs) / d.scale_rs
-            spread_pp.append(vacuous)
-            residual_pp.append(vacuous)
-            f_hats.append(None)
+    v = data.dirs[:, np.arange(attempted) % plan.directions]
+    x = data.planes
+    jx = x @ data.bundle.metric.J.T
+    nums = np.einsum("...ijab,...ki,...kj,...ka,...kb->...k", data.rs, v, v, x, jx)
+    dens = np.einsum("...ijab,...ki,...kj,...ka,...kb->...k", data.q, v, v, x, jx)
+    bound = (plan.dependence_threshold * data.dep_scale)[:, None]
+    defined = np.abs(dens) > bound
+    near = (np.abs(dens) > 0.1 * bound) & (np.abs(dens) <= 10.0 * bound)
+    defined_counts = defined.sum(axis=1).tolist()
+    fits = defined.any(axis=1)
+
+    # Points without a defined sample fall back to the size of R.S itself.
+    vacuous = max_norm(data.rs, 4) / data.scale_rs
+    spread_pp = vacuous.copy()
+    f_hats: list[float | None] = [None] * len(vacuous)
+    fitted = np.zeros(len(vacuous))
+    for p in np.flatnonzero(fits):
+        num_d, den_d = nums[p, defined[p]], dens[p, defined[p]]
+        l_bar = float(np.dot(num_d, den_d) / np.dot(den_d, den_d))
+        spread_pp[p] = float(np.max(np.abs(num_d - l_bar * den_d))) / data.scale_rs[p]
+        f_hats[p] = fitted[p] = l_bar / 2.0
+    residual = max_norm(data.rs - fitted[:, None, None, None, None] * data.qc, 4)
+    residual_pp = np.where(fits, residual / data.scale_rs, vacuous)
     details = {
         "defined_samples": defined_counts,
-        "attempted_samples": [attempted] * len(data),
-        "near_threshold_samples": near_counts,
+        "attempted_samples": [attempted] * len(vacuous),
+        "near_threshold_samples": near.sum(axis=1).tolist(),
     }
-    if sum(defined_counts) == 0 and max(spread_pp) > tol:
+    if sum(defined_counts) == 0 and spread_pp.max() > tol:
         verdict = CriterionVerdict(
-            "holo_ricci_pseudosymmetric", INCONCLUSIVE, max(spread_pp),
-            max(residual_pp), False,
+            "holo_ricci_pseudosymmetric", INCONCLUSIVE, float(spread_pp.max()),
+            float(residual_pp.max()), False,
             {**details, "reason": "no curvature-dependent samples but R.S != 0"},
         )
     else:
         verdict = _combine(
-            "holo_ricci_pseudosymmetric", max(spread_pp), max(residual_pp),
-            tol, details,
+            "holo_ricci_pseudosymmetric", float(spread_pp.max()),
+            float(residual_pp.max()), tol, details,
         )
     return verdict, spread_pp, residual_pp, f_hats
 
@@ -411,7 +414,7 @@ def _f_s_constancy(f_hats, data, tol: float) -> bool | None:
     values = [f for f in f_hats if f is not None]
     if not values:
         return None
-    curv = max(max_norm(d.bundle.r13) for d in data)
+    curv = float(np.max(max_norm(data.bundle.r13, 4)))
     scale = max(max(abs(f) for f in values), curv, ABS_FLOOR)
     return (max(values) - min(values)) / scale <= tol
 
@@ -480,15 +483,15 @@ def classify_evidence(data, plan: SamplePlan, n: int) -> LadderVerdict:
             break
 
     evidence = {
-        "ricci_flat.direct": tuple(flat_pp),
-        "einstein.direct": tuple(ein_direct),
-        "einstein.holo": tuple(ein_char),
-        "ricci_parallel.direct": tuple(par_direct),
-        "ricci_parallel.holo": tuple(par_char),
-        "ricci_semisymmetric.direct": tuple(semi_direct),
-        "ricci_semisymmetric.holo": tuple(semi_char),
-        "holo_ricci_pseudosymmetric.spread": tuple(hrps_spread),
-        "holo_ricci_pseudosymmetric.residual": tuple(hrps_residual),
+        "ricci_flat.direct": flat_pp,
+        "einstein.direct": ein_direct,
+        "einstein.holo": ein_char,
+        "ricci_parallel.direct": par_direct,
+        "ricci_parallel.holo": par_char,
+        "ricci_semisymmetric.direct": semi_direct,
+        "ricci_semisymmetric.holo": semi_char,
+        "holo_ricci_pseudosymmetric.spread": hrps_spread,
+        "holo_ricci_pseudosymmetric.residual": hrps_residual,
     }
     return LadderVerdict(
         ricci_flat=flat,
@@ -498,13 +501,13 @@ def classify_evidence(data, plan: SamplePlan, n: int) -> LadderVerdict:
         holo_ricci_pseudosymmetric=hrps,
         classification=classification,
         lambda_hat=float(np.mean(lams)),
-        lambda_values=tuple(float(l) for l in lams),
+        lambda_values=tuple(lams.tolist()),
         f_s_values=tuple(f_hats),
         f_s_constant=_f_s_constancy(
             f_hats, data, plan.tol_for("holo_ricci_pseudosymmetric")
         ),
         below_theorem_dimension=n < 2,
-        evidence=evidence,
+        evidence={key: tuple(values.tolist()) for key, values in evidence.items()},
     )
 
 
@@ -514,10 +517,5 @@ def classify(spec: ManifoldSpec, plan: SamplePlan = SamplePlan()) -> LadderVerdi
     Raises PreflightError when the metric fails the Kahler checks and
     LatticeError when the verdicts violate the inclusion chain.
     """
-    potential = spec.potential()
-    points = sample_points(spec.domain, plan)
-    report = preflight_kahler(potential, spec.n, points, plan.preflight_tolerance)
-    if not report.passed:
-        raise PreflightError(report)
-    data = gather_evidence(potential, spec.n, points, plan)
+    _, _, data = sample_evidence(spec, plan)
     return classify_evidence(data, plan, spec.n)

@@ -17,6 +17,7 @@ its first and last slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,6 +38,8 @@ class Connection:
 
 @dataclass(frozen=True)
 class CurvatureBundle:
+    """Curvature at one point, or at several (see :func:`stack_bundles`)."""
+
     metric: MetricJet
     connection: Connection
     r13: np.ndarray
@@ -139,6 +142,30 @@ def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     ns = nabla_ricci(conn, s, ds)
     scal = scalar_curvature(s, m.g)
     return CurvatureBundle(m, conn, r13, r04, s, ds, ns, scal)
+
+
+_STACKED = ("metric.point", "metric.g", "connection.gamma", "connection.dgamma",
+            "r13", "r04", "ricci", "dricci", "nabla_ricci", "scal")
+
+
+def stack_bundles(bundles) -> CurvatureBundle:
+    """The bundles of several points, each tensor stacked on a leading point axis.
+
+    The metric keeps its points, g and the shared J, and the connection
+    gamma and dgamma; the higher derivatives, which only feed the stacked
+    tensors, are dropped.  ``bundles`` may be a generator, so that only
+    the kept tensors of all points are alive at once.
+    """
+    columns = {field: [] for field in _STACKED}
+    for b in bundles:
+        shared = b.metric  # n and J are the same at every point
+        for field, column in columns.items():
+            column.append(attrgetter(field)(b))
+    stacked = {field.split(".")[-1]: np.stack(column) for field, column in columns.items()}
+    metric = MetricJet(stacked.pop("point"), shared.n, stacked.pop("g"),
+                       None, None, None, shared.J)
+    connection = Connection(stacked.pop("gamma"), stacked.pop("dgamma"), None)
+    return CurvatureBundle(metric, connection, **stacked)
 
 
 # -- scalar curvature observables ---------------------------------------------

@@ -14,7 +14,6 @@ multi-index ``a`` is the partial derivative divided by ``a!``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -24,7 +23,8 @@ MAX_ORDER = 5
 
 
 class JetDomainError(ArithmeticError):
-    """Evaluation left the domain of a primitive: log(<=0), sqrt(<=0), 1/0."""
+    """Evaluation left the domain of a primitive: log(<=0), sqrt(<=0), 1/0,
+    or an exp whose value overflows a float."""
 
 
 def _monomials(nvars, degree):
@@ -39,8 +39,9 @@ def _monomials(nvars, degree):
 class JetSpace:
     """Shared monomial tables for all jets with the same shape.
 
-    Holds the graded list of multi-indices up to ``order`` and a sparse
-    index table used to multiply coefficient vectors.
+    Holds the graded list of multi-indices up to ``order``, a sparse
+    index table used to multiply coefficient vectors, and (built on first
+    use) one gather table per derivative order for :meth:`JetScalar.partials`.
     """
 
     def __init__(self, nvars: int, order: int):
@@ -71,6 +72,24 @@ class JetSpace:
         self._left = np.asarray(left, dtype=np.intp)
         self._right = np.asarray(right, dtype=np.intp)
         self._out = np.asarray(out, dtype=np.intp)
+        self._partials_tables: dict[int, np.ndarray] = {}
+
+    def partials_table(self, degree: int) -> np.ndarray:
+        """Array of shape (nvars,) * degree holding, at every index tuple,
+        the position of the monomial that counts those indices."""
+        table = self._partials_tables.get(degree)
+        if table is None:
+            m = self.nvars
+            # Key a multi-index a by sum_k a_k (order+1)^k; the key of an
+            # index tuple is then the sum of the weights of its entries.
+            weights = (self.order + 1) ** np.arange(m, dtype=np.int64)
+            keys = np.asarray(self.monomials, dtype=np.int64) @ weights
+            grid = np.indices((m,) * degree, dtype=np.intp)
+            tuple_keys = weights[grid].sum(axis=0)
+            by_key = np.argsort(keys)
+            table = by_key[np.searchsorted(keys, tuple_keys, sorter=by_key)]
+            self._partials_tables[degree] = table
+        return table
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.zeros(self.size)
@@ -130,16 +149,8 @@ class JetScalar:
             )
         if degree == 0:
             return np.float64(self.coeffs[0])
-        m = self.space.nvars
         scaled = self.coeffs * self.space.factorial
-        position = self.space.position
-        out = np.empty((m,) * degree)
-        for idx in itertools.product(range(m), repeat=degree):
-            alpha = [0] * m
-            for i in idx:
-                alpha[i] += 1
-            out[idx] = scaled[position[tuple(alpha)]]
-        return out
+        return scaled[self.space.partials_table(degree)]
 
     # -- ring operations -------------------------------------------------
 
@@ -251,7 +262,10 @@ def jet_log(j: JetScalar) -> JetScalar:
 
 
 def jet_exp(j: JetScalar) -> JetScalar:
-    e0 = math.exp(j.value)
+    try:
+        e0 = math.exp(j.value)
+    except OverflowError:
+        raise JetDomainError(f"exp of {j.value!r} overflows a float") from None
     series = [e0 / math.factorial(k) for k in range(j.space.order + 1)]
     return j._compose(series)
 

@@ -23,18 +23,17 @@ import numpy as np
 from .classifier import (
     LadderVerdict,
     PointData,
-    PreflightError,
     PreflightReport,
     SamplePlan,
+    _plane_reduce,
     classify_evidence,
-    gather_evidence,
-    preflight_kahler,
-    sample_points,
+    sample_evidence,
 )
 from .symmetry_tensors import holomorphic_first_slot_check
 from .tensor_algebra import (
-    ABS_FLOOR,
+    _j_last_pair,
     check_rs_symmetries,
+    floored_scale,
     max_norm,
     rel_violation,
 )
@@ -63,37 +62,34 @@ ALGEBRAIC_IDENTITIES = frozenset(
 )
 
 
-def _j_last_pair(t: np.ndarray, j: np.ndarray) -> np.ndarray:
-    return np.einsum("ijmn,ma,nb->ijab", t, j, j)
+def _permute_slots(t: np.ndarray, *order: int) -> np.ndarray:
+    """Reorder the trailing len(order) axes of t, leaving point axes in front."""
+    lead = t.ndim - len(order)
+    return np.transpose(t, (*range(lead), *(lead + k for k in order)))
 
 
-def _plane_values(t: np.ndarray, dirs: np.ndarray, planes: np.ndarray,
-                  j: np.ndarray) -> np.ndarray:
-    diag = np.einsum("ijab,pi,pj->pab", t, dirs, dirs)
-    return np.einsum("pab,qa,qb->pq", diag, planes, planes @ j.T)
-
-
-def identity_checks(d: PointData) -> dict[str, float]:
-    """All identity violations at one point, keyed by frozen check names."""
+def identity_checks(d: PointData) -> dict[str, np.ndarray]:
+    """Every identity violation at each point, keyed by frozen check names."""
     b = d.bundle
     g, s, j = b.metric.g, b.ricci, b.metric.J
-    m = g.shape[0]
+    m = j.shape[0]
     r04 = b.r04
 
-    scale_s = max(max_norm(s), m * max_norm(b.r13), ABS_FLOOR)
-    scale_r = max(
-        max_norm(r04),
-        max_norm(g)
-        * (max_norm(b.connection.dgamma) + m * max_norm(b.connection.gamma) ** 2),
-        ABS_FLOOR,
+    scale_s = floored_scale(max_norm(s, 2), m * max_norm(b.r13, 4))
+    scale_r = floored_scale(
+        max_norm(r04, 4),
+        max_norm(g, 2)
+        * (max_norm(b.connection.dgamma, 4) + m * max_norm(b.connection.gamma, 3) ** 2),
     )
 
-    out: dict[str, float] = {}
-    out["ricci_symmetric"] = rel_violation(s - s.T, scale_s)
-    out["ricci_j_invariant"] = rel_violation(j.T @ s @ j - s, scale_s)
-    out["ricci_j_skew"] = rel_violation(j.T @ s + s @ j, scale_s)
+    out: dict[str, np.ndarray] = {}
+    out["ricci_symmetric"] = rel_violation(s - np.swapaxes(s, -1, -2), scale_s, 2)
+    out["ricci_j_invariant"] = rel_violation(j.T @ s @ j - s, scale_s, 2)
+    out["ricci_j_skew"] = rel_violation(j.T @ s + s @ j, scale_s, 2)
     sj = s @ j
-    out["ricci_holomorphic_zero"] = rel_violation(0.5 * (sj + sj.T), scale_s)
+    out["ricci_holomorphic_zero"] = rel_violation(
+        0.5 * (sj + np.swapaxes(sj, -1, -2)), scale_s, 2
+    )
 
     for prefix, tensor, scale in (
         ("rs", d.rs, d.scale_rs),
@@ -103,46 +99,47 @@ def identity_checks(d: PointData) -> dict[str, float]:
         for key, value in report.violations.items():
             out[f"{prefix}_{key}"] = value
 
-    split = d.qc - d.q - _j_last_pair(d.q, j)
-    out["tachibana_complex_split"] = rel_violation(split, d.scale_qc)
-    double = _plane_values(d.qc - 2.0 * d.q, d.dirs, d.planes, j)
-    out["tachibana_holomorphic_double"] = rel_violation(double, d.scale_qc)
+    out["tachibana_complex_split"] = rel_violation(
+        d.qc - d.q - _j_last_pair(d.q, j), d.scale_qc, 4
+    )
+    out["tachibana_holomorphic_double"] = rel_violation(
+        _plane_reduce(d.qc - 2.0 * d.q, d.dirs, d.planes, j), d.scale_qc, 2
+    )
     out["holomorphic_first_slot_zero"] = holomorphic_first_slot_check(
         d.qc, j, scale=d.scale_qc
     )
 
     out["riemann_antisym_first_pair"] = rel_violation(
-        r04 + np.swapaxes(r04, 0, 1), scale_r
+        r04 + np.swapaxes(r04, -4, -3), scale_r, 4
     )
     out["riemann_antisym_last_pair"] = rel_violation(
-        r04 + np.swapaxes(r04, 2, 3), scale_r
+        r04 + np.swapaxes(r04, -2, -1), scale_r, 4
     )
     out["riemann_pair_symmetry"] = rel_violation(
-        r04 - np.transpose(r04, (2, 3, 0, 1)), scale_r
+        r04 - _permute_slots(r04, 2, 3, 0, 1), scale_r, 4
     )
     out["riemann_first_bianchi"] = rel_violation(
-        r04 + np.transpose(r04, (1, 2, 0, 3)) + np.transpose(r04, (2, 0, 1, 3)),
-        scale_r,
+        r04 + _permute_slots(r04, 1, 2, 0, 3) + _permute_slots(r04, 2, 0, 1, 3),
+        scale_r, 4,
     )
     out["kahler_j_invariance"] = rel_violation(
-        np.einsum("ma,nb,mncd->abcd", j, j, r04) - r04, scale_r
+        np.einsum("ma,nb,...mncd->...abcd", j, j, r04) - r04, scale_r, 4
     )
 
-    drho = np.einsum("ma,cmb->cab", j, b.dricci)
-    closed = drho - np.einsum("acb->cab", drho) + np.einsum("bca->cab", drho)
+    drho = np.einsum("ma,...cmb->...cab", j, b.dricci)
+    closed = drho - _permute_slots(drho, 1, 0, 2) + _permute_slots(drho, 1, 2, 0)
     out["ricci_form_closed"] = rel_violation(
-        closed, max(max_norm(b.dricci), ABS_FLOOR)
+        closed, max_norm(b.dricci, 3), 3
     )
     return out
 
 
-def identity_suite(data) -> dict[str, float]:
+def identity_suite(data: PointData) -> dict[str, float]:
     """Worst violation of every identity over all sampled points."""
-    worst: dict[str, float] = {}
-    for d in data:
-        for name, value in identity_checks(d).items():
-            worst[name] = max(worst.get(name, 0.0), value)
-    return worst
+    return {
+        name: float(np.max(values, initial=0.0))
+        for name, values in identity_checks(data).items()
+    }
 
 
 # -- reports ---------------------------------------------------------------------
@@ -328,12 +325,7 @@ def run(spec: ManifoldSpec, plan: SamplePlan = SamplePlan(),
     rung verdicts violate the inclusion chain.
     """
     start = time.perf_counter()
-    potential = spec.potential()
-    points = sample_points(spec.domain, plan)
-    preflight = preflight_kahler(potential, spec.n, points, plan.preflight_tolerance)
-    if not preflight.passed:
-        raise PreflightError(preflight)
-    data = gather_evidence(potential, spec.n, points, plan)
+    points, preflight, data = sample_evidence(spec, plan)
     identities = identity_suite(data)
     verdict = classify_evidence(data, plan, spec.n) if with_classification else None
     elapsed = time.perf_counter() - start

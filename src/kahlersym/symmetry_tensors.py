@@ -8,7 +8,8 @@ by derivation.  With A an endomorphism attached to (x, y),
 
 which gives R.S for A = R(x,y), the Tachibana-Ricci tensor Q(g,S) for
 the metric wedge A = x wedge_g y, and its complex variant Qc(g,S) for
-the complex wedge.
+the complex wedge.  These tensors and their scales accept inputs stacked
+on leading point axes and then return one tensor or value per point.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .expressions import Expr
 from .metrics import metric_from_potential
 from .tensor_algebra import (
     ABS_FLOOR,
+    floored_scale,
     hermitian_violation,
     max_norm,
     NonHermitianMetric,
@@ -31,20 +33,26 @@ from .tensor_algebra import (
 
 
 def _endo_family_dot_bilinear(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Derivation action for a whole family a[d,c,x,y] of endomorphisms."""
-    return -np.einsum("miab,mj->ijab", a, s) - np.einsum("mjab,im->ijab", a, s)
+    """Derivation action for a whole family a[d,c,x,y] of endomorphisms.
+
+    The result is laid out in C order, as for a single point, so the
+    contractions that read it sum in the same order for one point or many.
+    """
+    return np.ascontiguousarray(
+        -np.einsum("...miab,...mj->...ijab", a, s)
+        - np.einsum("...mjab,...im->...ijab", a, s)
+    )
 
 
 def r_dot_s(bundle: CurvatureBundle) -> np.ndarray:
     """(R(x,y) . S)(u, v) in slot order (u, v, x, y)."""
-    family = np.einsum("dabc->dcab", bundle.r13)
+    family = np.einsum("...dabc->...dcab", bundle.r13)
     return _endo_family_dot_bilinear(family, bundle.ricci)
 
 
 def _wedge_family(g: np.ndarray) -> np.ndarray:
-    m = g.shape[0]
-    eye = np.eye(m)
-    return np.einsum("bc,da->dcab", g, eye) - np.einsum("ac,db->dcab", g, eye)
+    eye = np.eye(g.shape[-1])
+    return np.einsum("...bc,da->...dcab", g, eye) - np.einsum("...ac,db->...dcab", g, eye)
 
 
 def tachibana_ricci(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -55,8 +63,8 @@ def tachibana_ricci(g: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _complex_wedge_family(g: np.ndarray, j: np.ndarray) -> np.ndarray:
     gj = g @ j
-    rotated = np.einsum("cb,da->dcab", gj, j) - np.einsum("ca,db->dcab", gj, j)
-    spin = -2.0 * np.einsum("ab,dc->dcab", j.T @ g, j)
+    rotated = np.einsum("...cb,da->...dcab", gj, j) - np.einsum("...ca,db->...dcab", gj, j)
+    spin = -2.0 * np.einsum("...ab,dc->...dcab", j.T @ g, j)
     return _wedge_family(g) + rotated + spin
 
 
@@ -65,7 +73,7 @@ def complex_tachibana_ricci(g: np.ndarray, s: np.ndarray, j: np.ndarray,
     """Qc(g,S): derivation action of complex wedges; needs g Hermitian."""
     g = np.asarray(g, float)
     j = np.asarray(j, float)
-    if hermitian_violation(g, j) > tol:
+    if np.any(hermitian_violation(g, j) > tol):
         raise NonHermitianMetric("metric is not Hermitian w.r.t. the complex structure")
     return _endo_family_dot_bilinear(_complex_wedge_family(g, j), np.asarray(s, float))
 
@@ -82,10 +90,11 @@ def holomorphic_first_slot_check(qc: np.ndarray, j: np.ndarray,
     Qc contracted with J being zero, which is what gets measured.  Pass a
     larger reference ``scale`` when qc itself is expected to be roundoff.
     """
-    contracted = np.einsum("imab,mk->ikab", qc, j)
-    sym = 0.5 * (contracted + np.einsum("kiab->ikab", contracted))
-    reference = max_norm(qc) if scale is None else max(scale, max_norm(qc))
-    return max_norm(sym) / max(reference, ABS_FLOOR)
+    contracted = np.einsum("...imab,mk->...ikab", qc, j)
+    sym = 0.5 * (contracted + np.einsum("...kiab->...ikab", contracted))
+    norm = max_norm(qc, 4)
+    reference = norm if scale is None else np.maximum(scale, norm)
+    return max_norm(sym, 4) / np.maximum(reference, ABS_FLOOR)
 
 
 # -- Deszcz quotient -----------------------------------------------------------
@@ -108,7 +117,7 @@ def dependence_scale(q: np.ndarray, g: np.ndarray, s: np.ndarray) -> float:
     The floor ||g|| * ||S|| keeps roundoff noise in an identically zero
     Q(g,S) (Einstein points) from counting as curvature dependence.
     """
-    return max(max_norm(q), max_norm(g) * max_norm(s), ABS_FLOOR)
+    return floored_scale(max_norm(q, 4), max_norm(g, 2) * max_norm(s, 2))
 
 
 def deszcz_sample(rs: np.ndarray, q: np.ndarray, v, x, y, scale: float,

@@ -4,11 +4,15 @@ Vectors are 1-d arrays of length 2n, bilinear forms (2n, 2n) arrays and
 (0,4)-tensors (2n, 2n, 2n, 2n) arrays.  The coordinate basis is always
 ordered (x1..xn, y1..yn) so that the standard complex structure is the
 constant block matrix J = [[0, -I], [I, 0]].
+
+The tensor checks are shape-polymorphic: a tensor may carry leading point
+axes, and then every violation and norm is one value per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -28,18 +32,27 @@ def standard_complex_structure(n: int) -> np.ndarray:
     return np.block([[zero, -eye], [eye, zero]])
 
 
-def max_norm(t) -> float:
+def max_norm(t, rank: int | None = None):
+    """Max-norm of ``t`` as a float; with ``rank``, the max-norm of each
+    rank-``rank`` tensor stacked along the leading axes of ``t``."""
     t = np.asarray(t)
-    return float(np.max(np.abs(t))) if t.size else 0.0
+    if rank is None:
+        return float(np.max(np.abs(t))) if t.size else 0.0
+    return np.max(np.abs(t), axis=tuple(range(t.ndim - rank, t.ndim)), initial=0.0)
 
 
-def rel_violation(diff, reference_scale: float) -> float:
+def floored_scale(*norms):
+    """Elementwise largest of the norms, floored at ABS_FLOOR."""
+    return reduce(np.maximum, norms, ABS_FLOOR)
+
+
+def rel_violation(diff, reference_scale: float, rank: int | None = None):
     """Max-norm of diff relative to a scale, floored for zero tensors."""
-    return max_norm(diff) / max(reference_scale, ABS_FLOOR)
+    return max_norm(diff, rank) / np.maximum(reference_scale, ABS_FLOOR)
 
 
-def hermitian_violation(g: np.ndarray, j: np.ndarray) -> float:
-    return rel_violation(j.T @ g @ j - g, max_norm(g))
+def hermitian_violation(g: np.ndarray, j: np.ndarray):
+    return rel_violation(j.T @ g @ j - g, max_norm(g, 2), 2)
 
 
 def _check_dims(g, *vectors):
@@ -162,11 +175,11 @@ def adapted_frame(g: np.ndarray, j: np.ndarray, seed: np.ndarray) -> np.ndarray:
 
 
 def _j_last_pair(t, j):
-    return np.einsum("ijmn,ma,nb->ijab", t, j, j)
+    return np.einsum("...ijmn,ma,nb->...ijab", t, j, j)
 
 
 def _j_first_pair(t, j):
-    return np.einsum("mnab,mi,nj->ijab", t, j, j)
+    return np.einsum("...mnab,mi,nj->...ijab", t, j, j)
 
 
 @dataclass(frozen=True)
@@ -176,7 +189,7 @@ class SymmetryReport:
 
     @property
     def max_violation(self) -> float:
-        return max(self.violations.values())
+        return float(max(np.max(v) for v in self.violations.values()))
 
     @property
     def passed(self) -> bool:
@@ -192,22 +205,26 @@ def check_rs_symmetries(
     invariant under J applied to either pair, J-skew within each pair.
     Violations are relative to the max-norm of the tensor unless a larger
     reference ``scale`` is supplied (needed when t itself is roundoff).
+    For tensors stacked on leading point axes, ``scale`` and every
+    violation hold one value per point.
     """
     t = np.asarray(t, float)
-    scale = max_norm(t) if scale is None else max(scale, max_norm(t))
-    jl = _j_last_pair(t, j)
-    jf = _j_first_pair(t, j)
+    norm = max_norm(t, 4)
+    scale = norm if scale is None else np.maximum(scale, norm)
     violations = {
-        "antisym_last_pair": rel_violation(t + np.swapaxes(t, 2, 3), scale),
-        "sym_first_pair": rel_violation(t - np.swapaxes(t, 0, 1), scale),
-        "j_pair_invariance": max(
-            rel_violation(t - jl, scale), rel_violation(t - jf, scale)
+        "antisym_last_pair": rel_violation(t + np.swapaxes(t, -2, -1), scale, 4),
+        "sym_first_pair": rel_violation(t - np.swapaxes(t, -4, -3), scale, 4),
+        "j_pair_invariance": np.maximum(
+            rel_violation(t - _j_last_pair(t, j), scale, 4),
+            rel_violation(t - _j_first_pair(t, j), scale, 4),
         ),
         "j_skew_first_pair": rel_violation(
-            np.einsum("imab,mj->ijab", t, j) + np.einsum("mjab,mi->ijab", t, j), scale
+            np.einsum("...imab,mj->...ijab", t, j) + np.einsum("...mjab,mi->...ijab", t, j),
+            scale, 4,
         ),
         "j_skew_last_pair": rel_violation(
-            np.einsum("ijam,mb->ijab", t, j) + np.einsum("ijmb,ma->ijab", t, j), scale
+            np.einsum("...ijam,mb->...ijab", t, j) + np.einsum("...ijmb,ma->...ijab", t, j),
+            scale, 4,
         ),
     }
     return SymmetryReport(violations, tol)

@@ -9,6 +9,8 @@ point of the tests.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from kahlersym.metrics import metric_from_potential
@@ -82,6 +84,22 @@ def brute_complex_tachibana(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.n
                         acc -= wedge[d, i] * s[d, k]
                         acc -= wedge[d, k] * s[i, d]
                     out[i, k, a, b] = acc
+    return out
+
+
+# -- jet partials by an index-tuple walk -----------------------------------------
+
+
+def partials_loop(jet, degree: int) -> np.ndarray:
+    """All partial derivatives of one order, one index tuple at a time."""
+    m = jet.space.nvars
+    scaled = jet.coeffs * jet.space.factorial
+    out = np.empty((m,) * degree)
+    for idx in itertools.product(range(m), repeat=degree):
+        alpha = [0] * m
+        for i in idx:
+            alpha[i] += 1
+        out[idx] = scaled[jet.space.position[tuple(alpha)]]
     return out
 
 

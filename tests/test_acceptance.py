@@ -16,8 +16,8 @@ from kahlersym.classifier import (
     PASS,
     SamplePlan,
     direction_samples,
-    gather_evidence,
     plane_samples,
+    sample_evidence,
     sample_points,
 )
 from kahlersym.cli import main
@@ -147,12 +147,10 @@ def test_criterion_05_polarization_round_trip(fixtures):
     plan = SamplePlan(points=10, directions=4, planes=4, seed=0)
     worst = 0.0
     for name in ("fs_cp2", "product_cp1_cp1_unequal", "perturbed_flat"):
-        spec = fixtures[name]
-        points = sample_points(spec.domain, plan)
-        data = gather_evidence(spec.potential(), spec.n, points, plan)
-        for d in data:
-            j = d.bundle.metric.J
-            for tensor, scale in ((d.rs, d.scale_rs), (d.qc, d.scale_qc)):
+        _, _, data = sample_evidence(fixtures[name], plan)
+        j = data.bundle.metric.J
+        for rs, qc, scale_rs, scale_qc in zip(data.rs, data.qc, data.scale_rs, data.scale_qc):
+            for tensor, scale in ((rs, scale_rs), (qc, scale_qc)):
                 def ev(u, x, t=tensor):
                     return float(np.einsum("ijab,i,j,a,b->", t, u, u, x, j @ x))
 

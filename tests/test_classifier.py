@@ -222,6 +222,15 @@ def test_preflight_accepts_potential_metrics(fixtures):
     assert set(report.checks) == {"hermitian", "closed_form", "parallel_j"}
 
 
+def test_shared_jet_preflight_matches_preflight_kahler(fixtures, full_reports):
+    for name, spec in fixtures.items():
+        report = full_reports[name]
+        alone = preflight_kahler(
+            spec.potential(), spec.n, report.points, report.plan.preflight_tolerance
+        )
+        assert report.preflight == alone, name
+
+
 def test_preflight_flags_non_hermitian_metric():
     good = _fake_metric(np.eye(4))
     bad = _fake_metric(np.diag([1.0, 2.0, 3.0, 4.0]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import poly_eval, poly_partial, random_poly
+from helpers import partials_loop, poly_eval, poly_partial, random_poly
 from kahlersym.jets import (
     MAX_ORDER,
     JetDomainError,
@@ -177,3 +177,21 @@ def test_partials_symmetric_tensor():
     for perm in itertools.permutations(range(3)):
         np.testing.assert_allclose(third, np.transpose(third, perm), atol=0)
     assert third[0, 1, 2] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_partials_gather_matches_index_walk(nvars):
+    rng = np.random.default_rng(nvars)
+    space = jet_space(nvars, MAX_ORDER)
+    jet = JetScalar(space, rng.standard_normal(space.size))
+    for degree in range(MAX_ORDER + 1):
+        fast = jet.partials(degree)
+        slow = partials_loop(jet, degree)
+        assert np.shape(fast) == slow.shape
+        assert np.array_equal(fast, slow), degree
+
+
+def test_exp_overflow_is_a_domain_error():
+    space = jet_space(2, 3)
+    with pytest.raises(JetDomainError, match="exp of 7200.0 overflows"):
+        jet_exp(JetScalar.constant(space, 7200.0))

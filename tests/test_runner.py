@@ -1,11 +1,14 @@
 """Identity suite and report plumbing."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from kahlersym.classifier import SamplePlan, gather_evidence, sample_points
+from kahlersym.classifier import SamplePlan, sample_evidence
+from kahlersym.curvature import curvature_bundle
+from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import (
     ALGEBRAIC_IDENTITIES,
     IDENTITY_TOLERANCE,
@@ -14,6 +17,8 @@ from kahlersym.runner import (
     run,
     verify_identities,
 )
+from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
+from kahlersym.tensor_algebra import check_rs_symmetries
 
 EXPECTED_CHECKS = {
     "ricci_symmetric",
@@ -43,22 +48,20 @@ EXPECTED_CHECKS = {
 
 
 def test_identity_check_names_are_frozen(fixtures, small_plan):
-    spec = fixtures["perturbed_flat"]
-    points = sample_points(spec.domain, small_plan)
-    data = gather_evidence(spec.potential(), spec.n, points, small_plan)
-    checks = identity_checks(data[0])
+    _, _, data = sample_evidence(fixtures["perturbed_flat"], small_plan)
+    checks = identity_checks(data)
     assert set(checks) == EXPECTED_CHECKS
     assert ALGEBRAIC_IDENTITIES <= EXPECTED_CHECKS
+    for values in checks.values():
+        assert np.shape(values) == (small_plan.points,)
 
 
 def test_identity_suite_takes_worst_case(fixtures, small_plan):
-    spec = fixtures["perturbed_flat"]
-    points = sample_points(spec.domain, small_plan)
-    data = gather_evidence(spec.potential(), spec.n, points, small_plan)
+    _, _, data = sample_evidence(fixtures["perturbed_flat"], small_plan)
     worst = identity_suite(data)
-    per_point = [identity_checks(d) for d in data]
+    per_point = identity_checks(data)
     for name in EXPECTED_CHECKS:
-        assert worst[name] == max(p[name] for p in per_point)
+        assert worst[name] == max(per_point[name])
 
 
 def test_identities_pass_across_zoo(full_reports):
@@ -172,3 +175,43 @@ def test_identity_only_json_has_null_verdict(fixtures, small_plan):
     report = verify_identities(fixtures["flat_c2"], small_plan)
     payload = json.loads(report.to_json())
     assert payload["verdict"] is None
+
+
+def test_run_expands_one_metric_jet_per_point(fixtures, small_plan, monkeypatch):
+    import kahlersym
+    from kahlersym import metrics
+
+    original = metrics.metric_from_potential
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("depth", 3))
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("kahlersym"):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    assert kahlersym.metrics.metric_from_potential is counted
+    run(fixtures["product_cp1_cp1_unequal"], small_plan)
+    assert calls == [3] * small_plan.points
+
+
+def test_stacked_evidence_matches_single_points(fixtures, small_plan):
+    spec = fixtures["perturbed_flat"]
+    points, _, data = sample_evidence(spec, small_plan)
+    for i, point in enumerate(points):
+        b = curvature_bundle(metric_from_potential(spec.potential(), point, spec.n))
+        assert np.array_equal(data.rs[i], r_dot_s(b))
+        assert np.array_equal(data.q[i], tachibana_ricci(b.metric.g, b.ricci))
+        assert np.array_equal(
+            data.qc[i], complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
+        )
+        assert np.array_equal(data.bundle.r04[i], b.r04)
+        for tensor, scale, name in ((data.rs, data.scale_rs, "rs"),
+                                    (data.qc, data.scale_qc, "qc")):
+            single = check_rs_symmetries(tensor[i], b.metric.J, scale=scale[i])
+            stacked = check_rs_symmetries(tensor, b.metric.J, scale=scale)
+            for key, value in single.violations.items():
+                assert stacked.violations[key][i] == value, (name, key)

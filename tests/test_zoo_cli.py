@@ -231,6 +231,17 @@ def test_cli_unknown_target_is_input_error(capsys):
     assert err.startswith("input error:")
 
 
+def test_cli_exp_overflow_is_input_error(tmp_path, capsys):
+    path = write_manifest(
+        tmp_path, "name = steep\nn = 2\npotential = exp(200*rsq)\ndomain = -3 3\n"
+    )
+    code = main(["classify", path, *SMALL_ARGS])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("input error:")
+    assert "overflows a float in sub-expression `200*(" in err
+
+
 def test_cli_bad_manifest_is_input_error(tmp_path, capsys):
     path = write_manifest(tmp_path, "nonsense\n")
     code = main(["classify", path, *SMALL_ARGS])
