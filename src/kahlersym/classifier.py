@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .curvature import CurvatureBundle, christoffel, curvature_bundle, stack_bundles
+from .curvature import CurvatureBundle, christoffel, concat_bundles, curvature_bundle
 from .expressions import Expr
-from .metrics import metric_from_potential, two_form_closedness
+from .metrics import MetricJet, metric_from_potential, two_form_closedness
 from .symmetry_tensors import (
     complex_tachibana_ricci,
     dependence_scale,
@@ -156,38 +156,52 @@ class PreflightReport:
         return all(entry["max"] <= self.tolerance for entry in self.checks.values())
 
 
-def preflight_from_metrics(metrics, tolerance: float = 1e-9) -> PreflightReport:
-    """Kahler checks on prepared depth>=1 metric jets (tests inject fakes here)."""
-    checks = {
-        name: {"max": 0.0, "point_index": 0}
-        for name in ("hermitian", "closed_form", "parallel_j")
-    }
+def _stack_metrics(metrics) -> MetricJet:
+    """Single-point depth>=1 jets stacked on a point axis (g and dg only)."""
+    first = metrics[0]
+    return MetricJet(
+        np.stack([m.point for m in metrics]), first.n,
+        np.stack([m.g for m in metrics]), np.stack([m.dg for m in metrics]),
+        None, None, first.J,
+    )
 
-    def record(name: str, value: float, index: int) -> None:
-        if value > checks[name]["max"]:
-            checks[name] = {"max": float(value), "point_index": index}
 
-    for index, m in enumerate(metrics):
-        record("hermitian", hermitian_violation(m.g, m.J), index)
-        record("closed_form", two_form_closedness(m), index)
+def _worst(values: np.ndarray) -> dict[str, Any]:
+    """The largest positive value and the first point holding it; NaN never
+    counts, and without a positive value the entry reads 0.0 at point 0."""
+    values = np.where(np.isnan(values), -np.inf, values)
+    index = int(np.argmax(values))
+    if values[index] > 0.0:
+        return {"max": float(values[index]), "point_index": index}
+    return {"max": 0.0, "point_index": 0}
+
+
+def preflight_from_metrics(metrics, tolerance: float = 1e-9,
+                           gamma: np.ndarray | None = None) -> PreflightReport:
+    """Kahler checks on depth>=1 metric jets stacked on a point axis, or on
+    a sequence of single-point jets (tests inject fakes here).
+
+    ``gamma`` is the jets' Christoffel symbols when the caller has them.
+    """
+    m = metrics if isinstance(metrics, MetricJet) else _stack_metrics(list(metrics))
+    if gamma is None:
         gamma = christoffel(m).gamma
-        nj = np.einsum("cam,mb->acb", gamma, m.J) - np.einsum(
-            "cm,mab->acb", m.J, gamma
-        )
-        record(
-            "parallel_j",
-            max_norm(nj) / max(max_norm(gamma), ABS_FLOOR),
-            index,
-        )
-    return PreflightReport(checks, tolerance)
+    nj = (np.einsum("...cam,mb->...acb", gamma, m.J)
+          - np.einsum("cm,...mab->...acb", m.J, gamma))
+    values = {
+        "hermitian": hermitian_violation(m.g, m.J),
+        "closed_form": two_form_closedness(m),
+        "parallel_j": max_norm(nj, 3) / np.maximum(max_norm(gamma, 3), ABS_FLOOR),
+    }
+    return PreflightReport({name: _worst(v) for name, v in values.items()}, tolerance)
 
 
 def preflight_kahler(
     potential: Expr, n: int, points, tolerance: float = 1e-9
 ) -> PreflightReport:
     """Check g Hermitian, d(omega) = 0 and nabla J = 0 at every point."""
-    metrics = [metric_from_potential(potential, p, n, depth=1) for p in points]
-    return preflight_from_metrics(metrics, tolerance)
+    return preflight_from_metrics(metric_from_potential(potential, points, n, depth=1),
+                                  tolerance)
 
 
 # -- evidence at the sampled points ----------------------------------------------
@@ -198,7 +212,7 @@ class PointData:
     """Curvature bundle, derived tensors and samples at every sampled point.
 
     Every field carries a leading point axis: ``bundle`` comes from
-    :func:`stack_bundles`, rs/q/qc are (P, m, m, m, m), dirs and planes
+    :func:`concat_bundles`, rs/q/qc are (P, m, m, m, m), dirs and planes
     (P, count, m), and the scales (P,).
     """
 
@@ -233,27 +247,31 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
     )
 
 
+# Points per block of sample_evidence: a block holds about this many
+# entries of each (2n)^5 tensor of the curvature pipeline (32 points at
+# n = 2, 1 point at n = 4), so the jets of a block stay small.
+_BLOCK_ENTRIES = 2**15
+
+
 def sample_evidence(spec: ManifoldSpec, plan: SamplePlan):
-    """Sample the plan's points, expand one depth-3 metric jet at each,
-    preflight their g and dg, and gather the evidence.
+    """Sample the plan's points, expand their depth-3 metric jets block by
+    block, preflight their g and dg, and gather the evidence.
 
     Returns (points, preflight report, evidence).  Raises PreflightError
     when the metric fails the Kahler checks; the curvature bundles are
-    built before that verdict, as each jet is expanded.
+    built before that verdict.
     """
     potential = spec.potential()
     points = sample_points(spec.domain, plan)
-    first_order = []  # depth-1 views of the jets: the preflight reads g and dg
-
-    def bundles():
-        # One point at a time, so the full jets are never all alive at once.
-        for point in points:
-            m = metric_from_potential(potential, point, spec.n)
-            first_order.append(replace(m, ddg=None, dddg=None))
-            yield curvature_bundle(m)
-
-    bundle = stack_bundles(bundles())
-    report = preflight_from_metrics(first_order, plan.preflight_tolerance)
+    block = max(1, _BLOCK_ENTRIES // (2 * spec.n) ** 5)
+    # A generator, so the full jets of only one block are alive at once.
+    bundle = concat_bundles(
+        curvature_bundle(metric_from_potential(potential, points[i:i + block], spec.n))
+        for i in range(0, len(points), block)
+    )
+    report = preflight_from_metrics(
+        bundle.metric, plan.preflight_tolerance, bundle.connection.gamma
+    )
     if not report.passed:
         raise PreflightError(report)
     return points, report, gather_evidence(bundle, plan)

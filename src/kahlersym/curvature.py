@@ -38,7 +38,7 @@ class Connection:
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Curvature at one point, or at several (see :func:`stack_bundles`)."""
+    """Curvature at one point, or at several stacked on a leading point axis."""
 
     metric: MetricJet
     connection: Connection
@@ -47,7 +47,7 @@ class CurvatureBundle:
     ricci: np.ndarray
     dricci: np.ndarray  # plain coordinate derivative of the Ricci components
     nabla_ricci: np.ndarray
-    scal: float
+    scal: float | np.ndarray
 
 
 def christoffel(m: MetricJet) -> Connection:
@@ -56,33 +56,35 @@ def christoffel(m: MetricJet) -> Connection:
         raise ValueError("christoffel needs at least one derivative of the metric")
     g, dg, ddg, dddg = m.g, m.dg, m.ddg, m.dddg
     ginv = np.linalg.inv(g)
-    t = np.einsum("adb->dab", dg) + np.einsum("bda->dab", dg) - dg
-    gamma = 0.5 * np.einsum("cd,dab->cab", ginv, t)
+    t = np.einsum("...adb->...dab", dg) + np.einsum("...bda->...dab", dg) - dg
+    gamma = 0.5 * np.einsum("...cd,...dab->...cab", ginv, t)
 
     dgamma = None
     ddgamma = None
     if ddg is not None:
-        dginv = -np.einsum("cm,emn,nd->ecd", ginv, dg, ginv)
-        dt = np.einsum("eadb->edab", ddg) + np.einsum("ebda->edab", ddg) - ddg
+        dginv = -np.einsum("...cm,...emn,...nd->...ecd", ginv, dg, ginv)
+        dt = (np.einsum("...eadb->...edab", ddg) + np.einsum("...ebda->...edab", ddg)
+              - ddg)
         dgamma = 0.5 * (
-            np.einsum("ecd,dab->ecab", dginv, t) + np.einsum("cd,edab->ecab", ginv, dt)
+            np.einsum("...ecd,...dab->...ecab", dginv, t)
+            + np.einsum("...cd,...edab->...ecab", ginv, dt)
         )
         if dddg is not None:
             ddginv = -(
-                np.einsum("fcm,emn,nd->fecd", dginv, dg, ginv)
-                + np.einsum("cm,femn,nd->fecd", ginv, ddg, ginv)
-                + np.einsum("cm,emn,fnd->fecd", ginv, dg, dginv)
+                np.einsum("...fcm,...emn,...nd->...fecd", dginv, dg, ginv)
+                + np.einsum("...cm,...femn,...nd->...fecd", ginv, ddg, ginv)
+                + np.einsum("...cm,...emn,...fnd->...fecd", ginv, dg, dginv)
             )
             ddt = (
-                np.einsum("feadb->fedab", dddg)
-                + np.einsum("febda->fedab", dddg)
+                np.einsum("...feadb->...fedab", dddg)
+                + np.einsum("...febda->...fedab", dddg)
                 - dddg
             )
             ddgamma = 0.5 * (
-                np.einsum("fecd,dab->fecab", ddginv, t)
-                + np.einsum("ecd,fdab->fecab", dginv, dt)
-                + np.einsum("fcd,edab->fecab", dginv, dt)
-                + np.einsum("cd,fedab->fecab", ginv, ddt)
+                np.einsum("...fecd,...dab->...fecab", ddginv, t)
+                + np.einsum("...ecd,...fdab->...fecab", dginv, dt)
+                + np.einsum("...fcd,...edab->...fecab", dginv, dt)
+                + np.einsum("...cd,...fedab->...fecab", ginv, ddt)
             )
     return Connection(gamma, dgamma, ddgamma)
 
@@ -93,32 +95,34 @@ def riemann(m: MetricJet, conn: Connection):
         raise ValueError("riemann needs first derivatives of the Christoffel symbols")
     gamma, dgamma, ddgamma = conn.gamma, conn.dgamma, conn.ddgamma
     r13 = (
-        np.einsum("adbc->dabc", dgamma)
-        - np.einsum("bdac->dabc", dgamma)
-        + np.einsum("dam,mbc->dabc", gamma, gamma)
-        - np.einsum("dbm,mac->dabc", gamma, gamma)
+        np.einsum("...adbc->...dabc", dgamma)
+        - np.einsum("...bdac->...dabc", dgamma)
+        + np.einsum("...dam,...mbc->...dabc", gamma, gamma)
+        - np.einsum("...dbm,...mac->...dabc", gamma, gamma)
     )
     dr13 = None
     if ddgamma is not None:
         dr13 = (
-            np.einsum("eadbc->edabc", ddgamma)
-            - np.einsum("ebdac->edabc", ddgamma)
-            + np.einsum("edam,mbc->edabc", dgamma, gamma)
-            + np.einsum("dam,embc->edabc", gamma, dgamma)
-            - np.einsum("edbm,mac->edabc", dgamma, gamma)
-            - np.einsum("dbm,emac->edabc", gamma, dgamma)
+            np.einsum("...eadbc->...edabc", ddgamma)
+            - np.einsum("...ebdac->...edabc", ddgamma)
+            + np.einsum("...edam,...mbc->...edabc", dgamma, gamma)
+            + np.einsum("...dam,...embc->...edabc", gamma, dgamma)
+            - np.einsum("...edbm,...mac->...edabc", dgamma, gamma)
+            - np.einsum("...dbm,...emac->...edabc", gamma, dgamma)
         )
-    r04 = np.einsum("mabc,md->abcd", r13, m.g)
+    r04 = np.einsum("...mabc,...md->...abcd", r13, m.g)
     return r13, dr13, r04
 
 
 def ricci(r13: np.ndarray) -> np.ndarray:
     """S_bc = trace of Z -> R(Z, d_b) d_c."""
-    return np.einsum("aabc->bc", r13)
+    return np.einsum("...aabc->...bc", r13)
 
 
-def scalar_curvature(s: np.ndarray, g: np.ndarray) -> float:
-    return float(np.einsum("bc,bc->", np.linalg.inv(g), s))
+def scalar_curvature(s: np.ndarray, g: np.ndarray):
+    """g^{bc} S_bc: a float, or one value per point for stacked tensors."""
+    scal = np.einsum("...bc,...bc->...", np.linalg.inv(g), s)
+    return float(scal) if np.ndim(scal) == 0 else scal
 
 
 def nabla_ricci(conn: Connection, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -126,46 +130,47 @@ def nabla_ricci(conn: Connection, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     gamma = conn.gamma
     return (
         ds
-        - np.einsum("mca,mb->cab", gamma, s)
-        - np.einsum("mcb,am->cab", gamma, s)
+        - np.einsum("...mca,...mb->...cab", gamma, s)
+        - np.einsum("...mcb,...am->...cab", gamma, s)
     )
 
 
 def curvature_bundle(m: MetricJet) -> CurvatureBundle:
-    """Everything the classifier needs at one point; requires depth-3 jets."""
+    """Everything the classifier needs at the jet's points; requires depth-3 jets."""
     if m.dddg is None:
         raise ValueError("curvature_bundle needs a depth-3 metric jet")
     conn = christoffel(m)
     r13, dr13, r04 = riemann(m, conn)
     s = ricci(r13)
-    ds = np.einsum("eaabc->ebc", dr13)
+    ds = np.einsum("...eaabc->...ebc", dr13)
     ns = nabla_ricci(conn, s, ds)
     scal = scalar_curvature(s, m.g)
     return CurvatureBundle(m, conn, r13, r04, s, ds, ns, scal)
 
 
-_STACKED = ("metric.point", "metric.g", "connection.gamma", "connection.dgamma",
-            "r13", "r04", "ricci", "dricci", "nabla_ricci", "scal")
+_KEPT = ("metric.point", "metric.g", "metric.dg", "connection.gamma",
+         "connection.dgamma", "r13", "r04", "ricci", "dricci", "nabla_ricci", "scal")
 
 
-def stack_bundles(bundles) -> CurvatureBundle:
-    """The bundles of several points, each tensor stacked on a leading point axis.
+def concat_bundles(bundles) -> CurvatureBundle:
+    """Bundles of several blocks of points, joined along the point axis.
 
-    The metric keeps its points, g and the shared J, and the connection
-    gamma and dgamma; the higher derivatives, which only feed the stacked
-    tensors, are dropped.  ``bundles`` may be a generator, so that only
-    the kept tensors of all points are alive at once.
+    The metric keeps its points, g, dg and the shared J, and the
+    connection gamma and dgamma; the higher derivatives, which only feed
+    the kept tensors, are dropped.  ``bundles`` may be a generator, so
+    that only the kept tensors of all blocks are alive at once.
     """
-    columns = {field: [] for field in _STACKED}
+    columns = {field: [] for field in _KEPT}
     for b in bundles:
         shared = b.metric  # n and J are the same at every point
         for field, column in columns.items():
             column.append(attrgetter(field)(b))
-    stacked = {field.split(".")[-1]: np.stack(column) for field, column in columns.items()}
-    metric = MetricJet(stacked.pop("point"), shared.n, stacked.pop("g"),
-                       None, None, None, shared.J)
-    connection = Connection(stacked.pop("gamma"), stacked.pop("dgamma"), None)
-    return CurvatureBundle(metric, connection, **stacked)
+    joined = {field.split(".")[-1]: np.concatenate(column)
+              for field, column in columns.items()}
+    metric = MetricJet(joined.pop("point"), shared.n, joined.pop("g"), joined.pop("dg"),
+                       None, None, shared.J)
+    connection = Connection(joined.pop("gamma"), joined.pop("dgamma"), None)
+    return CurvatureBundle(metric, connection, **joined)
 
 
 # -- scalar curvature observables ---------------------------------------------
@@ -205,7 +210,9 @@ def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np
     """Transport v0 along a polyline of chart points.
 
     Classic fourth-order Runge-Kutta on v' = -Gamma(x(t))(x'(t), v) with
-    ``steps`` fixed steps per segment.  Deterministic for fixed inputs.
+    ``steps`` fixed steps per segment.  The connection at the three stage
+    points of every step of a segment is expanded in one call before the
+    segment is integrated.  Deterministic for fixed inputs.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -214,18 +221,20 @@ def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np
         raise ValueError("path needs at least two points")
     v = np.asarray(v0, float).copy()
 
-    def vel_matrix(x, dx):
-        g = metric_from_potential(potential, x, n, depth=1)
-        return -np.einsum("cab,a->cb", christoffel(g).gamma, dx)
-
     h = 1.0 / steps
+    # RK4 stage times of every step: t0, t0 + h/2 and t0 + h.
+    stages = []
+    for k in range(steps):
+        t0 = k * h
+        stages.extend((t0, t0 + 0.5 * h, t0 + h))
+    stages = np.array(stages)[:, None]
     for p, q in zip(waypoints[:-1], waypoints[1:]):
         dx = q - p
+        stage_points = p + stages * dx
+        gamma = christoffel(metric_from_potential(potential, stage_points, n, depth=1)).gamma
+        vel = -np.einsum("...cab,a->...cb", gamma, dx)
         for k in range(steps):
-            t0 = k * h
-            a0 = vel_matrix(p + t0 * dx, dx)
-            am = vel_matrix(p + (t0 + 0.5 * h) * dx, dx)
-            a1 = vel_matrix(p + (t0 + h) * dx, dx)
+            a0, am, a1 = vel[3 * k:3 * k + 3]
             k1 = a0 @ v
             k2 = am @ (v + 0.5 * h * k1)
             k3 = am @ (v + 0.5 * h * k2)

@@ -357,26 +357,29 @@ def eval_scalar(e: Expr, point) -> float:
 def eval_jet(e: Expr, point, order: int) -> JetScalar:
     """Taylor-expand the expression about ``point`` up to total degree ``order``.
 
+    ``point`` is one chart point (2n,) or a stack of them (P, 2n); the
+    jet's coefficients carry the same leading axes, and each point's
+    coefficients are bitwise those of expanding about it alone.
     Coefficients are exact for polynomial expressions of degree <= order.
     Domain violations report the offending sub-expression.
     """
     point = np.asarray(point, dtype=float)
-    space = jet_space(point.shape[0], order)
+    space = jet_space(point.shape[-1], order)
 
     def rec(node: Expr) -> JetScalar:
         if isinstance(node, Num):
             return JetScalar.constant(space, node.value)
         if isinstance(node, Coord):
-            idx = _coord_index(node, point.shape[0])
-            return JetScalar.variable(space, idx, point[idx])
+            idx = _coord_index(node, point.shape[-1])
+            return JetScalar.variable(space, idx, point[..., idx])
         if isinstance(node, Neg):
             return -rec(node.arg)
         if isinstance(node, Pow):
             base = rec(node.base)
             try:
                 return base**node.exponent
-            except JetDomainError:
-                raise PotentialDomainError("zero raised to a negative power", node)
+            except JetDomainError as err:
+                raise PotentialDomainError(str(err), node)
         if isinstance(node, Call):
             arg = rec(node.arg)
             try:
@@ -397,7 +400,11 @@ def eval_jet(e: Expr, point, order: int) -> JetScalar:
             return lhs * rhs
         try:
             return lhs / rhs
-        except JetDomainError:
-            raise PotentialDomainError("division by zero", node.rhs)
+        except JetDomainError as err:
+            raise PotentialDomainError(str(err), node.rhs)
 
-    return rec(e)
+    jet = rec(e)
+    if jet.coeffs.ndim < point.ndim:  # a constant expression: give it the point axes
+        shape = point.shape[:-1] + (space.size,)
+        jet = JetScalar(space, np.broadcast_to(jet.coeffs, shape).copy())
+    return jet

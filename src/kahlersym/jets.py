@@ -20,6 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 MAX_ORDER = 5
+# Product pairs per chunk in JetSpace.multiply, so that a chunk's
+# gathered products and index tables stay in cache.
+_PAIRS_PER_CHUNK = 2**15
 
 
 class JetDomainError(ArithmeticError):
@@ -39,9 +42,10 @@ def _monomials(nvars, degree):
 class JetSpace:
     """Shared monomial tables for all jets with the same shape.
 
-    Holds the graded list of multi-indices up to ``order``, a sparse
-    index table used to multiply coefficient vectors, and (built on first
-    use) one gather table per derivative order for :meth:`JetScalar.partials`.
+    Holds the graded list of multi-indices up to ``order``, flat index
+    tables used to multiply coefficient arrays a chunk of points at a
+    time, and (built on first use) one gather table per derivative order
+    for :meth:`JetScalar.partials`.
     """
 
     def __init__(self, nvars: int, order: int):
@@ -60,41 +64,68 @@ class JetSpace:
         self.factorial = np.array(
             [math.prod(math.factorial(e) for e in mono) for mono in monomials]
         )
-        left, right, out = [], [], []
-        for i, a in enumerate(monomials):
-            da = sum(a)
-            for j, b in enumerate(monomials):
-                if da + sum(b) > order:
-                    continue
-                left.append(i)
-                right.append(j)
-                out.append(self.position[tuple(p + q for p, q in zip(a, b))])
-        self._left = np.asarray(left, dtype=np.intp)
-        self._right = np.asarray(right, dtype=np.intp)
-        self._out = np.asarray(out, dtype=np.intp)
+        # Key a multi-index a by sum_k a_k (order+1)^k: no digit carries
+        # below the truncation order, so the key of a product monomial is
+        # the sum of its factors' keys.
+        exponents = np.asarray(monomials, dtype=np.int64).reshape(-1, nvars)
+        self._weights = (order + 1) ** np.arange(nvars, dtype=np.int64)
+        self._keys = exponents @ self._weights
+        self._by_key = np.argsort(self._keys)
+        # Product pairs (i, j) with deg a_i + deg a_j <= order, row-major.
+        # The monomials are graded, so each i pairs with a prefix of them.
+        degrees = exponents.sum(axis=1)
+        prefix = np.searchsorted(degrees, np.arange(order + 1), side="right")
+        lengths = prefix[order - degrees]
+        left = np.repeat(np.arange(self.size), lengths)
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        right = np.arange(len(left)) - starts
+        out = self._position_of_keys(self._keys[left] + self._keys[right])
+        # Flat tables for a chunk of points: point p's pairs are offset by
+        # p * size.  A partial chunk uses a prefix of them.
+        self._pairs = len(left)
+        self._chunk_points = max(1, _PAIRS_PER_CHUNK // self._pairs)
+        offsets = (np.arange(self._chunk_points) * self.size)[:, None]
+        self._left = (left + offsets).ravel()
+        self._right = (right + offsets).ravel()
+        self._out = (out + offsets).ravel()
         self._partials_tables: dict[int, np.ndarray] = {}
+
+    def _position_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        return self._by_key[np.searchsorted(self._keys, keys, sorter=self._by_key)]
 
     def partials_table(self, degree: int) -> np.ndarray:
         """Array of shape (nvars,) * degree holding, at every index tuple,
         the position of the monomial that counts those indices."""
         table = self._partials_tables.get(degree)
         if table is None:
-            m = self.nvars
-            # Key a multi-index a by sum_k a_k (order+1)^k; the key of an
-            # index tuple is then the sum of the weights of its entries.
-            weights = (self.order + 1) ** np.arange(m, dtype=np.int64)
-            keys = np.asarray(self.monomials, dtype=np.int64) @ weights
-            grid = np.indices((m,) * degree, dtype=np.intp)
-            tuple_keys = weights[grid].sum(axis=0)
-            by_key = np.argsort(keys)
-            table = by_key[np.searchsorted(keys, tuple_keys, sorter=by_key)]
+            grid = np.indices((self.nvars,) * degree, dtype=np.intp)
+            table = self._position_of_keys(self._weights[grid].sum(axis=0))
             self._partials_tables[degree] = table
         return table
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.size)
-        np.add.at(out, self._out, a[self._left] * b[self._right])
-        return out
+        """Truncated product of coefficient arrays of shape (..., size).
+
+        Products are gathered and summed through the flat tables a chunk
+        of points at a time.  ``np.bincount`` adds each product to its
+        coefficient in table order, as ``np.add.at`` into zeros would, so
+        every point gets the same bits whatever the points beside it.
+        """
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
+        shape = a.shape
+        a = a.reshape(-1)
+        b = b.reshape(-1)
+        chunk = self._chunk_points * self.size
+        parts = []
+        for start in range(0, len(a), chunk):
+            stop = min(start + chunk, len(a))
+            count = (stop - start) // self.size * self._pairs
+            products = (a[start:stop].take(self._left[:count])
+                        * b[start:stop].take(self._right[:count]))
+            parts.append(np.bincount(self._out[:count], products, minlength=stop - start))
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return out.reshape(shape)
 
     def __repr__(self):
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
@@ -106,7 +137,12 @@ def jet_space(nvars: int, order: int) -> JetSpace:
 
 
 class JetScalar:
-    """Taylor expansion of a scalar function, truncated at a total degree."""
+    """Taylor expansion of a scalar function, truncated at a total degree.
+
+    ``coeffs`` has shape (..., size): leading axes index points, so one jet
+    holds the expansions about many points, each computed exactly as it
+    would be alone.
+    """
 
     __slots__ = ("space", "coeffs")
 
@@ -115,42 +151,45 @@ class JetScalar:
         self.coeffs = np.asarray(coeffs, dtype=float)
 
     @classmethod
-    def constant(cls, space: JetSpace, value: float) -> "JetScalar":
-        coeffs = np.zeros(space.size)
-        coeffs[0] = value
+    def constant(cls, space: JetSpace, value) -> "JetScalar":
+        """A constant: ``value`` is a float or an array over point axes."""
+        value = np.asarray(value, dtype=float)
+        coeffs = np.zeros(value.shape + (space.size,))
+        coeffs[..., 0] = value
         return cls(space, coeffs)
 
     @classmethod
-    def variable(cls, space: JetSpace, index: int, value: float) -> "JetScalar":
+    def variable(cls, space: JetSpace, index: int, value) -> "JetScalar":
         """The coordinate function number ``index`` expanded about ``value``."""
         if not 0 <= index < space.nvars:
             raise ValueError(f"variable index {index} out of range")
-        coeffs = np.zeros(space.size)
-        coeffs[0] = value
+        jet = cls.constant(space, value)
         if space.order >= 1:
             unit = tuple(1 if k == index else 0 for k in range(space.nvars))
-            coeffs[space.position[unit]] = 1.0
-        return cls(space, coeffs)
+            jet.coeffs[..., space.position[unit]] = 1.0
+        return jet
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        """The value: a float, or an array over the point axes."""
+        return _per_point(self.coeffs[..., 0])
 
-    def partial(self, multi_index) -> float:
+    def partial(self, multi_index):
         """One partial derivative: coefficient times the multi-index factorial."""
         pos = self.space.position[tuple(multi_index)]
-        return float(self.coeffs[pos] * self.space.factorial[pos])
+        return _per_point(self.coeffs[..., pos] * self.space.factorial[pos])
 
     def partials(self, degree: int) -> np.ndarray:
-        """All partial derivatives of one order, as a dense symmetric array."""
+        """All partial derivatives of one order, as a dense symmetric array
+        (..., nvars, ..., nvars) after the point axes."""
         if not 0 <= degree <= self.space.order:
             raise ValueError(
                 f"degree {degree} not available at truncation order {self.space.order}"
             )
         if degree == 0:
-            return np.float64(self.coeffs[0])
+            return self.coeffs[..., 0][()]
         scaled = self.coeffs * self.space.factorial
-        return scaled[self.space.partials_table(degree)]
+        return scaled.take(self.space.partials_table(degree), axis=-1)
 
     # -- ring operations -------------------------------------------------
 
@@ -219,6 +258,8 @@ class JetScalar:
             raise TypeError("jet powers must be integers")
         exponent = int(exponent)
         if exponent < 0:
+            if np.any(self.coeffs[..., 0] == 0.0):
+                raise JetDomainError("zero raised to a negative power")
             return self.reciprocal() ** (-exponent)
         result = JetScalar.constant(self.space, 1.0)
         base = self
@@ -232,50 +273,90 @@ class JetScalar:
         return result
 
     def reciprocal(self) -> "JetScalar":
-        c0 = self.value
-        if c0 == 0.0:
-            raise JetDomainError("division by a jet with zero value")
-        series = [(-1.0) ** k / c0 ** (k + 1) for k in range(self.space.order + 1)]
-        return self._compose(series)
+        order = self.space.order
 
-    def _compose(self, series) -> "JetScalar":
-        """Horner evaluation of a univariate series at the nilpotent part."""
+        def series(c0):
+            if c0 == 0.0:
+                raise JetDomainError("division by zero")
+            return [(-1.0) ** k / c0 ** (k + 1) for k in range(order + 1)]
+
+        return _compose_per_point(self, series, "reciprocal")
+
+    def _compose(self, series: np.ndarray) -> "JetScalar":
+        """Horner evaluation of univariate series at the nilpotent part;
+        ``series`` holds one row of coefficients per point, (..., K)."""
         h = JetScalar(self.space, self.coeffs.copy())
-        h.coeffs[0] = 0.0
-        acc = JetScalar.constant(self.space, series[-1])
-        for c in reversed(series[:-1]):
-            acc = acc * h + c
+        h.coeffs[..., 0] = 0.0
+        acc = JetScalar.constant(self.space, series[..., -1])
+        for k in range(series.shape[-1] - 2, -1, -1):
+            acc = acc * h + JetScalar.constant(self.space, series[..., k])
         return acc
 
     def __repr__(self):
         return f"JetScalar(order={self.space.order}, value={self.value!r})"
 
 
+def _per_point(values: np.ndarray):
+    """A float for a single point, else the array over the point axes."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _compose_per_point(j: JetScalar, series, name: str) -> JetScalar:
+    """Compose ``j`` with the univariate series that ``series(c0)`` builds
+    in Python floats from the value c0 at each point.
+
+    A series whose coefficients leave the float range (c0**k underflows
+    to 0 or overflows) raises JetDomainError naming the value.
+    """
+    values = j.coeffs[..., 0]
+    rows = []
+    for c0 in values.ravel().tolist():
+        try:
+            rows.append(series(c0))
+        except (ZeroDivisionError, OverflowError):
+            raise JetDomainError(
+                f"{name} of {c0!r} has Taylor coefficients outside the float range"
+            ) from None
+    return j._compose(np.array(rows).reshape(values.shape + (j.space.order + 1,)))
+
+
 def jet_log(j: JetScalar) -> JetScalar:
-    c0 = j.value
-    if c0 <= 0.0:
-        raise JetDomainError(f"log of non-positive value {c0!r}")
-    series = [math.log(c0)]
-    for k in range(1, j.space.order + 1):
-        series.append((-1.0) ** (k + 1) / (k * c0**k))
-    return j._compose(series)
+    order = j.space.order
+
+    def series(c0):
+        if c0 <= 0.0:
+            raise JetDomainError(f"log of non-positive value {c0!r}")
+        coeffs = [math.log(c0)]
+        for k in range(1, order + 1):
+            coeffs.append((-1.0) ** (k + 1) / (k * c0**k))
+        return coeffs
+
+    return _compose_per_point(j, series, "log")
 
 
 def jet_exp(j: JetScalar) -> JetScalar:
-    try:
-        e0 = math.exp(j.value)
-    except OverflowError:
-        raise JetDomainError(f"exp of {j.value!r} overflows a float") from None
-    series = [e0 / math.factorial(k) for k in range(j.space.order + 1)]
-    return j._compose(series)
+    order = j.space.order
+
+    def series(c0):
+        try:
+            e0 = math.exp(c0)
+        except OverflowError:
+            raise JetDomainError(f"exp of {c0!r} overflows a float") from None
+        return [e0 / math.factorial(k) for k in range(order + 1)]
+
+    return _compose_per_point(j, series, "exp")
 
 
 def jet_sqrt(j: JetScalar) -> JetScalar:
-    c0 = j.value
-    if c0 <= 0.0:
-        raise JetDomainError(f"sqrt of non-positive value {c0!r}")
-    series = [math.sqrt(c0)]
-    for k in range(1, j.space.order + 1):
-        # binomial(1/2, k) * c0^(1/2 - k), built up iteratively
-        series.append(series[-1] * (1.5 - k) / (k * c0))
-    return j._compose(series)
+    order = j.space.order
+
+    def series(c0):
+        if c0 <= 0.0:
+            raise JetDomainError(f"sqrt of non-positive value {c0!r}")
+        coeffs = [math.sqrt(c0)]
+        for k in range(1, order + 1):
+            # binomial(1/2, k) * c0^(1/2 - k), built up iteratively
+            coeffs.append(coeffs[-1] * (1.5 - k) / (k * c0))
+        return coeffs
+
+    return _compose_per_point(j, series, "sqrt")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expr, eval_jet
-from .tensor_algebra import standard_complex_structure
+from .tensor_algebra import max_norm, standard_complex_structure
 
 
 class MetricError(ValueError):
@@ -31,11 +31,12 @@ class MetricError(ValueError):
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric value and coordinate derivatives at one chart point.
+    """Metric value and coordinate derivatives at a chart point.
 
     dg[c,a,b] is the c-derivative of g_ab; ddg and dddg carry one and two
     more leading derivative axes.  Entries beyond the requested depth are
-    None.
+    None.  Jets of several points stack them on a leading point axis of
+    point, g, dg, ddg and dddg; J is shared.
     """
 
     point: np.ndarray
@@ -60,15 +61,16 @@ def _pair_second_partials(h: np.ndarray, n: int) -> np.ndarray:
 
 
 def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> MetricJet:
-    """Metric jet of the potential at a chart point.
+    """Metric jet of the potential at a chart point (2n,), or at each row
+    of a stack of points (P, 2n).
 
     ``depth`` counts how many derivative orders of g are produced (0-3);
     the potential is expanded to order 2 + depth.  Raises MetricError if
-    the resulting g is not positive definite, reporting the smallest
-    eigenvalue.
+    g is not positive definite, naming the first such point and its
+    smallest eigenvalue.
     """
     point = np.asarray(point, dtype=float)
-    if point.shape != (2 * n,):
+    if point.ndim not in (1, 2) or point.shape[-1] != 2 * n:
         raise ValueError(f"point must have length 2n = {2 * n}, got shape {point.shape}")
     if not 0 <= depth <= 3:
         raise ValueError("depth must be between 0 and 3")
@@ -80,11 +82,15 @@ def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> Met
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(g)[0])
-        raise MetricError(
-            f"metric is not positive definite at {point.tolist()} "
-            f"(smallest eigenvalue {smallest:.6e})"
-        )
+        for p, gp in zip(point.reshape(-1, 2 * n), g.reshape(-1, 2 * n, 2 * n)):
+            try:
+                np.linalg.cholesky(gp)
+            except np.linalg.LinAlgError:
+                smallest = float(np.linalg.eigvalsh(gp)[0])
+                raise MetricError(
+                    f"metric is not positive definite at {p.tolist()} "
+                    f"(smallest eigenvalue {smallest:.6e})"
+                ) from None
     return MetricJet(point, n, g, dg, ddg, dddg, standard_complex_structure(n))
 
 
@@ -93,11 +99,13 @@ def fundamental_two_form(m: MetricJet) -> np.ndarray:
     return m.J.T @ m.g
 
 
-def two_form_closedness(m: MetricJet) -> float:
-    """Max-norm of d(omega), scaled by the max-norm of dg (floored)."""
+def two_form_closedness(m: MetricJet):
+    """Max-norm of d(omega), scaled by the max-norm of dg (floored); one
+    value per point for stacked jets."""
     if m.dg is None:
         raise ValueError("metric jet lacks first derivatives")
-    domega = np.einsum("ma,cmb->cab", m.J, m.dg)
-    dw = domega - np.einsum("acb->cab", domega) + np.einsum("bca->cab", domega)
-    scale = max(float(np.max(np.abs(m.dg))), float(np.max(np.abs(m.g))))
-    return float(np.max(np.abs(dw))) / max(scale, 1e-14)
+    domega = np.einsum("ma,...cmb->...cab", m.J, m.dg)
+    dw = (domega - np.einsum("...acb->...cab", domega)
+          + np.einsum("...bca->...cab", domega))
+    scale = np.maximum(max_norm(m.dg, 3), max_norm(m.g, 2))
+    return max_norm(dw, 3) / np.maximum(scale, 1e-14)

@@ -13,6 +13,7 @@ import itertools
 
 import numpy as np
 
+from kahlersym.curvature import christoffel
 from kahlersym.metrics import metric_from_potential
 
 
@@ -87,7 +88,7 @@ def brute_complex_tachibana(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.n
     return out
 
 
-# -- jet partials by an index-tuple walk -----------------------------------------
+# -- jet tables by explicit loops ------------------------------------------------
 
 
 def partials_loop(jet, degree: int) -> np.ndarray:
@@ -101,6 +102,50 @@ def partials_loop(jet, degree: int) -> np.ndarray:
             alpha[i] += 1
         out[idx] = scaled[jet.space.position[tuple(alpha)]]
     return out
+
+
+def pair_tables_loop(space):
+    """(left, right, out) of the truncated product, one monomial pair at a
+    time: every (i, j) with deg a_i + deg a_j <= order, in row-major order,
+    and the position of a_i + a_j."""
+    left, right, out = [], [], []
+    for i, a in enumerate(space.monomials):
+        da = sum(a)
+        for j, b in enumerate(space.monomials):
+            if da + sum(b) > space.order:
+                continue
+            left.append(i)
+            right.append(j)
+            out.append(space.position[tuple(p + q for p, q in zip(a, b))])
+    return np.array(left), np.array(right), np.array(out)
+
+
+# -- parallel transport one RK4 stage point at a time ----------------------------
+
+
+def parallel_transport_stagewise(potential, n: int, path, v0, steps: int = 32):
+    """RK4 transport along a polyline, expanding one metric jet per stage point."""
+    waypoints = [np.asarray(p, float) for p in path]
+    v = np.asarray(v0, float).copy()
+
+    def vel_matrix(x, dx):
+        g = metric_from_potential(potential, x, n, depth=1)
+        return -np.einsum("cab,a->cb", christoffel(g).gamma, dx)
+
+    h = 1.0 / steps
+    for p, q in zip(waypoints[:-1], waypoints[1:]):
+        dx = q - p
+        for k in range(steps):
+            t0 = k * h
+            a0 = vel_matrix(p + t0 * dx, dx)
+            am = vel_matrix(p + (t0 + 0.5 * h) * dx, dx)
+            a1 = vel_matrix(p + (t0 + h) * dx, dx)
+            k1 = a0 @ v
+            k2 = am @ (v + 0.5 * h * k1)
+            k3 = am @ (v + 0.5 * h * k2)
+            k4 = a1 @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
 
 
 # -- finite differences ----------------------------------------------------------

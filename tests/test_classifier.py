@@ -15,11 +15,15 @@ from kahlersym.classifier import (
     classify,
     direction_samples,
     plane_samples,
+    _BLOCK_ENTRIES,
     preflight_from_metrics,
     preflight_kahler,
+    sample_evidence,
     sample_points,
 )
+from kahlersym.curvature import curvature_bundle
 from kahlersym.metrics import MetricJet, metric_from_potential
+from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import standard_complex_structure
 
 
@@ -257,6 +261,44 @@ def test_preflight_flags_nonclosed_form():
     report = preflight_from_metrics([good, bad])
     assert report.checks["closed_form"]["max"] > 1e-3
     assert report.checks["closed_form"]["point_index"] == 1
+
+
+def test_preflight_accepts_stacked_jets(fixtures):
+    spec = fixtures["product_cp1_cp1_unequal"]
+    pts = sample_points(spec.domain, SamplePlan(points=9, directions=2, planes=2))
+    singles = [metric_from_potential(spec.potential(), p, spec.n, depth=1) for p in pts]
+    stacked = metric_from_potential(spec.potential(), pts, spec.n, depth=1)
+    assert preflight_from_metrics(stacked) == preflight_from_metrics(singles)
+    bad = _fake_metric(np.diag([1.0, 2.0, 3.0, 4.0]))
+    worse = _fake_metric(np.diag([1.0, 3.0, 5.0, 4.0]))
+    good = _fake_metric(np.eye(4))
+    report = preflight_from_metrics([good, bad, worse, worse])
+    assert report.checks["hermitian"]["point_index"] == 2  # first of the largest
+
+
+def test_evidence_across_blocks_matches_each_point(fixtures):
+    # 70 points at n = 2 make blocks of 32, 32 and 6.
+    spec = fixtures["perturbed_flat"]
+    assert _BLOCK_ENTRIES // (2 * spec.n) ** 5 == 32
+    plan = SamplePlan(points=70, directions=4, planes=4, seed=3)
+    points, report, data = sample_evidence(spec, plan)
+    potential = spec.potential()
+    first_order = []
+    for i, point in enumerate(points):
+        m = metric_from_potential(potential, point, spec.n)
+        first_order.append(m)
+        b = curvature_bundle(m)
+        assert np.array_equal(data.bundle.metric.point[i], point)
+        assert np.array_equal(data.bundle.metric.g[i], b.metric.g)
+        assert np.array_equal(data.bundle.metric.dg[i], b.metric.dg)
+        assert np.array_equal(data.bundle.connection.gamma[i], b.connection.gamma)
+        assert np.array_equal(data.bundle.connection.dgamma[i], b.connection.dgamma)
+        for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal"):
+            assert np.array_equal(getattr(data.bundle, field)[i], getattr(b, field)), (i, field)
+        assert np.array_equal(data.rs[i], r_dot_s(b))
+        assert np.array_equal(data.q[i], tachibana_ricci(b.metric.g, b.ricci))
+        assert np.array_equal(data.qc[i], complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J))
+    assert report == preflight_from_metrics(first_order, plan.preflight_tolerance)
 
 
 # -- lattice ------------------------------------------------------------------

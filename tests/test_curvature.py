@@ -17,7 +17,12 @@ from kahlersym.expressions import parse
 from kahlersym.metrics import metric_from_potential
 from kahlersym.tensor_algebra import g_norm, max_norm
 
-from helpers import central_difference, gauss_curvature_conformal, rel_err
+from helpers import (
+    central_difference,
+    gauss_curvature_conformal,
+    parallel_transport_stagewise,
+    rel_err,
+)
 
 FS1 = parse("log(1+absq(1))", 1)
 FS2 = parse("log(1+rsq)", 2)
@@ -277,3 +282,30 @@ def test_bundle_requires_depth_three():
     shallow = metric_from_potential(FS2, [0.1, 0.2, 0.3, 0.4], 2, depth=0)
     with pytest.raises(ValueError, match="at least one derivative"):
         christoffel(shallow)
+
+
+def test_bundle_over_points_matches_each_point():
+    points = rng_points(2, 6, -0.4, 0.4, seed=11)
+    stacked = curvature_bundle(metric_from_potential(PERT2, points, 2))
+    assert stacked.scal.shape == (6,)
+    for i, point in enumerate(points):
+        alone = bundle(PERT2, point, 2)
+        for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal"):
+            assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)), field
+        for field in ("gamma", "dgamma", "ddgamma"):
+            assert np.array_equal(getattr(stacked.connection, field)[i],
+                                  getattr(alone.connection, field)), field
+
+
+def test_transport_matches_stage_by_stage_expansion():
+    v0 = np.array([0.3, -1.2, 0.7, 0.4])
+    square = [
+        np.array([0.1, 0.2, -0.1, 0.3]),
+        np.array([0.12, 0.2, -0.1, 0.3]),
+        np.array([0.12, 0.22, -0.1, 0.3]),
+        np.array([0.1, 0.22, -0.1, 0.3]),
+        np.array([0.1, 0.2, -0.1, 0.3]),
+    ]
+    for pot, steps in ((FS2, 32), (PERT2, 7), (HYP2, 1)):
+        got = parallel_transport(pot, 2, square, v0, steps=steps)
+        assert np.array_equal(got, parallel_transport_stagewise(pot, 2, square, v0, steps=steps))

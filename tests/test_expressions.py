@@ -22,6 +22,7 @@ from kahlersym.expressions import (
     parse,
     pretty,
 )
+from kahlersym.zoo import zoo
 
 ROUND_TRIP_SOURCES = [
     "absq(1)+absq(2)",
@@ -247,3 +248,63 @@ def _exprs(n):
 @given(_exprs(2))
 def test_pretty_parse_inverse_on_random_trees(tree):
     assert parse(pretty(tree), 2) == tree
+
+
+# -- a point axis: a stack of points expands as each point alone ----------------
+
+EXTRA_POTENTIALS = [
+    ("exp(rsq) + x1*y2", 2),
+    ("sqrt(2+rsq) - y1^3", 2),
+    ("1/(3-rsq) + x2/(2+y1)", 2),
+    ("rsq^-2 + (1+absq(1))^-3", 2),
+    ("log(1+rsq)", 3),
+    ("-(x1^3*y2) - exp(rsq)", 2),  # zero coefficients of both signs
+    ("-(x1*y2) - x2^4", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "source, n",
+    [(spec.potential_source, spec.n) for spec in zoo().values()] + EXTRA_POTENTIALS,
+)
+def test_eval_jet_over_points_matches_each_point(source, n):
+    tree = parse(source, n)
+    points = np.random.default_rng(n).uniform(-0.6, 0.6, size=(7, 2 * n))
+    points[3, 0] = 0.0  # a zero coordinate gives exact zero coefficients
+    for order in (3, 5):
+        stacked = eval_jet(tree, points, order).coeffs
+        singles = np.stack([eval_jet(tree, p, order).coeffs for p in points])
+        assert stacked.shape == singles.shape
+        assert np.array_equal(stacked, singles), (source, order)
+        assert np.array_equal(np.signbit(stacked), np.signbit(singles)), (source, order)
+
+
+def test_eval_jet_of_a_constant_carries_the_point_axis():
+    jet = eval_jet(parse("2.5", 1), np.zeros((4, 2)), order=2)
+    assert jet.coeffs.shape == (4, 6)
+    assert np.array_equal(jet.value, np.full(4, 2.5))
+
+
+@pytest.mark.parametrize("source, bad", [
+    ("rsq + log(x1 - 0.2)", [0.1, 0.3, 0.0, 0.0]),
+    ("rsq + sqrt(y1)", [0.3, 0.0, -0.5, 0.2]),
+    ("rsq + 1/(x1*y2)", [0.0, 0.3, 0.1, 0.2]),
+    ("rsq + x2^-2", [0.1, 0.0, 0.1, 0.2]),
+])
+def test_domain_error_over_points_names_the_per_point_subexpression(source, bad):
+    tree = parse(source, 2)
+    with pytest.raises(PotentialDomainError) as alone:
+        eval_jet(tree, bad, order=3)
+    points = np.array([[0.5, 0.4, 0.3, 0.2], bad, [0.6, 0.5, 0.4, 0.3]])
+    with pytest.raises(PotentialDomainError) as stacked:
+        eval_jet(tree, points, order=3)
+    assert stacked.value.subexpression == alone.value.subexpression
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_float_range_failure_is_a_domain_error():
+    for source in ("rsq + log(1e-100*rsq)", "1/(1e-100*rsq)",
+                   "log(1e100*rsq)", "1/(1e100*rsq)"):
+        with pytest.raises(PotentialDomainError, match="outside the float range") as exc:
+            eval_jet(parse(source, 2), [0.7] * 4, 5)
+        assert pretty(exc.value.subexpression).startswith("1e")

@@ -2,17 +2,19 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import partials_loop, poly_eval, poly_partial, random_poly
+from helpers import pair_tables_loop, partials_loop, poly_eval, poly_partial, random_poly
 from kahlersym.jets import (
     MAX_ORDER,
     JetDomainError,
     JetScalar,
+    JetSpace,
     jet_exp,
     jet_log,
     jet_space,
@@ -195,3 +197,48 @@ def test_exp_overflow_is_a_domain_error():
     space = jet_space(2, 3)
     with pytest.raises(JetDomainError, match="exp of 7200.0 overflows"):
         jet_exp(JetScalar.constant(space, 7200.0))
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_pair_tables_match_the_pair_loop(nvars):
+    for order in range(MAX_ORDER + 1):
+        space = JetSpace(nvars, order)
+        left, right, out = pair_tables_loop(space)
+        pairs = len(left)
+        assert np.array_equal(space._left[:pairs], left), order
+        assert np.array_equal(space._right[:pairs], right), order
+        assert np.array_equal(space._out[:pairs], out), order
+
+
+def test_multiply_over_points_matches_one_point_at_a_time():
+    # 70 points of (4, 5) products span three chunks of 25, the last partial;
+    # zeros of both signs check that signs of zero survive too.
+    space = jet_space(4, 5)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((70, space.size))
+    b = rng.standard_normal((70, space.size))
+    a[::3, 1::4] = -0.0
+    b[1::3, 2::5] = 0.0
+    stacked = space.multiply(a, b)
+    # The one-point product sums in pair-table order, as np.add.at does.
+    left, right, out = pair_tables_loop(space)
+    singles = np.zeros((70, space.size))
+    for p in range(70):
+        np.add.at(singles[p], out, a[p][left] * b[p][right])
+        assert np.array_equal(space.multiply(a[p], b[p]), singles[p])
+    assert np.array_equal(stacked, singles)
+    assert np.array_equal(np.signbit(stacked), np.signbit(singles))
+    assert np.array_equal(space.multiply(a[0], b), space.multiply(np.tile(a[0], (70, 1)), b))
+
+
+@pytest.mark.parametrize("primitive, value", [
+    (jet_log, 1e-100),
+    (jet_log, 1e100),
+    (JetScalar.reciprocal, 1e-100),
+    (JetScalar.reciprocal, 1e100),
+])
+def test_series_outside_the_float_range_is_a_domain_error(primitive, value):
+    space = jet_space(2, 5)
+    point = JetScalar.variable(space, 0, [0.5, value])
+    with pytest.raises(JetDomainError, match=re.escape(f"of {value!r} has Taylor")):
+        primitive(point)

@@ -169,3 +169,29 @@ def test_standard_complex_structure_squares_to_minus_identity():
     for n in (1, 2, 3):
         j = standard_complex_structure(n)
         assert np.array_equal(j @ j, -np.eye(2 * n))
+
+
+def test_metric_over_points_matches_each_point():
+    pot = parse("log(1+rsq) + 0.1*x1^3*y2", 2)
+    points = np.random.default_rng(3).uniform(-0.5, 0.5, size=(9, 4))
+    stacked = metric_from_potential(pot, points, 2)
+    assert np.array_equal(stacked.point, points)
+    for i, point in enumerate(points):
+        alone = metric_from_potential(pot, point, 2)
+        for field in ("g", "dg", "ddg", "dddg"):
+            assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)), field
+    closed = two_form_closedness(stacked)
+    assert closed.shape == (9,)
+    assert closed.tolist() == [two_form_closedness(metric_from_potential(pot, p, 2, depth=1))
+                               for p in points]
+
+
+def test_metric_error_names_the_first_indefinite_point():
+    saddle = parse("absq(1) + x1^3*10", 1)
+    points = np.array([[0.5, 0.0], [-2.0, 0.0], [-3.0, 0.0]])
+    with pytest.raises(MetricError) as stacked:
+        metric_from_potential(saddle, points, 1)
+    with pytest.raises(MetricError) as alone:
+        metric_from_potential(saddle, points[1], 1)
+    assert "[-2.0, 0.0]" in str(stacked.value)
+    assert str(stacked.value) == str(alone.value)

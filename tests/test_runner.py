@@ -182,11 +182,11 @@ def test_run_expands_one_metric_jet_per_point(fixtures, small_plan, monkeypatch)
     from kahlersym import metrics
 
     original = metrics.metric_from_potential
-    calls = []
+    expanded = []  # (points, depth) of every expansion
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("depth", 3))
-        return original(*args, **kwargs)
+    def counted(potential, point, n, depth=3):
+        expanded.append((len(np.atleast_2d(point)), depth))
+        return original(potential, point, n, depth)
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("kahlersym"):
@@ -195,7 +195,8 @@ def test_run_expands_one_metric_jet_per_point(fixtures, small_plan, monkeypatch)
                     monkeypatch.setattr(module, name, counted)
     assert kahlersym.metrics.metric_from_potential is counted
     run(fixtures["product_cp1_cp1_unequal"], small_plan)
-    assert calls == [3] * small_plan.points
+    assert sum(points for points, _ in expanded) == small_plan.points
+    assert {depth for _, depth in expanded} == {3}
 
 
 def test_stacked_evidence_matches_single_points(fixtures, small_plan):

@@ -242,6 +242,18 @@ def test_cli_exp_overflow_is_input_error(tmp_path, capsys):
     assert "overflows a float in sub-expression `200*(" in err
 
 
+def test_cli_float_range_failure_is_input_error(tmp_path, capsys):
+    # log of a value near 1e-100: its Taylor coefficients 1/c0^k overflow
+    path = write_manifest(
+        tmp_path, "name = tiny\nn = 2\npotential = rsq + log(1e-100*rsq)\ndomain = 0.5 1\n"
+    )
+    code = main(["classify", path, *SMALL_ARGS])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("input error:")
+    assert "outside the float range in sub-expression `1e-100*(" in err
+
+
 def test_cli_bad_manifest_is_input_error(tmp_path, capsys):
     path = write_manifest(tmp_path, "nonsense\n")
     code = main(["classify", path, *SMALL_ARGS])
