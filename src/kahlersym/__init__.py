@@ -6,145 +6,9 @@ Deszcz Ricci quotient on holomorphic planes, and classify the manifold
 along the chain Ricci-flat, Einstein, Ricci-parallel, Ricci-semisymmetric,
 holomorphically Ricci-pseudosymmetric, cross-validated against the
 holomorphic-plane characterizations of each rung.
+
+The submodules are the API; the README's "Library use" shows the entry
+points.
 """
 
-from .classifier import (
-    CriterionVerdict,
-    LadderVerdict,
-    LatticeError,
-    PointData,
-    PreflightError,
-    PreflightReport,
-    SamplePlan,
-    classify,
-    classify_evidence,
-    gather_evidence,
-    preflight_kahler,
-    sample_evidence,
-    sample_points,
-)
-from .curvature import (
-    Connection,
-    CurvatureBundle,
-    DegeneratePlane,
-    curvature_bundle,
-    holomorphic_sectional,
-    parallel_transport,
-    ricci_direction,
-    sectional,
-)
-from .expressions import (
-    PotentialDomainError,
-    PotentialError,
-    PotentialSyntaxError,
-    eval_jet,
-    eval_scalar,
-    parse,
-    pretty,
-)
-from .jets import JetDomainError, JetScalar, jet_exp, jet_log, jet_space, jet_sqrt
-from .metrics import (
-    MetricError,
-    MetricJet,
-    fundamental_two_form,
-    metric_from_potential,
-    two_form_closedness,
-)
-from .runner import RunReport, identity_suite, run, verify_identities
-from .symmetry_tensors import (
-    DeszczSample,
-    ExperimentResult,
-    complex_tachibana_ricci,
-    deszcz_L,
-    r_dot_s,
-    rotation_experiment,
-    tachibana_ricci,
-    transport_experiment,
-)
-from .tensor_algebra import (
-    NonHermitianMetric,
-    ReconstructionError,
-    adapted_frame,
-    check_rs_symmetries,
-    reconstruct_from_holomorphic,
-    standard_complex_structure,
-    symmetrize_rs,
-    wedge_c,
-    wedge_c_matrix,
-    wedge_g,
-    wedge_g_matrix,
-)
-from .zoo import LADDER_CLASSES, ManifestError, ManifoldSpec, load_spec, zoo
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CriterionVerdict",
-    "LadderVerdict",
-    "LatticeError",
-    "PointData",
-    "PreflightError",
-    "PreflightReport",
-    "SamplePlan",
-    "classify",
-    "classify_evidence",
-    "gather_evidence",
-    "preflight_kahler",
-    "sample_evidence",
-    "sample_points",
-    "Connection",
-    "CurvatureBundle",
-    "DegeneratePlane",
-    "curvature_bundle",
-    "holomorphic_sectional",
-    "parallel_transport",
-    "ricci_direction",
-    "sectional",
-    "PotentialDomainError",
-    "PotentialError",
-    "PotentialSyntaxError",
-    "eval_jet",
-    "eval_scalar",
-    "parse",
-    "pretty",
-    "JetDomainError",
-    "JetScalar",
-    "jet_exp",
-    "jet_log",
-    "jet_space",
-    "jet_sqrt",
-    "MetricError",
-    "MetricJet",
-    "fundamental_two_form",
-    "metric_from_potential",
-    "two_form_closedness",
-    "RunReport",
-    "identity_suite",
-    "run",
-    "verify_identities",
-    "DeszczSample",
-    "ExperimentResult",
-    "complex_tachibana_ricci",
-    "deszcz_L",
-    "r_dot_s",
-    "rotation_experiment",
-    "tachibana_ricci",
-    "transport_experiment",
-    "NonHermitianMetric",
-    "ReconstructionError",
-    "adapted_frame",
-    "check_rs_symmetries",
-    "reconstruct_from_holomorphic",
-    "standard_complex_structure",
-    "symmetrize_rs",
-    "wedge_c",
-    "wedge_c_matrix",
-    "wedge_g",
-    "wedge_g_matrix",
-    "LADDER_CLASSES",
-    "ManifestError",
-    "ManifoldSpec",
-    "load_spec",
-    "zoo",
-    "__version__",
-]

@@ -116,7 +116,11 @@ def sample_points(domain, plan: SamplePlan) -> np.ndarray:
     return mesh[: plan.points]
 
 
-def _unit_rows(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
+def _unit_rows(plan: SamplePlan, stream: int, point_index: int, count: int,
+               m: int) -> np.ndarray:
+    """``count`` random unit vectors of length m, seeded by the plan's seed,
+    the stream and the point."""
+    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, stream, point_index]))
     rows = rng.standard_normal((count, m))
     norms = np.linalg.norm(rows, axis=1)
     bad = norms < 1e-12
@@ -128,17 +132,11 @@ def _unit_rows(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
 
 
 def direction_samples(plan: SamplePlan, point_index: int, m: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence([plan.seed, _DIRECTION_STREAM, point_index])
-    )
-    return _unit_rows(rng, plan.directions, m)
+    return _unit_rows(plan, _DIRECTION_STREAM, point_index, plan.directions, m)
 
 
 def plane_samples(plan: SamplePlan, point_index: int, m: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence([plan.seed, _PLANE_STREAM, point_index])
-    )
-    return _unit_rows(rng, plan.planes, m)
+    return _unit_rows(plan, _PLANE_STREAM, point_index, plan.planes, m)
 
 
 # -- preflight -------------------------------------------------------------------

@@ -93,9 +93,11 @@ def _write_json(path: str, payload: str) -> None:
         fh.write(payload)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_run(args) -> int:
+    """classify, or verify-identities (the same run without the ladder)."""
     spec = _resolve_target(args.target, args.perturbation)
-    report = run(spec, _plan_from_args(args))
+    report = run(spec, _plan_from_args(args),
+                 with_classification=args.command == "classify")
     sys.stdout.write(report.human_summary())
     if args.json:
         _write_json(args.json, report.to_json())
@@ -104,22 +106,12 @@ def _cmd_classify(args) -> int:
         name, value = report.worst_identity()
         sys.stderr.write(f"identity check over gate: {name} = {value:.3e}\n")
         return EXIT_INCONSISTENT
-    if report.verdict.any_route_mismatch:
+    if report.verdict is not None and report.verdict.any_route_mismatch:
         sys.stderr.write(
             "route mismatch: direct and holomorphic-plane routes disagree\n"
         )
         return EXIT_INCONSISTENT
     return EXIT_OK
-
-
-def _cmd_verify_identities(args) -> int:
-    spec = _resolve_target(args.target, args.perturbation)
-    report = run(spec, _plan_from_args(args), with_classification=False)
-    sys.stdout.write(report.human_summary())
-    if args.json:
-        _write_json(args.json, report.to_json())
-        sys.stdout.write(f"report written to {args.json}\n")
-    return EXIT_OK if report.identities_passed else EXIT_INCONSISTENT
 
 
 def _orthonormal_pair(g, first, second):
@@ -198,12 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="place a manifold on the symmetry ladder")
     _add_sampling_flags(p)
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("verify-identities",
                        help="run only the tensor-identity suite")
     _add_sampling_flags(p)
-    p.set_defaults(handler=_cmd_verify_identities)
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("experiment",
                        help="physical cross-checks of the symmetry tensors")

@@ -194,15 +194,6 @@ def holomorphic_sectional(r04: np.ndarray, g: np.ndarray, j: np.ndarray, x) -> f
     return sectional(r04, g, x, np.asarray(j, float) @ np.asarray(x, float))
 
 
-def ricci_direction(s: np.ndarray, g: np.ndarray, v) -> float:
-    """Normalised Ricci curvature S(v,v)/g(v,v) of a direction."""
-    v = np.asarray(v, float)
-    gvv = float(v @ g @ v)
-    if gvv <= 0.0:
-        raise ValueError("direction must have positive g-norm")
-    return float(v @ s @ v) / gvv
-
-
 # -- parallel transport --------------------------------------------------------
 
 

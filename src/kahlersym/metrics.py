@@ -94,9 +94,11 @@ def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> Met
     return MetricJet(point, n, g, dg, ddg, dddg, standard_complex_structure(n))
 
 
-def fundamental_two_form(m: MetricJet) -> np.ndarray:
-    """omega_ab = g(J d_a, d_b)."""
-    return m.J.T @ m.g
+def rotated_form_differential(j: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """d of the 2-form w_ab = B(J d_a, d_b), given the coordinate
+    derivatives db[c,a,b] of B: (dw)_cab = d_c w_ab - d_a w_cb + d_b w_ca."""
+    dw = np.einsum("ma,...cmb->...cab", j, db)
+    return dw - np.swapaxes(dw, -3, -2) + np.moveaxis(dw, -3, -1)
 
 
 def two_form_closedness(m: MetricJet):
@@ -104,8 +106,6 @@ def two_form_closedness(m: MetricJet):
     value per point for stacked jets."""
     if m.dg is None:
         raise ValueError("metric jet lacks first derivatives")
-    domega = np.einsum("ma,...cmb->...cab", m.J, m.dg)
-    dw = (domega - np.einsum("...acb->...cab", domega)
-          + np.einsum("...bca->...cab", domega))
+    dw = rotated_form_differential(m.J, m.dg)
     scale = np.maximum(max_norm(m.dg, 3), max_norm(m.g, 2))
     return max_norm(dw, 3) / np.maximum(scale, 1e-14)

@@ -29,6 +29,7 @@ from .classifier import (
     classify_evidence,
     sample_evidence,
 )
+from .metrics import rotated_form_differential
 from .symmetry_tensors import holomorphic_first_slot_check
 from .tensor_algebra import (
     _j_last_pair,
@@ -126,10 +127,8 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
         np.einsum("ma,nb,...mncd->...abcd", j, j, r04) - r04, scale_r, 4
     )
 
-    drho = np.einsum("ma,...cmb->...cab", j, b.dricci)
-    closed = drho - _permute_slots(drho, 1, 0, 2) + _permute_slots(drho, 1, 2, 0)
     out["ricci_form_closed"] = rel_violation(
-        closed, max_norm(b.dricci, 3), 3
+        rotated_form_differential(j, b.dricci), max_norm(b.dricci, 3), 3
     )
     return out
 
@@ -339,8 +338,3 @@ def run(spec: ManifoldSpec, plan: SamplePlan = SamplePlan(),
         verdict=verdict,
         elapsed_seconds=elapsed,
     )
-
-
-def verify_identities(spec: ManifoldSpec, plan: SamplePlan = SamplePlan()) -> RunReport:
-    """Identity suite only; the report's verdict is None."""
-    return run(spec, plan, with_classification=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import CurvatureBundle, christoffel, curvature_bundle, parallel_transport
+from .curvature import CurvatureBundle, curvature_bundle, parallel_transport
 from .expressions import Expr
 from .metrics import metric_from_potential
 from .tensor_algebra import (
@@ -100,17 +100,6 @@ def holomorphic_first_slot_check(qc: np.ndarray, j: np.ndarray,
 # -- Deszcz quotient -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeszczSample:
-    """One evaluation of the quotient (R.S)/(Q(g,S)) on a direction and plane."""
-
-    numerator: float
-    denominator: float
-    defined: bool
-    value: float | None
-    threshold: float  # the absolute bound the denominator was tested against
-
-
 def dependence_scale(q: np.ndarray, g: np.ndarray, s: np.ndarray) -> float:
     """Reference magnitude for 'Q(g,S) depends on this plane' tests.
 
@@ -118,26 +107,6 @@ def dependence_scale(q: np.ndarray, g: np.ndarray, s: np.ndarray) -> float:
     Q(g,S) (Einstein points) from counting as curvature dependence.
     """
     return floored_scale(max_norm(q, 4), max_norm(g, 2) * max_norm(s, 2))
-
-
-def deszcz_sample(rs: np.ndarray, q: np.ndarray, v, x, y, scale: float,
-                  threshold: float = 1e-8) -> DeszczSample:
-    num = quad_eval(rs, v, v, x, y)
-    den = quad_eval(q, v, v, x, y)
-    bound = threshold * scale
-    defined = abs(den) > bound
-    return DeszczSample(num, den, defined, num / den if defined else None, bound)
-
-
-def deszcz_L(bundle: CurvatureBundle, v, x, y, threshold: float = 1e-8) -> DeszczSample:
-    """Deszcz Ricci quotient at one point, direction and plane.
-
-    Defined only where |Q(g,S)(v,v;x,y)| clears the dependence threshold.
-    """
-    rs = r_dot_s(bundle)
-    q = tachibana_ricci(bundle.metric.g, bundle.ricci)
-    scale = dependence_scale(q, bundle.metric.g, bundle.ricci)
-    return deszcz_sample(rs, q, v, x, y, scale, threshold)
 
 
 # -- experiments ----------------------------------------------------------------

@@ -73,10 +73,6 @@ def wedge_g_matrix(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.outer(x, g @ y) - np.outer(y, g @ x)
 
 
-def wedge_g(g, x, y, z) -> np.ndarray:
-    return wedge_g_matrix(g, x, y) @ np.asarray(z, float)
-
-
 def wedge_c_matrix(g, j, x, y, tol: float = 1e-8) -> np.ndarray:
     """Complex wedge: the metric wedge, its J-rotated copy, and a -2 g(Jx,y) J term.
 
@@ -91,84 +87,6 @@ def wedge_c_matrix(g, j, x, y, tol: float = 1e-8) -> np.ndarray:
     plain = wedge_g_matrix(g, x, y)
     rotated = wedge_g_matrix(g, j @ x, j @ y)
     return plain + rotated - 2.0 * float(j @ x @ g @ y) * j
-
-
-def wedge_c(g, j, x, y, z, tol: float = 1e-8) -> np.ndarray:
-    return wedge_c_matrix(g, j, x, y, tol) @ np.asarray(z, float)
-
-
-def endo_dot_bilinear(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Derivation action of an endomorphism on a bilinear form.
-
-    (A . S)(u, v) = -S(A u, v) - S(u, A v).
-    """
-    a = np.asarray(a, float)
-    s = np.asarray(s, float)
-    return -(a.T @ s + s @ a)
-
-
-def g_norm(g, v) -> float:
-    return float(np.sqrt(v @ g @ v))
-
-
-def adapted_frame(g: np.ndarray, j: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """g-orthonormal frame (e_1..e_n, J e_1..J e_n) with e_1 along ``seed``.
-
-    Rows are frame vectors.  Candidate vectors whose residual after
-    orthogonalisation drops below 1e-10 times the seed norm are replaced
-    by the next canonical basis vector.
-    """
-    g = np.asarray(g, float)
-    j = np.asarray(j, float)
-    seed = np.asarray(seed, float)
-    _check_dims(g, seed)
-    m = g.shape[0]
-    n = m // 2
-    seed_norm = float(np.linalg.norm(seed))
-    if seed_norm == 0.0:
-        raise ValueError("degenerate seed vector")
-    drop = 1e-10 * seed_norm
-
-    holo: list[np.ndarray] = []
-    span: list[np.ndarray] = []
-
-    def orthonormalize(candidate):
-        r = candidate.astype(float)
-        for _ in range(2):  # re-orthogonalize once for stable Gram at 1e-10
-            for w in span:
-                r = r - (w @ g @ r) * w
-        norm_sq = float(r @ g @ r)
-        if norm_sq <= 0.0:
-            # exact cancellation means the candidate lies in the span; only
-            # a nonpositive seed norm indicates a bad metric
-            if not span:
-                raise ValueError("metric is not positive definite (pivot failure)")
-            return None
-        norm = np.sqrt(norm_sq)
-        if norm < drop:
-            return None
-        return r / norm
-
-    def push(candidate):
-        e = orthonormalize(candidate)
-        if e is None:
-            return False
-        holo.append(e)
-        span.append(e)
-        span.append((j @ e) / g_norm(g, j @ e))
-        return True
-
-    if not push(seed):
-        raise ValueError("degenerate seed vector")
-    canonical = iter(range(m))
-    while len(holo) < n:
-        for k in canonical:
-            if push(np.eye(m)[k]):
-                break
-        else:
-            raise ValueError("could not complete an adapted frame")
-    frame = np.array(holo + [j @ e for e in holo])
-    return frame
 
 
 # -- (0,4)-tensor symmetries -------------------------------------------------
@@ -228,29 +146,6 @@ def check_rs_symmetries(
         ),
     }
     return SymmetryReport(violations, tol)
-
-
-def symmetrize_rs(t: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Group-average onto the symmetry class checked by check_rs_symmetries."""
-    t = np.asarray(t, float)
-    acc = np.zeros_like(t)
-    count = 0
-    for swap_first in (False, True):
-        for flip_last in (False, True):
-            for j_last in (False, True):
-                for j_first in (False, True):
-                    u = t
-                    if swap_first:
-                        u = np.swapaxes(u, 0, 1)
-                    if flip_last:
-                        u = -np.swapaxes(u, 2, 3)
-                    if j_last:
-                        u = _j_last_pair(u, j)
-                    if j_first:
-                        u = _j_first_pair(u, j)
-                    acc += u
-                    count += 1
-    return acc / count
 
 
 class ReconstructionError(ValueError):

@@ -48,11 +48,6 @@ class ManifoldSpec:
     def potential(self) -> Expr:
         return parse(self.potential_source, self.n)
 
-    @property
-    def below_theorem_dimension(self) -> bool:
-        """Complex dimension 1 sits below the reach of the plane theorems."""
-        return self.n < 2
-
 
 def _validated(spec: ManifoldSpec) -> ManifoldSpec:
     if spec.n < 1:

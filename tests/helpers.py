@@ -15,6 +15,7 @@ import numpy as np
 
 from kahlersym.curvature import christoffel
 from kahlersym.metrics import metric_from_potential
+from kahlersym.tensor_algebra import _j_first_pair, _j_last_pair
 
 
 # -- brute-force derivation tensors (explicit loops, no einsum) -----------------
@@ -86,6 +87,30 @@ def brute_complex_tachibana(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.n
                         acc -= wedge[d, k] * s[i, d]
                     out[i, k, a, b] = acc
     return out
+
+
+def symmetrize_rs(t: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Group-average onto the symmetry class checked by check_rs_symmetries
+    (builds random test tensors of that class)."""
+    t = np.asarray(t, float)
+    acc = np.zeros_like(t)
+    count = 0
+    for swap_first in (False, True):
+        for flip_last in (False, True):
+            for j_last in (False, True):
+                for j_first in (False, True):
+                    u = t
+                    if swap_first:
+                        u = np.swapaxes(u, 0, 1)
+                    if flip_last:
+                        u = -np.swapaxes(u, 2, 3)
+                    if j_last:
+                        u = _j_last_pair(u, j)
+                    if j_first:
+                        u = _j_first_pair(u, j)
+                    acc += u
+                    count += 1
+    return acc / count
 
 
 # -- jet tables by explicit loops ------------------------------------------------

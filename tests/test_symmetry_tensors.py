@@ -4,6 +4,14 @@ rotation and transport experiments that probe them geometrically."""
 import numpy as np
 import pytest
 
+from kahlersym.classifier import (
+    SamplePlan,
+    classify,
+    direction_samples,
+    plane_samples,
+    sample_points,
+)
+from kahlersym.cli import _orthonormal_pair
 from kahlersym.curvature import curvature_bundle
 from kahlersym.metrics import metric_from_potential
 from kahlersym.symmetry_tensors import (
@@ -11,8 +19,6 @@ from kahlersym.symmetry_tensors import (
     _extrapolate_to_zero,
     complex_tachibana_ricci,
     dependence_scale,
-    deszcz_L,
-    deszcz_sample,
     holomorphic_first_slot_check,
     parallelogram_loop,
     quad_eval,
@@ -23,7 +29,6 @@ from kahlersym.symmetry_tensors import (
 )
 from kahlersym.tensor_algebra import (
     NonHermitianMetric,
-    adapted_frame,
     check_rs_symmetries,
     max_norm,
     standard_complex_structure,
@@ -172,44 +177,55 @@ def test_quad_eval_multilinear():
     assert left == pytest.approx(right, rel=1e-12)
 
 
-def test_deszcz_defined_on_perturbed_flat(bundles):
-    b = bundles["perturbed_flat"]
-    v = np.array([0.8, 0.3, -0.5, 0.2])
-    x = np.array([1.0, 0.0, 0.0, 0.0])
-    y = np.array([0.0, 0.0, 1.0, 0.0])
-    sample = deszcz_L(b, v, x, y)
-    assert sample.defined
-    assert sample.value == pytest.approx(sample.numerator / sample.denominator)
-    # oracle: the same quotient from the brute-force tensors
-    rs = brute_r_dot_s(b.r13, b.ricci)
-    q = brute_tachibana(b.metric.g, b.ricci)
-    oracle = quad_eval(rs, v, v, x, y) / quad_eval(q, v, v, x, y)
-    assert sample.value == pytest.approx(oracle, rel=1e-11)
+def _deszcz_plan(**overrides):
+    return SamplePlan(points=4, directions=3, planes=5, seed=11, **overrides)
 
 
-def test_deszcz_undefined_at_einstein_points(bundles):
+def test_deszcz_defined_on_perturbed_flat(fixtures):
+    """classify's fitted f_S is half the least-squares Deszcz quotient of the
+    brute-force R.S and Q(g,S) over the same samples."""
+    spec = fixtures["perturbed_flat"]
+    plan = _deszcz_plan()
+    verdict = classify(spec, plan)
+    details = verdict.holo_ricci_pseudosymmetric.details
+    assert details["defined_samples"] == [plan.planes] * plan.points
+    m = 2 * spec.n
+    for i, point in enumerate(sample_points(spec.domain, plan)):
+        b = curvature_bundle(metric_from_potential(spec.potential(), point, spec.n))
+        rs = brute_r_dot_s(b.r13, b.ricci)
+        q = brute_tachibana(b.metric.g, b.ricci)
+        dirs = direction_samples(plan, i, m)
+        nums, dens = [], []
+        for k, x in enumerate(plane_samples(plan, i, m)):
+            v = dirs[k % plan.directions]
+            nums.append(quad_eval(rs, v, v, x, b.metric.J @ x))
+            dens.append(quad_eval(q, v, v, x, b.metric.J @ x))
+        nums, dens = np.array(nums), np.array(dens)
+        assert np.min(np.abs(dens)) > 1e-3 * np.max(np.abs(dens))  # far from undefined
+        oracle = 0.5 * float(nums @ dens / (dens @ dens))
+        assert verdict.f_s_values[i] == pytest.approx(oracle, rel=1e-11)
+
+
+def test_deszcz_undefined_at_einstein_points(fixtures):
+    plan = _deszcz_plan()
     for name in ("fs_cp2", "hyperbolic_ball_2"):
-        b = bundles[name]
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            v, x, y = rng.normal(size=(3, 4))
-            sample = deszcz_L(b, v, x, y)
-            assert not sample.defined
-            assert sample.value is None
+        verdict = classify(fixtures[name], plan)
+        assert verdict.holo_ricci_pseudosymmetric.details["defined_samples"] == [0] * plan.points
+        assert verdict.f_s_values == (None,) * plan.points
+        assert verdict.f_s_constant is None
 
 
-def test_deszcz_threshold_scaling():
-    rng = np.random.default_rng(44)
-    rs = rng.normal(size=(4, 4, 4, 4))
-    q = rng.normal(size=(4, 4, 4, 4))
-    v, x, y = rng.normal(size=(3, 4))
-    scale = 1.0
-    s_loose = deszcz_sample(rs, q, v, x, y, scale, threshold=1e-8)
-    assert s_loose.defined
-    s_strict = deszcz_sample(rs, q, v, x, y, scale, threshold=1e12)
-    assert not s_strict.defined
-    assert s_strict.value is None
-    assert s_strict.threshold == pytest.approx(1e12)
+def test_deszcz_threshold_scaling(fixtures):
+    """A dependence threshold far above every |Q(g,S)| sample leaves no
+    sample defined, and the rung cannot pass on a nonzero R.S."""
+    spec = fixtures["perturbed_flat"]
+    plan = _deszcz_plan(dependence_threshold=1e12)
+    verdict = classify(spec, plan)
+    hrps = verdict.holo_ricci_pseudosymmetric
+    assert hrps.details["defined_samples"] == [0] * plan.points
+    assert hrps.details["attempted_samples"] == [plan.planes] * plan.points
+    assert verdict.f_s_values == (None,) * plan.points
+    assert hrps.status == "inconclusive"
 
 
 def test_dependence_scale_floors():
@@ -231,8 +247,7 @@ def test_rotation_experiment_perturbed_flat(bundles):
     g, s, j = b.metric.g, b.ricci, b.metric.J
     rng = np.random.default_rng(45)
     v = rng.normal(size=4)
-    frame = adapted_frame(g, j, rng.normal(size=4))
-    x, y = frame[0], frame[1]
+    x, y = _orthonormal_pair(g, *rng.normal(size=(2, 4)))
     result = rotation_experiment(g, s, j, v, x, y)
     assert result.ok
     assert abs(result.predicted) > 1e-6  # nondegenerate probe
@@ -247,8 +262,8 @@ def test_rotation_experiment_flat_on_einstein(bundles):
     g, s, j = b.metric.g, b.ricci, b.metric.J
     rng = np.random.default_rng(46)
     v = rng.normal(size=4)
-    frame = adapted_frame(g, j, rng.normal(size=4))
-    result = rotation_experiment(g, s, j, v, frame[0], frame[1])
+    x, y = _orthonormal_pair(g, *rng.normal(size=(2, 4)))
+    result = rotation_experiment(g, s, j, v, x, y)
     assert abs(result.predicted) < 1e-10
     assert abs(result.measured) < 1e-8
 

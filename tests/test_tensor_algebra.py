@@ -1,29 +1,24 @@
-"""Wedge endomorphisms, adapted frames, symmetry checks, polarisation."""
+"""Wedge endomorphisms, symmetry checks, polarisation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kahlersym.tensor_algebra import (
     ABS_FLOOR,
     NonHermitianMetric,
     ReconstructionError,
-    adapted_frame,
     check_rs_symmetries,
-    endo_dot_bilinear,
-    g_norm,
     hermitian_violation,
     max_norm,
     reconstruct_from_holomorphic,
     rel_violation,
     standard_complex_structure,
-    symmetrize_rs,
-    wedge_c,
     wedge_c_matrix,
-    wedge_g,
     wedge_g_matrix,
 )
+from kahlersym.symmetry_tensors import _endo_family_dot_bilinear
+
+from helpers import symmetrize_rs
 
 
 def random_hermitian_spd(rng, n):
@@ -39,9 +34,10 @@ def test_wedge_g_flat_basis_action():
     g = np.eye(4)
     e = np.eye(4)
     # (e1 ^ e2) z = g(e2, z) e1 - g(e1, z) e2
-    assert np.array_equal(wedge_g(g, e[0], e[1], e[0]), -e[1])
-    assert np.array_equal(wedge_g(g, e[0], e[1], e[1]), e[0])
-    assert np.array_equal(wedge_g(g, e[0], e[1], e[2]), np.zeros(4))
+    w = wedge_g_matrix(g, e[0], e[1])
+    assert np.array_equal(w @ e[0], -e[1])
+    assert np.array_equal(w @ e[1], e[0])
+    assert np.array_equal(w @ e[2], np.zeros(4))
 
 
 def test_wedge_g_skew_adjoint():
@@ -50,8 +46,8 @@ def test_wedge_g_skew_adjoint():
     x, y = rng.normal(size=4), rng.normal(size=4)
     w = wedge_g_matrix(g, x, y)
     assert np.allclose(g @ w, -(g @ w).T, atol=1e-12)
-    # hence it annihilates g as a derivation
-    assert max_norm(endo_dot_bilinear(w, g)) < 1e-12
+    # hence it annihilates g as a derivation: -g(w., .) - g(., w.) = 0
+    assert max_norm(w.T @ g + g @ w) < 1e-12
 
 
 def test_wedge_c_flat_complex_dimension_one():
@@ -59,7 +55,7 @@ def test_wedge_c_flat_complex_dimension_one():
     g = np.eye(2)
     j = standard_complex_structure(1)
     e1 = np.array([1.0, 0.0])
-    out = wedge_c(g, j, e1, j @ e1, e1)
+    out = wedge_c_matrix(g, j, e1, j @ e1) @ e1
     assert np.allclose(out, -4.0 * (j @ e1), atol=1e-15)
     # and the matrix is -2 (e1^e2) ... check it against the closed form
     w = wedge_c_matrix(g, j, e1, j @ e1)
@@ -73,7 +69,7 @@ def test_wedge_c_commutes_with_j_and_skew_adjoint():
     w = wedge_c_matrix(g, j, x, y)
     assert np.allclose(w @ j, j @ w, atol=1e-10)
     assert np.allclose(g @ w, -(g @ w).T, atol=1e-10)
-    assert max_norm(endo_dot_bilinear(w, g)) < 1e-10
+    assert max_norm(w.T @ g + g @ w) < 1e-10
 
 
 def test_wedge_c_rejects_non_hermitian_metric():
@@ -92,15 +88,16 @@ def test_wedge_dimension_mismatch():
 
 
 def test_endo_dot_bilinear_loop_oracle():
+    """The derivation action (A . S)(u, v) = -S(Au, v) - S(u, Av) for one
+    endomorphism, as a family with one-element plane axes."""
     rng = np.random.default_rng(9)
     a = rng.normal(size=(4, 4))
     s = rng.normal(size=(4, 4))
     s = s + s.T
-    out = endo_dot_bilinear(a, s)
+    out = _endo_family_dot_bilinear(a[:, :, None, None], s)[:, :, 0, 0]
     e = np.eye(4)
     for i in range(4):
         for k in range(4):
-            expect = -s[np.newaxis, :] @ np.zeros(4)  # placeholder shape
             expect = -(a @ e[i]) @ s @ e[k] - e[i] @ s @ (a @ e[k])
             assert out[i, k] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
@@ -118,38 +115,6 @@ def test_hermitian_violation_detects_breakage():
     bad = g.copy()
     bad[0, 0] += 0.5
     assert hermitian_violation(bad, j) > 1e-3
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 3))
-def test_adapted_frame_properties(seed, n):
-    rng = np.random.default_rng(seed)
-    g, j = random_hermitian_spd(rng, n)
-    seed_vec = rng.normal(size=2 * n)
-    frame = adapted_frame(g, j, seed_vec)
-    m = 2 * n
-    assert frame.shape == (m, m)
-    gram = frame @ g @ frame.T
-    assert np.allclose(gram, np.eye(m), atol=1e-9)
-    for i in range(n):
-        assert np.allclose(frame[n + i], j @ frame[i], atol=1e-12)
-    # first vector points along the seed
-    cos = frame[0] @ g @ seed_vec / g_norm(g, seed_vec)
-    assert cos == pytest.approx(1.0, abs=1e-9)
-
-
-def test_adapted_frame_canonical_completion():
-    # seed along e1 forces the remaining holomorphic direction to come
-    # from the canonical sweep
-    j = standard_complex_structure(2)
-    frame = adapted_frame(np.eye(4), j, np.array([1.0, 0.0, 0.0, 0.0]))
-    assert np.allclose(np.abs(frame), np.eye(4)[[0, 1, 2, 3]], atol=1e-12)
-
-
-def test_adapted_frame_degenerate_seed():
-    j = standard_complex_structure(1)
-    with pytest.raises(ValueError, match="degenerate seed"):
-        adapted_frame(np.eye(2), j, np.zeros(2))
 
 
 def test_symmetrize_is_projection():

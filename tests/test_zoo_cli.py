@@ -50,11 +50,6 @@ def test_zoo_perturbation_knob():
     assert "0.1" in default.potential_source
 
 
-def test_below_theorem_dimension_property(fixtures):
-    assert fixtures["fs_cp1"].below_theorem_dimension
-    assert not fixtures["fs_cp2"].below_theorem_dimension
-
-
 def test_spec_validation_direct():
     from kahlersym.zoo import _validated
 
