@@ -211,7 +211,9 @@ class PointData:
 
     Every field carries a leading point axis: ``bundle`` comes from
     :func:`concat_bundles`, rs/q/qc are (P, m, m, m, m), dirs and planes
-    (P, count, m), and the scales (P,).
+    (P, count, m), and the scales (P,).  ``scale_s`` is the Ricci scale
+    max(|S|, m |R|): curvature tensors of type (1,3) do not change when the
+    potential is multiplied by a constant, so neither does this scale.
     """
 
     bundle: CurvatureBundle
@@ -220,6 +222,7 @@ class PointData:
     qc: np.ndarray
     dirs: np.ndarray
     planes: np.ndarray
+    scale_s: np.ndarray
     scale_rs: np.ndarray
     scale_qc: np.ndarray
     dep_scale: np.ndarray
@@ -239,6 +242,7 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
         qc=qc,
         dirs=np.stack([direction_samples(plan, i, m) for i in indices]),
         planes=np.stack([plane_samples(plan, i, m) for i in indices]),
+        scale_s=floored_scale(max_norm(s, 2), m * max_norm(bundle.r13, 4)),
         scale_rs=floored_scale(2.0 * m * max_norm(bundle.r13, 4) * max_norm(s, 2)),
         scale_qc=dependence_scale(qc, g, s),
         dep_scale=dependence_scale(q, g, s),
@@ -338,11 +342,7 @@ def _einstein(data, plan: SamplePlan):
 
 def _ricci_flat(data, plan: SamplePlan):
     tol = plan.tol_for("ricci_flat")
-    b = data.bundle
-    g, s = b.metric.g, b.ricci
-    m = g.shape[-1]
-    scale = floored_scale(m * max_norm(b.r13, 4) * max_norm(g, 2), max_norm(s, 2))
-    per_point = max_norm(s, 2) / scale
+    per_point = max_norm(data.bundle.ricci, 2) / data.scale_s
     verdict = _combine("ricci_flat", float(per_point.max()), None, tol, {})
     return verdict, per_point
 

@@ -76,7 +76,6 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
     m = j.shape[0]
     r04 = b.r04
 
-    scale_s = floored_scale(max_norm(s, 2), m * max_norm(b.r13, 4))
     scale_r = floored_scale(
         max_norm(r04, 4),
         max_norm(g, 2)
@@ -84,12 +83,12 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
     )
 
     out: dict[str, np.ndarray] = {}
-    out["ricci_symmetric"] = rel_violation(s - np.swapaxes(s, -1, -2), scale_s, 2)
-    out["ricci_j_invariant"] = rel_violation(j.T @ s @ j - s, scale_s, 2)
-    out["ricci_j_skew"] = rel_violation(j.T @ s + s @ j, scale_s, 2)
+    out["ricci_symmetric"] = rel_violation(s - np.swapaxes(s, -1, -2), d.scale_s, 2)
+    out["ricci_j_invariant"] = rel_violation(j.T @ s @ j - s, d.scale_s, 2)
+    out["ricci_j_skew"] = rel_violation(j.T @ s + s @ j, d.scale_s, 2)
     sj = s @ j
     out["ricci_holomorphic_zero"] = rel_violation(
-        0.5 * (sj + np.swapaxes(sj, -1, -2)), scale_s, 2
+        0.5 * (sj + np.swapaxes(sj, -1, -2)), d.scale_s, 2
     )
 
     for prefix, tensor, scale in (

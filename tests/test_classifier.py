@@ -1,5 +1,8 @@
 """Ladder classification: sampling, preflight, verdicts, lattice checks."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from kahlersym.classifier import (
 )
 from kahlersym.curvature import curvature_bundle
 from kahlersym.metrics import MetricJet, metric_from_potential
+from kahlersym.runner import run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import standard_complex_structure
 
@@ -51,6 +55,19 @@ def test_no_route_mismatch_anywhere(full_reports):
         assert not report.verdict.any_route_mismatch, name
         for criterion in report.verdict.criteria():
             assert criterion.status in (PASS, FAIL), (name, criterion.name)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-3, 1e3, 1e9])
+def test_classification_invariant_under_potential_scaling(fixtures, full_reports, c):
+    """K -> cK scales g by c and leaves R^a_bcd, S and every rung unchanged."""
+    for name, spec in fixtures.items():
+        scaled = replace(spec, potential_source=f"{c!r}*({spec.potential_source})")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run(scaled, full_reports[name].plan)
+        assert report.identities_passed, (name, report.worst_identity())
+        assert not report.verdict.any_route_mismatch, name
+        assert report.verdict.classification == full_reports[name].verdict.classification, name
 
 
 def test_failing_rungs_fail_clearly(full_reports):
