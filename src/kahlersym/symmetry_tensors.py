@@ -139,6 +139,12 @@ def _extrapolate_to_zero(xs, ys) -> float:
     return table[0]
 
 
+def _check_ladder(ladder) -> None:
+    """Extrapolation to 0 divides by every ladder value and every difference."""
+    if len(ladder) == 0 or 0 in ladder or len(set(ladder)) < len(ladder):
+        raise ValueError(f"ladder values must be nonzero and distinct, got {list(ladder)}")
+
+
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
 DEFAULT_H_LADDER = (0.02, 0.01)
 
@@ -151,6 +157,7 @@ def rotation_experiment(g, s, j, v, x, y, ladder=DEFAULT_EPS_LADDER,
     v'' = v + eps (x wedge_g y) v + eps (Jx wedge_g Jy) v; the slope of
     S(v'', v'') - S(v, v) in eps converges to -Qc(g,S)(v, v; x, y).
     """
+    _check_ladder(ladder)
     g = np.asarray(g, float)
     s = np.asarray(s, float)
     j = np.asarray(j, float)
@@ -196,6 +203,7 @@ def transport_experiment(potential: Expr, n: int, point, v, axis_a: int, axis_b:
     defect vectors (v - v_h)/h^2 are kept in ``details`` for the vector-
     level holonomy check.
     """
+    _check_ladder(ladder)
     point = np.asarray(point, float)
     v = np.asarray(v, float)
     if bundle is None:

@@ -372,6 +372,19 @@ def test_cli_experiment_custom_eps(capsys):
     assert "ladder:    [0.01, 0.005]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["rotation", "fs_cp2", "--eps", "0.01", "0"],
+    ["rotation", "fs_cp2", "--eps", "0.01", "0.01"],
+    ["transport", "fs_cp2", "--h", "0.02", "0"],
+])
+def test_cli_experiment_degenerate_ladder_is_input_error(capsys, argv):
+    """Extrapolation divides by each ladder value and each difference."""
+    code = main(["experiment", *argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ladder values must be nonzero and distinct")
+
+
 def test_build_parser_smoke():
     parser = build_parser()
     args = parser.parse_args(["classify", "fs_cp2", "--points", "7"])
