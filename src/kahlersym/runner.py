@@ -32,7 +32,9 @@ from .classifier import (
 from .metrics import rotated_form_differential
 from .symmetry_tensors import holomorphic_first_slot_check
 from .tensor_algebra import (
+    _j_first_pair,
     _j_last_pair,
+    _permute_slots,
     check_rs_symmetries,
     floored_scale,
     max_norm,
@@ -61,12 +63,6 @@ ALGEBRAIC_IDENTITIES = frozenset(
         "qc_j_skew_last_pair",
     }
 )
-
-
-def _permute_slots(t: np.ndarray, *order: int) -> np.ndarray:
-    """Reorder the trailing len(order) axes of t, leaving point axes in front."""
-    lead = t.ndim - len(order)
-    return np.transpose(t, (*range(lead), *(lead + k for k in order)))
 
 
 def identity_checks(d: PointData) -> dict[str, np.ndarray]:
@@ -123,7 +119,7 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
         scale_r, 4,
     )
     out["kahler_j_invariance"] = rel_violation(
-        np.einsum("ma,nb,...mncd->...abcd", j, j, r04) - r04, scale_r, 4
+        _j_first_pair(r04, j) - r04, scale_r, 4
     )
 
     out["ricci_form_closed"] = rel_violation(

@@ -92,12 +92,18 @@ def wedge_c_matrix(g, j, x, y, tol: float = 1e-8) -> np.ndarray:
 # -- (0,4)-tensor symmetries -------------------------------------------------
 
 
+def _permute_slots(t: np.ndarray, *order: int) -> np.ndarray:
+    """Reorder the trailing len(order) axes of t, leaving point axes in front."""
+    lead = t.ndim - len(order)
+    return np.transpose(t, (*range(lead), *(lead + k for k in order)))
+
+
 def _j_last_pair(t, j):
-    return np.einsum("...ijmn,ma,nb->...ijab", t, j, j)
+    return j.T @ t @ j
 
 
 def _j_first_pair(t, j):
-    return np.einsum("...mnab,mi,nj->...ijab", t, j, j)
+    return _permute_slots(_j_last_pair(_permute_slots(t, 2, 3, 0, 1), j), 2, 3, 0, 1)
 
 
 @dataclass(frozen=True)
