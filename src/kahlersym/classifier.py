@@ -154,16 +154,6 @@ class PreflightReport:
         return all(entry["max"] <= self.tolerance for entry in self.checks.values())
 
 
-def _stack_metrics(metrics) -> MetricJet:
-    """Single-point depth>=1 jets stacked on a point axis (g and dg only)."""
-    first = metrics[0]
-    return MetricJet(
-        np.stack([m.point for m in metrics]), first.n,
-        np.stack([m.g for m in metrics]), np.stack([m.dg for m in metrics]),
-        None, None, first.J,
-    )
-
-
 def _worst(values: np.ndarray) -> dict[str, Any]:
     """The largest positive value and the first point holding it; NaN never
     counts, and without a positive value the entry reads 0.0 at point 0."""
@@ -174,14 +164,12 @@ def _worst(values: np.ndarray) -> dict[str, Any]:
     return {"max": 0.0, "point_index": 0}
 
 
-def preflight_from_metrics(metrics, tolerance: float = 1e-9,
+def preflight_from_metrics(m: MetricJet, tolerance: float = 1e-9,
                            gamma: np.ndarray | None = None) -> PreflightReport:
-    """Kahler checks on depth>=1 metric jets stacked on a point axis, or on
-    a sequence of single-point jets (tests inject fakes here).
+    """Kahler checks on depth>=1 metric jets stacked on a point axis.
 
     ``gamma`` is the jets' Christoffel symbols when the caller has them.
     """
-    m = metrics if isinstance(metrics, MetricJet) else _stack_metrics(list(metrics))
     if gamma is None:
         gamma = christoffel(m).gamma
     nj = (np.einsum("...cam,mb->...acb", gamma, m.J)

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from kahlersym.curvature import christoffel
-from kahlersym.metrics import metric_from_potential
+from kahlersym.metrics import MetricJet, metric_from_potential
 from kahlersym.tensor_algebra import _j_first_pair, _j_last_pair
 
 
@@ -111,6 +111,17 @@ def symmetrize_rs(t: np.ndarray, j: np.ndarray) -> np.ndarray:
                     acc += u
                     count += 1
     return acc / count
+
+
+def stack_metrics(metrics) -> MetricJet:
+    """Single-point depth>=1 jets stacked on a point axis (g and dg only),
+    for preflight checks of hand-built metrics."""
+    first = metrics[0]
+    return MetricJet(
+        np.stack([m.point for m in metrics]), first.n,
+        np.stack([m.g for m in metrics]), np.stack([m.dg for m in metrics]),
+        None, None, first.J,
+    )
 
 
 # -- jet tables by explicit loops ------------------------------------------------

@@ -30,6 +30,8 @@ from kahlersym.runner import run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import standard_complex_structure
 
+from helpers import stack_metrics
+
 
 EXPECTED = {
     "flat_c2": "ricci_flat",
@@ -255,7 +257,7 @@ def test_shared_jet_preflight_matches_preflight_kahler(fixtures, full_reports):
 def test_preflight_flags_non_hermitian_metric():
     good = _fake_metric(np.eye(4))
     bad = _fake_metric(np.diag([1.0, 2.0, 3.0, 4.0]))
-    report = preflight_from_metrics([good, bad])
+    report = preflight_from_metrics(stack_metrics([good, bad]))
     assert not report.passed
     assert report.checks["hermitian"]["max"] > 0.1
     assert report.checks["hermitian"]["point_index"] == 1
@@ -275,7 +277,7 @@ def test_preflight_flags_nonclosed_form():
         point=np.zeros(4), n=2, g=np.eye(4), dg=dg, ddg=None, dddg=None,
         J=standard_complex_structure(2),
     )
-    report = preflight_from_metrics([good, bad])
+    report = preflight_from_metrics(stack_metrics([good, bad]))
     assert report.checks["closed_form"]["max"] > 1e-3
     assert report.checks["closed_form"]["point_index"] == 1
 
@@ -285,11 +287,11 @@ def test_preflight_accepts_stacked_jets(fixtures):
     pts = sample_points(spec.domain, SamplePlan(points=9, directions=2, planes=2))
     singles = [metric_from_potential(spec.potential(), p, spec.n, depth=1) for p in pts]
     stacked = metric_from_potential(spec.potential(), pts, spec.n, depth=1)
-    assert preflight_from_metrics(stacked) == preflight_from_metrics(singles)
+    assert preflight_from_metrics(stacked) == preflight_from_metrics(stack_metrics(singles))
     bad = _fake_metric(np.diag([1.0, 2.0, 3.0, 4.0]))
     worse = _fake_metric(np.diag([1.0, 3.0, 5.0, 4.0]))
     good = _fake_metric(np.eye(4))
-    report = preflight_from_metrics([good, bad, worse, worse])
+    report = preflight_from_metrics(stack_metrics([good, bad, worse, worse]))
     assert report.checks["hermitian"]["point_index"] == 2  # first of the largest
 
 
@@ -315,7 +317,8 @@ def test_evidence_across_blocks_matches_each_point(fixtures):
         assert np.array_equal(data.rs[i], r_dot_s(b))
         assert np.array_equal(data.q[i], tachibana_ricci(b.metric.g, b.ricci))
         assert np.array_equal(data.qc[i], complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J))
-    assert report == preflight_from_metrics(first_order, plan.preflight_tolerance)
+    assert report == preflight_from_metrics(stack_metrics(first_order),
+                                     plan.preflight_tolerance)
 
 
 # -- lattice ------------------------------------------------------------------
