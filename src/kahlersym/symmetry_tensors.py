@@ -27,7 +27,6 @@ from .tensor_algebra import (
     hermitian_violation,
     max_norm,
     NonHermitianMetric,
-    wedge_c_matrix,
     wedge_g_matrix,
 )
 
@@ -175,8 +174,7 @@ def rotation_experiment(g, s, j, v, x, y, ladder=DEFAULT_EPS_LADDER,
         defects.append(float(w @ s @ w) - base)
     slopes = [d / eps for d, eps in zip(defects, ladder)]
     measured = _extrapolate_to_zero(ladder, slopes)
-    qc_vvxy = -2.0 * float((wedge_c_matrix(g, j, x, y) @ v) @ s @ v)
-    predicted = -qc_vvxy
+    predicted = -quad_eval(complex_tachibana_ricci(g, s, j, tol), v, v, x, y)
     abs_err = abs(measured - predicted)
     rel_err = abs_err / max(abs(predicted), ABS_FLOOR)
     return ExperimentResult(tuple(ladder), tuple(defects), measured, predicted,

@@ -73,22 +73,6 @@ def wedge_g_matrix(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.outer(x, g @ y) - np.outer(y, g @ x)
 
 
-def wedge_c_matrix(g, j, x, y, tol: float = 1e-8) -> np.ndarray:
-    """Complex wedge: the metric wedge, its J-rotated copy, and a -2 g(Jx,y) J term.
-
-    Requires g Hermitian with respect to j; commutes with j by construction.
-    """
-    g = np.asarray(g, float)
-    j = np.asarray(j, float)
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    if hermitian_violation(g, j) > tol:
-        raise NonHermitianMetric("metric is not Hermitian w.r.t. the complex structure")
-    plain = wedge_g_matrix(g, x, y)
-    rotated = wedge_g_matrix(g, j @ x, j @ y)
-    return plain + rotated - 2.0 * float(j @ x @ g @ y) * j
-
-
 # -- (0,4)-tensor symmetries -------------------------------------------------
 
 

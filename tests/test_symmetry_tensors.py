@@ -251,6 +251,9 @@ def test_rotation_experiment_perturbed_flat(bundles):
     result = rotation_experiment(g, s, j, v, x, y)
     assert result.ok
     assert abs(result.predicted) > 1e-6  # nondegenerate probe
+    # the prediction is the ladder's Qc, checked against the loop oracle
+    oracle = -quad_eval(brute_complex_tachibana(g, s, j), v, v, x, y)
+    assert rel_err(result.predicted, oracle) < 1e-12
     assert result.rel_error < 1e-3
     assert result.ladder == DEFAULT_EPS_LADDER
     assert len(result.defects) == len(result.ladder)

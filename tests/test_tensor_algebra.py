@@ -5,7 +5,6 @@ import pytest
 
 from kahlersym.tensor_algebra import (
     ABS_FLOOR,
-    NonHermitianMetric,
     ReconstructionError,
     check_rs_symmetries,
     hermitian_violation,
@@ -13,7 +12,6 @@ from kahlersym.tensor_algebra import (
     reconstruct_from_holomorphic,
     rel_violation,
     standard_complex_structure,
-    wedge_c_matrix,
     wedge_g_matrix,
 )
 from kahlersym.symmetry_tensors import _endo_family_dot_bilinear
@@ -48,36 +46,6 @@ def test_wedge_g_skew_adjoint():
     assert np.allclose(g @ w, -(g @ w).T, atol=1e-12)
     # hence it annihilates g as a derivation: -g(w., .) - g(., w.) = 0
     assert max_norm(w.T @ g + g @ w) < 1e-12
-
-
-def test_wedge_c_flat_complex_dimension_one():
-    """On flat C^1 the complex wedge of (e1, Je1) sends e1 to -4 Je1."""
-    g = np.eye(2)
-    j = standard_complex_structure(1)
-    e1 = np.array([1.0, 0.0])
-    out = wedge_c_matrix(g, j, e1, j @ e1) @ e1
-    assert np.allclose(out, -4.0 * (j @ e1), atol=1e-15)
-    # and the matrix is -2 (e1^e2) ... check it against the closed form
-    w = wedge_c_matrix(g, j, e1, j @ e1)
-    assert np.allclose(w, 2.0 * wedge_g_matrix(g, e1, j @ e1) - 2.0 * j, atol=1e-15)
-
-
-def test_wedge_c_commutes_with_j_and_skew_adjoint():
-    rng = np.random.default_rng(5)
-    g, j = random_hermitian_spd(rng, 2)
-    x, y = rng.normal(size=4), rng.normal(size=4)
-    w = wedge_c_matrix(g, j, x, y)
-    assert np.allclose(w @ j, j @ w, atol=1e-10)
-    assert np.allclose(g @ w, -(g @ w).T, atol=1e-10)
-    assert max_norm(w.T @ g + g @ w) < 1e-10
-
-
-def test_wedge_c_rejects_non_hermitian_metric():
-    g = np.diag([1.0, 2.0, 3.0, 4.0])  # not J-invariant
-    j = standard_complex_structure(2)
-    x = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(NonHermitianMetric):
-        wedge_c_matrix(g, j, x, j @ x)
 
 
 def test_wedge_dimension_mismatch():
