@@ -390,7 +390,10 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
     fitted = np.zeros(len(vacuous))
     for p in np.flatnonzero(fits):
         num_d, den_d = nums[p, defined[p]], dens[p, defined[p]]
-        l_bar = float(np.dot(num_d, den_d) / np.dot(den_d, den_d))
+        # Both dots scaled by the same power of two: exact, and finite.
+        e = np.frexp(np.max(np.abs(den_d)))[1]
+        num_e, den_e = np.ldexp(num_d, -e), np.ldexp(den_d, -e)
+        l_bar = float(np.dot(num_e, den_e) / np.dot(den_e, den_e))
         spread_pp[p] = float(np.max(np.abs(num_d - l_bar * den_d))) / data.scale_rs[p]
         f_hats[p] = fitted[p] = l_bar / 2.0
     residual = max_norm(data.rs - fitted[:, None, None, None, None] * data.qc, 4)

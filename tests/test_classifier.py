@@ -29,6 +29,7 @@ from kahlersym.metrics import MetricJet, metric_from_potential
 from kahlersym.runner import run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import standard_complex_structure
+from kahlersym.zoo import ManifoldSpec
 
 from helpers import stack_metrics
 
@@ -70,6 +71,16 @@ def test_classification_invariant_under_potential_scaling(fixtures, full_reports
         assert report.identities_passed, (name, report.worst_identity())
         assert not report.verdict.any_route_mismatch, name
         assert report.verdict.classification == full_reports[name].verdict.classification, name
+
+
+def test_deszcz_fit_finite_for_huge_samples():
+    """exp(300 rsq) is exp(rsq) in w = sqrt(300) z, a holomorphically Ricci-
+    pseudosymmetric witness; its Q(g,S) samples are so large that the fit's
+    plain dot products overflow, yet every fitted f_S stays finite and nonzero."""
+    spec = ManifoldSpec("steep", 2, "exp(300*rsq)", ((-0.76, 0.76),) * 4)
+    verdict = classify(spec)
+    assert verdict.classification == "holo_ricci_pseudosymmetric"
+    assert all(np.isfinite(f) and f != 0.0 for f in verdict.f_s_values)
 
 
 def test_failing_rungs_fail_clearly(full_reports):
