@@ -421,9 +421,10 @@ def _f_s_constancy(f_hats, data, tol: float) -> bool | None:
     values = [f for f in f_hats if f is not None]
     if not values:
         return None
-    curv = float(np.max(max_norm(data.bundle.r13, 4)))
-    scale = max(max(abs(f) for f in values), curv, ABS_FLOOR)
-    return (max(values) - min(values)) / scale <= tol
+    # f_S scales as 1/c under K -> cK, and so does |R| / |g|.
+    b = data.bundle
+    curv = float(np.max(max_norm(b.r13, 4) / max_norm(b.metric.g, 2)))
+    return max(values) - min(values) <= tol * max(max(abs(f) for f in values), curv)
 
 
 # -- the ladder ------------------------------------------------------------------

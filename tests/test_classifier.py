@@ -60,17 +60,40 @@ def test_no_route_mismatch_anywhere(full_reports):
             assert criterion.status in (PASS, FAIL), (name, criterion.name)
 
 
+# Holomorphically Ricci-pseudosymmetric witnesses with a non-constant f_S.
+WITNESSES = (
+    ManifoldSpec("exp_rsq", 2, "exp(rsq)", ((-0.5, 0.5),) * 4),
+    ManifoldSpec("quartic_rsq", 2, "rsq + 0.3*rsq^2", ((-0.5, 0.5),) * 4),
+)
+
+
+@pytest.fixture(scope="module")
+def unscaled_reports(fixtures, full_reports, full_plan):
+    return [(spec, full_reports[name]) for name, spec in fixtures.items()] + [
+        (spec, run(spec, full_plan)) for spec in WITNESSES
+    ]
+
+
 @pytest.mark.parametrize("c", [1e-9, 1e-3, 1e3, 1e9])
-def test_classification_invariant_under_potential_scaling(fixtures, full_reports, c):
-    """K -> cK scales g by c and leaves R^a_bcd, S and every rung unchanged."""
-    for name, spec in fixtures.items():
+def test_classification_invariant_under_potential_scaling(unscaled_reports, c):
+    """K -> cK scales g by c and leaves R^a_bcd, S, every rung and the
+    verdict on f_S constancy unchanged."""
+    for spec, reference in unscaled_reports:
+        name = spec.name
         scaled = replace(spec, potential_source=f"{c!r}*({spec.potential_source})")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = run(scaled, full_reports[name].plan)
+            report = run(scaled, reference.plan)
         assert report.identities_passed, (name, report.worst_identity())
         assert not report.verdict.any_route_mismatch, name
-        assert report.verdict.classification == full_reports[name].verdict.classification, name
+        assert report.verdict.classification == reference.verdict.classification, name
+        assert report.verdict.f_s_constant == reference.verdict.f_s_constant, name
+
+
+def test_witnesses_have_non_constant_f_s(unscaled_reports):
+    for spec, report in unscaled_reports[-len(WITNESSES):]:
+        assert report.verdict.classification == "holo_ricci_pseudosymmetric", spec.name
+        assert report.verdict.f_s_constant is False, spec.name
 
 
 def test_deszcz_fit_finite_for_huge_samples():
