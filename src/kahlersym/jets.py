@@ -174,11 +174,6 @@ class JetScalar:
         """The value: a float, or an array over the point axes."""
         return _per_point(self.coeffs[..., 0])
 
-    def partial(self, multi_index):
-        """One partial derivative: coefficient times the multi-index factorial."""
-        pos = self.space.position[tuple(multi_index)]
-        return _per_point(self.coeffs[..., pos] * self.space.factorial[pos])
-
     def partials(self, degree: int) -> np.ndarray:
         """All partial derivatives of one order, as a dense symmetric array
         (..., nvars, ..., nvars) after the point axes."""

@@ -140,6 +140,11 @@ def partials_loop(jet, degree: int) -> np.ndarray:
     return out
 
 
+def multi_index_entry(alpha) -> tuple[int, ...]:
+    """Index of the partial d^alpha in the array ``partials(sum(alpha))``."""
+    return tuple(i for i, k in enumerate(alpha) for _ in range(k))
+
+
 def pair_tables_loop(space):
     """(left, right, out) of the truncated product, one monomial pair at a
     time: every (i, j) with deg a_i + deg a_j <= order, in row-major order,

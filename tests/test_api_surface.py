@@ -1,6 +1,7 @@
 """The public surface is what the README documents plus what the package
 itself uses: the "Library use" example runs, and no public top-level
-function or class sits in ``src/`` unused."""
+function or class, nor a public method or property of such a class, sits
+in ``src/`` unused."""
 
 import ast
 import os
@@ -70,33 +71,43 @@ def test_package_defines_only_version():
     ]
 
 
-def test_every_public_definition_is_used_documented_or_an_oracle():
-    modules = _modules()
-    readme = _readme()
-    unused = []
+def _public_definitions(modules: dict[str, ast.Module]):
+    """(key, node) of every public top-level def or class, and of every
+    public method or property of a public class."""
     for module, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("_"):
                 continue
-            key = f"{module}.{node.name}"
-            used = any(node.name in _references(other, skip=node)
-                       for other in modules.values())
-            documented = re.search(rf"\b{node.name}\b", readme) is not None
-            if not (used or documented or key in ORACLES):
-                unused.append(key)
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("_")):
+                        yield f"{module}.{node.name}.{member.name}", member
+
+
+def test_every_public_definition_is_used_documented_or_an_oracle():
+    modules = _modules()
+    readme = _readme()
+    unused = []
+    for key, node in _public_definitions(modules):
+        used = any(node.name in _references(other, skip=node)
+                   for other in modules.values())
+        documented = re.search(rf"\b{node.name}\b", readme) is not None
+        if not (used or documented or key in ORACLES):
+            unused.append(key)
     assert unused == []
 
 
 def test_oracle_allowlist_is_current():
     """Every allowlisted name exists, is otherwise unused, and says why."""
     modules = _modules()
+    defs = dict(_public_definitions(modules))
     for key, reason in ORACLES.items():
-        module, name = key.split(".")
-        defs = {node.name: node for node in modules[module].body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        assert name in defs, key
-        assert not any(name in _references(other, skip=defs[name])
+        assert key in defs, key
+        name = key.rsplit(".", 1)[1]
+        assert not any(name in _references(other, skip=defs[key])
                        for other in modules.values()), key
         assert reason

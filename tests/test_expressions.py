@@ -171,8 +171,8 @@ def test_jet_gradient_of_log_potential():
     point = np.array([0.3, -0.2])
     jet = eval_jet(tree, point, order=2)
     denom = 1 + 0.3**2 + 0.2**2
-    assert jet.partial((1, 0)) == pytest.approx(0.6 / denom, rel=1e-13)
-    assert jet.partial((0, 1)) == pytest.approx(-0.4 / denom, rel=1e-13)
+    assert jet.partials(1)[0] == pytest.approx(0.6 / denom, rel=1e-13)
+    assert jet.partials(1)[1] == pytest.approx(-0.4 / denom, rel=1e-13)
 
 
 def test_eval_scalar_number_and_whitespace_forms():

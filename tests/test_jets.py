@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pair_tables_loop, partials_loop, poly_eval, poly_partial, random_poly
+from helpers import (
+    multi_index_entry,
+    pair_tables_loop,
+    partials_loop,
+    poly_eval,
+    poly_partial,
+    random_poly,
+)
 from kahlersym.jets import (
     MAX_ORDER,
     JetDomainError,
@@ -46,11 +53,11 @@ def test_variable_and_constant_round_trip():
     space = jet_space(3, 4)
     x = JetScalar.variable(space, 0, 2.0)
     assert x.value == 2.0
-    assert x.partial((1, 0, 0)) == 1.0
-    assert x.partial((2, 0, 0)) == 0.0
+    assert x.partials(1)[0] == 1.0
+    assert x.partials(2)[0, 0] == 0.0
     c = JetScalar.constant(space, -7.5)
     assert c.value == -7.5
-    assert c.partial((0, 0, 1)) == 0.0
+    assert c.partials(1)[2] == 0.0
 
 
 def test_product_partials_match_leibniz():
@@ -58,12 +65,12 @@ def test_product_partials_match_leibniz():
     x = JetScalar.variable(space, 0, 1.5)
     y = JetScalar.variable(space, 1, -0.5)
     f = x * x * y  # f = x^2 y
-    assert f.partial((0, 0)) == pytest.approx(1.5**2 * -0.5)
-    assert f.partial((1, 0)) == pytest.approx(2 * 1.5 * -0.5)
-    assert f.partial((2, 0)) == pytest.approx(2 * -0.5)
-    assert f.partial((1, 1)) == pytest.approx(2 * 1.5)
-    assert f.partial((2, 1)) == pytest.approx(2.0)
-    assert f.partial((0, 1)) == pytest.approx(1.5**2)
+    assert f.partials(0) == pytest.approx(1.5**2 * -0.5)
+    assert f.partials(1)[0] == pytest.approx(2 * 1.5 * -0.5)
+    assert f.partials(2)[0, 0] == pytest.approx(2 * -0.5)
+    assert f.partials(2)[0, 1] == pytest.approx(2 * 1.5)
+    assert f.partials(3)[0, 0, 1] == pytest.approx(2.0)
+    assert f.partials(1)[1] == pytest.approx(1.5**2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,7 +84,7 @@ def test_polynomial_jets_are_exact(seed, nvars):
     jet = jet_of_poly(poly, space, point)
     for alpha in space.monomials:
         expected = poly_eval(poly_partial(poly, alpha), point)
-        got = jet.partial(alpha)
+        got = jet.partials(sum(alpha))[multi_index_entry(alpha)]
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 
@@ -93,7 +100,7 @@ def test_quotient_of_polynomials():
 
     h = 1e-5
     fd_x = (closed((0.3 + h, -0.2)) - closed((0.3 - h, -0.2))) / (2 * h)
-    assert f.partial((1, 0)) == pytest.approx(fd_x, rel=1e-8)
+    assert f.partials(1)[0] == pytest.approx(fd_x, rel=1e-8)
     assert f.value == pytest.approx(closed((0.3, -0.2)), rel=1e-14)
 
 
@@ -102,9 +109,9 @@ def test_negative_and_float_integer_powers():
     x = JetScalar.variable(space, 0, 2.0)
     inv = x ** (-2)
     assert inv.value == pytest.approx(0.25)
-    assert inv.partial((1,)) == pytest.approx(-2.0 / 2.0**3)
+    assert inv.partials(1)[0] == pytest.approx(-2.0 / 2.0**3)
     alt = x ** 2.0  # float but integral is accepted
-    assert alt.partial((2,)) == pytest.approx(2.0)
+    assert alt.partials(2)[0, 0] == pytest.approx(2.0)
     with pytest.raises(TypeError):
         x ** 0.5
 
@@ -136,7 +143,7 @@ def test_log_derivatives_match_closed_form():
     f = jet_log(1.0 + t)
     for k in range(1, 6):
         expected = (-1.0) ** (k + 1) * math.factorial(k - 1) / (1 + a) ** k
-        assert f.partial((k,)) == pytest.approx(expected, rel=1e-13)
+        assert f.partials(k)[(0,) * k] == pytest.approx(expected, rel=1e-13)
 
 
 def test_domain_errors():
