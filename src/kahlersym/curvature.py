@@ -50,68 +50,48 @@ class CurvatureBundle:
     scal: float | np.ndarray
 
 
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols of the first kind g_cm gamma[m,a,b] from
+    dg[..., c, a, b]; further leading derivative axes pass through."""
+    return 0.5 * (np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg)
+
+
 def christoffel(m: MetricJet) -> Connection:
-    """Christoffel symbols with as many derivative levels as the jet allows."""
+    """Christoffel symbols with as many derivative levels as the jet allows.
+
+    Each level solves g . gamma = gamma_1 (symbols of the first kind),
+    differentiated: g d(gamma) = d(gamma_1) - dg . gamma, and so on.
+    """
     if m.dg is None:
         raise ValueError("christoffel needs at least one derivative of the metric")
-    g, dg, ddg, dddg = m.g, m.dg, m.ddg, m.dddg
-    ginv = np.linalg.inv(g)
-    t = np.einsum("...adb->...dab", dg) + np.einsum("...bda->...dab", dg) - dg
-    gamma = 0.5 * np.einsum("...cd,...dab->...cab", ginv, t)
-
-    dgamma = None
-    ddgamma = None
-    if ddg is not None:
-        dginv = -np.einsum("...cm,...emn,...nd->...ecd", ginv, dg, ginv)
-        dt = (np.einsum("...eadb->...edab", ddg) + np.einsum("...ebda->...edab", ddg)
-              - ddg)
-        dgamma = 0.5 * (
-            np.einsum("...ecd,...dab->...ecab", dginv, t)
-            + np.einsum("...cd,...edab->...ecab", ginv, dt)
-        )
-        if dddg is not None:
-            ddginv = -(
-                np.einsum("...fcm,...emn,...nd->...fecd", dginv, dg, ginv)
-                + np.einsum("...cm,...femn,...nd->...fecd", ginv, ddg, ginv)
-                + np.einsum("...cm,...emn,...fnd->...fecd", ginv, dg, dginv)
-            )
-            ddt = (
-                np.einsum("...feadb->...fedab", dddg)
-                + np.einsum("...febda->...fedab", dddg)
-                - dddg
-            )
-            ddgamma = 0.5 * (
-                np.einsum("...fecd,...dab->...fecab", ddginv, t)
-                + np.einsum("...ecd,...fdab->...fecab", dginv, dt)
-                + np.einsum("...fcd,...edab->...fecab", dginv, dt)
-                + np.einsum("...cd,...fedab->...fecab", ginv, ddt)
-            )
+    ginv = np.linalg.inv(m.g)
+    gamma = np.einsum("...cd,...dab->...cab", ginv, _first_kind(m.dg))
+    dgamma = ddgamma = None
+    if m.ddg is not None:
+        t = _first_kind(m.ddg) - np.einsum("...edm,...mab->...edab", m.dg, gamma)
+        dgamma = np.einsum("...cd,...edab->...ecab", ginv, t)
+        if m.dddg is not None:
+            dg_dgamma = np.einsum("...edm,...fmab->...fedab", m.dg, dgamma)
+            t = (_first_kind(m.dddg)
+                 - np.einsum("...fedm,...mab->...fedab", m.ddg, gamma)
+                 - dg_dgamma - np.swapaxes(dg_dgamma, -5, -4))
+            ddgamma = np.einsum("...cd,...fedab->...fecab", ginv, t)
     return Connection(gamma, dgamma, ddgamma)
 
 
 def riemann(m: MetricJet, conn: Connection):
-    """(r13, dr13, r04); dr13 is None without second Christoffel derivatives."""
+    """(r13, r04) from the Christoffel symbols and their first derivatives."""
     if conn.dgamma is None:
         raise ValueError("riemann needs first derivatives of the Christoffel symbols")
-    gamma, dgamma, ddgamma = conn.gamma, conn.dgamma, conn.ddgamma
+    gamma, dgamma = conn.gamma, conn.dgamma
     r13 = (
         np.einsum("...adbc->...dabc", dgamma)
         - np.einsum("...bdac->...dabc", dgamma)
         + np.einsum("...dam,...mbc->...dabc", gamma, gamma)
         - np.einsum("...dbm,...mac->...dabc", gamma, gamma)
     )
-    dr13 = None
-    if ddgamma is not None:
-        dr13 = (
-            np.einsum("...eadbc->...edabc", ddgamma)
-            - np.einsum("...ebdac->...edabc", ddgamma)
-            + np.einsum("...edam,...mbc->...edabc", dgamma, gamma)
-            + np.einsum("...dam,...embc->...edabc", gamma, dgamma)
-            - np.einsum("...edbm,...mac->...edabc", dgamma, gamma)
-            - np.einsum("...dbm,...emac->...edabc", gamma, dgamma)
-        )
     r04 = np.einsum("...mabc,...md->...abcd", r13, m.g)
-    return r13, dr13, r04
+    return r13, r04
 
 
 def ricci(r13: np.ndarray) -> np.ndarray:
@@ -140,9 +120,18 @@ def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     if m.dddg is None:
         raise ValueError("curvature_bundle needs a depth-3 metric jet")
     conn = christoffel(m)
-    r13, dr13, r04 = riemann(m, conn)
+    r13, r04 = riemann(m, conn)
     s = ricci(r13)
-    ds = np.einsum("...eaabc->...ebc", dr13)
+    # d_e S_bc: the trace over d = a of d_e r13[d,a,b,c], term by term.
+    gamma, dgamma, ddgamma = conn.gamma, conn.dgamma, conn.ddgamma
+    ds = (
+        np.einsum("...eaabc->...ebc", ddgamma)
+        - np.einsum("...ebaac->...ebc", ddgamma)
+        + np.einsum("...eaam,...mbc->...ebc", dgamma, gamma)
+        + np.einsum("...aam,...embc->...ebc", gamma, dgamma)
+        - np.einsum("...eabm,...mac->...ebc", dgamma, gamma)
+        - np.einsum("...abm,...emac->...ebc", gamma, dgamma)
+    )
     ns = nabla_ricci(conn, s, ds)
     scal = scalar_curvature(s, m.g)
     return CurvatureBundle(m, conn, r13, r04, s, ds, ns, scal)

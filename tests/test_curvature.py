@@ -10,6 +10,7 @@ from kahlersym.curvature import (
     holomorphic_sectional,
     parallel_transport,
     ricci,
+    riemann,
     sectional,
 )
 from kahlersym.expressions import parse
@@ -28,6 +29,9 @@ FS2 = parse("log(1+rsq)", 2)
 HYP2 = parse("-log(1-rsq)", 2)
 FLAT2 = parse("absq(1)+absq(2)", 2)
 PERT2 = parse("absq(1)+absq(2)+0.1*absq(1)*absq(2)", 2)
+# n = 3 without U(3) symmetry: every Christoffel and curvature slot differs.
+GEN3 = parse("rsq + 0.2*absq(1)*absq(2) + 0.1*absq(3)^2 + 0.05*x1*x2*y3", 3)
+GEN3_BASE = np.array([0.2, -0.1, 0.3, 0.15, -0.25, 0.1])
 
 
 def bundle(pot, point, n):
@@ -145,18 +149,19 @@ def test_christoffel_against_metric_differences():
 
 
 def test_christoffel_derivatives_against_differences():
-    base = np.array([0.2, 0.1, -0.25, 0.3])
+    for pot, n, base in ((FS2, 2, np.array([0.2, 0.1, -0.25, 0.3])),
+                         (GEN3, 3, GEN3_BASE)):
 
-    def gamma_at(p):
-        return christoffel(metric_from_potential(FS2, p, 2, depth=1)).gamma
+        def gamma_at(p):
+            return christoffel(metric_from_potential(pot, p, n, depth=1)).gamma
 
-    def dgamma_at(p):
-        return christoffel(metric_from_potential(FS2, p, 2, depth=2)).dgamma
+        def dgamma_at(p):
+            return christoffel(metric_from_potential(pot, p, n, depth=2)).dgamma
 
-    conn = christoffel(metric_from_potential(FS2, base, 2))
-    for c in range(4):
-        assert rel_err(conn.dgamma[c], central_difference(gamma_at, base, c)) < 1e-8
-        assert rel_err(conn.ddgamma[c], central_difference(dgamma_at, base, c)) < 1e-7
+        conn = christoffel(metric_from_potential(pot, base, n))
+        for c in range(2 * n):
+            assert rel_err(conn.dgamma[c], central_difference(gamma_at, base, c)) < 1e-8
+            assert rel_err(conn.ddgamma[c], central_difference(dgamma_at, base, c)) < 1e-7
 
 
 def test_riemann_symmetries_and_bianchi():
@@ -187,44 +192,40 @@ def test_ricci_trace_consistency():
 
 
 def test_nabla_ricci_against_differences():
-    base = np.array([0.2, -0.35, 0.1, 0.3])
+    for pot, n, base in ((PERT2, 2, np.array([0.2, -0.35, 0.1, 0.3])),
+                         (GEN3, 3, GEN3_BASE)):
 
-    def s_at(p):
-        m = metric_from_potential(PERT2, p, 2, depth=2)
-        conn = christoffel(m)
-        from kahlersym.curvature import riemann
+        def s_at(p):
+            m = metric_from_potential(pot, p, n, depth=2)
+            r13, _ = riemann(m, christoffel(m))
+            return ricci(r13)
 
-        r13, _, _ = riemann(m, conn)
-        return ricci(r13)
-
-    b = bundle(PERT2, base, 2)
-    for c in range(4):
-        fd = central_difference(s_at, base, c)
-        assert rel_err(b.dricci[c], fd) < 1e-7
-    # covariant correction applied on top of the component derivative
-    gamma = b.connection.gamma
-    expected = b.dricci - np.einsum("mca,mb->cab", gamma, b.ricci) - np.einsum(
-        "mcb,am->cab", gamma, b.ricci
-    )
-    assert rel_err(b.nabla_ricci, expected) == 0.0
+        b = bundle(pot, base, n)
+        for c in range(2 * n):
+            fd = central_difference(s_at, base, c)
+            assert rel_err(b.dricci[c], fd) < 1e-7
+        # covariant correction applied on top of the component derivative
+        gamma = b.connection.gamma
+        expected = b.dricci - np.einsum("mca,mb->cab", gamma, b.ricci) - np.einsum(
+            "mcb,am->cab", gamma, b.ricci
+        )
+        assert rel_err(b.nabla_ricci, expected) == 0.0
 
 
 def test_second_bianchi_contracted():
     """div S = d(scal)/2, a nontrivial consistency check of dricci."""
-    base = np.array([0.15, -0.2, 0.35, 0.25])
-    b = bundle(PERT2, base, 2)
-    g = b.metric.g
-    ginv = np.linalg.inv(g)
-    ns = b.nabla_ricci
-    div_s = np.einsum("ab,acb->c", ginv, ns)
+    for pot, n, base in ((PERT2, 2, np.array([0.15, -0.2, 0.35, 0.25])),
+                         (GEN3, 3, GEN3_BASE)):
+        b = bundle(pot, base, n)
+        ginv = np.linalg.inv(b.metric.g)
+        div_s = np.einsum("ab,acb->c", ginv, b.nabla_ricci)
 
-    def scal_at(p):
-        bb = bundle(PERT2, p, 2)
-        return np.array([bb.scal])
+        def scal_at(p):
+            return np.array([bundle(pot, p, n).scal])
 
-    for c in range(4):
-        dscal = central_difference(scal_at, base, c)[0]
-        assert div_s[c] == pytest.approx(0.5 * dscal, rel=1e-6, abs=1e-8)
+        for c in range(2 * n):
+            dscal = central_difference(scal_at, base, c)[0]
+            assert div_s[c] == pytest.approx(0.5 * dscal, rel=1e-6, abs=1e-8)
 
 
 def test_sectional_rejects_degenerate_plane():
