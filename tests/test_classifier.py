@@ -352,7 +352,7 @@ def test_evidence_across_blocks_matches_each_point(fixtures):
         assert np.array_equal(data.q[i], tachibana_ricci(b.metric.g, b.ricci))
         assert np.array_equal(data.qc[i], complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J))
     assert report == preflight_from_metrics(stack_metrics(first_order),
-                                     plan.preflight_tolerance)
+                                            plan.preflight_tolerance)
 
 
 # -- lattice ------------------------------------------------------------------
