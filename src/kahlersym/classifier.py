@@ -16,8 +16,6 @@ identically zero signals read as zero instead of amplified roundoff.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -32,7 +30,13 @@ from .symmetry_tensors import (
     r_dot_s,
     tachibana_ricci,
 )
-from .tensor_algebra import ABS_FLOOR, floored_scale, hermitian_violation, max_norm
+from .tensor_algebra import (
+    ABS_FLOOR,
+    floored_scale,
+    hermitian_violation,
+    max_norm,
+    rel_violation,
+)
 from .zoo import ManifoldSpec
 
 PASS = "pass"
@@ -42,6 +46,14 @@ INCONCLUSIVE = "inconclusive"
 _POINT_STREAM = 0
 _DIRECTION_STREAM = 1
 _PLANE_STREAM = 2
+
+# Sample points keep this fraction of each side away from the domain's faces.
+MARGIN = 1e-3
+# Gate of the Kahler preflight checks (relative violations).
+PREFLIGHT_TOLERANCE = 1e-9
+# A Deszcz sample is defined where |Q(g,S)(v,v;x,Jx)| exceeds this fraction
+# of the dependence scale.
+DEPENDENCE_THRESHOLD = 1e-8
 
 
 class PreflightError(RuntimeError):
@@ -63,7 +75,7 @@ class LatticeError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Sampling sizes, seed and tolerances for one classification run.
+    """Sampling sizes, seed and the rung tolerance for one classification run.
 
     Minimums: points, directions and planes each at least 2 (constancy
     checks need two points; route samplers need two vectors).  The seed
@@ -74,29 +86,15 @@ class SamplePlan:
     directions: int = 20
     planes: int = 20
     seed: int = 0
-    source: str = "random"
     tolerance: float = 1e-7
-    tolerances: Mapping[str, float] | None = None
-    dependence_threshold: float = 1e-8
-    preflight_tolerance: float = 1e-9
-    margin: float = 1e-3
 
     def __post_init__(self):
         if self.points < 2 or self.directions < 2 or self.planes < 2:
             raise ValueError("plan needs at least 2 points, directions and planes")
-        if self.source not in ("random", "grid"):
-            raise ValueError(f"unknown point source {self.source!r}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.tolerance <= 0 or self.dependence_threshold <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0 <= self.margin < 0.5:
-            raise ValueError("margin must sit in [0, 0.5)")
-
-    def tol_for(self, criterion: str) -> float:
-        if self.tolerances and criterion in self.tolerances:
-            return float(self.tolerances[criterion])
-        return self.tolerance
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 def sample_points(domain, plan: SamplePlan) -> np.ndarray:
@@ -104,16 +102,10 @@ def sample_points(domain, plan: SamplePlan) -> np.ndarray:
     lo = np.array([interval[0] for interval in domain], dtype=float)
     hi = np.array([interval[1] for interval in domain], dtype=float)
     width = hi - lo
-    lo = lo + plan.margin * width
-    hi = hi - plan.margin * width
-    m = len(domain)
-    if plan.source == "random":
-        rng = np.random.default_rng(np.random.SeedSequence([plan.seed, _POINT_STREAM]))
-        return lo + rng.random((plan.points, m)) * (hi - lo)
-    per_axis = math.ceil(plan.points ** (1.0 / m))
-    axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(m)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    return mesh[: plan.points]
+    lo = lo + MARGIN * width
+    hi = hi - MARGIN * width
+    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, _POINT_STREAM]))
+    return lo + rng.random((plan.points, len(domain))) * (hi - lo)
 
 
 def _unit_rows(plan: SamplePlan, stream: int, point_index: int, count: int,
@@ -164,30 +156,24 @@ def _worst(values: np.ndarray) -> dict[str, Any]:
     return {"max": 0.0, "point_index": 0}
 
 
-def preflight_from_metrics(m: MetricJet, tolerance: float = 1e-9,
-                           gamma: np.ndarray | None = None) -> PreflightReport:
-    """Kahler checks on depth>=1 metric jets stacked on a point axis.
-
-    ``gamma`` is the jets' Christoffel symbols when the caller has them.
-    """
-    if gamma is None:
-        gamma = christoffel(m).gamma
+def preflight_from_metrics(m: MetricJet, gamma: np.ndarray) -> PreflightReport:
+    """Kahler checks on depth>=1 metric jets stacked on a point axis, whose
+    Christoffel symbols are ``gamma``."""
     nj = (np.einsum("...cam,mb->...acb", gamma, m.J)
           - np.einsum("cm,...mab->...acb", m.J, gamma))
     values = {
         "hermitian": hermitian_violation(m.g, m.J),
         "closed_form": two_form_closedness(m),
-        "parallel_j": max_norm(nj, 3) / np.maximum(max_norm(gamma, 3), ABS_FLOOR),
+        "parallel_j": rel_violation(nj, max_norm(gamma, 3), 3),
     }
-    return PreflightReport({name: _worst(v) for name, v in values.items()}, tolerance)
+    return PreflightReport({name: _worst(v) for name, v in values.items()},
+                           PREFLIGHT_TOLERANCE)
 
 
-def preflight_kahler(
-    potential: Expr, n: int, points, tolerance: float = 1e-9
-) -> PreflightReport:
+def preflight_kahler(potential: Expr, n: int, points) -> PreflightReport:
     """Check g Hermitian, d(omega) = 0 and nabla J = 0 at every point."""
-    return preflight_from_metrics(metric_from_potential(potential, points, n, depth=1),
-                                  tolerance)
+    m = metric_from_potential(potential, points, n, depth=1)
+    return preflight_from_metrics(m, christoffel(m).gamma)
 
 
 # -- evidence at the sampled points ----------------------------------------------
@@ -259,9 +245,7 @@ def sample_evidence(spec: ManifoldSpec, plan: SamplePlan):
         curvature_bundle(metric_from_potential(potential, points[i:i + block], spec.n))
         for i in range(0, len(points), block)
     )
-    report = preflight_from_metrics(
-        bundle.metric, plan.preflight_tolerance, bundle.connection.gamma
-    )
+    report = preflight_from_metrics(bundle.metric, bundle.connection.gamma)
     if not report.passed:
         raise PreflightError(report)
     return points, report, gather_evidence(bundle, plan)
@@ -304,7 +288,6 @@ def _combine(name: str, direct: float, characterization: float | None,
 
 
 def _einstein(data, plan: SamplePlan):
-    tol = plan.tol_for("einstein")
     b = data.bundle
     g, s = b.metric.g, b.ricci
     m = g.shape[-1]
@@ -322,21 +305,19 @@ def _einstein(data, plan: SamplePlan):
         "einstein",
         max(float(direct_pp.max()), float(spread)),
         float(char_pp.max()),
-        tol,
+        plan.tolerance,
         details,
     )
     return verdict, lams, direct_pp, char_pp
 
 
 def _ricci_flat(data, plan: SamplePlan):
-    tol = plan.tol_for("ricci_flat")
     per_point = max_norm(data.bundle.ricci, 2) / data.scale_s
-    verdict = _combine("ricci_flat", float(per_point.max()), None, tol, {})
+    verdict = _combine("ricci_flat", float(per_point.max()), None, plan.tolerance, {})
     return verdict, per_point
 
 
 def _ricci_parallel(data, plan: SamplePlan):
-    tol = plan.tol_for("ricci_parallel")
     b = data.bundle
     m = b.metric.g.shape[-1]
     scale = floored_scale(
@@ -349,18 +330,19 @@ def _ricci_parallel(data, plan: SamplePlan):
     values = np.einsum("...qab,...pa,...pb->...qp", values, data.dirs, data.dirs)
     char_pp = max_norm(values, 2) / scale
     verdict = _combine(
-        "ricci_parallel", float(direct_pp.max()), float(char_pp.max()), tol, {}
+        "ricci_parallel", float(direct_pp.max()), float(char_pp.max()),
+        plan.tolerance, {},
     )
     return verdict, direct_pp, char_pp
 
 
 def _ricci_semisymmetric(data, plan: SamplePlan):
-    tol = plan.tol_for("ricci_semisymmetric")
     direct_pp = max_norm(data.rs, 4) / data.scale_rs
     values = _plane_reduce(data.rs, data.dirs, data.planes, data.bundle.metric.J)
     char_pp = max_norm(values, 2) / data.scale_rs
     verdict = _combine(
-        "ricci_semisymmetric", float(direct_pp.max()), float(char_pp.max()), tol, {}
+        "ricci_semisymmetric", float(direct_pp.max()), float(char_pp.max()),
+        plan.tolerance, {},
     )
     return verdict, direct_pp, char_pp
 
@@ -370,14 +352,13 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
     full tensor residual R.S - f_S Qc with the fitted f_S = L/2.
 
     Sample i pairs direction i mod (directions) with plane seed i."""
-    tol = plan.tol_for("holo_ricci_pseudosymmetric")
     attempted = plan.planes
     v = data.dirs[:, np.arange(attempted) % plan.directions]
     x = data.planes
     jx = x @ data.bundle.metric.J.T
     nums = np.einsum("...ijab,...ki,...kj,...ka,...kb->...k", data.rs, v, v, x, jx)
     dens = np.einsum("...ijab,...ki,...kj,...ka,...kb->...k", data.q, v, v, x, jx)
-    bound = (plan.dependence_threshold * data.dep_scale)[:, None]
+    bound = (DEPENDENCE_THRESHOLD * data.dep_scale)[:, None]
     defined = np.abs(dens) > bound
     near = (np.abs(dens) > 0.1 * bound) & (np.abs(dens) <= 10.0 * bound)
     defined_counts = defined.sum(axis=1).tolist()
@@ -403,7 +384,7 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
         "attempted_samples": [attempted] * len(vacuous),
         "near_threshold_samples": near.sum(axis=1).tolist(),
     }
-    if sum(defined_counts) == 0 and spread_pp.max() > tol:
+    if sum(defined_counts) == 0 and spread_pp.max() > plan.tolerance:
         verdict = CriterionVerdict(
             "holo_ricci_pseudosymmetric", INCONCLUSIVE, float(spread_pp.max()),
             float(residual_pp.max()), False,
@@ -412,7 +393,7 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
     else:
         verdict = _combine(
             "holo_ricci_pseudosymmetric", float(spread_pp.max()),
-            float(residual_pp.max()), tol, details,
+            float(residual_pp.max()), plan.tolerance, details,
         )
     return verdict, spread_pp, residual_pp, f_hats
 
@@ -511,9 +492,7 @@ def classify_evidence(data, plan: SamplePlan, n: int) -> LadderVerdict:
         lambda_hat=float(np.mean(lams)),
         lambda_values=tuple(lams.tolist()),
         f_s_values=tuple(f_hats),
-        f_s_constant=_f_s_constancy(
-            f_hats, data, plan.tol_for("holo_ricci_pseudosymmetric")
-        ),
+        f_s_constant=_f_s_constancy(f_hats, data, plan.tolerance),
         below_theorem_dimension=n < 2,
         evidence={key: tuple(values.tolist()) for key, values in evidence.items()},
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expr, eval_jet
-from .tensor_algebra import max_norm, standard_complex_structure
+from .tensor_algebra import max_norm, rel_violation, standard_complex_structure
 
 
 class MetricError(ValueError):
@@ -107,5 +107,4 @@ def two_form_closedness(m: MetricJet):
     if m.dg is None:
         raise ValueError("metric jet lacks first derivatives")
     dw = rotated_form_differential(m.J, m.dg)
-    scale = np.maximum(max_norm(m.dg, 3), max_norm(m.g, 2))
-    return max_norm(dw, 3) / np.maximum(scale, 1e-14)
+    return rel_violation(dw, np.maximum(max_norm(m.dg, 3), max_norm(m.g, 2)), 3)

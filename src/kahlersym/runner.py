@@ -21,6 +21,9 @@ from typing import Any
 import numpy as np
 
 from .classifier import (
+    DEPENDENCE_THRESHOLD,
+    MARGIN,
+    PREFLIGHT_TOLERANCE,
     LadderVerdict,
     PointData,
     PreflightReport,
@@ -91,8 +94,7 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
         ("rs", d.rs, d.scale_rs),
         ("qc", d.qc, d.scale_qc),
     ):
-        report = check_rs_symmetries(tensor, j, scale=scale)
-        for key, value in report.violations.items():
+        for key, value in check_rs_symmetries(tensor, j, scale).items():
             out[f"{prefix}_{key}"] = value
 
     out["tachibana_complex_split"] = rel_violation(
@@ -199,7 +201,7 @@ class RunReport:
         lines.append(f"manifold {spec.name}  (n={spec.n}, potential: {spec.potential_source})")
         lines.append(
             f"plan: {self.plan.points} points, {self.plan.directions} directions, "
-            f"{self.plan.planes} planes, seed {self.plan.seed}, source {self.plan.source}"
+            f"{self.plan.planes} planes, seed {self.plan.seed}, source random"
         )
         pf = " ".join(
             f"{name}={entry['max']:.2e}"
@@ -250,21 +252,19 @@ class RunReport:
 
 
 def _plan_dict(plan: SamplePlan) -> dict[str, Any]:
+    """The plan as kahlersym-report/1 records it: the five plan fields, plus
+    the fixed point source, rung tolerance map and classifier constants."""
     return {
         "points": plan.points,
         "directions": plan.directions,
         "planes": plan.planes,
         "seed": plan.seed,
-        "source": plan.source,
+        "source": "random",
         "tolerance": float(plan.tolerance),
-        "tolerances": (
-            {k: float(v) for k, v in sorted(plan.tolerances.items())}
-            if plan.tolerances
-            else None
-        ),
-        "dependence_threshold": float(plan.dependence_threshold),
-        "preflight_tolerance": float(plan.preflight_tolerance),
-        "margin": float(plan.margin),
+        "tolerances": None,
+        "dependence_threshold": DEPENDENCE_THRESHOLD,
+        "preflight_tolerance": PREFLIGHT_TOLERANCE,
+        "margin": MARGIN,
     }
 
 

@@ -18,17 +18,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import CurvatureBundle, curvature_bundle, parallel_transport
+from .curvature import CurvatureBundle, parallel_transport
 from .expressions import Expr
-from .metrics import metric_from_potential
 from .tensor_algebra import (
     ABS_FLOOR,
     floored_scale,
     hermitian_violation,
     max_norm,
     NonHermitianMetric,
+    rel_violation,
     wedge_g_matrix,
 )
+
+# Gate of the input checks on g: Hermitian w.r.t. J for Qc(g,S), and a
+# g-orthonormal plane basis for the rotation experiment.
+HERMITIAN_TOLERANCE = 1e-8
 
 
 def _endo_family_dot_bilinear(a: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -67,12 +71,11 @@ def _complex_wedge_family(g: np.ndarray, j: np.ndarray) -> np.ndarray:
     return _wedge_family(g) + rotated + spin
 
 
-def complex_tachibana_ricci(g: np.ndarray, s: np.ndarray, j: np.ndarray,
-                            tol: float = 1e-8) -> np.ndarray:
+def complex_tachibana_ricci(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Qc(g,S): derivation action of complex wedges; needs g Hermitian."""
     g = np.asarray(g, float)
     j = np.asarray(j, float)
-    if np.any(hermitian_violation(g, j) > tol):
+    if np.any(hermitian_violation(g, j) > HERMITIAN_TOLERANCE):
         raise NonHermitianMetric("metric is not Hermitian w.r.t. the complex structure")
     return _endo_family_dot_bilinear(_complex_wedge_family(g, j), np.asarray(s, float))
 
@@ -81,19 +84,17 @@ def quad_eval(t: np.ndarray, u, v, x, y) -> float:
     return float(np.einsum("ijab,i,j,a,b->", t, u, v, x, y))
 
 
-def holomorphic_first_slot_check(qc: np.ndarray, j: np.ndarray,
-                                 scale: float | None = None) -> float:
+def holomorphic_first_slot_check(qc: np.ndarray, j: np.ndarray, scale):
     """Max violation of Qc(x, Jx; ., .) = 0, relative to the tensor scale.
 
     Vanishing for every x is equivalent to the (u,v)-symmetrised form of
-    Qc contracted with J being zero, which is what gets measured.  Pass a
-    larger reference ``scale`` when qc itself is expected to be roundoff.
+    Qc contracted with J being zero, which is what gets measured.  The
+    reference ``scale`` replaces the tensor's own max-norm when larger,
+    as it must when qc itself is expected to be roundoff.
     """
     contracted = np.einsum("...imab,mk->...ikab", qc, j)
     sym = 0.5 * (contracted + np.einsum("...kiab->...ikab", contracted))
-    norm = max_norm(qc, 4)
-    reference = norm if scale is None else np.maximum(scale, norm)
-    return max_norm(sym, 4) / np.maximum(reference, ABS_FLOOR)
+    return rel_violation(sym, np.maximum(scale, max_norm(qc, 4)), 4)
 
 
 # -- Deszcz quotient -----------------------------------------------------------
@@ -121,10 +122,6 @@ class ExperimentResult:
     rel_error: float
     details: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return np.isfinite(self.measured)
-
 
 def _extrapolate_to_zero(xs, ys) -> float:
     """Neville polynomial extrapolation of y(x) to x = 0."""
@@ -142,14 +139,15 @@ def _check_ladder(ladder) -> None:
     """Extrapolation to 0 divides by every ladder value and every difference."""
     if len(ladder) == 0 or 0 in ladder or len(set(ladder)) < len(ladder):
         raise ValueError(f"ladder values must be nonzero and distinct, got {list(ladder)}")
+    if not np.all(np.isfinite(ladder)):
+        raise ValueError(f"ladder values must be finite, got {list(ladder)}")
 
 
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
 DEFAULT_H_LADDER = (0.02, 0.01)
 
 
-def rotation_experiment(g, s, j, v, x, y, ladder=DEFAULT_EPS_LADDER,
-                        tol: float = 1e-8) -> ExperimentResult:
+def rotation_experiment(g, s, j, v, x, y, ladder=DEFAULT_EPS_LADDER) -> ExperimentResult:
     """First-order response of S(v,v) to a holomorphic plane rotation.
 
     For an orthonormal pair (x, y) the perturbed vector is
@@ -164,7 +162,7 @@ def rotation_experiment(g, s, j, v, x, y, ladder=DEFAULT_EPS_LADDER,
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     gram = np.array([[x @ g @ x, x @ g @ y], [y @ g @ x, y @ g @ y]])
-    if max_norm(gram - np.eye(2)) > tol:
+    if max_norm(gram - np.eye(2)) > HERMITIAN_TOLERANCE:
         raise ValueError("plane basis must be g-orthonormal")
     rot = wedge_g_matrix(g, x, y) + wedge_g_matrix(g, j @ x, j @ y)
     base = float(v @ s @ v)
@@ -174,7 +172,7 @@ def rotation_experiment(g, s, j, v, x, y, ladder=DEFAULT_EPS_LADDER,
         defects.append(float(w @ s @ w) - base)
     slopes = [d / eps for d, eps in zip(defects, ladder)]
     measured = _extrapolate_to_zero(ladder, slopes)
-    predicted = -quad_eval(complex_tachibana_ricci(g, s, j, tol), v, v, x, y)
+    predicted = -quad_eval(complex_tachibana_ricci(g, s, j), v, v, x, y)
     abs_err = abs(measured - predicted)
     rel_err = abs_err / max(abs(predicted), ABS_FLOOR)
     return ExperimentResult(tuple(ladder), tuple(defects), measured, predicted,
@@ -191,21 +189,19 @@ def parallelogram_loop(point, axis_a: int, axis_b: int, h: float):
 
 
 def transport_experiment(potential: Expr, n: int, point, v, axis_a: int, axis_b: int,
-                         ladder=DEFAULT_H_LADDER, steps: int = 32,
-                         bundle: CurvatureBundle | None = None) -> ExperimentResult:
+                         ladder=DEFAULT_H_LADDER, steps: int = 32, *,
+                         bundle: CurvatureBundle) -> ExperimentResult:
     """Quadratic response of S(v,v) to transport around a coordinate square.
 
     Transporting v around the loop (+a, +b, -a, -b) of side h returns
     v_h = v - h^2 R(d_a, d_b) v + O(h^3), so the h^2 coefficient of
     S(v_h, v_h) - S(v, v) converges to +(R.S)(v, v; d_a, d_b).  The
     defect vectors (v - v_h)/h^2 are kept in ``details`` for the vector-
-    level holonomy check.
+    level holonomy check.  ``bundle`` is the curvature bundle at ``point``.
     """
     _check_ladder(ladder)
     point = np.asarray(point, float)
     v = np.asarray(v, float)
-    if bundle is None:
-        bundle = curvature_bundle(metric_from_potential(potential, point, n))
     s = bundle.ricci
     base = float(v @ s @ v)
     defects = []

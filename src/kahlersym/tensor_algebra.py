@@ -11,7 +11,6 @@ axes, and then every violation and norm is one value per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -90,36 +89,19 @@ def _j_first_pair(t, j):
     return _permute_slots(_j_last_pair(_permute_slots(t, 2, 3, 0, 1), j), 2, 3, 0, 1)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    violations: dict[str, float]
-    tolerance: float
-
-    @property
-    def max_violation(self) -> float:
-        return float(max(np.max(v) for v in self.violations.values()))
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= self.tolerance
-
-
-def check_rs_symmetries(
-    t: np.ndarray, j: np.ndarray, tol: float = 1e-9, scale: float | None = None
-) -> SymmetryReport:
-    """Check the algebraic symmetries shared by R.S and the Tachibana tensors.
+def check_rs_symmetries(t: np.ndarray, j: np.ndarray, scale) -> dict[str, np.ndarray]:
+    """Violations of the algebraic symmetries shared by R.S and the Tachibana tensors.
 
     Slots are (u, v, x, y): symmetric in (u, v), antisymmetric in (x, y),
     invariant under J applied to either pair, J-skew within each pair.
-    Violations are relative to the max-norm of the tensor unless a larger
-    reference ``scale`` is supplied (needed when t itself is roundoff).
-    For tensors stacked on leading point axes, ``scale`` and every
-    violation hold one value per point.
+    Violations are relative to the larger of the tensor's max-norm and the
+    reference ``scale`` (needed when t itself is roundoff; pass 0.0 to judge
+    t by its own norm).  For tensors stacked on leading point axes,
+    ``scale`` and every violation hold one value per point.
     """
     t = np.asarray(t, float)
-    norm = max_norm(t, 4)
-    scale = norm if scale is None else np.maximum(scale, norm)
-    violations = {
+    scale = np.maximum(scale, max_norm(t, 4))
+    return {
         "antisym_last_pair": rel_violation(t + np.swapaxes(t, -2, -1), scale, 4),
         "sym_first_pair": rel_violation(t - np.swapaxes(t, -4, -3), scale, 4),
         "j_pair_invariance": np.maximum(
@@ -135,7 +117,6 @@ def check_rs_symmetries(
             scale, 4,
         ),
     }
-    return SymmetryReport(violations, tol)
 
 
 class ReconstructionError(ValueError):
@@ -178,10 +159,10 @@ def reconstruct_from_holomorphic(eval_uuxjx, j: np.ndarray, validate: bool = Tru
                         b(i, jdx, xa + w) - b(i, jdx, xa) - b(i, jdx, w)
                     )
     if validate:
-        report = check_rs_symmetries(t, j, tol)
-        if not report.passed:
+        worst = max(float(np.max(v)) for v in check_rs_symmetries(t, j, 0.0).values())
+        if worst > tol:
             raise ReconstructionError(
                 "holomorphic evaluations are inconsistent with the symmetry class "
-                f"(max violation {report.max_violation:.3e})"
+                f"(max violation {worst:.3e})"
             )
     return t

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kahlersym import classifier
 from kahlersym.classifier import (
     FAIL,
     INCONCLUSIVE,
@@ -24,7 +25,7 @@ from kahlersym.classifier import (
     sample_evidence,
     sample_points,
 )
-from kahlersym.curvature import curvature_bundle
+from kahlersym.curvature import christoffel, curvature_bundle
 from kahlersym.metrics import MetricJet, metric_from_potential
 from kahlersym.runner import run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
@@ -197,27 +198,16 @@ def test_classify_seed_sensitivity(fixtures):
 # -- sampling ---------------------------------------------------------------
 
 
-def test_sample_points_random_box_and_margin():
+def test_sample_points_random_box_and_margin(monkeypatch):
+    monkeypatch.setattr(classifier, "MARGIN", 0.1)
     domain = ((-2.0, 2.0), (0.0, 1.0))
-    plan = SamplePlan(points=40, directions=2, planes=2, margin=0.1)
+    plan = SamplePlan(points=40, directions=2, planes=2)
     pts = sample_points(domain, plan)
     assert pts.shape == (40, 2)
     assert np.all(pts[:, 0] >= -2.0 + 0.4) and np.all(pts[:, 0] <= 2.0 - 0.4)
     assert np.all(pts[:, 1] >= 0.1) and np.all(pts[:, 1] <= 0.9)
     again = sample_points(domain, plan)
     assert np.array_equal(pts, again)
-
-
-def test_sample_points_grid():
-    domain = ((0.0, 1.0), (0.0, 1.0))
-    plan = SamplePlan(points=9, directions=2, planes=2, source="grid", margin=0.0)
-    pts = sample_points(domain, plan)
-    assert pts.shape == (9, 2)
-    # 3x3 grid, row-major in the first axis
-    assert np.allclose(sorted(set(pts[:, 0])), [0.0, 0.5, 1.0])
-    truncated = sample_points(domain, SamplePlan(points=7, directions=2, planes=2, source="grid", margin=0.0))
-    assert truncated.shape == (7, 2)
-    assert np.array_equal(truncated, pts[:7])
 
 
 def test_direction_and_plane_samples_determinism():
@@ -239,20 +229,11 @@ def test_direction_and_plane_samples_determinism():
 def test_plan_validation():
     with pytest.raises(ValueError, match="at least 2"):
         SamplePlan(points=1)
-    with pytest.raises(ValueError, match="point source"):
-        SamplePlan(source="fancy")
     with pytest.raises(ValueError, match="seed"):
         SamplePlan(seed=-1)
-    with pytest.raises(ValueError, match="positive"):
-        SamplePlan(tolerance=0.0)
-    with pytest.raises(ValueError, match="margin"):
-        SamplePlan(margin=0.75)
-
-
-def test_plan_tolerance_override():
-    plan = SamplePlan(tolerances={"einstein": 1e-4})
-    assert plan.tol_for("einstein") == 1e-4
-    assert plan.tol_for("ricci_flat") == plan.tolerance
+    for tolerance in (0.0, -1e-7, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SamplePlan(tolerance=tolerance)
 
 
 # -- preflight ---------------------------------------------------------------
@@ -271,6 +252,10 @@ def _fake_metric(g, n=2):
     )
 
 
+def _preflight(m):
+    return preflight_from_metrics(m, christoffel(m).gamma)
+
+
 def test_preflight_accepts_potential_metrics(fixtures):
     spec = fixtures["fs_cp2"]
     pts = sample_points(spec.domain, SamplePlan(points=5, directions=2, planes=2))
@@ -282,16 +267,14 @@ def test_preflight_accepts_potential_metrics(fixtures):
 def test_shared_jet_preflight_matches_preflight_kahler(fixtures, full_reports):
     for name, spec in fixtures.items():
         report = full_reports[name]
-        alone = preflight_kahler(
-            spec.potential(), spec.n, report.points, report.plan.preflight_tolerance
-        )
+        alone = preflight_kahler(spec.potential(), spec.n, report.points)
         assert report.preflight == alone, name
 
 
 def test_preflight_flags_non_hermitian_metric():
     good = _fake_metric(np.eye(4))
     bad = _fake_metric(np.diag([1.0, 2.0, 3.0, 4.0]))
-    report = preflight_from_metrics(stack_metrics([good, bad]))
+    report = _preflight(stack_metrics([good, bad]))
     assert not report.passed
     assert report.checks["hermitian"]["max"] > 0.1
     assert report.checks["hermitian"]["point_index"] == 1
@@ -311,7 +294,7 @@ def test_preflight_flags_nonclosed_form():
         point=np.zeros(4), n=2, g=np.eye(4), dg=dg, ddg=None, dddg=None,
         J=standard_complex_structure(2),
     )
-    report = preflight_from_metrics(stack_metrics([good, bad]))
+    report = _preflight(stack_metrics([good, bad]))
     assert report.checks["closed_form"]["max"] > 1e-3
     assert report.checks["closed_form"]["point_index"] == 1
 
@@ -321,11 +304,11 @@ def test_preflight_accepts_stacked_jets(fixtures):
     pts = sample_points(spec.domain, SamplePlan(points=9, directions=2, planes=2))
     singles = [metric_from_potential(spec.potential(), p, spec.n, depth=1) for p in pts]
     stacked = metric_from_potential(spec.potential(), pts, spec.n, depth=1)
-    assert preflight_from_metrics(stacked) == preflight_from_metrics(stack_metrics(singles))
+    assert _preflight(stacked) == _preflight(stack_metrics(singles))
     bad = _fake_metric(np.diag([1.0, 2.0, 3.0, 4.0]))
     worse = _fake_metric(np.diag([1.0, 3.0, 5.0, 4.0]))
     good = _fake_metric(np.eye(4))
-    report = preflight_from_metrics(stack_metrics([good, bad, worse, worse]))
+    report = _preflight(stack_metrics([good, bad, worse, worse]))
     assert report.checks["hermitian"]["point_index"] == 2  # first of the largest
 
 
@@ -351,8 +334,7 @@ def test_evidence_across_blocks_matches_each_point(fixtures):
         assert np.array_equal(data.rs[i], r_dot_s(b))
         assert np.array_equal(data.q[i], tachibana_ricci(b.metric.g, b.ricci))
         assert np.array_equal(data.qc[i], complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J))
-    assert report == preflight_from_metrics(stack_metrics(first_order),
-                                            plan.preflight_tolerance)
+    assert report == _preflight(stack_metrics(first_order))
 
 
 # -- lattice ------------------------------------------------------------------
@@ -384,13 +366,6 @@ def test_lattice_violation_raises():
         _check_lattice(chain)
     # inconclusive downstream is tolerated, only FAIL trips the check
     _check_lattice([_verdict("einstein", PASS), _verdict("x", INCONCLUSIVE)])
-
-
-def test_grid_source_classification(fixtures):
-    plan = SamplePlan(points=8, directions=6, planes=6, source="grid")
-    verdict = classify(fixtures["fs_cp2"], plan)
-    assert verdict.classification == "einstein"
-    assert not verdict.any_route_mismatch
 
 
 def test_route_agreement_margins(full_reports):

@@ -6,8 +6,9 @@ import os
 
 import pytest
 
-from kahlersym.classifier import PreflightError, PreflightReport, LatticeError
-from kahlersym.cli import _resolve_target, build_parser, main
+from kahlersym import cli
+from kahlersym.classifier import PreflightError, PreflightReport, LatticeError, SamplePlan
+from kahlersym.cli import _plan_from_args, _resolve_target, build_parser, main
 from kahlersym.zoo import LADDER_CLASSES, ManifestError, ManifoldSpec, load_spec, zoo
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -260,6 +261,12 @@ def test_cli_bad_plan_is_input_error(capsys):
     code = main(["classify", "fs_cp1", "--points", "1"])
     assert code == 1
     assert "input error" in capsys.readouterr().err
+    for tol in ("nan", "inf"):
+        code = main(["classify", "fs_cp2", "--points", "4", "--tol", tol])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: tolerance must be finite and positive")
 
 
 def test_cli_missing_argument_exits_one():
@@ -383,6 +390,25 @@ def test_cli_experiment_degenerate_ladder_is_input_error(capsys, argv):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ladder values must be nonzero and distinct")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rotation", "fs_cp2", "--eps", "0.01", "nan"],
+    ["transport", "fs_cp2", "--h", "0.02", "inf"],
+])
+def test_cli_experiment_nonfinite_ladder_is_input_error(capsys, argv):
+    """A NaN or infinite ladder value would make every defect NaN."""
+    code = main(["experiment", *argv])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error: ladder values must be finite")
+
+
+def test_every_plan_field_is_a_cli_flag(monkeypatch):
+    """A SamplePlan field that no flag sets is a constant, not a setting."""
+    passed = {}
+    monkeypatch.setattr(cli, "SamplePlan", lambda **kwargs: passed.update(kwargs))
+    _plan_from_args(build_parser().parse_args(["classify", "fs_cp2"]))
+    assert set(passed) == {f.name for f in dataclasses.fields(SamplePlan)}
 
 
 def test_build_parser_smoke():
