@@ -22,7 +22,7 @@ import numpy as np
 MAX_ORDER = 5
 # Product pairs per chunk in JetSpace.multiply, so that a chunk's
 # gathered products and index tables stay in cache.
-_PAIRS_PER_CHUNK = 2**15
+_PAIRS_PER_CHUNK = 2**13
 
 
 class JetDomainError(ArithmeticError):
@@ -71,23 +71,11 @@ class JetSpace:
         self._weights = (order + 1) ** np.arange(nvars, dtype=np.int64)
         self._keys = exponents @ self._weights
         self._by_key = np.argsort(self._keys)
-        # Product pairs (i, j) with deg a_i + deg a_j <= order, row-major.
-        # The monomials are graded, so each i pairs with a prefix of them.
-        degrees = exponents.sum(axis=1)
-        prefix = np.searchsorted(degrees, np.arange(order + 1), side="right")
-        lengths = prefix[order - degrees]
-        left = np.repeat(np.arange(self.size), lengths)
-        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        right = np.arange(len(left)) - starts
-        out = self._position_of_keys(self._keys[left] + self._keys[right])
-        # Flat tables for a chunk of points: point p's pairs are offset by
-        # p * size.  A partial chunk uses a prefix of them.
-        self._pairs = len(left)
-        self._chunk_points = max(1, _PAIRS_PER_CHUNK // self._pairs)
-        offsets = (np.arange(self._chunk_points) * self.size)[:, None]
-        self._left = (left + offsets).ravel()
-        self._right = (right + offsets).ravel()
-        self._out = (out + offsets).ravel()
+        self._degrees = exponents.sum(axis=1)
+        # prefix[d]: the number of monomials of degree <= d (they are graded).
+        self._prefix = np.searchsorted(self._degrees, np.arange(order + 1), side="right")
+        # (da, db) -> (pairs per point, left, right, out); see _chunk_tables.
+        self._pair_tables: dict[tuple[int, int], tuple] = {}
         self._partials_tables: dict[int, np.ndarray] = {}
 
     def _position_of_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -103,27 +91,74 @@ class JetSpace:
             self._partials_tables[degree] = table
         return table
 
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Truncated product of coefficient arrays of shape (..., size).
+    def pair_table(self, da: int, db: int):
+        """(left, right, out) of one point's product: the pairs (i, j) with
+        deg a_i <= da, deg a_j <= db and deg a_i + deg a_j <= order, in
+        row-major order, and the position of a_i + a_j."""
+        rows = self._prefix[da]
+        lengths = self._prefix[np.minimum(db, self.order - self._degrees[:rows])]
+        left = np.repeat(np.arange(rows), lengths)
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        right = np.arange(len(left)) - starts
+        return left, right, self._position_of_keys(self._keys[left] + self._keys[right])
 
-        Products are gathered and summed through the flat tables a chunk
-        of points at a time.  ``np.bincount`` adds each product to its
+    def _chunk_tables(self, da: int, db: int, points: int):
+        """(pairs per point, left, right, out) of the (da, db) pair table laid
+        out flat for a run of points, point p's pairs offset by p * size.
+
+        A table covers as many points as the largest call so far, up to a
+        chunk of _PAIRS_PER_CHUNK pairs, so that a space keeps no more
+        table than its calls use."""
+        key = (da, db)
+        if key not in self._pair_tables:
+            left, right, out = self.pair_table(da, db)
+            self._pair_tables[key] = (len(left), left, right, out)
+        pairs, left, right, out = self._pair_tables[key]
+        want = max(1, min(points, _PAIRS_PER_CHUNK // pairs))
+        if len(left) < want * pairs:
+            offsets = (np.arange(want) * self.size)[:, None]
+            self._pair_tables[key] = (pairs, *((t[:pairs] + offsets).ravel()
+                                               for t in (left, right, out)))
+        return self._pair_tables[key]
+
+    def multiply(self, a: np.ndarray, b: np.ndarray, da: int | None = None,
+                 db: int | None = None) -> np.ndarray:
+        """Truncated product of coefficient arrays of shape (..., size) whose
+        coefficients above total degree ``da`` (of a) and ``db`` (of b) are
+        zero; a bound left out is the order.
+
+        Products are gathered through the (da, db) pair table and summed a
+        chunk of points at a time.  ``np.bincount`` adds each product to its
         coefficient in table order, as ``np.add.at`` into zeros would, so
-        every point gets the same bits whatever the points beside it.
+        every point gets the same bits whatever the points beside it.  A
+        constant operand (bound 0) scales the other: ``0.0 + a0 * b``.
+
+        With finite coefficients the result is bitwise the product over all
+        pairs of degree <= order: every skipped product is +0 or -0, and a
+        sum that starts at +0.0 does not change when +-0 is added to it.
+        A skipped 0 * inf is NaN, not zero; :meth:`JetScalar.__mul__`
+        therefore forms every product when a result is not finite.
         """
+        order = self.order
+        da = order if da is None else da
+        db = order if db is None else db
+        if da == 0:
+            return 0.0 + a[..., :1] * b
+        if db == 0:
+            return 0.0 + a * b[..., :1]
         if a.shape != b.shape:
             a, b = np.broadcast_arrays(a, b)
         shape = a.shape
         a = a.reshape(-1)
         b = b.reshape(-1)
-        chunk = self._chunk_points * self.size
+        pairs, left, right, out = self._chunk_tables(da, db, len(a) // self.size)
+        chunk = len(left) // pairs * self.size
         parts = []
         for start in range(0, len(a), chunk):
             stop = min(start + chunk, len(a))
-            count = (stop - start) // self.size * self._pairs
-            products = (a[start:stop].take(self._left[:count])
-                        * b[start:stop].take(self._right[:count]))
-            parts.append(np.bincount(self._out[:count], products, minlength=stop - start))
+            count = (stop - start) // self.size * pairs
+            products = a[start:stop].take(left[:count]) * b[start:stop].take(right[:count])
+            parts.append(np.bincount(out[:count], products, minlength=stop - start))
         out = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return out.reshape(shape)
 
@@ -142,13 +177,21 @@ class JetScalar:
     ``coeffs`` has shape (..., size): leading axes index points, so one jet
     holds the expansions about many points, each computed exactly as it
     would be alone.
+
+    ``degree`` bounds the total degree of the nonzero coefficients:
+    constants have 0 and variables 1, a sum takes the larger bound and a
+    product the sum of both, capped at the order; scaling and negation
+    keep it.  Every coefficient above it is zero while the coefficients
+    are finite.  The bound of a jet built from raw coefficients is the
+    order.
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "coeffs", "degree")
 
-    def __init__(self, space: JetSpace, coeffs):
+    def __init__(self, space: JetSpace, coeffs, degree: int | None = None):
         self.space = space
         self.coeffs = np.asarray(coeffs, dtype=float)
+        self.degree = space.order if degree is None else degree
 
     @classmethod
     def constant(cls, space: JetSpace, value) -> "JetScalar":
@@ -156,7 +199,7 @@ class JetScalar:
         value = np.asarray(value, dtype=float)
         coeffs = np.zeros(value.shape + (space.size,))
         coeffs[..., 0] = value
-        return cls(space, coeffs)
+        return cls(space, coeffs, 0)
 
     @classmethod
     def variable(cls, space: JetSpace, index: int, value) -> "JetScalar":
@@ -167,6 +210,7 @@ class JetScalar:
         if space.order >= 1:
             unit = tuple(1 if k == index else 0 for k in range(space.nvars))
             jet.coeffs[..., space.position[unit]] = 1.0
+            jet.degree = 1
         return jet
 
     @property
@@ -201,7 +245,8 @@ class JetScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return JetScalar(self.space, self.coeffs + other.coeffs)
+        return JetScalar(self.space, self.coeffs + other.coeffs,
+                         max(self.degree, other.degree))
 
     __radd__ = __add__
 
@@ -209,24 +254,32 @@ class JetScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return JetScalar(self.space, self.coeffs - other.coeffs)
+        return JetScalar(self.space, self.coeffs - other.coeffs,
+                         max(self.degree, other.degree))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return JetScalar(self.space, other.coeffs - self.coeffs)
+        return JetScalar(self.space, other.coeffs - self.coeffs,
+                         max(self.degree, other.degree))
 
     def __neg__(self):
-        return JetScalar(self.space, -self.coeffs)
+        return JetScalar(self.space, -self.coeffs, self.degree)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return JetScalar(self.space, self.coeffs * float(other))
+            return JetScalar(self.space, self.coeffs * float(other), self.degree)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return JetScalar(self.space, self.space.multiply(self.coeffs, other.coeffs))
+        space = self.space
+        coeffs = space.multiply(self.coeffs, other.coeffs, self.degree, other.degree)
+        if np.isfinite(coeffs).all():
+            return JetScalar(space, coeffs, min(self.degree + other.degree, space.order))
+        # A non-finite operand: a skipped product may be 0 * inf = NaN, not
+        # zero.  Form every product, as for jets without a bound.
+        return JetScalar(space, space.multiply(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -234,7 +287,7 @@ class JetScalar:
         if isinstance(other, (int, float, np.floating, np.integer)):
             if float(other) == 0.0:
                 raise JetDomainError("division by zero")
-            return JetScalar(self.space, self.coeffs / float(other))
+            return JetScalar(self.space, self.coeffs / float(other), self.degree)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -280,7 +333,7 @@ class JetScalar:
     def _compose(self, series: np.ndarray) -> "JetScalar":
         """Horner evaluation of univariate series at the nilpotent part;
         ``series`` holds one row of coefficients per point, (..., K)."""
-        h = JetScalar(self.space, self.coeffs.copy())
+        h = JetScalar(self.space, self.coeffs.copy(), self.degree)
         h.coeffs[..., 0] = 0.0
         acc = JetScalar.constant(self.space, series[..., -1])
         for k in range(series.shape[-1] - 2, -1, -1):

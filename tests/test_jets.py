@@ -17,6 +17,7 @@ from helpers import (
     poly_partial,
     random_poly,
 )
+from kahlersym.expressions import eval_jet, parse
 from kahlersym.jets import (
     MAX_ORDER,
     JetDomainError,
@@ -27,6 +28,7 @@ from kahlersym.jets import (
     jet_space,
     jet_sqrt,
 )
+from kahlersym.zoo import zoo
 
 
 def jet_of_poly(poly, space, point):
@@ -206,36 +208,146 @@ def test_exp_overflow_is_a_domain_error():
         jet_exp(JetScalar.constant(space, 7200.0))
 
 
+def degrees_of(space) -> np.ndarray:
+    return np.array([sum(mono) for mono in space.monomials])
+
+
 @pytest.mark.parametrize("nvars", range(1, 9))
 def test_pair_tables_match_the_pair_loop(nvars):
     for order in range(MAX_ORDER + 1):
         space = JetSpace(nvars, order)
+        degrees = degrees_of(space)
         left, right, out = pair_tables_loop(space)
-        pairs = len(left)
-        assert np.array_equal(space._left[:pairs], left), order
-        assert np.array_equal(space._right[:pairs], right), order
-        assert np.array_equal(space._out[:pairs], out), order
+        for da, db in itertools.product(range(order + 1), repeat=2):
+            keep = (degrees[left] <= da) & (degrees[right] <= db)
+            got = space.pair_table(da, db)
+            for table, expected in zip(got, (left[keep], right[keep], out[keep])):
+                assert np.array_equal(table, expected), (order, da, db)
+
+
+def bounded_coeffs(rng, space, shape, degree):
+    """Random coefficients, zero above ``degree``, with zeros of both signs
+    below it."""
+    coeffs = rng.standard_normal(shape + (space.size,))
+    coeffs[..., degrees_of(space) > degree] = 0.0
+    coeffs.reshape(-1, space.size)[::3, 1::4] = -0.0
+    coeffs.reshape(-1, space.size)[1::3, 2::5] = 0.0
+    return coeffs
 
 
 def test_multiply_over_points_matches_one_point_at_a_time():
-    # 70 points of (4, 5) products span three chunks of 25, the last partial;
-    # zeros of both signs check that signs of zero survive too.
-    space = jet_space(4, 5)
+    # 70 points of (4, 5) products span several chunks, the last partial;
+    # zeros of both signs check that signs of zero survive too.  The
+    # one-point product sums over all pairs in pair-table order, as
+    # np.add.at does, so a bounded product must skip only zeros.
+    space = JetSpace(4, 5)
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((70, space.size))
-    b = rng.standard_normal((70, space.size))
-    a[::3, 1::4] = -0.0
-    b[1::3, 2::5] = 0.0
-    stacked = space.multiply(a, b)
-    # The one-point product sums in pair-table order, as np.add.at does.
     left, right, out = pair_tables_loop(space)
-    singles = np.zeros((70, space.size))
-    for p in range(70):
-        np.add.at(singles[p], out, a[p][left] * b[p][right])
-        assert np.array_equal(space.multiply(a[p], b[p]), singles[p])
-    assert np.array_equal(stacked, singles)
-    assert np.array_equal(np.signbit(stacked), np.signbit(singles))
-    assert np.array_equal(space.multiply(a[0], b), space.multiply(np.tile(a[0], (70, 1)), b))
+    for da, db in [(5, 5), (1, 1), (2, 2), (4, 2), (5, 2), (2, 3), (0, 3), (3, 0), (0, 0)]:
+        a = bounded_coeffs(rng, space, (70,), da)
+        b = bounded_coeffs(rng, space, (70,), db)
+        singles = np.zeros((70, space.size))
+        for p in range(70):
+            np.add.at(singles[p], out, a[p][left] * b[p][right])
+            one = space.multiply(a[p], b[p], da, db)
+            assert np.array_equal(one, singles[p])
+            assert np.array_equal(np.signbit(one), np.signbit(singles[p]))
+        # The chunk tables were sized to one point above; they grow here.
+        stacked = space.multiply(a, b, da, db)
+        assert np.array_equal(stacked, singles), (da, db)
+        assert np.array_equal(np.signbit(stacked), np.signbit(singles))
+        assert np.array_equal(space.multiply(a[:3], b[:3], da, db), singles[:3])
+        assert np.array_equal(space.multiply(a[0], b, da, db),
+                              space.multiply(np.tile(a[0], (70, 1)), b, da, db))
+
+
+def dense(jet):
+    """The same coefficients with the bound dropped to the order, so that
+    products of it gather every pair."""
+    return JetScalar(jet.space, jet.coeffs)
+
+
+MIXED_DEGREE = [
+    "x1*y1 + x2^2*y2 - 3",
+    "(x1 + 2*y2)^3 * x2 - y1^4 + 0.5",
+    "-(0*x1) + -0*y1 - 2*x2*y2 + rsq",
+    "exp(x1) * x2 + log(2 + y1*y2) * y1^2",
+    "1/(3 + x1^2) + sqrt(4 + x2*y1)*x2",
+    "2*(x1 - x1) + 7",
+]
+ZOO = {spec.name: spec for spec in zoo().values()}
+
+
+@pytest.mark.parametrize("source", sorted(ZOO) + MIXED_DEGREE)
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_degree_bound_holds_and_keeps_the_bits(source, order, monkeypatch):
+    n = ZOO[source].n if source in ZOO else 2
+    expr = ZOO[source].potential() if source in ZOO else parse(source, n)
+    points = np.random.default_rng(order).uniform(-0.6, 0.6, (9, 2 * n))
+    jet = eval_jet(expr, points, order)
+    above = degrees_of(jet.space) > jet.degree
+    assert np.all(jet.coeffs[..., above] == 0.0)
+
+    multiply = JetSpace.multiply
+    monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, da=None, db=None:
+                        multiply(space, a, b))
+    every_pair = eval_jet(expr, points, order).coeffs
+    assert np.array_equal(jet.coeffs, every_pair)
+    assert np.array_equal(np.signbit(jet.coeffs), np.signbit(every_pair))
+
+
+def test_degree_bounds_of_the_ring_operations():
+    space = jet_space(2, 5)
+    x = JetScalar.variable(space, 0, 0.5)
+    y = JetScalar.variable(space, 1, -1.5)
+    c = JetScalar.constant(space, 3.0)
+    assert (c.degree, x.degree) == (0, 1)
+    assert (x + c).degree == (c - x).degree == (1.0 - x).degree == 1
+    assert (x * y).degree == (x * y + x).degree == 2
+    assert (-(x * y)).degree == (2.5 * x * y).degree == (x * y / 4.0).degree == 2
+    assert (x**3 * y**4).degree == 5
+    assert jet_log(1.0 + x).degree == 5
+    assert jet_exp(c).degree == 0
+    assert JetScalar(space, x.coeffs).degree == 5
+    assert JetScalar.variable(jet_space(2, 0), 1, 2.0).degree == 0
+
+
+def test_constant_operand_product_keeps_the_signs_of_zero():
+    space = jet_space(3, 4)
+    rng = np.random.default_rng(8)
+    b = bounded_coeffs(rng, space, (12,), 4)
+    for value in (2.0, -2.0, 0.0, -0.0):
+        c = JetScalar.constant(space, np.full(12, value))
+        for left, right in ((c, JetScalar(space, b)), (JetScalar(space, b), c)):
+            got = (left * right).coeffs
+            expected = (dense(left) * dense(right)).coeffs
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected)), value
+
+
+def test_non_finite_products_gather_every_pair():
+    # A skipped product 0 * inf would be NaN: the bounded product gives the
+    # same coefficients, NaN in the same places, as gathering every pair,
+    # and drops its bound to the order.
+    space = jet_space(2, 4)
+    x = JetScalar.variable(space, 0, 0.5)
+    y = JetScalar.variable(space, 1, -1.5)
+    with np.errstate(invalid="ignore", over="ignore"):
+        huge = x * 1e200 * (y * 1e200)
+        cases = [
+            (JetScalar.constant(space, np.inf), y),
+            (y, JetScalar.constant(space, np.nan)),
+            (huge, huge),
+            (huge * x, y),
+            (x * np.inf, y * y),
+        ]
+    for a, b in cases:
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = a * b
+            expected = dense(a) * dense(b)
+        assert not np.all(np.isfinite(got.coeffs))
+        assert np.array_equal(got.coeffs, expected.coeffs, equal_nan=True)
+        assert got.degree == space.order
 
 
 @pytest.mark.parametrize("primitive, value", [
