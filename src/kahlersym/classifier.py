@@ -251,12 +251,43 @@ def sample_evidence(spec: ManifoldSpec, plan: SamplePlan):
     return points, report, gather_evidence(bundle, plan)
 
 
+# Sample contractions are batched matrix products: a (0,4)-tensor t(u,v;x,y)
+# is the (m^2, m^2) matrix from u(x)v to x(x)y, and a stack of sample rows
+# u_k enters as the rows u_k(x)u_k.  matmul forms the same product for each
+# point of a stack, so a point gets the bits it gets alone.
+
+
+def _outer_rows(u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
+    """The rows u_k (x) v_k of two stacks of rows, flattened: (..., K, m*m)."""
+    return (u_rows[..., :, None] * v_rows[..., None, :]).reshape(u_rows.shape[:-1] + (-1,))
+
+
+def _first_pair_values(t: np.ndarray, u_rows: np.ndarray) -> np.ndarray:
+    """t(u,u;.,.) for every row u, flattened: (..., K, m*m)."""
+    m = t.shape[-1]
+    return _outer_rows(u_rows, u_rows) @ t.reshape(t.shape[:-4] + (m * m, m * m))
+
+
 def _plane_reduce(t: np.ndarray, u_rows: np.ndarray, x_rows: np.ndarray,
                   j: np.ndarray) -> np.ndarray:
     """Values t(u,u;x,Jx) for all sampled directions u and plane seeds x."""
-    jx_rows = x_rows @ j.T
-    diag = np.einsum("...ijab,...pi,...pj->...pab", t, u_rows, u_rows)
-    return np.einsum("...pab,...qa,...qb->...pq", diag, x_rows, jx_rows)
+    return _first_pair_values(t, u_rows) @ np.swapaxes(_outer_rows(x_rows, x_rows @ j.T), -1, -2)
+
+
+def _paired_values(t: np.ndarray, u_rows: np.ndarray, x_rows: np.ndarray,
+                   j: np.ndarray) -> np.ndarray:
+    """Values t(u_k,u_k;x_k,Jx_k) of the k-th direction on the k-th plane seed."""
+    m = t.shape[-1]
+    tu = _first_pair_values(t, u_rows).reshape(u_rows.shape + (m,))
+    return (x_rows[..., None, :] @ tu @ (x_rows @ j.T)[..., :, None])[..., 0, 0]
+
+
+def _parallel_plane_values(nabla_s: np.ndarray, u_rows: np.ndarray,
+                           x_rows: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Values (nabla_{x+Jx} S)(u,u) for all plane seeds x and directions u."""
+    m = nabla_s.shape[-1]
+    grad = (x_rows + x_rows @ j.T) @ nabla_s.reshape(nabla_s.shape[:-3] + (m, m * m))
+    return grad @ np.swapaxes(_outer_rows(u_rows, u_rows), -1, -2)
 
 
 # -- criterion verdicts ----------------------------------------------------------
@@ -325,9 +356,7 @@ def _ricci_parallel(data, plan: SamplePlan):
         m * max_norm(b.connection.gamma, 3) * max_norm(b.ricci, 2),
     )
     direct_pp = max_norm(b.nabla_ricci, 3) / scale
-    xj = data.planes + data.planes @ b.metric.J.T
-    values = np.einsum("...cab,...qc->...qab", b.nabla_ricci, xj)
-    values = np.einsum("...qab,...pa,...pb->...qp", values, data.dirs, data.dirs)
+    values = _parallel_plane_values(b.nabla_ricci, data.dirs, data.planes, b.metric.J)
     char_pp = max_norm(values, 2) / scale
     verdict = _combine(
         "ricci_parallel", float(direct_pp.max()), float(char_pp.max()),
@@ -354,10 +383,9 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
     Sample i pairs direction i mod (directions) with plane seed i."""
     attempted = plan.planes
     v = data.dirs[:, np.arange(attempted) % plan.directions]
-    x = data.planes
-    jx = x @ data.bundle.metric.J.T
-    nums = np.einsum("...ijab,...ki,...kj,...ka,...kb->...k", data.rs, v, v, x, jx)
-    dens = np.einsum("...ijab,...ki,...kj,...ka,...kb->...k", data.q, v, v, x, jx)
+    j = data.bundle.metric.J
+    nums = _paired_values(data.rs, v, data.planes, j)
+    dens = _paired_values(data.q, v, data.planes, j)
     bound = (DEPENDENCE_THRESHOLD * data.dep_scale)[:, None]
     defined = np.abs(dens) > bound
     near = (np.abs(dens) > 0.1 * bound) & (np.abs(dens) <= 10.0 * bound)

@@ -293,3 +293,30 @@ def gauss_curvature_conformal(potential, point, n: int = 1, h: float = 2e-3) -> 
     coarse = laplacian(h)
     fine = laplacian(h / 2)
     return -(4.0 * fine - coarse) / 3.0 / (2.0 * lam(p))
+
+
+# -- sample contractions index by index ------------------------------------------
+
+
+def plane_values_loop(t, u_rows, x_rows, j) -> np.ndarray:
+    """t(u_p,u_p;x_q,Jx_q) for every direction p and plane seed q."""
+    m = j.shape[0]
+    out = np.zeros((len(u_rows), len(x_rows)))
+    for p, u in enumerate(u_rows):
+        for q, x in enumerate(x_rows):
+            jx = [sum(j[b, c] * x[c] for c in range(m)) for b in range(m)]
+            for i, k, a, b in itertools.product(range(m), repeat=4):
+                out[p, q] += t[i, k, a, b] * u[i] * u[k] * x[a] * jx[b]
+    return out
+
+
+def parallel_values_loop(nabla_s, u_rows, x_rows, j) -> np.ndarray:
+    """(nabla_{x_q+Jx_q} S)(u_p,u_p) for every plane seed q and direction p."""
+    m = j.shape[0]
+    out = np.zeros((len(x_rows), len(u_rows)))
+    for q, x in enumerate(x_rows):
+        xj = [x[c] + sum(j[c, e] * x[e] for e in range(m)) for c in range(m)]
+        for p, u in enumerate(u_rows):
+            for c, a, b in itertools.product(range(m), repeat=3):
+                out[q, p] += nabla_s[c, a, b] * xj[c] * u[a] * u[b]
+    return out

@@ -16,6 +16,9 @@ from kahlersym.classifier import (
     PreflightError,
     SamplePlan,
     _check_lattice,
+    _paired_values,
+    _parallel_plane_values,
+    _plane_reduce,
     classify,
     direction_samples,
     plane_samples,
@@ -32,7 +35,7 @@ from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachiba
 from kahlersym.tensor_algebra import standard_complex_structure
 from kahlersym.zoo import ManifoldSpec
 
-from helpers import stack_metrics
+from helpers import parallel_values_loop, plane_values_loop, stack_metrics
 
 
 EXPECTED = {
@@ -335,6 +338,50 @@ def test_evidence_across_blocks_matches_each_point(fixtures):
         assert np.array_equal(data.q[i], tachibana_ricci(b.metric.g, b.ricci))
         assert np.array_equal(data.qc[i], complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J))
     assert report == _preflight(stack_metrics(first_order))
+
+
+def _contraction_inputs(n, points, directions, planes):
+    rng = np.random.default_rng(n)
+    m = 2 * n
+    return (rng.standard_normal((points, m, m, m, m)),
+            rng.standard_normal((points, m, m, m)),
+            rng.standard_normal((points, directions, m)),
+            rng.standard_normal((points, planes, m)),
+            standard_complex_structure(n))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_sample_contractions_match_index_loops(n):
+    # The plane values of three rungs and the identity suite, the Deszcz
+    # samples R.S(v_k,v_k;x_k,Jx_k) and Q(g,S)(...) (the diagonal of the
+    # plane values), and the ricci_parallel values, against sums taken one
+    # index at a time; the gate is relative to the sum of |terms|.
+    t, nabla_s, u, x, j = _contraction_inputs(n, 2, 3, 4)
+    planes = _plane_reduce(t, u, x, j)
+    paired = _paired_values(t, u, x[:, :3], j)
+    parallel = _parallel_plane_values(nabla_s, u, x, j)
+    for p in range(2):
+        a = [np.abs(v) for v in (t[p], nabla_s[p], u[p], x[p], j)]
+        expected = plane_values_loop(t[p], u[p], x[p], j)
+        bound = 1e-13 * plane_values_loop(a[0], a[2], a[3], a[4])
+        assert np.all(np.abs(planes[p] - expected) <= bound)
+        assert np.all(np.abs(paired[p] - np.diagonal(expected[:, :3]))
+                      <= np.diagonal(bound[:, :3]))
+        expected = parallel_values_loop(nabla_s[p], u[p], x[p], j)
+        bound = 1e-13 * parallel_values_loop(a[1], a[2], a[3], a[4])
+        assert np.all(np.abs(parallel[p] - expected) <= bound)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_sample_contractions_over_points_match_one_point_at_a_time(n):
+    t, nabla_s, u, x, j = _contraction_inputs(n, 40 if n == 2 else 6, 20, 20)
+    stacked = (_plane_reduce(t, u, x, j), _paired_values(t, u, x, j),
+               _parallel_plane_values(nabla_s, u, x, j))
+    for p in range(len(t)):
+        singles = (_plane_reduce(t[p], u[p], x[p], j), _paired_values(t[p], u[p], x[p], j),
+                   _parallel_plane_values(nabla_s[p], u[p], x[p], j))
+        for values, single in zip(stacked, singles):
+            assert np.array_equal(values[p], single), p
 
 
 # -- lattice ------------------------------------------------------------------
