@@ -197,10 +197,16 @@ def transport_experiment(potential: Expr, n: int, point, v, axis_a: int, axis_b:
     v_h = v - h^2 R(d_a, d_b) v + O(h^3), so the h^2 coefficient of
     S(v_h, v_h) - S(v, v) converges to +(R.S)(v, v; d_a, d_b).  The
     defect vectors (v - v_h)/h^2 are kept in ``details`` for the vector-
-    level holonomy check.  ``bundle`` is the curvature bundle at ``point``.
+    level holonomy check.  ``bundle`` is the curvature bundle at ``point``;
+    a bundle of another dimension or point raises ValueError.
     """
     _check_ladder(ladder)
     point = np.asarray(point, float)
+    if n != bundle.metric.n or not np.array_equal(point, bundle.metric.point):
+        raise ValueError(
+            f"bundle was built at n = {bundle.metric.n}, point "
+            f"{bundle.metric.point.tolist()}, not at n = {n}, point {point.tolist()}"
+        )
     v = np.asarray(v, float)
     s = bundle.ricci
     base = float(v @ s @ v)

@@ -305,6 +305,16 @@ def test_transport_experiment_sign_and_magnitude(fixtures, bundles):
     assert rel_err(defect, predicted_vec) < 1e-2
 
 
+def test_transport_experiment_rejects_a_bundle_from_elsewhere(fixtures, bundles):
+    spec = fixtures["perturbed_flat"]
+    point = np.asarray(POINTS["perturbed_flat"], float)
+    bundle = bundles["perturbed_flat"]
+    v = np.array([0.9, -0.2, 0.4, 0.7])
+    for n, at in ((spec.n, point + 1e-3), (spec.n + 1, np.concatenate([point, [0.0, 0.0]]))):
+        with pytest.raises(ValueError, match="bundle was built at n = 2"):
+            transport_experiment(spec.potential(), n, at, v, 0, 2, bundle=bundle)
+
+
 def test_transport_experiment_zero_on_semisymmetric(fixtures, bundles):
     spec = fixtures["product_cp1_cp1_unequal"]
     point = POINTS["product_cp1_cp1_unequal"]
