@@ -121,27 +121,21 @@ class JetSpace:
                                                for t in (left, right, out)))
         return self._pair_tables[key]
 
-    def multiply(self, a: np.ndarray, b: np.ndarray, da: int | None = None,
-                 db: int | None = None) -> np.ndarray:
+    def multiply(self, a: np.ndarray, b: np.ndarray, da: int, db: int) -> np.ndarray:
         """Truncated product of coefficient arrays of shape (..., size) whose
         coefficients above total degree ``da`` (of a) and ``db`` (of b) are
-        zero; a bound left out is the order.
+        zero.
 
         Products are gathered through the (da, db) pair table and summed a
-        chunk of points at a time.  ``np.bincount`` adds each product to its
-        coefficient in table order, as ``np.add.at`` into zeros would, so
-        every point gets the same bits whatever the points beside it.  A
-        constant operand (bound 0) scales the other: ``0.0 + a0 * b``.
-
-        With finite coefficients the result is bitwise the product over all
-        pairs of degree <= order: every skipped product is +0 or -0, and a
-        sum that starts at +0.0 does not change when +-0 is added to it.
-        A skipped 0 * inf is NaN, not zero; :meth:`JetScalar.__mul__`
-        therefore forms every product when a result is not finite.
+        chunk of points at a time: ``np.bincount`` adds each product to its
+        coefficient in table order, starting from +0.0, so every point gets
+        the same bits whatever the points beside it.  A constant operand
+        scales the other: ``0.0 + a0 * b``.  With finite coefficients every
+        skipped product is +0 or -0, which leaves such a sum unchanged, so
+        the result is bitwise the product over all pairs.  A skipped
+        0 * inf would be NaN: :meth:`JetScalar.__mul__` forms every product
+        when a result is not finite.
         """
-        order = self.order
-        da = order if da is None else da
-        db = order if db is None else db
         if da == 0:
             return 0.0 + a[..., :1] * b
         if db == 0:
@@ -279,7 +273,8 @@ class JetScalar:
             return JetScalar(space, coeffs, min(self.degree + other.degree, space.order))
         # A non-finite operand: a skipped product may be 0 * inf = NaN, not
         # zero.  Form every product, as for jets without a bound.
-        return JetScalar(space, space.multiply(self.coeffs, other.coeffs))
+        return JetScalar(space, space.multiply(self.coeffs, other.coeffs,
+                                               space.order, space.order))
 
     __rmul__ = __mul__
 
