@@ -271,7 +271,7 @@ class JetScalar:
         coeffs = space.multiply(self.coeffs, other.coeffs, self.degree, other.degree)
         if np.isfinite(coeffs).all():
             return JetScalar(space, coeffs, min(self.degree + other.degree, space.order))
-        # A non-finite operand: a skipped product may be 0 * inf = NaN, not
+        # A non-finite result: a skipped product may be 0 * inf = NaN, not
         # zero.  Form every product, as for jets without a bound.
         return JetScalar(space, space.multiply(self.coeffs, other.coeffs,
                                                space.order, space.order))
