@@ -108,27 +108,31 @@ def sample_points(domain, plan: SamplePlan) -> np.ndarray:
     return lo + rng.random((plan.points, len(domain))) * (hi - lo)
 
 
-def _unit_rows(plan: SamplePlan, stream: int, point_index: int, count: int,
-               m: int) -> np.ndarray:
-    """``count`` random unit vectors of length m, seeded by the plan's seed,
-    the stream and the point."""
-    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, stream, point_index]))
-    rows = rng.standard_normal((count, m))
-    norms = np.linalg.norm(rows, axis=1)
+def _unit_rows(plan: SamplePlan, stream: int, count: int, m: int) -> np.ndarray:
+    """``count`` random unit vectors of length m at each of the plan's points,
+    (points, count, m), from one draw of the stream seeded by the plan's seed.
+
+    Point i takes the stream's values [i*count*m, (i+1)*count*m), so its
+    rows do not depend on the number of points (unless a row must be
+    redrawn, which has probability zero).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, stream]))
+    rows = rng.standard_normal((plan.points, count, m))
+    norms = np.linalg.norm(rows, axis=-1)
     bad = norms < 1e-12
     while np.any(bad):
         rows[bad] = rng.standard_normal((int(bad.sum()), m))
-        norms = np.linalg.norm(rows, axis=1)
+        norms = np.linalg.norm(rows, axis=-1)
         bad = norms < 1e-12
-    return rows / norms[:, None]
+    return rows / norms[..., None]
 
 
 def direction_samples(plan: SamplePlan, point_index: int, m: int) -> np.ndarray:
-    return _unit_rows(plan, _DIRECTION_STREAM, point_index, plan.directions, m)
+    return _unit_rows(plan, _DIRECTION_STREAM, plan.directions, m)[point_index]
 
 
 def plane_samples(plan: SamplePlan, point_index: int, m: int) -> np.ndarray:
-    return _unit_rows(plan, _PLANE_STREAM, point_index, plan.planes, m)
+    return _unit_rows(plan, _PLANE_STREAM, plan.planes, m)[point_index]
 
 
 # -- preflight -------------------------------------------------------------------
@@ -203,19 +207,19 @@ class PointData:
 
 
 def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
-    """Symmetry tensors and samples at the points of a stacked bundle."""
+    """Symmetry tensors and samples at the points of a bundle stacked over
+    the plan's points."""
     g, s, j = bundle.metric.g, bundle.ricci, bundle.metric.J
     m = j.shape[0]
     q = tachibana_ricci(g, s)
     qc = complex_tachibana_ricci(g, s, j)
-    indices = range(len(s))
     return PointData(
         bundle=bundle,
         rs=r_dot_s(bundle),
         q=q,
         qc=qc,
-        dirs=np.stack([direction_samples(plan, i, m) for i in indices]),
-        planes=np.stack([plane_samples(plan, i, m) for i in indices]),
+        dirs=_unit_rows(plan, _DIRECTION_STREAM, plan.directions, m),
+        planes=_unit_rows(plan, _PLANE_STREAM, plan.planes, m),
         scale_s=floored_scale(max_norm(s, 2), m * max_norm(bundle.r13, 4)),
         scale_rs=floored_scale(2.0 * m * max_norm(bundle.r13, 4) * max_norm(s, 2)),
         scale_qc=dependence_scale(qc, g, s),

@@ -229,6 +229,13 @@ def test_direction_and_plane_samples_determinism():
     assert np.allclose(np.linalg.norm(p0, axis=1), 1.0, atol=1e-12)
 
 
+def test_point_samples_do_not_depend_on_the_number_of_points():
+    few, many = SamplePlan(points=5, seed=6), SamplePlan(points=400, seed=6)
+    for i in range(5):
+        assert np.array_equal(direction_samples(few, i, 4), direction_samples(many, i, 4))
+        assert np.array_equal(plane_samples(few, i, 4), plane_samples(many, i, 4))
+
+
 def test_plan_validation():
     with pytest.raises(ValueError, match="at least 2"):
         SamplePlan(points=1)
@@ -328,6 +335,8 @@ def test_evidence_across_blocks_matches_each_point(fixtures):
         first_order.append(m)
         b = curvature_bundle(m)
         assert np.array_equal(data.bundle.metric.point[i], point)
+        assert np.array_equal(data.dirs[i], direction_samples(plan, i, 2 * spec.n))
+        assert np.array_equal(data.planes[i], plane_samples(plan, i, 2 * spec.n))
         assert np.array_equal(data.bundle.metric.g[i], b.metric.g)
         assert np.array_equal(data.bundle.metric.dg[i], b.metric.dg)
         assert np.array_equal(data.bundle.connection.gamma[i], b.connection.gamma)
