@@ -398,17 +398,17 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
 
     # Points without a defined sample fall back to the size of R.S itself.
     vacuous = max_norm(data.rs, 4) / data.scale_rs
-    spread_pp = vacuous.copy()
-    f_hats: list[float | None] = [None] * len(vacuous)
-    fitted = np.zeros(len(vacuous))
-    for p in np.flatnonzero(fits):
-        num_d, den_d = nums[p, defined[p]], dens[p, defined[p]]
-        # Both dots scaled by the same power of two: exact, and finite.
-        e = np.frexp(np.max(np.abs(den_d)))[1]
-        num_e, den_e = np.ldexp(num_d, -e), np.ldexp(den_d, -e)
-        l_bar = float(np.dot(num_e, den_e) / np.dot(den_e, den_e))
-        spread_pp[p] = float(np.max(np.abs(num_d - l_bar * den_d))) / data.scale_rs[p]
-        f_hats[p] = fitted[p] = l_bar / 2.0
+    num_d = np.where(defined, nums, 0.0)
+    den_d = np.where(defined, dens, 0.0)
+    # Both dots of a point scaled by the same power of two: exact, and finite.
+    e = np.frexp(np.max(np.abs(den_d), axis=1))[1][:, None]
+    num_e, den_e = np.ldexp(num_d, -e), np.ldexp(den_d, -e)
+    l_bar = np.divide(np.sum(num_e * den_e, axis=1), np.sum(den_e * den_e, axis=1),
+                      out=np.zeros(len(vacuous)), where=fits)
+    spread = np.max(np.abs(num_d - l_bar[:, None] * den_d), axis=1) / data.scale_rs
+    spread_pp = np.where(fits, spread, vacuous)
+    fitted = l_bar / 2.0
+    f_hats = [float(f) if fit else None for f, fit in zip(fitted, fits)]
     residual = max_norm(data.rs - fitted[:, None, None, None, None] * data.qc, 4)
     residual_pp = np.where(fits, residual / data.scale_rs, vacuous)
     details = {

@@ -60,23 +60,30 @@ def christoffel(m: MetricJet) -> Connection:
     """Christoffel symbols with as many derivative levels as the jet allows.
 
     Each level solves g . gamma = gamma_1 (symbols of the first kind),
-    differentiated: g d(gamma) = d(gamma_1) - dg . gamma, and so on.
+    differentiated: g d(gamma) = d(gamma_1) - dg . gamma, and so on.  The
+    contractions are batched matrix products over the flattened slots,
+    with gamma[c,a,b] and dgamma[e,c,a,b] kept as (c, ab) matrices until
+    the end.
     """
     if m.dg is None:
         raise ValueError("christoffel needs at least one derivative of the metric")
+    lead, d = m.g.shape[:-2], m.g.shape[-1]
     ginv = np.linalg.inv(m.g)
-    gamma = np.einsum("...cd,...dab->...cab", ginv, _first_kind(m.dg))
+    gamma = ginv @ _first_kind(m.dg).reshape(lead + (d, d * d))
     dgamma = ddgamma = None
     if m.ddg is not None:
-        t = _first_kind(m.ddg) - np.einsum("...edm,...mab->...edab", m.dg, gamma)
-        dgamma = np.einsum("...cd,...edab->...ecab", ginv, t)
+        t = (_first_kind(m.ddg).reshape(lead + (d * d, d * d))
+             - m.dg.reshape(lead + (d * d, d)) @ gamma)
+        dgamma = ginv[..., None, :, :] @ t.reshape(lead + (d, d, d * d))
         if m.dddg is not None:
-            dg_dgamma = np.einsum("...edm,...fmab->...fedab", m.dg, dgamma)
+            dg_dgamma = (m.dg.reshape(lead + (1, d * d, d)) @ dgamma).reshape(lead + (d,) * 5)
             t = (_first_kind(m.dddg)
-                 - np.einsum("...fedm,...mab->...fedab", m.ddg, gamma)
+                 - (m.ddg.reshape(lead + (d ** 3, d)) @ gamma).reshape(lead + (d,) * 5)
                  - dg_dgamma - np.swapaxes(dg_dgamma, -5, -4))
-            ddgamma = np.einsum("...cd,...fedab->...fecab", ginv, t)
-    return Connection(gamma, dgamma, ddgamma)
+            ddgamma = (ginv[..., None, None, :, :] @ t.reshape(lead + (d, d, d, d * d))
+                       ).reshape(lead + (d,) * 5)
+        dgamma = dgamma.reshape(lead + (d,) * 4)
+    return Connection(gamma.reshape(lead + (d,) * 3), dgamma, ddgamma)
 
 
 def riemann(m: MetricJet, conn: Connection):
@@ -84,13 +91,17 @@ def riemann(m: MetricJet, conn: Connection):
     if conn.dgamma is None:
         raise ValueError("riemann needs first derivatives of the Christoffel symbols")
     gamma, dgamma = conn.gamma, conn.dgamma
+    lead, d = m.g.shape[:-2], m.g.shape[-1]
+    # gg[d,a,b,c] = gamma[d,a,m] gamma[m,b,c]; the second product is its (a,b) swap.
+    gg = (gamma.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))
+          ).reshape(lead + (d,) * 4)
     r13 = (
         np.einsum("...adbc->...dabc", dgamma)
         - np.einsum("...bdac->...dabc", dgamma)
-        + np.einsum("...dam,...mbc->...dabc", gamma, gamma)
-        - np.einsum("...dbm,...mac->...dabc", gamma, gamma)
+        + gg
+        - np.swapaxes(gg, -3, -2)
     )
-    r04 = np.einsum("...mabc,...md->...abcd", r13, m.g)
+    r04 = (np.swapaxes(r13.reshape(lead + (d, d ** 3)), -1, -2) @ m.g).reshape(r13.shape)
     return r13, r04
 
 
@@ -122,15 +133,22 @@ def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     conn = christoffel(m)
     r13, r04 = riemann(m, conn)
     s = ricci(r13)
-    # d_e S_bc: the trace over d = a of d_e r13[d,a,b,c], term by term.
+    # d_e S_bc: the trace over d = a of d_e r13[d,a,b,c], term by term.  The
+    # products are batched matmuls; gamma_t[b,a,m] = gamma[a,b,m] and
+    # dgamma_t[e,b,a,m] = dgamma[e,a,b,m] put the two summed slots side by side.
     gamma, dgamma, ddgamma = conn.gamma, conn.dgamma, conn.ddgamma
+    lead, d = m.g.shape[:-2], m.g.shape[-1]
+    gamma_t = np.swapaxes(gamma, -3, -2)
+    dgamma_t = np.swapaxes(dgamma, -3, -2)
     ds = (
         np.einsum("...eaabc->...ebc", ddgamma)
         - np.einsum("...ebaac->...ebc", ddgamma)
-        + np.einsum("...eaam,...mbc->...ebc", dgamma, gamma)
-        + np.einsum("...aam,...embc->...ebc", gamma, dgamma)
-        - np.einsum("...eabm,...mac->...ebc", dgamma, gamma)
-        - np.einsum("...abm,...emac->...ebc", gamma, dgamma)
+        + (np.einsum("...eaam->...em", dgamma) @ gamma.reshape(lead + (d, d * d))
+           ).reshape(lead + (d,) * 3)
+        + (np.einsum("...aam->...m", gamma)[..., None, None, :]
+           @ dgamma.reshape(lead + (d, d, d * d))).reshape(lead + (d,) * 3)
+        - dgamma_t.reshape(lead + (d, d, d * d)) @ gamma_t.reshape(lead + (1, d * d, d))
+        - gamma_t.reshape(lead + (1, d, d * d)) @ dgamma_t.reshape(lead + (d, d * d, d))
     )
     ns = nabla_ricci(conn, s, ds)
     scal = scalar_curvature(s, m.g)

@@ -38,12 +38,18 @@ HERMITIAN_TOLERANCE = 1e-8
 def _endo_family_dot_bilinear(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Derivation action for a whole family a[d,c,x,y] of endomorphisms.
 
-    The result is laid out in C order, as for a single point, so the
+    Both terms are batched matmuls of S with a as the (d, c x y) matrix:
+    S(Au, v) is S^T A with its (v, u) slots swapped, S(u, Av) is S A.  The
+    result is laid out in C order, as for a single point, so the
     contractions that read it sum in the same order for one point or many.
     """
+    m = s.shape[-1]
+    flat = a.reshape(a.shape[:-4] + (m, -1))
+    s_a = s @ flat
+    st_a = np.swapaxes(s, -1, -2) @ flat
+    shape = s_a.shape[:-2] + (m, m) + a.shape[-2:]
     return np.ascontiguousarray(
-        -np.einsum("...miab,...mj->...ijab", a, s)
-        - np.einsum("...mjab,...im->...ijab", a, s)
+        -np.swapaxes(st_a.reshape(shape), -4, -3) - s_a.reshape(shape)
     )
 
 

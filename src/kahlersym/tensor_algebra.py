@@ -85,8 +85,17 @@ def _j_last_pair(t, j):
     return j.T @ t @ j
 
 
+def _j_skew_last_pair(t, j):
+    return t @ j + j.T @ t
+
+
+def _on_first_pair(op, t, j):
+    """``op`` applied to the first slot pair of t instead of the last."""
+    return _permute_slots(op(_permute_slots(t, 2, 3, 0, 1), j), 2, 3, 0, 1)
+
+
 def _j_first_pair(t, j):
-    return _permute_slots(_j_last_pair(_permute_slots(t, 2, 3, 0, 1), j), 2, 3, 0, 1)
+    return _on_first_pair(_j_last_pair, t, j)
 
 
 def check_rs_symmetries(t: np.ndarray, j: np.ndarray, scale) -> dict[str, np.ndarray]:
@@ -108,14 +117,8 @@ def check_rs_symmetries(t: np.ndarray, j: np.ndarray, scale) -> dict[str, np.nda
             rel_violation(t - _j_last_pair(t, j), scale, 4),
             rel_violation(t - _j_first_pair(t, j), scale, 4),
         ),
-        "j_skew_first_pair": rel_violation(
-            np.einsum("...imab,mj->...ijab", t, j) + np.einsum("...mjab,mi->...ijab", t, j),
-            scale, 4,
-        ),
-        "j_skew_last_pair": rel_violation(
-            np.einsum("...ijam,mb->...ijab", t, j) + np.einsum("...ijmb,ma->...ijab", t, j),
-            scale, 4,
-        ),
+        "j_skew_first_pair": rel_violation(_on_first_pair(_j_skew_last_pair, t, j), scale, 4),
+        "j_skew_last_pair": rel_violation(_j_skew_last_pair(t, j), scale, 4),
     }
 
 

@@ -1,10 +1,11 @@
 """Independent oracles and numeric utilities shared by the test modules.
 
-Everything here deliberately avoids the library's einsum pipelines: the
-derivation tensors are assembled with explicit index loops, derivatives
-come from central finite differences, and curvature of surfaces from the
-conformal-factor formula.  Agreement between these and the package is the
-point of the tests.
+Everything here deliberately avoids the library's kernels: the derivation
+tensors are assembled with explicit index loops, derivatives come from
+central finite differences, curvature of surfaces from the conformal-factor
+formula, and the batched-matmul contractions have their einsum forms kept
+here as references.  Agreement between these and the package is the point
+of the tests.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import itertools
 
 import numpy as np
 
-from kahlersym.curvature import christoffel
+from kahlersym.classifier import DEPENDENCE_THRESHOLD, _paired_values
+from kahlersym.curvature import _first_kind, christoffel
 from kahlersym.metrics import MetricJet, metric_from_potential
-from kahlersym.tensor_algebra import _j_first_pair, _j_last_pair
+from kahlersym.tensor_algebra import _j_first_pair, _j_last_pair, max_norm
 
 
 # -- brute-force derivation tensors (explicit loops, no einsum) -----------------
@@ -320,3 +322,83 @@ def parallel_values_loop(nabla_s, u_rows, x_rows, j) -> np.ndarray:
             for c, a, b in itertools.product(range(m), repeat=3):
                 out[q, p] += nabla_s[c, a, b] * xj[c] * u[a] * u[b]
     return out
+
+
+# -- einsum forms of the batched-matmul kernels ----------------------------------
+
+
+def christoffel_einsum(m: MetricJet):
+    """(gamma, dgamma, ddgamma) of a depth-3 jet: g . gamma = gamma_1 and its
+    two derivatives, one einsum per contraction."""
+    ginv = np.linalg.inv(m.g)
+    gamma = np.einsum("...cd,...dab->...cab", ginv, _first_kind(m.dg))
+    t = _first_kind(m.ddg) - np.einsum("...edm,...mab->...edab", m.dg, gamma)
+    dgamma = np.einsum("...cd,...edab->...ecab", ginv, t)
+    dg_dgamma = np.einsum("...edm,...fmab->...fedab", m.dg, dgamma)
+    t = (_first_kind(m.dddg)
+         - np.einsum("...fedm,...mab->...fedab", m.ddg, gamma)
+         - dg_dgamma - np.swapaxes(dg_dgamma, -5, -4))
+    ddgamma = np.einsum("...cd,...fedab->...fecab", ginv, t)
+    return gamma, dgamma, ddgamma
+
+
+def riemann_einsum(g, gamma, dgamma):
+    """(r13, r04) with both Gamma.Gamma products and the lowering by einsum."""
+    r13 = (
+        np.einsum("...adbc->...dabc", dgamma)
+        - np.einsum("...bdac->...dabc", dgamma)
+        + np.einsum("...dam,...mbc->...dabc", gamma, gamma)
+        - np.einsum("...dbm,...mac->...dabc", gamma, gamma)
+    )
+    return r13, np.einsum("...mabc,...md->...abcd", r13, g)
+
+
+def dricci_einsum(gamma, dgamma, ddgamma):
+    """d_e S_bc, the trace over d = a of d_e r13[d,a,b,c], term by term."""
+    return (
+        np.einsum("...eaabc->...ebc", ddgamma)
+        - np.einsum("...ebaac->...ebc", ddgamma)
+        + np.einsum("...eaam,...mbc->...ebc", dgamma, gamma)
+        + np.einsum("...aam,...embc->...ebc", gamma, dgamma)
+        - np.einsum("...eabm,...mac->...ebc", dgamma, gamma)
+        - np.einsum("...abm,...emac->...ebc", gamma, dgamma)
+    )
+
+
+def endo_family_dot_bilinear_einsum(a, s):
+    """-S(A u, v) - S(u, A v) for the family a[d,c,x,y], by einsum."""
+    return (-np.einsum("...miab,...mj->...ijab", a, s)
+            - np.einsum("...mjab,...im->...ijab", a, s))
+
+
+def j_skew_einsum(t, j):
+    """t(J., .) + t(., J.) on the first slot pair and on the last, by einsum."""
+    first = np.einsum("...imab,mj->...ijab", t, j) + np.einsum("...mjab,mi->...ijab", t, j)
+    last = np.einsum("...ijam,mb->...ijab", t, j) + np.einsum("...ijmb,ma->...ijab", t, j)
+    return first, last
+
+
+# -- the Deszcz fit one point at a time ------------------------------------------
+
+
+def deszcz_fit_loop(data, plan):
+    """(spread, residual, f_hats) of the holo_ricci_pseudosymmetric rung,
+    fitting the Deszcz quotient at one point at a time."""
+    v = data.dirs[:, np.arange(plan.planes) % plan.directions]
+    j = data.bundle.metric.J
+    nums = _paired_values(data.rs, v, data.planes, j)
+    dens = _paired_values(data.q, v, data.planes, j)
+    defined = np.abs(dens) > (DEPENDENCE_THRESHOLD * data.dep_scale)[:, None]
+    vacuous = max_norm(data.rs, 4) / data.scale_rs
+    spread = vacuous.copy()
+    residual = vacuous.copy()
+    f_hats = [None] * len(vacuous)
+    for p in np.flatnonzero(defined.any(axis=1)):
+        num_d, den_d = nums[p, defined[p]], dens[p, defined[p]]
+        e = np.frexp(np.max(np.abs(den_d)))[1]
+        num_e, den_e = np.ldexp(num_d, -e), np.ldexp(den_d, -e)
+        l_bar = float(np.dot(num_e, den_e) / np.dot(den_e, den_e))
+        spread[p] = float(np.max(np.abs(num_d - l_bar * den_d))) / data.scale_rs[p]
+        f_hats[p] = l_bar / 2.0
+        residual[p] = max_norm(data.rs[p] - f_hats[p] * data.qc[p]) / data.scale_rs[p]
+    return spread, residual, f_hats

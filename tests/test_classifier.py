@@ -8,6 +8,7 @@ import pytest
 
 from kahlersym import classifier
 from kahlersym.classifier import (
+    DEPENDENCE_THRESHOLD,
     FAIL,
     INCONCLUSIVE,
     PASS,
@@ -16,6 +17,7 @@ from kahlersym.classifier import (
     PreflightError,
     SamplePlan,
     _check_lattice,
+    _holo_pseudosymmetric,
     _paired_values,
     _parallel_plane_values,
     _plane_reduce,
@@ -32,10 +34,10 @@ from kahlersym.curvature import christoffel, curvature_bundle
 from kahlersym.metrics import MetricJet, metric_from_potential
 from kahlersym.runner import run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
-from kahlersym.tensor_algebra import standard_complex_structure
+from kahlersym.tensor_algebra import max_norm, standard_complex_structure
 from kahlersym.zoo import ManifoldSpec
 
-from helpers import parallel_values_loop, plane_values_loop, stack_metrics
+from helpers import deszcz_fit_loop, parallel_values_loop, plane_values_loop, stack_metrics
 
 
 EXPECTED = {
@@ -322,11 +324,32 @@ def test_preflight_accepts_stacked_jets(fixtures):
     assert report.checks["hermitian"]["point_index"] == 2  # first of the largest
 
 
+# Non-Einstein potentials of n = 1, 3 and 4, the points sampled from
+# each, and the points of a block at that n.
+BLOCK_SPECS = {
+    1: (ManifoldSpec("surface", 1, "log(1+absq(1)) + 0.1*absq(1)^2", ((-1.0, 1.0),) * 2),
+        5, 1024),
+    3: (ManifoldSpec("gen3", 3, "rsq + 0.2*absq(1)*absq(2) + 0.1*absq(3)^2 + 0.05*x1*x2*y3",
+                     ((-0.5, 0.5),) * 6), 6, 4),
+    4: (ManifoldSpec("gen4", 4, "rsq + 0.2*absq(1)*absq(4) + 0.1*absq(3)^2 + 0.05*x2*y3*y4",
+                     ((-0.5, 0.5),) * 8), 3, 1),
+}
+
+
 def test_evidence_across_blocks_matches_each_point(fixtures):
     # 70 points at n = 2 make blocks of 32, 32 and 6.
-    spec = fixtures["perturbed_flat"]
-    assert _BLOCK_ENTRIES // (2 * spec.n) ** 5 == 32
-    plan = SamplePlan(points=70, directions=4, planes=4, seed=3)
+    _check_evidence_across_blocks(fixtures["perturbed_flat"], 70, 32)
+
+
+@pytest.mark.parametrize("n", sorted(BLOCK_SPECS))
+def test_evidence_across_blocks_matches_each_point_at_every_n(n):
+    # The BLAS kernels behind the matmuls differ with the tensor size.
+    _check_evidence_across_blocks(*BLOCK_SPECS[n])
+
+
+def _check_evidence_across_blocks(spec, count, per_block):
+    assert _BLOCK_ENTRIES // (2 * spec.n) ** 5 == per_block
+    plan = SamplePlan(points=count, directions=4, planes=4, seed=3)
     points, report, data = sample_evidence(spec, plan)
     potential = spec.potential()
     first_order = []
@@ -391,6 +414,35 @@ def test_sample_contractions_over_points_match_one_point_at_a_time(n):
                    _parallel_plane_values(nabla_s[p], u[p], x[p], j))
         for values, single in zip(stacked, singles):
             assert np.array_equal(values[p], single), p
+
+
+def test_deszcz_fit_over_points_matches_the_point_loop(fixtures):
+    # Points 1 and 4 lose every defined sample: f_S is None there and the
+    # spread falls back to |R.S|, with no RuntimeWarning from the fit.  Point
+    # 2 keeps the 4 samples whose |Q(g,S)| lies above the middle ones.
+    plan = SamplePlan(points=6, directions=5, planes=7, seed=2)
+    _, _, data = sample_evidence(fixtures["perturbed_flat"], plan)
+    v = data.dirs[2, np.arange(plan.planes) % plan.directions]
+    dens = np.abs(_paired_values(data.q[2], v, data.planes[2], data.bundle.metric.J))
+    q = data.q.copy()
+    q[[1, 4]] = 0.0
+    q[2] *= DEPENDENCE_THRESHOLD * data.dep_scale[2] / np.sort(dens)[2:4].mean()
+    data = replace(data, q=q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict, spread, residual, f_hats = _holo_pseudosymmetric(data, plan)
+    assert verdict.details["defined_samples"] == [7, 0, 4, 7, 0, 7]
+    vacuous = max_norm(data.rs, 4) / data.scale_rs
+    expected = deszcz_fit_loop(data, plan)
+    for p in range(6):
+        if p in (1, 4):
+            assert f_hats[p] is None
+            assert spread[p] == residual[p] == vacuous[p]
+            assert expected[2][p] is None
+            continue
+        for got, want in zip((spread[p], residual[p], f_hats[p]),
+                             (expected[0][p], expected[1][p], expected[2][p])):
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 # -- lattice ------------------------------------------------------------------

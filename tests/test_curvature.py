@@ -14,14 +14,17 @@ from kahlersym.curvature import (
     sectional,
 )
 from kahlersym.expressions import parse
-from kahlersym.metrics import metric_from_potential
-from kahlersym.tensor_algebra import max_norm
+from kahlersym.metrics import MetricJet, metric_from_potential
+from kahlersym.tensor_algebra import max_norm, standard_complex_structure
 
 from helpers import (
     central_difference,
+    christoffel_einsum,
+    dricci_einsum,
     gauss_curvature_conformal,
     parallel_transport_stagewise,
     rel_err,
+    riemann_einsum,
 )
 
 FS1 = parse("log(1+absq(1))", 1)
@@ -286,6 +289,28 @@ def test_bundle_over_points_matches_each_point():
         for field in ("gamma", "dgamma", "ddgamma"):
             assert np.array_equal(getattr(stacked.connection, field)[i],
                                   getattr(alone.connection, field)), field
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernels_match_einsum_references(n):
+    # Random depth-3 jets stacked over 3 points: the batched matmuls of the
+    # connection, the curvature and dS against their einsum forms.
+    rng = np.random.default_rng(20 + n)
+    m = 2 * n
+    a = rng.standard_normal((3, m, m))
+    jet = MetricJet(rng.standard_normal((3, m)), n,
+                    np.swapaxes(a, 1, 2) @ a + m * np.eye(m),
+                    *(rng.standard_normal((3,) + (m,) * k) for k in (3, 4, 5)),
+                    standard_complex_structure(n))
+    b = curvature_bundle(jet)
+    conn = b.connection
+    expected = christoffel_einsum(jet)
+    for got, want in zip((conn.gamma, conn.dgamma, conn.ddgamma), expected):
+        assert rel_err(got, want) <= 1e-13
+    r13, r04 = riemann_einsum(jet.g, conn.gamma, conn.dgamma)
+    assert rel_err(b.r13, r13) <= 1e-13
+    assert rel_err(b.r04, r04) <= 1e-13
+    assert rel_err(b.dricci, dricci_einsum(conn.gamma, conn.dgamma, conn.ddgamma)) <= 1e-13
 
 
 def test_transport_matches_stage_by_stage_expansion():

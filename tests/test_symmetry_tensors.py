@@ -1,6 +1,8 @@
 """Curvature-action tensors against brute-force loop oracles, plus the
 rotation and transport experiments that probe them geometrically."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,10 @@ from kahlersym.curvature import curvature_bundle
 from kahlersym.metrics import metric_from_potential
 from kahlersym.symmetry_tensors import (
     DEFAULT_EPS_LADDER,
+    _complex_wedge_family,
+    _endo_family_dot_bilinear,
     _extrapolate_to_zero,
+    _wedge_family,
     complex_tachibana_ricci,
     dependence_scale,
     holomorphic_first_slot_check,
@@ -39,6 +44,7 @@ from helpers import (
     brute_complex_tachibana,
     brute_r_dot_s,
     brute_tachibana,
+    endo_family_dot_bilinear_einsum,
     rel_err,
 )
 
@@ -87,6 +93,35 @@ def test_complex_tachibana_matches_loop_oracle(bundles, name):
     slow = brute_complex_tachibana(b.metric.g, b.ricci, b.metric.J)
     scale = max_norm(b.metric.g) * max_norm(b.ricci)
     assert max_norm(fast - slow) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_derivation_tensors_match_einsum_reference(n):
+    # Random stacked inputs, with g Hermitian and S symmetric; the endomorphism
+    # family also with the size-1 plane axes of a single endomorphism, acting
+    # on a bilinear form that is not symmetric.
+    rng = np.random.default_rng(30 + n)
+    m = 2 * n
+    j = standard_complex_structure(n)
+    a = rng.standard_normal((3, m, m))
+    h = np.swapaxes(a, 1, 2) @ a + m * np.eye(m)
+    g = 0.5 * (h + j.T @ h @ j)
+    s = rng.standard_normal((3, m, m))
+    s = s + np.swapaxes(s, 1, 2)
+    r13 = rng.standard_normal((3, m, m, m, m))
+    cases = [
+        (r_dot_s(SimpleNamespace(r13=r13, ricci=s)), np.einsum("...dabc->...dcab", r13)),
+        (tachibana_ricci(g, s), _wedge_family(g)),
+        (complex_tachibana_ricci(g, s, j), _complex_wedge_family(g, j)),
+    ]
+    for got, family in cases:
+        assert rel_err(got, endo_family_dot_bilinear_einsum(family, s)) <= 1e-13
+    single = rng.standard_normal((3, m, m, 1, 1))
+    bilinear = rng.standard_normal((3, m, m))
+    for family, bilinear in ((single, bilinear), (single[0], bilinear[0])):
+        got = _endo_family_dot_bilinear(family, bilinear)
+        assert got.shape == family.shape
+        assert rel_err(got, endo_family_dot_bilinear_einsum(family, bilinear)) <= 1e-13
 
 
 def test_complex_tachibana_rejects_non_hermitian():

@@ -6,6 +6,8 @@ import pytest
 from kahlersym.tensor_algebra import (
     ABS_FLOOR,
     ReconstructionError,
+    _j_skew_last_pair,
+    _on_first_pair,
     check_rs_symmetries,
     hermitian_violation,
     max_norm,
@@ -16,7 +18,7 @@ from kahlersym.tensor_algebra import (
 )
 from kahlersym.symmetry_tensors import _endo_family_dot_bilinear
 
-from helpers import symmetrize_rs
+from helpers import j_skew_einsum, symmetrize_rs
 
 
 def random_hermitian_spd(rng, n):
@@ -68,6 +70,17 @@ def test_endo_dot_bilinear_loop_oracle():
         for k in range(4):
             expect = -(a @ e[i]) @ s @ e[k] - e[i] @ s @ (a @ e[k])
             assert out[i, k] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_j_skew_matches_einsum_reference(n):
+    # J is a signed permutation, so the matmul form sums the same single
+    # nonzero product as the einsum form: equal bits.
+    t = np.random.default_rng(40 + n).standard_normal((3,) + (2 * n,) * 4)
+    j = standard_complex_structure(n)
+    first, last = j_skew_einsum(t, j)
+    assert np.array_equal(_on_first_pair(_j_skew_last_pair, t, j), first)
+    assert np.array_equal(_j_skew_last_pair(t, j), last)
 
 
 def test_rel_violation_floor():
