@@ -117,11 +117,11 @@ def test_derivation_tensors_match_einsum_reference(n):
     for got, family in cases:
         assert rel_err(got, endo_family_dot_bilinear_einsum(family, s)) <= 1e-13
     single = rng.standard_normal((3, m, m, 1, 1))
-    bilinear = rng.standard_normal((3, m, m))
-    for family, bilinear in ((single, bilinear), (single[0], bilinear[0])):
-        got = _endo_family_dot_bilinear(family, bilinear)
+    forms = rng.standard_normal((3, m, m))
+    for family, form in ((single, forms), (single[0], forms[0])):
+        got = _endo_family_dot_bilinear(family, form)
         assert got.shape == family.shape
-        assert rel_err(got, endo_family_dot_bilinear_einsum(family, bilinear)) <= 1e-13
+        assert rel_err(got, endo_family_dot_bilinear_einsum(family, form)) <= 1e-13
 
 
 def test_complex_tachibana_rejects_non_hermitian():
