@@ -228,9 +228,10 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
 
 
 # Points per block of sample_evidence: a block holds about this many
-# entries of each (2n)^5 tensor of the curvature pipeline (32 points at
-# n = 2, 1 point at n = 4), so the jets of a block stay small.
-_BLOCK_ENTRIES = 2**15
+# entries of dddg, the one (2n)^5 tensor of the curvature pipeline (128
+# points at n = 2, 16 at n = 3, 4 at n = 4).  A point's bits do not depend
+# on the points beside it, so neither does the report.
+_BLOCK_ENTRIES = 2**17
 
 
 def sample_evidence(spec: ManifoldSpec, plan: SamplePlan):

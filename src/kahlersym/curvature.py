@@ -11,7 +11,8 @@ Index conventions, used consistently everywhere:
 The sign of the lowered tensor makes sectional curvatures of round
 Fubini-Study metrics positive.  The Ricci tensor is the trace
 S_bc = r13[a,a,b,c], equal to contracting r04 with the inverse metric in
-its first and last slots.
+its first and last slots.  The connection stops at d(gamma): dS takes
+its two traces of dd(gamma) straight from the metric jet.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ class DegeneratePlane(ValueError):
 
 @dataclass(frozen=True)
 class Connection:
+    """gamma[c,a,b]; dgamma[e,c,a,b] = d_e gamma[c,a,b] from a depth >= 2 jet, else None."""
+
     gamma: np.ndarray
     dgamma: np.ndarray | None
-    ddgamma: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -57,33 +59,25 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
 
 
 def christoffel(m: MetricJet) -> Connection:
-    """Christoffel symbols with as many derivative levels as the jet allows.
+    """Christoffel symbols, and their first derivatives when the jet has ddg.
 
-    Each level solves g . gamma = gamma_1 (symbols of the first kind),
-    differentiated: g d(gamma) = d(gamma_1) - dg . gamma, and so on.  The
-    contractions are batched matrix products over the flattened slots,
-    with gamma[c,a,b] and dgamma[e,c,a,b] kept as (c, ab) matrices until
-    the end.
+    g . gamma = gamma_1 (symbols of the first kind), and differentiated
+    g d(gamma) = d(gamma_1) - dg . gamma.  The contractions are batched
+    matrix products over the flattened slots, with gamma[c,a,b] kept as a
+    (c, ab) matrix until the end.
     """
     if m.dg is None:
         raise ValueError("christoffel needs at least one derivative of the metric")
     lead, d = m.g.shape[:-2], m.g.shape[-1]
     ginv = np.linalg.inv(m.g)
     gamma = ginv @ _first_kind(m.dg).reshape(lead + (d, d * d))
-    dgamma = ddgamma = None
+    dgamma = None
     if m.ddg is not None:
         t = (_first_kind(m.ddg).reshape(lead + (d * d, d * d))
              - m.dg.reshape(lead + (d * d, d)) @ gamma)
-        dgamma = ginv[..., None, :, :] @ t.reshape(lead + (d, d, d * d))
-        if m.dddg is not None:
-            dg_dgamma = (m.dg.reshape(lead + (1, d * d, d)) @ dgamma).reshape(lead + (d,) * 5)
-            t = (_first_kind(m.dddg)
-                 - (m.ddg.reshape(lead + (d ** 3, d)) @ gamma).reshape(lead + (d,) * 5)
-                 - dg_dgamma - np.swapaxes(dg_dgamma, -5, -4))
-            ddgamma = (ginv[..., None, None, :, :] @ t.reshape(lead + (d, d, d, d * d))
-                       ).reshape(lead + (d,) * 5)
-        dgamma = dgamma.reshape(lead + (d,) * 4)
-    return Connection(gamma.reshape(lead + (d,) * 3), dgamma, ddgamma)
+        dgamma = (ginv[..., None, :, :] @ t.reshape(lead + (d, d, d * d))
+                  ).reshape(lead + (d,) * 4)
+    return Connection(gamma.reshape(lead + (d,) * 3), dgamma)
 
 
 def riemann(m: MetricJet, conn: Connection):
@@ -126,6 +120,47 @@ def nabla_ricci(conn: Connection, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     )
 
 
+def _ricci_derivative(m: MetricJet, gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """d_e S_bc.  Its two dd(gamma) terms, sum_a d_e d_a gamma[a,b,c] and
+    sum_a d_e d_b gamma[a,a,c], are traces against G = g^-1 of g dd(gamma) =
+    dd(gamma_1) - dd(g) gamma - d(g) d(gamma) - (the same, derivative slots
+    swapped), taken before any product: dd(gamma) is never formed and every
+    product is an O(m^5) matmul.  Their G[a,d] d_e d_a d_b g_dc terms cancel."""
+    lead, d = m.g.shape[:-2], m.g.shape[-1]
+    cube = lead + (d,) * 3
+    ginv = np.linalg.inv(m.g)
+    row = ginv.reshape(lead + (1, 1, d * d))
+    # G[a,d] against the slot pairs (h, x), (f, h) and (x, y) of dddg[e,f,h,x,y].
+    mixed = (row @ m.dddg.reshape(lead + (d * d, d * d, d))).reshape(cube)
+    laplace = (row @ m.dddg.reshape(lead + (d, d * d, d * d))).reshape(cube)
+    traced = m.dddg.reshape(lead + (d ** 3, d * d)) @ ginv.reshape(lead + (d * d, 1))
+    # raised[e,a,m] = G[a,d] dg[e,d,m]; swapped[e,b,c] = raised[b,a,m] dgamma[e,m,a,c].
+    raised = ginv[..., None, :, :] @ m.dg
+    swapped = (np.swapaxes(raised, -1, -2).reshape(lead + (1, d, d * d))
+               @ dgamma.reshape(lead + (d, d * d, d)))
+    # The factors of gamma[m,b,c] and of dgamma[e,m,b,c] summed over m.
+    on_gamma = (np.einsum("...eaam->...em", dgamma)
+                - (row @ m.ddg.reshape(lead + (d, d * d, d)))[..., 0, :])
+    on_dgamma = (np.einsum("...aam->...m", gamma)
+                 - (row[..., 0, :, :] @ m.dg.reshape(lead + (d * d, d)))[..., 0, :])
+    # gamma_t[b,a,m] = gamma[a,b,m] and dgamma_t[e,b,a,m] = dgamma[e,a,b,m]
+    # put the summed slots of the last two gamma.dgamma products side by side.
+    gamma_t = np.swapaxes(gamma, -3, -2)
+    dgamma_t = np.swapaxes(dgamma, -3, -2)
+    return (
+        0.5 * (mixed + np.swapaxes(mixed, -1, -2) - laplace - traced.reshape(cube))
+        + (on_gamma @ gamma.reshape(lead + (d, d * d))
+           - raised.reshape(lead + (d, d * d)) @ dgamma.reshape(lead + (d * d, d * d))
+           ).reshape(cube)
+        + (on_dgamma[..., None, None, :] @ dgamma.reshape(lead + (d, d, d * d))).reshape(cube)
+        + (m.ddg.reshape(lead + (d * d, d * d))
+           @ (ginv[..., None, :, :] @ gamma).reshape(lead + (d * d, d))).reshape(cube)
+        + swapped + np.swapaxes(swapped, -3, -2)
+        - dgamma_t.reshape(lead + (d, d, d * d)) @ gamma_t.reshape(lead + (1, d * d, d))
+        - gamma_t.reshape(lead + (1, d, d * d)) @ dgamma_t.reshape(lead + (d, d * d, d))
+    )
+
+
 def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     """Everything the classifier needs at the jet's points; requires depth-3 jets."""
     if m.dddg is None:
@@ -133,23 +168,7 @@ def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     conn = christoffel(m)
     r13, r04 = riemann(m, conn)
     s = ricci(r13)
-    # d_e S_bc: the trace over d = a of d_e r13[d,a,b,c], term by term.  The
-    # products are batched matmuls; gamma_t[b,a,m] = gamma[a,b,m] and
-    # dgamma_t[e,b,a,m] = dgamma[e,a,b,m] put the two summed slots side by side.
-    gamma, dgamma, ddgamma = conn.gamma, conn.dgamma, conn.ddgamma
-    lead, d = m.g.shape[:-2], m.g.shape[-1]
-    gamma_t = np.swapaxes(gamma, -3, -2)
-    dgamma_t = np.swapaxes(dgamma, -3, -2)
-    ds = (
-        np.einsum("...eaabc->...ebc", ddgamma)
-        - np.einsum("...ebaac->...ebc", ddgamma)
-        + (np.einsum("...eaam->...em", dgamma) @ gamma.reshape(lead + (d, d * d))
-           ).reshape(lead + (d,) * 3)
-        + (np.einsum("...aam->...m", gamma)[..., None, None, :]
-           @ dgamma.reshape(lead + (d, d, d * d))).reshape(lead + (d,) * 3)
-        - dgamma_t.reshape(lead + (d, d, d * d)) @ gamma_t.reshape(lead + (1, d * d, d))
-        - gamma_t.reshape(lead + (1, d, d * d)) @ dgamma_t.reshape(lead + (d, d * d, d))
-    )
+    ds = _ricci_derivative(m, conn.gamma, conn.dgamma)
     ns = nabla_ricci(conn, s, ds)
     scal = scalar_curvature(s, m.g)
     return CurvatureBundle(m, conn, r13, r04, s, ds, ns, scal)
@@ -176,7 +195,7 @@ def concat_bundles(bundles) -> CurvatureBundle:
               for field, column in columns.items()}
     metric = MetricJet(joined.pop("point"), shared.n, joined.pop("g"), joined.pop("dg"),
                        None, None, shared.J)
-    connection = Connection(joined.pop("gamma"), joined.pop("dgamma"), None)
+    connection = Connection(joined.pop("gamma"), joined.pop("dgamma"))
     return CurvatureBundle(metric, connection, **joined)
 
 

@@ -42,10 +42,9 @@ def _monomials(nvars, degree):
 class JetSpace:
     """Shared monomial tables for all jets with the same shape.
 
-    Holds the graded list of multi-indices up to ``order``, flat index
+    Holds the graded list of multi-indices up to ``order`` and flat index
     tables used to multiply coefficient arrays a chunk of points at a
-    time, and (built on first use) one gather table per derivative order
-    for :meth:`JetScalar.partials`.
+    time; :meth:`partials_table` lays out the partials of one order.
     """
 
     def __init__(self, nvars: int, order: int):
@@ -76,7 +75,6 @@ class JetSpace:
         self._prefix = np.searchsorted(self._degrees, np.arange(order + 1), side="right")
         # (da, db) -> (pairs per point, left, right, out); see _chunk_tables.
         self._pair_tables: dict[tuple[int, int], tuple] = {}
-        self._partials_tables: dict[int, np.ndarray] = {}
 
     def _position_of_keys(self, keys: np.ndarray) -> np.ndarray:
         return self._by_key[np.searchsorted(self._keys, keys, sorter=self._by_key)]
@@ -84,12 +82,8 @@ class JetSpace:
     def partials_table(self, degree: int) -> np.ndarray:
         """Array of shape (nvars,) * degree holding, at every index tuple,
         the position of the monomial that counts those indices."""
-        table = self._partials_tables.get(degree)
-        if table is None:
-            grid = np.indices((self.nvars,) * degree, dtype=np.intp)
-            table = self._position_of_keys(self._weights[grid].sum(axis=0))
-            self._partials_tables[degree] = table
-        return table
+        grid = np.indices((self.nvars,) * degree, dtype=np.intp)
+        return self._position_of_keys(self._weights[grid].sum(axis=0))
 
     def pair_table(self, da: int, db: int):
         """(left, right, out) of one point's product: the pairs (i, j) with
@@ -211,18 +205,6 @@ class JetScalar:
     def value(self):
         """The value: a float, or an array over the point axes."""
         return _per_point(self.coeffs[..., 0])
-
-    def partials(self, degree: int) -> np.ndarray:
-        """All partial derivatives of one order, as a dense symmetric array
-        (..., nvars, ..., nvars) after the point axes."""
-        if not 0 <= degree <= self.space.order:
-            raise ValueError(
-                f"degree {degree} not available at truncation order {self.space.order}"
-            )
-        if degree == 0:
-            return self.coeffs[..., 0][()]
-        scaled = self.coeffs * self.space.factorial
-        return scaled.take(self.space.partials_table(degree), axis=-1)
 
     # -- ring operations -------------------------------------------------
 

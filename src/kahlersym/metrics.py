@@ -12,16 +12,19 @@ i.e. one quarter of (H + J^T H J).  This normalisation sends the flat
 potential sum_k (x_k^2 + y_k^2) to the identity metric.  Derivatives of
 g up to third order apply the same pairing to the third, fourth and
 fifth partials of the potential, so a single degree-5 jet of K feeds the
-whole curvature pipeline.
+whole curvature pipeline; each order is paired straight from the jet's
+coefficients by one gather per operand (see ``_pairing``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .expressions import Expr, eval_jet
+from .jets import JetSpace
 from .tensor_algebra import max_norm, rel_violation, standard_complex_structure
 
 
@@ -48,16 +51,21 @@ class MetricJet:
     J: np.ndarray
 
 
-def _pair_second_partials(h: np.ndarray, n: int) -> np.ndarray:
-    """Apply the Hermitian pairing to the trailing two axes of ``h``."""
-    xx = h[..., :n, :n]
-    yy = h[..., n:, n:]
-    xy = h[..., :n, n:]
-    a = 0.25 * (xx + yy)
-    b = 0.25 * (xy - np.swapaxes(xy, -1, -2))
-    top = np.concatenate([a, b], axis=-1)
-    bottom = np.concatenate([-b, a], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+@lru_cache(maxsize=None)
+def _pairing(space: JetSpace, degree: int):
+    """(first, second, s2, s1): with w the coefficients times their factorials,
+    (w[first] + s2 * w[second]) * s1 is the Hermitian pairing of the
+    order-``degree`` partials.  With xx, xy, yy the blocks of the partials
+    table, first = [[xx, xy], [xy, xx]] and second = [[yy, xy^T], [xy^T, yy]];
+    s1 holds +-1/4, an exact product that negates B after the sum, so every
+    entry, -0.0 included, has the bits of pairing the partials by blocks."""
+    table = space.partials_table(degree)
+    n = space.nvars // 2
+    xx, xy, yy = table[..., :n, :n], table[..., :n, n:], table[..., n:, n:]
+    xyt = np.swapaxes(xy, -1, -2)
+    return (np.block([[xx, xy], [xy, xx]]), np.block([[yy, xyt], [xyt, yy]]),
+            np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((n, n))),
+            np.kron([[0.25, 0.25], [-0.25, 0.25]], np.ones((n, n))))
 
 
 def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> MetricJet:
@@ -75,10 +83,16 @@ def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> Met
     if not 0 <= depth <= 3:
         raise ValueError("depth must be between 0 and 3")
     jet = eval_jet(potential, point, 2 + depth)
-    g = _pair_second_partials(jet.partials(2), n)
-    dg = _pair_second_partials(jet.partials(3), n) if depth >= 1 else None
-    ddg = _pair_second_partials(jet.partials(4), n) if depth >= 2 else None
-    dddg = _pair_second_partials(jet.partials(5), n) if depth >= 3 else None
+    w = jet.coeffs * jet.space.factorial
+    paired = [None] * 4
+    for k in range(1 + depth):
+        first, second, s2, s1 = _pairing(jet.space, 2 + k)
+        # In place: every fresh (2n)^5 temporary would cost its page faults.
+        paired[k] = t = w.take(second, axis=-1)
+        t *= s2
+        t += w.take(first, axis=-1)
+        t *= s1
+    g, dg, ddg, dddg = paired
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:

@@ -126,6 +126,33 @@ def stack_metrics(metrics) -> MetricJet:
     )
 
 
+# -- partials and their Hermitian pairing, array by array ------------------------
+
+
+def partials(jet, degree: int) -> np.ndarray:
+    """All partial derivatives of one order, as a dense symmetric array
+    (..., nvars, ..., nvars) after the point axes."""
+    if not 0 <= degree <= jet.space.order:
+        raise ValueError(f"degree {degree} not available at truncation order {jet.space.order}")
+    if degree == 0:
+        return jet.coeffs[..., 0][()]
+    scaled = jet.coeffs * jet.space.factorial
+    return scaled.take(jet.space.partials_table(degree), axis=-1)
+
+
+def pair_second_partials(h: np.ndarray, n: int) -> np.ndarray:
+    """The Hermitian pairing of the trailing two axes of ``h`` by blocks:
+    [[A, B], [-B, A]] with A = (xx + yy) / 4 and B = (xy - xy^T) / 4."""
+    xx = h[..., :n, :n]
+    yy = h[..., n:, n:]
+    xy = h[..., :n, n:]
+    a = 0.25 * (xx + yy)
+    b = 0.25 * (xy - np.swapaxes(xy, -1, -2))
+    top = np.concatenate([a, b], axis=-1)
+    bottom = np.concatenate([-b, a], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
 # -- jet tables by explicit loops ------------------------------------------------
 
 

@@ -24,7 +24,6 @@ from kahlersym.classifier import (
     classify,
     direction_samples,
     plane_samples,
-    _BLOCK_ENTRIES,
     preflight_from_metrics,
     preflight_kahler,
     sample_evidence,
@@ -328,27 +327,45 @@ def test_preflight_accepts_stacked_jets(fixtures):
 # each, and the points of a block at that n.
 BLOCK_SPECS = {
     1: (ManifoldSpec("surface", 1, "log(1+absq(1)) + 0.1*absq(1)^2", ((-1.0, 1.0),) * 2),
-        5, 1024),
+        5, 2),
     3: (ManifoldSpec("gen3", 3, "rsq + 0.2*absq(1)*absq(2) + 0.1*absq(3)^2 + 0.05*x1*x2*y3",
                      ((-0.5, 0.5),) * 6), 6, 4),
     4: (ManifoldSpec("gen4", 4, "rsq + 0.2*absq(1)*absq(4) + 0.1*absq(3)^2 + 0.05*x2*y3*y4",
-                     ((-0.5, 0.5),) * 8), 3, 1),
+                     ((-0.5, 0.5),) * 8), 3, 2),
 }
 
 
-def test_evidence_across_blocks_matches_each_point(fixtures):
+def test_evidence_across_blocks_matches_each_point(fixtures, monkeypatch):
     # 70 points at n = 2 make blocks of 32, 32 and 6.
-    _check_evidence_across_blocks(fixtures["perturbed_flat"], 70, 32)
+    _check_evidence_across_blocks(monkeypatch, fixtures["perturbed_flat"], 70, 32)
 
 
 @pytest.mark.parametrize("n", sorted(BLOCK_SPECS))
-def test_evidence_across_blocks_matches_each_point_at_every_n(n):
+def test_evidence_across_blocks_matches_each_point_at_every_n(n, monkeypatch):
     # The BLAS kernels behind the matmuls differ with the tensor size.
-    _check_evidence_across_blocks(*BLOCK_SPECS[n])
+    _check_evidence_across_blocks(monkeypatch, *BLOCK_SPECS[n])
 
 
-def _check_evidence_across_blocks(spec, count, per_block):
-    assert _BLOCK_ENTRIES // (2 * spec.n) ** 5 == per_block
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_report_does_not_depend_on_block_budget(n, fixtures, monkeypatch):
+    # Budgets of 2^13, 2^15 and 2^17 entries: blocks of 8, 32 and 128
+    # points at n = 2, of 1, 4 and 16 at n = 3, of 1, 1 and 4 at n = 4,
+    # each run ending on a partial block.
+    spec, count = {2: (fixtures["perturbed_flat"], 140), 3: (BLOCK_SPECS[3][0], 20),
+                   4: (BLOCK_SPECS[4][0], 9)}[n]
+    plan = SamplePlan(points=count, directions=4, planes=4, seed=5)
+    reports = set()
+    for budget in (2**13, 2**15, 2**17):
+        monkeypatch.setattr(classifier, "_BLOCK_ENTRIES", budget)
+        reports.add(run(spec, plan).to_json())
+    assert len(reports) == 1
+
+
+def _check_evidence_across_blocks(monkeypatch, spec, count, per_block):
+    # A budget of per_block points, fewer than count and not dividing it,
+    # so that the points span several blocks and the last is partial.
+    assert per_block < count and count % per_block
+    monkeypatch.setattr(classifier, "_BLOCK_ENTRIES", per_block * (2 * spec.n) ** 5)
     plan = SamplePlan(points=count, directions=4, planes=4, seed=3)
     points, report, data = sample_evidence(spec, plan)
     potential = spec.potential()

@@ -1,5 +1,7 @@
 """Connection and curvature against closed forms and finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,8 @@ PERT2 = parse("absq(1)+absq(2)+0.1*absq(1)*absq(2)", 2)
 # n = 3 without U(3) symmetry: every Christoffel and curvature slot differs.
 GEN3 = parse("rsq + 0.2*absq(1)*absq(2) + 0.1*absq(3)^2 + 0.05*x1*x2*y3", 3)
 GEN3_BASE = np.array([0.2, -0.1, 0.3, 0.15, -0.25, 0.1])
+GEN4 = parse("rsq + absq(1)*absq(4) + 0.5*absq(3)^2 + 0.3*x2*y3*y4", 4)
+GEN4_BASE = np.array([0.2, -0.1, 0.3, 0.15, -0.25, 0.1, 0.05, -0.2])
 
 
 def bundle(pot, point, n):
@@ -161,10 +165,12 @@ def test_christoffel_derivatives_against_differences():
         def dgamma_at(p):
             return christoffel(metric_from_potential(pot, p, n, depth=2)).dgamma
 
-        conn = christoffel(metric_from_potential(pot, base, n))
+        m = metric_from_potential(pot, base, n)
+        conn = christoffel(m)
+        ddgamma = christoffel_einsum(m)[2]
         for c in range(2 * n):
             assert rel_err(conn.dgamma[c], central_difference(gamma_at, base, c)) < 1e-8
-            assert rel_err(conn.ddgamma[c], central_difference(dgamma_at, base, c)) < 1e-7
+            assert rel_err(ddgamma[c], central_difference(dgamma_at, base, c)) < 1e-7
 
 
 def test_riemann_symmetries_and_bianchi():
@@ -196,7 +202,7 @@ def test_ricci_trace_consistency():
 
 def test_nabla_ricci_against_differences():
     for pot, n, base in ((PERT2, 2, np.array([0.2, -0.35, 0.1, 0.3])),
-                         (GEN3, 3, GEN3_BASE)):
+                         (GEN3, 3, GEN3_BASE), (GEN4, 4, GEN4_BASE)):
 
         def s_at(p):
             m = metric_from_potential(pot, p, n, depth=2)
@@ -286,9 +292,18 @@ def test_bundle_over_points_matches_each_point():
         alone = bundle(PERT2, point, 2)
         for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal"):
             assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)), field
-        for field in ("gamma", "dgamma", "ddgamma"):
+        for field in ("gamma", "dgamma"):
             assert np.array_equal(getattr(stacked.connection, field)[i],
                                   getattr(alone.connection, field)), field
+
+
+def _random_jet_slot(rng, points, m, order):
+    """A random order-``order`` metric derivative stacked over points,
+    symmetric in its derivative slots and in its metric pair, as jets are."""
+    t = rng.standard_normal((points,) + (m,) * (order + 2))
+    t = sum(np.transpose(t, (0, *(1 + p for p in perm), order + 1, order + 2))
+            for perm in itertools.permutations(range(order)))
+    return t + np.swapaxes(t, -1, -2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -300,17 +315,17 @@ def test_kernels_match_einsum_references(n):
     a = rng.standard_normal((3, m, m))
     jet = MetricJet(rng.standard_normal((3, m)), n,
                     np.swapaxes(a, 1, 2) @ a + m * np.eye(m),
-                    *(rng.standard_normal((3,) + (m,) * k) for k in (3, 4, 5)),
+                    *(_random_jet_slot(rng, 3, m, k) for k in (1, 2, 3)),
                     standard_complex_structure(n))
     b = curvature_bundle(jet)
     conn = b.connection
     expected = christoffel_einsum(jet)
-    for got, want in zip((conn.gamma, conn.dgamma, conn.ddgamma), expected):
+    for got, want in zip((conn.gamma, conn.dgamma), expected):
         assert rel_err(got, want) <= 1e-13
     r13, r04 = riemann_einsum(jet.g, conn.gamma, conn.dgamma)
     assert rel_err(b.r13, r13) <= 1e-13
     assert rel_err(b.r04, r04) <= 1e-13
-    assert rel_err(b.dricci, dricci_einsum(conn.gamma, conn.dgamma, conn.ddgamma)) <= 1e-13
+    assert rel_err(b.dricci, dricci_einsum(*expected)) <= 1e-13
 
 
 def test_transport_matches_stage_by_stage_expansion():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahlersym.expressions import parse
+from kahlersym.expressions import eval_jet, parse
 from kahlersym.metrics import (
     MetricError,
     metric_from_potential,
@@ -11,7 +11,7 @@ from kahlersym.metrics import (
 )
 from kahlersym.tensor_algebra import standard_complex_structure
 
-from helpers import central_difference, rel_err
+from helpers import central_difference, pair_second_partials, partials, rel_err
 
 
 def test_flat_metric_is_exactly_identity():
@@ -194,3 +194,19 @@ def test_metric_error_names_the_first_indefinite_point():
         metric_from_potential(saddle, points[1], 1)
     assert "[-2.0, 0.0]" in str(stacked.value)
     assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pairing_gather_matches_block_oracle(n):
+    # Bit for bit, -0.0 included: the zero B of rsq pairs to -0.0 below
+    # the diagonal.
+    points = np.random.default_rng(30 + n).uniform(-0.4, 0.4, size=(3, 2 * n))
+    for source in ("rsq", f"log(1+rsq) + 0.1*x1*y{n}*absq(1) + 0.05*y1^3*x{n}"):
+        pot = parse(source, n)
+        m = metric_from_potential(pot, points, n)
+        jet = eval_jet(pot, points, 5)
+        for degree, got in zip(range(2, 6), (m.g, m.dg, m.ddg, m.dddg)):
+            want = pair_second_partials(partials(jet, degree), n)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (source, degree)
+        if source == "rsq":
+            assert np.signbit(m.g[m.g == 0.0]).any()
