@@ -57,8 +57,8 @@ def _pairing(space: JetSpace, degree: int):
     (w[first] + s2 * w[second]) * s1 is the Hermitian pairing of the
     order-``degree`` partials.  With xx, xy, yy the blocks of the partials
     table, first = [[xx, xy], [xy, xx]] and second = [[yy, xy^T], [xy^T, yy]];
-    s1 holds +-1/4, an exact product that negates B after the sum, so every
-    entry, -0.0 included, has the bits of pairing the partials by blocks."""
+    s1 holds +-1/4: it rounds as the quarter does and negates B after the
+    sum, so every entry, -0.0 included, has the bits of the block pairing."""
     table = space.partials_table(degree)
     n = space.nvars // 2
     xx, xy, yy = table[..., :n, :n], table[..., :n, n:], table[..., n:, n:]
