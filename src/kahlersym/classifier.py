@@ -21,8 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .curvature import CurvatureBundle, christoffel, concat_bundles, curvature_bundle
-from .expressions import Expr
+from .curvature import CurvatureBundle, concat_bundles, curvature_bundle
 from .metrics import MetricJet, metric_from_potential, two_form_closedness
 from .symmetry_tensors import (
     complex_tachibana_ricci,
@@ -64,9 +63,9 @@ class PreflightError(RuntimeError):
         worst = ", ".join(
             f"{name}: {entry['max']:.3e} at point #{entry['point_index']}"
             for name, entry in sorted(report.checks.items())
-            if entry["max"] > report.tolerance
+            if entry["max"] > PREFLIGHT_TOLERANCE
         )
-        super().__init__(f"not Kahler within {report.tolerance:.1e}: {worst}")
+        super().__init__(f"not Kahler within {PREFLIGHT_TOLERANCE:.1e}: {worst}")
 
 
 class LatticeError(RuntimeError):
@@ -143,11 +142,10 @@ class PreflightReport:
     """Worst-case Kahler bookkeeping violations over the plan's points."""
 
     checks: dict[str, dict[str, Any]]
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return all(entry["max"] <= self.tolerance for entry in self.checks.values())
+        return all(entry["max"] <= PREFLIGHT_TOLERANCE for entry in self.checks.values())
 
 
 def _worst(values: np.ndarray) -> dict[str, Any]:
@@ -170,14 +168,7 @@ def preflight_from_metrics(m: MetricJet, gamma: np.ndarray) -> PreflightReport:
         "closed_form": two_form_closedness(m),
         "parallel_j": rel_violation(nj, max_norm(gamma, 3), 3),
     }
-    return PreflightReport({name: _worst(v) for name, v in values.items()},
-                           PREFLIGHT_TOLERANCE)
-
-
-def preflight_kahler(potential: Expr, n: int, points) -> PreflightReport:
-    """Check g Hermitian, d(omega) = 0 and nabla J = 0 at every point."""
-    m = metric_from_potential(potential, points, n, depth=1)
-    return preflight_from_metrics(m, christoffel(m).gamma)
+    return PreflightReport({name: _worst(v) for name, v in values.items()})
 
 
 # -- evidence at the sampled points ----------------------------------------------
@@ -530,12 +521,3 @@ def classify_evidence(data, plan: SamplePlan, n: int) -> LadderVerdict:
         evidence={key: tuple(values.tolist()) for key, values in evidence.items()},
     )
 
-
-def classify(spec: ManifoldSpec, plan: SamplePlan = SamplePlan()) -> LadderVerdict:
-    """Sample, preflight and place ``spec`` on the ladder.
-
-    Raises PreflightError when the metric fails the Kahler checks and
-    LatticeError when the verdicts violate the inclusion chain.
-    """
-    _, _, data = sample_evidence(spec, plan)
-    return classify_evidence(data, plan, spec.n)

@@ -26,10 +26,6 @@ from .expressions import Expr
 from .metrics import MetricJet, metric_from_potential
 
 
-class DegeneratePlane(ValueError):
-    """The two vectors do not span a 2-plane."""
-
-
 @dataclass(frozen=True)
 class Connection:
     """gamma[c,a,b]; dgamma[e,c,a,b] = d_e gamma[c,a,b] from a depth >= 2 jet, else None."""
@@ -197,27 +193,6 @@ def concat_bundles(bundles) -> CurvatureBundle:
                        None, None, shared.J)
     connection = Connection(joined.pop("gamma"), joined.pop("dgamma"))
     return CurvatureBundle(metric, connection, **joined)
-
-
-# -- scalar curvature observables ---------------------------------------------
-
-
-def sectional(r04: np.ndarray, g: np.ndarray, x, y) -> float:
-    """Sectional curvature of span{x, y}."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    num = float(np.einsum("abcd,a,b,c,d->", r04, x, y, y, x))
-    gxx = float(x @ g @ x)
-    gyy = float(y @ g @ y)
-    gxy = float(x @ g @ y)
-    den = gxx * gyy - gxy * gxy
-    if abs(den) <= 1e-12 * max(gxx * gyy, 1e-14):
-        raise DegeneratePlane("vectors do not span a plane")
-    return num / den
-
-
-def holomorphic_sectional(r04: np.ndarray, g: np.ndarray, j: np.ndarray, x) -> float:
-    return sectional(r04, g, x, np.asarray(j, float) @ np.asarray(x, float))
 
 
 # -- parallel transport --------------------------------------------------------

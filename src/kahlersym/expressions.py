@@ -189,26 +189,26 @@ class _Parser:
         node = self.atom()
         while self.at_op("^"):
             self.advance()
-            node = Pow(node, self.integer_exponent())
+            negative = self.at_op("-")
+            if negative:
+                self.advance()
+            k = self.integer("exponent must be an integer literal")
+            node = Pow(node, -k if negative else k)
         return node
 
-    def integer_exponent(self) -> int:
-        sign = 1
-        if self.at_op("-"):
-            self.advance()
-            sign = -1
+    def integer(self, message: str) -> int:
+        """Consume an integer literal; anything else fails with ``message``."""
         tok = self.peek()
         if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
-            self.fail("exponent must be an integer literal")
-        self.advance()
-        return sign * int(tok.text)
-
-    def integer_argument(self) -> int:
-        tok = self.peek()
-        if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
-            self.fail("expected an integer coordinate index")
+            self.fail(message)
         self.advance()
         return int(tok.text)
+
+    def coordinate(self, k: int, tok: _Token) -> int:
+        """``k`` if it indexes a complex coordinate, else fail at ``tok``."""
+        if not 1 <= k <= self.n:
+            self.fail(f"coordinate index {k} out of range for n={self.n}", tok)
+        return k
 
     def atom(self) -> Expr:
         tok = self.peek()
@@ -235,9 +235,7 @@ class _Parser:
             return Call(name, arg)
         if name == "absq":
             self.expect_op("(")
-            k = self.integer_argument()
-            if not 1 <= k <= self.n:
-                self.fail(f"coordinate index {k} out of range for n={self.n}", tok)
+            k = self.coordinate(self.integer("expected an integer coordinate index"), tok)
             self.expect_op(")")
             return _absq(k)
         if name == "rsq":
@@ -247,10 +245,7 @@ class _Parser:
             return node
         m = _COORD_RE.match(name)
         if m:
-            k = int(m.group(2))
-            if not 1 <= k <= self.n:
-                self.fail(f"coordinate index {k} out of range for n={self.n}", tok)
-            return Coord(m.group(1), k)
+            return Coord(m.group(1), self.coordinate(int(m.group(2)), tok))
         self.fail(f"unknown identifier {name!r}", tok)
 
 
@@ -314,44 +309,6 @@ def _coord_index(e: Coord, npoint: int) -> int:
             f"coordinate {e.axis}{e.k} needs n >= {e.k}, point has n = {n}"
         )
     return e.k - 1 if e.axis == "x" else n + e.k - 1
-
-
-def eval_scalar(e: Expr, point) -> float:
-    """Evaluate at a chart point (length 2n, x-block then y-block)."""
-    point = np.asarray(point, dtype=float)
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Coord):
-        return float(point[_coord_index(e, point.shape[0])])
-    if isinstance(e, Neg):
-        return -eval_scalar(e.arg, point)
-    if isinstance(e, Pow):
-        base = eval_scalar(e.base, point)
-        if e.exponent < 0 and base == 0.0:
-            raise PotentialDomainError("zero raised to a negative power", e)
-        return base**e.exponent
-    if isinstance(e, Call):
-        v = eval_scalar(e.arg, point)
-        if e.fn == "log":
-            if v <= 0.0:
-                raise PotentialDomainError(f"log of non-positive value {v!r}", e.arg)
-            return np.log(v)
-        if e.fn == "exp":
-            return np.exp(v)
-        if v <= 0.0:
-            raise PotentialDomainError(f"sqrt of non-positive value {v!r}", e.arg)
-        return np.sqrt(v)
-    lhs = eval_scalar(e.lhs, point)
-    rhs = eval_scalar(e.rhs, point)
-    if e.op == "+":
-        return lhs + rhs
-    if e.op == "-":
-        return lhs - rhs
-    if e.op == "*":
-        return lhs * rhs
-    if rhs == 0.0:
-        raise PotentialDomainError("division by zero", e.rhs)
-    return lhs / rhs
 
 
 def eval_jet(e: Expr, point, order: int) -> JetScalar:

@@ -150,20 +150,19 @@ class RunReport:
     points: np.ndarray
     preflight: PreflightReport
     identities: dict[str, float]
-    identity_tolerance: float
     verdict: LadderVerdict | None
     elapsed_seconds: float
 
     @property
     def identities_passed(self) -> bool:
-        return all(v <= self.identity_tolerance for v in self.identities.values())
+        return all(v <= IDENTITY_TOLERANCE for v in self.identities.values())
 
     def worst_identity(self) -> tuple[str, float]:
         name = max(self.identities, key=self.identities.get)
         return name, self.identities[name]
 
-    def to_json_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+    def to_json(self) -> str:
+        report = {
             "schema": "kahlersym-report/1",
             "spec": {
                 "name": self.spec.name,
@@ -173,27 +172,18 @@ class RunReport:
                 "expected_class": self.spec.expected_class,
             },
             "plan": _plan_dict(self.plan),
-            "points": [[float(x) for x in p] for p in self.points],
+            "points": self.points.tolist(),
             "preflight": {
-                "tolerance": float(self.preflight.tolerance),
+                "tolerance": PREFLIGHT_TOLERANCE,
                 "passed": self.preflight.passed,
-                "checks": {
-                    name: {
-                        "max": float(entry["max"]),
-                        "point_index": int(entry["point_index"]),
-                    }
-                    for name, entry in self.preflight.checks.items()
-                },
+                "checks": self.preflight.checks,
             },
-            "identities": {k: float(v) for k, v in self.identities.items()},
-            "identity_tolerance": float(self.identity_tolerance),
+            "identities": self.identities,
+            "identity_tolerance": IDENTITY_TOLERANCE,
             "identities_passed": self.identities_passed,
             "verdict": _verdict_dict(self.verdict) if self.verdict else None,
         }
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     def human_summary(self) -> str:
         lines = []
@@ -213,7 +203,7 @@ class RunReport:
         state = "ok" if self.identities_passed else "FAILED"
         lines.append(
             f"identities [{state}]: worst {worst_name} = {worst_value:.2e} "
-            f"(gate {self.identity_tolerance:.0e})"
+            f"(gate {IDENTITY_TOLERANCE:.0e})"
         )
         if self.verdict is not None:
             lines.append("ladder:")
@@ -275,37 +265,23 @@ def _verdict_dict(v: LadderVerdict) -> dict[str, Any]:
         "criteria": {
             c.name: {
                 "status": c.status,
-                "direct": float(c.direct),
-                "characterization": (
-                    None if c.characterization is None else float(c.characterization)
-                ),
+                "direct": c.direct,
+                "characterization": c.characterization,
                 "route_mismatch": c.route_mismatch,
-                "details": _jsonable(c.details),
+                "details": c.details,
             }
             for c in v.criteria()
         },
         "lambda": {
-            "mean": float(v.lambda_hat),
-            "values": [float(x) for x in v.lambda_values],
+            "mean": v.lambda_hat,
+            "values": v.lambda_values,
         },
         "f_s": {
-            "values": [None if f is None else float(f) for f in v.f_s_values],
+            "values": v.f_s_values,
             "constant": v.f_s_constant,
         },
-        "evidence": {k: [float(x) for x in vals] for k, vals in sorted(v.evidence.items())},
+        "evidence": v.evidence,
     }
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
 
 
 # -- drivers ---------------------------------------------------------------------
@@ -326,10 +302,9 @@ def run(spec: ManifoldSpec, plan: SamplePlan = SamplePlan(),
     return RunReport(
         spec=spec,
         plan=plan,
-        points=np.asarray(points, dtype=float),
+        points=points,
         preflight=preflight,
         identities=identities,
-        identity_tolerance=IDENTITY_TOLERANCE,
         verdict=verdict,
         elapsed_seconds=elapsed,
     )

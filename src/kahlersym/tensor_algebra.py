@@ -121,51 +121,3 @@ def check_rs_symmetries(t: np.ndarray, j: np.ndarray, scale) -> dict[str, np.nda
         "j_skew_last_pair": rel_violation(_j_skew_last_pair(t, j), scale, 4),
     }
 
-
-class ReconstructionError(ValueError):
-    """Holomorphic evaluations were inconsistent with the symmetry class."""
-
-
-def reconstruct_from_holomorphic(eval_uuxjx, j: np.ndarray, validate: bool = True,
-                                 tol: float = 1e-6) -> np.ndarray:
-    """Rebuild a symmetry-class tensor T from samples T(u, u, x, Jx).
-
-    ``eval_uuxjx(u, x)`` must return T(u, u, x, Jx).  Polarisation runs in
-    three steps: split the (u, u) slot, split the (x, Jx) slot, then trade
-    the remaining J away using J^2 = -I.  Every value is a signed average
-    of at most nine evaluations, so noise of size eps inflates the result
-    by at most 9/4 * eps (stability constant well under 16).
-    """
-    j = np.asarray(j, float)
-    m = j.shape[0]
-    basis = np.eye(m)
-    cache: dict[tuple, float] = {}
-
-    def ev(u, x):
-        key = (u.tobytes(), x.tobytes())
-        if key not in cache:
-            cache[key] = float(eval_uuxjx(u, x))
-        return cache[key]
-
-    def b(i, jdx, x):
-        u, v = basis[i], basis[jdx]
-        return 0.5 * (ev(u + v, x) - ev(u, x) - ev(v, x))
-
-    t = np.empty((m, m, m, m))
-    for a in range(m):
-        xa = basis[a]
-        for bdx in range(m):
-            w = j @ basis[bdx]
-            for i in range(m):
-                for jdx in range(m):
-                    t[i, jdx, a, bdx] = -0.5 * (
-                        b(i, jdx, xa + w) - b(i, jdx, xa) - b(i, jdx, w)
-                    )
-    if validate:
-        worst = max(float(np.max(v)) for v in check_rs_symmetries(t, j, 0.0).values())
-        if worst > tol:
-            raise ReconstructionError(
-                "holomorphic evaluations are inconsistent with the symmetry class "
-                f"(max violation {worst:.3e})"
-            )
-    return t

@@ -16,6 +16,7 @@ ricci_semisymmetric, holo_ricci_pseudosymmetric, none.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ def _validated(spec: ManifoldSpec) -> ManifoldSpec:
     for lo, hi in spec.domain:
         if not lo < hi:
             raise ManifestError(f"empty domain interval [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):  # an infinite bound, or a width that overflows
+            raise ManifestError(f"domain interval [{lo}, {hi}] is not of finite width")
     if spec.expected_class is not None and spec.expected_class not in _CLASS_NAMES:
         raise ManifestError(f"unknown expected_class {spec.expected_class!r}")
     try:

@@ -4,10 +4,13 @@ Everything here deliberately avoids the library's kernels: the derivation
 tensors are assembled with explicit index loops, derivatives come from
 central finite differences, curvature of surfaces from the conformal-factor
 formula, and the batched-matmul contractions have their einsum forms kept
-here as references.  Agreement between these and the package is the point
-of the tests.
+here as references.  The oracles of the holomorphic-plane
+characterizations live here too, outside the package they check:
+sectional and holomorphic sectional curvature, the polarisation that
+rebuilds an R.S-class tensor from its (u,u;x,Jx) values, and a
+plain-float evaluator of a parsed potential.  Agreement between these and
+the package is the point of the tests.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -16,8 +19,14 @@ import numpy as np
 
 from kahlersym.classifier import DEPENDENCE_THRESHOLD, _paired_values
 from kahlersym.curvature import _first_kind, christoffel
+from kahlersym.expressions import Call, Coord, Neg, Num, PotentialDomainError, Pow
 from kahlersym.metrics import MetricJet, metric_from_potential
-from kahlersym.tensor_algebra import _j_first_pair, _j_last_pair, max_norm
+from kahlersym.tensor_algebra import (
+    _j_first_pair,
+    _j_last_pair,
+    check_rs_symmetries,
+    max_norm,
+)
 
 
 # -- brute-force derivation tensors (explicit loops, no einsum) -----------------
@@ -429,3 +438,120 @@ def deszcz_fit_loop(data, plan):
         f_hats[p] = l_bar / 2.0
         residual[p] = max_norm(data.rs[p] - f_hats[p] * data.qc[p]) / data.scale_rs[p]
     return spread, residual, f_hats
+
+
+# -- holomorphic-plane oracles -----------------------------------------------------
+
+
+class DegeneratePlane(ValueError):
+    """The two vectors do not span a 2-plane."""
+
+
+def sectional(r04: np.ndarray, g: np.ndarray, x, y) -> float:
+    """Sectional curvature of span{x, y}."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    num = float(np.einsum("abcd,a,b,c,d->", r04, x, y, y, x))
+    gxx = float(x @ g @ x)
+    gyy = float(y @ g @ y)
+    gxy = float(x @ g @ y)
+    den = gxx * gyy - gxy * gxy
+    if abs(den) <= 1e-12 * max(gxx * gyy, 1e-14):
+        raise DegeneratePlane("vectors do not span a plane")
+    return num / den
+
+
+def holomorphic_sectional(r04: np.ndarray, g: np.ndarray, j: np.ndarray, x) -> float:
+    return sectional(r04, g, x, np.asarray(j, float) @ np.asarray(x, float))
+
+
+class ReconstructionError(ValueError):
+    """Holomorphic evaluations were inconsistent with the symmetry class."""
+
+
+def reconstruct_from_holomorphic(eval_uuxjx, j: np.ndarray, validate: bool = True,
+                                 tol: float = 1e-6) -> np.ndarray:
+    """Rebuild a symmetry-class tensor T from samples T(u, u, x, Jx).
+
+    ``eval_uuxjx(u, x)`` must return T(u, u, x, Jx).  Polarisation runs in
+    three steps: split the (u, u) slot, split the (x, Jx) slot, then trade
+    the remaining J away using J^2 = -I.  Every value is a signed average
+    of at most nine evaluations, so noise of size eps inflates the result
+    by at most 9/4 * eps (stability constant well under 16).
+    """
+    j = np.asarray(j, float)
+    m = j.shape[0]
+    basis = np.eye(m)
+    cache: dict[tuple, float] = {}
+
+    def ev(u, x):
+        key = (u.tobytes(), x.tobytes())
+        if key not in cache:
+            cache[key] = float(eval_uuxjx(u, x))
+        return cache[key]
+
+    def b(i, jdx, x):
+        u, v = basis[i], basis[jdx]
+        return 0.5 * (ev(u + v, x) - ev(u, x) - ev(v, x))
+
+    t = np.empty((m, m, m, m))
+    for a in range(m):
+        xa = basis[a]
+        for bdx in range(m):
+            w = j @ basis[bdx]
+            for i in range(m):
+                for jdx in range(m):
+                    t[i, jdx, a, bdx] = -0.5 * (
+                        b(i, jdx, xa + w) - b(i, jdx, xa) - b(i, jdx, w)
+                    )
+    if validate:
+        worst = max(float(np.max(v)) for v in check_rs_symmetries(t, j, 0.0).values())
+        if worst > tol:
+            raise ReconstructionError(
+                "holomorphic evaluations are inconsistent with the symmetry class "
+                f"(max violation {worst:.3e})"
+            )
+    return t
+
+
+# -- plain-float evaluation of a potential ---------------------------------------
+
+
+def eval_scalar(e, point) -> float:
+    """Evaluate a parsed potential at a chart point (length 2n, x-block then
+    y-block) in plain floats, the reference for the value of eval_jet."""
+    point = np.asarray(point, dtype=float)
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Coord):
+        n = point.shape[0] // 2
+        return float(point[e.k - 1 if e.axis == "x" else n + e.k - 1])
+    if isinstance(e, Neg):
+        return -eval_scalar(e.arg, point)
+    if isinstance(e, Pow):
+        base = eval_scalar(e.base, point)
+        if e.exponent < 0 and base == 0.0:
+            raise PotentialDomainError("zero raised to a negative power", e)
+        return base**e.exponent
+    if isinstance(e, Call):
+        v = eval_scalar(e.arg, point)
+        if e.fn == "log":
+            if v <= 0.0:
+                raise PotentialDomainError(f"log of non-positive value {v!r}", e.arg)
+            return np.log(v)
+        if e.fn == "exp":
+            return np.exp(v)
+        if v <= 0.0:
+            raise PotentialDomainError(f"sqrt of non-positive value {v!r}", e.arg)
+        return np.sqrt(v)
+    lhs = eval_scalar(e.lhs, point)
+    rhs = eval_scalar(e.rhs, point)
+    if e.op == "+":
+        return lhs + rhs
+    if e.op == "-":
+        return lhs - rhs
+    if e.op == "*":
+        return lhs * rhs
+    if rhs == 0.0:
+        raise PotentialDomainError("division by zero", e.rhs)
+    return lhs / rhs

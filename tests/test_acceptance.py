@@ -21,7 +21,7 @@ from kahlersym.classifier import (
     sample_points,
 )
 from kahlersym.cli import _orthonormal_pair, main
-from kahlersym.curvature import curvature_bundle, parallel_transport, sectional, holomorphic_sectional
+from kahlersym.curvature import curvature_bundle, parallel_transport
 from kahlersym.jets import JetScalar, jet_space
 from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import ALGEBRAIC_IDENTITIES
@@ -34,19 +34,22 @@ from kahlersym.symmetry_tensors import (
     tachibana_ricci,
     transport_experiment,
 )
-from kahlersym.tensor_algebra import max_norm, reconstruct_from_holomorphic
+from kahlersym.tensor_algebra import max_norm
 
 from helpers import (
     brute_r_dot_s,
     brute_tachibana,
     central_difference,
     gauss_curvature_conformal,
+    holomorphic_sectional,
     multi_index_entry,
     partials,
     poly_eval,
     poly_partial,
     random_poly,
+    reconstruct_from_holomorphic,
     rel_err,
+    sectional,
 )
 
 EINSTEIN_OR_ABOVE = ("flat_c2", "fs_cp1", "fs_cp2", "hyperbolic_ball_2")

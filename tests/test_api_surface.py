@@ -1,8 +1,9 @@
 """The public surface is what the README documents plus what the package
-itself uses: the "Library use" example runs, and no public top-level
+itself uses: the "Library use" example runs, no public top-level
 function or class, nor a public method or property of such a class, sits
-in ``src/`` unused.  A name counts as documented when it appears in an
-inline code span of the README or in its "Library use" block."""
+in ``src/`` unused, and no module imports a name it does not use.  A name
+counts as documented when it appears in an inline code span of the README
+or in its "Library use" block."""
 
 import ast
 import os
@@ -13,14 +14,6 @@ import kahlersym
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "kahlersym")
 README = os.path.join(ROOT, "README.md")
-
-# Public names no src code path calls, kept as test oracles.
-ORACLES = {
-    "classifier.preflight_kahler": "whole-potential preflight, the reference for the shared-jet one",
-    "curvature.holomorphic_sectional": "holomorphic sectional curvature for criteria 6 and 9",
-    "expressions.eval_scalar": "plain-float evaluator, the reference for eval_jet",
-    "tensor_algebra.reconstruct_from_holomorphic": "polarisation round trip of criterion 5",
-}
 
 
 def _readme() -> str:
@@ -94,25 +87,30 @@ def _public_definitions(modules: dict[str, ast.Module]):
                         yield f"{module}.{node.name}.{member.name}", member
 
 
-def test_every_public_definition_is_used_documented_or_an_oracle():
+def test_every_public_definition_is_used_or_documented():
     modules = _modules()
     documented = _documented_names()
     unused = []
     for key, node in _public_definitions(modules):
         used = any(node.name in _references(other, skip=node)
                    for other in modules.values())
-        if not (used or node.name in documented or key in ORACLES):
+        if not (used or node.name in documented):
             unused.append(key)
     assert unused == []
 
 
-def test_oracle_allowlist_is_current():
-    """Every allowlisted name exists, is otherwise unused, and says why."""
-    modules = _modules()
-    defs = dict(_public_definitions(modules))
-    for key, reason in ORACLES.items():
-        assert key in defs, key
-        name = key.rsplit(".", 1)[1]
-        assert not any(name in _references(other, skip=defs[key])
-                       for other in modules.values()), key
-        assert reason
+def test_every_imported_name_is_used():
+    """Each name a module binds by ``import`` is referenced in that module
+    (``from __future__`` imports excepted)."""
+    unused = []
+    for module, tree in _modules().items():
+        references = _references(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in references:
+                        unused.append(f"{module}: {alias.name}")
+    assert unused == []

@@ -21,11 +21,9 @@ from kahlersym.classifier import (
     _paired_values,
     _parallel_plane_values,
     _plane_reduce,
-    classify,
     direction_samples,
     plane_samples,
     preflight_from_metrics,
-    preflight_kahler,
     sample_evidence,
     sample_points,
 )
@@ -106,7 +104,7 @@ def test_deszcz_fit_finite_for_huge_samples():
     pseudosymmetric witness; its Q(g,S) samples are so large that the fit's
     plain dot products overflow, yet every fitted f_S stays finite and nonzero."""
     spec = ManifoldSpec("steep", 2, "exp(300*rsq)", ((-0.76, 0.76),) * 4)
-    verdict = classify(spec)
+    verdict = run(spec).verdict
     assert verdict.classification == "holo_ricci_pseudosymmetric"
     assert all(np.isfinite(f) and f != 0.0 for f in verdict.f_s_values)
 
@@ -185,16 +183,16 @@ def test_einstein_fixture_hrps_vacuous(full_reports):
 
 
 def test_verdict_deterministic(fixtures, small_plan):
-    a = classify(fixtures["fs_cp2"], small_plan)
-    b = classify(fixtures["fs_cp2"], small_plan)
+    a = run(fixtures["fs_cp2"], small_plan).verdict
+    b = run(fixtures["fs_cp2"], small_plan).verdict
     assert a.classification == b.classification
     assert a.evidence == b.evidence
     assert a.lambda_values == b.lambda_values
 
 
 def test_classify_seed_sensitivity(fixtures):
-    base = classify(fixtures["perturbed_flat"], SamplePlan(points=4, directions=4, planes=4, seed=0))
-    other = classify(fixtures["perturbed_flat"], SamplePlan(points=4, directions=4, planes=4, seed=9))
+    base = run(fixtures["perturbed_flat"], SamplePlan(points=4, directions=4, planes=4, seed=0)).verdict
+    other = run(fixtures["perturbed_flat"], SamplePlan(points=4, directions=4, planes=4, seed=9)).verdict
     assert base.classification == other.classification == "none"
     assert base.evidence != other.evidence
 
@@ -270,15 +268,18 @@ def _preflight(m):
 def test_preflight_accepts_potential_metrics(fixtures):
     spec = fixtures["fs_cp2"]
     pts = sample_points(spec.domain, SamplePlan(points=5, directions=2, planes=2))
-    report = preflight_kahler(spec.potential(), spec.n, pts)
+    report = _preflight(metric_from_potential(spec.potential(), pts, spec.n, depth=1))
     assert report.passed
     assert set(report.checks) == {"hermitian", "closed_form", "parallel_j"}
 
 
 def test_shared_jet_preflight_matches_preflight_kahler(fixtures, full_reports):
+    """The preflight on the depth-3 jets of a run matches one on depth-1
+    jets expanded afresh at the same points."""
     for name, spec in fixtures.items():
         report = full_reports[name]
-        alone = preflight_kahler(spec.potential(), spec.n, report.points)
+        alone = _preflight(metric_from_potential(spec.potential(), report.points, spec.n,
+                                                 depth=1))
         assert report.preflight == alone, name
 
 

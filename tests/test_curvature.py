@@ -6,27 +6,27 @@ import numpy as np
 import pytest
 
 from kahlersym.curvature import (
-    DegeneratePlane,
     christoffel,
     curvature_bundle,
-    holomorphic_sectional,
     parallel_transport,
     ricci,
     riemann,
-    sectional,
 )
 from kahlersym.expressions import parse
 from kahlersym.metrics import MetricJet, metric_from_potential
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
 
 from helpers import (
+    DegeneratePlane,
     central_difference,
     christoffel_einsum,
     dricci_einsum,
     gauss_curvature_conformal,
+    holomorphic_sectional,
     parallel_transport_stagewise,
     rel_err,
     riemann_einsum,
+    sectional,
 )
 
 FS1 = parse("log(1+absq(1))", 1)

@@ -18,13 +18,12 @@ from kahlersym.expressions import (
     PotentialSyntaxError,
     Pow,
     eval_jet,
-    eval_scalar,
     parse,
     pretty,
 )
 from kahlersym.zoo import zoo
 
-from helpers import partials
+from helpers import eval_scalar, partials
 
 ROUND_TRIP_SOURCES = [
     "absq(1)+absq(2)",
@@ -219,7 +218,7 @@ def test_domain_error_is_potential_error():
 def test_eval_point_dimension_mismatch():
     tree = parse("x2", 2)
     with pytest.raises(PotentialError, match="needs n >= 2"):
-        eval_scalar(tree, [1.0, 2.0])
+        eval_jet(tree, [1.0, 2.0], order=1)
 
 
 # random expression trees: pretty then parse must reproduce the tree exactly

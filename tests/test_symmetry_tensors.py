@@ -9,7 +9,6 @@ import pytest
 from kahlersym import classifier
 from kahlersym.classifier import (
     SamplePlan,
-    classify,
     direction_samples,
     plane_samples,
     sample_points,
@@ -17,6 +16,7 @@ from kahlersym.classifier import (
 from kahlersym.cli import _orthonormal_pair
 from kahlersym.curvature import curvature_bundle
 from kahlersym.metrics import metric_from_potential
+from kahlersym.runner import run
 from kahlersym.symmetry_tensors import (
     DEFAULT_EPS_LADDER,
     _complex_wedge_family,
@@ -218,11 +218,11 @@ def _deszcz_plan():
 
 
 def test_deszcz_defined_on_perturbed_flat(fixtures):
-    """classify's fitted f_S is half the least-squares Deszcz quotient of the
+    """The ladder's fitted f_S is half the least-squares Deszcz quotient of the
     brute-force R.S and Q(g,S) over the same samples."""
     spec = fixtures["perturbed_flat"]
     plan = _deszcz_plan()
-    verdict = classify(spec, plan)
+    verdict = run(spec, plan).verdict
     details = verdict.holo_ricci_pseudosymmetric.details
     assert details["defined_samples"] == [plan.planes] * plan.points
     m = 2 * spec.n
@@ -245,7 +245,7 @@ def test_deszcz_defined_on_perturbed_flat(fixtures):
 def test_deszcz_undefined_at_einstein_points(fixtures):
     plan = _deszcz_plan()
     for name in ("fs_cp2", "hyperbolic_ball_2"):
-        verdict = classify(fixtures[name], plan)
+        verdict = run(fixtures[name], plan).verdict
         assert verdict.holo_ricci_pseudosymmetric.details["defined_samples"] == [0] * plan.points
         assert verdict.f_s_values == (None,) * plan.points
         assert verdict.f_s_constant is None
@@ -257,7 +257,7 @@ def test_deszcz_threshold_scaling(fixtures, monkeypatch):
     monkeypatch.setattr(classifier, "DEPENDENCE_THRESHOLD", 1e12)
     spec = fixtures["perturbed_flat"]
     plan = _deszcz_plan()
-    verdict = classify(spec, plan)
+    verdict = run(spec, plan).verdict
     hrps = verdict.holo_ricci_pseudosymmetric
     assert hrps.details["defined_samples"] == [0] * plan.points
     assert hrps.details["attempted_samples"] == [plan.planes] * plan.points

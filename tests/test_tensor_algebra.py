@@ -5,20 +5,23 @@ import pytest
 
 from kahlersym.tensor_algebra import (
     ABS_FLOOR,
-    ReconstructionError,
     _j_skew_last_pair,
     _on_first_pair,
     check_rs_symmetries,
     hermitian_violation,
     max_norm,
-    reconstruct_from_holomorphic,
     rel_violation,
     standard_complex_structure,
     wedge_g_matrix,
 )
 from kahlersym.symmetry_tensors import _endo_family_dot_bilinear
 
-from helpers import j_skew_einsum, symmetrize_rs
+from helpers import (
+    ReconstructionError,
+    j_skew_einsum,
+    reconstruct_from_holomorphic,
+    symmetrize_rs,
+)
 
 
 def random_hermitian_spd(rng, n):

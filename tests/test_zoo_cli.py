@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -250,6 +251,24 @@ def test_cli_float_range_failure_is_input_error(tmp_path, capsys):
     assert "outside the float range in sub-expression `1e-100*(" in err
 
 
+@pytest.mark.parametrize("domain, interval", [
+    ("-inf 1, -1 1", "[-inf, 1.0]"),
+    ("-1e308 1e308", "[-1e+308, 1e+308]"),
+])
+def test_cli_non_finite_domain_is_input_error(tmp_path, capsys, domain, interval):
+    """An infinite bound or an overflowing width would sample NaN points."""
+    path = write_manifest(
+        tmp_path, f"name = wide\nn = 1\npotential = log(1+rsq)\ndomain = {domain}\n"
+    )
+    with pytest.raises(ManifestError, match=f"domain interval {re.escape(interval)}"):
+        load_spec(path)
+    code = main(["classify", path, *SMALL_ARGS])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("input error:")
+    assert interval in err
+
+
 def test_cli_bad_manifest_is_input_error(tmp_path, capsys):
     path = write_manifest(tmp_path, "nonsense\n")
     code = main(["classify", path, *SMALL_ARGS])
@@ -294,7 +313,6 @@ def test_cli_preflight_failure_exit_two(monkeypatch, capsys):
         {"hermitian": {"max": 1.0, "point_index": 3},
          "closed_form": {"max": 0.0, "point_index": 0},
          "parallel_j": {"max": 0.0, "point_index": 0}},
-        1e-9,
     )
 
     def boom(*args, **kwargs):
