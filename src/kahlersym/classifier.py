@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .curvature import CurvatureBundle, concat_bundles, curvature_bundle
+from .curvature import CurvatureBundle, curvature_bundle
 from .metrics import MetricJet, metric_from_potential, two_form_closedness
 from .symmetry_tensors import (
     complex_tachibana_ricci,
@@ -178,8 +178,8 @@ def preflight_from_metrics(m: MetricJet, gamma: np.ndarray) -> PreflightReport:
 class PointData:
     """Curvature bundle, derived tensors and samples at every sampled point.
 
-    Every field carries a leading point axis: ``bundle`` comes from
-    :func:`concat_bundles`, rs/q/qc are (P, m, m, m, m), dirs and planes
+    Every field carries a leading point axis: ``bundle`` holds the
+    curvature of all points, rs/q/qc are (P, m, m, m, m), dirs and planes
     (P, count, m), and the scales (P,).  ``scale_s`` is the Ricci scale
     max(|S|, m |R|): curvature tensors of type (1,3) do not change when the
     potential is multiplied by a constant, so neither does this scale.
@@ -218,29 +218,17 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
     )
 
 
-# Points per block of sample_evidence: a block holds about this many
-# entries of dddg, the one (2n)^5 tensor of the curvature pipeline (128
-# points at n = 2, 16 at n = 3, 4 at n = 4).  A point's bits do not depend
-# on the points beside it, so neither does the report.
-_BLOCK_ENTRIES = 2**17
-
-
 def sample_evidence(spec: ManifoldSpec, plan: SamplePlan):
-    """Sample the plan's points, expand their depth-3 metric jets block by
-    block, preflight their g and dg, and gather the evidence.
+    """Sample the plan's points, expand their depth-3 metric jets,
+    preflight their g and dg, and gather the evidence.
 
     Returns (points, preflight report, evidence).  Raises PreflightError
-    when the metric fails the Kahler checks; the curvature bundles are
+    when the metric fails the Kahler checks; the curvature bundle is
     built before that verdict.
     """
     potential = spec.potential()
     points = sample_points(spec.domain, plan)
-    block = max(1, _BLOCK_ENTRIES // (2 * spec.n) ** 5)
-    # A generator, so the full jets of only one block are alive at once.
-    bundle = concat_bundles(
-        curvature_bundle(metric_from_potential(potential, points[i:i + block], spec.n))
-        for i in range(0, len(points), block)
-    )
+    bundle = curvature_bundle(metric_from_potential(potential, points, spec.n))
     report = preflight_from_metrics(bundle.metric, bundle.connection.gamma)
     if not report.passed:
         raise PreflightError(report)

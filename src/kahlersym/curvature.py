@@ -18,7 +18,6 @@ its two traces of dd(gamma) straight from the metric jet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -121,15 +120,16 @@ def _ricci_derivative(m: MetricJet, gamma: np.ndarray, dgamma: np.ndarray) -> np
     sum_a d_e d_b gamma[a,a,c], are traces against G = g^-1 of g dd(gamma) =
     dd(gamma_1) - dd(g) gamma - d(g) d(gamma) - (the same, derivative slots
     swapped), taken before any product: dd(gamma) is never formed and every
-    product is an O(m^5) matmul.  Their G[a,d] d_e d_a d_b g_dc terms cancel."""
+    product is an O(m^5) matmul.  Their G[a,d] d_e d_a d_b g_dc terms cancel.
+    Their d^3 g terms are traces of d_e d_f d_h g_xy against G over the
+    slot pairs (h, x), (f, h) and (x, y), read off the jet's t: G J^T is
+    antisymmetric and kills the symmetric fifth partials, so the traces
+    are t/4, (t + J^T t J)/4 and t/2, and half of the first plus its
+    transpose minus the other two is -(t + J^T t J)/8."""
     lead, d = m.g.shape[:-2], m.g.shape[-1]
     cube = lead + (d,) * 3
     ginv = np.linalg.inv(m.g)
     row = ginv.reshape(lead + (1, 1, d * d))
-    # G[a,d] against the slot pairs (h, x), (f, h) and (x, y) of dddg[e,f,h,x,y].
-    mixed = (row @ m.dddg.reshape(lead + (d * d, d * d, d))).reshape(cube)
-    laplace = (row @ m.dddg.reshape(lead + (d, d * d, d * d))).reshape(cube)
-    traced = m.dddg.reshape(lead + (d ** 3, d * d)) @ ginv.reshape(lead + (d * d, 1))
     # raised[e,a,m] = G[a,d] dg[e,d,m]; swapped[e,b,c] = raised[b,a,m] dgamma[e,m,a,c].
     raised = ginv[..., None, :, :] @ m.dg
     swapped = (np.swapaxes(raised, -1, -2).reshape(lead + (1, d, d * d))
@@ -144,7 +144,7 @@ def _ricci_derivative(m: MetricJet, gamma: np.ndarray, dgamma: np.ndarray) -> np
     gamma_t = np.swapaxes(gamma, -3, -2)
     dgamma_t = np.swapaxes(dgamma, -3, -2)
     return (
-        0.5 * (mixed + np.swapaxes(mixed, -1, -2) - laplace - traced.reshape(cube))
+        -0.125 * (m.t + m.J.T @ m.t @ m.J)
         + (on_gamma @ gamma.reshape(lead + (d, d * d))
            - raised.reshape(lead + (d, d * d)) @ dgamma.reshape(lead + (d * d, d * d))
            ).reshape(cube)
@@ -159,7 +159,7 @@ def _ricci_derivative(m: MetricJet, gamma: np.ndarray, dgamma: np.ndarray) -> np
 
 def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     """Everything the classifier needs at the jet's points; requires depth-3 jets."""
-    if m.dddg is None:
+    if m.t is None:
         raise ValueError("curvature_bundle needs a depth-3 metric jet")
     conn = christoffel(m)
     r13, r04 = riemann(m, conn)
@@ -168,31 +168,6 @@ def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     ns = nabla_ricci(conn, s, ds)
     scal = scalar_curvature(s, m.g)
     return CurvatureBundle(m, conn, r13, r04, s, ds, ns, scal)
-
-
-_KEPT = ("metric.point", "metric.g", "metric.dg", "connection.gamma",
-         "connection.dgamma", "r13", "r04", "ricci", "dricci", "nabla_ricci", "scal")
-
-
-def concat_bundles(bundles) -> CurvatureBundle:
-    """Bundles of several blocks of points, joined along the point axis.
-
-    The metric keeps its points, g, dg and the shared J, and the
-    connection gamma and dgamma; the higher derivatives, which only feed
-    the kept tensors, are dropped.  ``bundles`` may be a generator, so
-    that only the kept tensors of all blocks are alive at once.
-    """
-    columns = {field: [] for field in _KEPT}
-    for b in bundles:
-        shared = b.metric  # n and J are the same at every point
-        for field, column in columns.items():
-            column.append(attrgetter(field)(b))
-    joined = {field.split(".")[-1]: np.concatenate(column)
-              for field, column in columns.items()}
-    metric = MetricJet(joined.pop("point"), shared.n, joined.pop("g"), joined.pop("dg"),
-                       None, None, shared.J)
-    connection = Connection(joined.pop("gamma"), joined.pop("dgamma"))
-    return CurvatureBundle(metric, connection, **joined)
 
 
 # -- parallel transport --------------------------------------------------------

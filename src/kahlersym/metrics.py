@@ -9,15 +9,18 @@ of second partials of the potential K, the metric blocks are
     g    = [[A, B], [-B, A]],
 
 i.e. one quarter of (H + J^T H J).  This normalisation sends the flat
-potential sum_k (x_k^2 + y_k^2) to the identity metric.  Derivatives of
-g up to third order apply the same pairing to the third, fourth and
-fifth partials of the potential, so a single degree-5 jet of K feeds the
-whole curvature pipeline; each order is paired straight from the jet's
-coefficients by one gather per operand (see ``_pairing``).
+potential sum_k (x_k^2 + y_k^2) to the identity metric.  The first two
+derivatives of g apply the same pairing to the third and fourth partials
+of the potential, each order paired straight from the jet's coefficients
+by one gather per operand (see ``_pairing``).  The fifth partials P5 feed
+only dS, through the symmetric trace t[e,f,h] = sum_xy P5[e,f,h,x,y] G[x,y]
+with G = g^-1 (see ``_trace_table``), so a single degree-5 jet of K feeds
+the whole curvature pipeline and no (2n)^5 tensor is formed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,17 +32,20 @@ from .tensor_algebra import max_norm, rel_violation, standard_complex_structure
 
 
 class MetricError(ValueError):
-    """The potential does not define a positive-definite metric at the point."""
+    """The potential does not define a finite, positive-definite metric at the point."""
 
 
 @dataclass(frozen=True)
 class MetricJet:
     """Metric value and coordinate derivatives at a chart point.
 
-    dg[c,a,b] is the c-derivative of g_ab; ddg and dddg carry one and two
-    more leading derivative axes.  Entries beyond the requested depth are
-    None.  Jets of several points stack them on a leading point axis of
-    point, g, dg, ddg and dddg; J is shared.
+    dg[c,a,b] is the c-derivative of g_ab and ddg carries one more leading
+    derivative axis.  t[e,f,h] is the trace of the fifth partials P5 of
+    the potential against G = g^-1 on their last slot pair, symmetric in
+    its three slots; it stands in for the third derivative of g, whose
+    only use is dS.  Entries beyond the requested depth are None.  Jets of
+    several points stack them on a leading point axis of point, g, dg, ddg
+    and t; J is shared.
     """
 
     point: np.ndarray
@@ -47,7 +53,7 @@ class MetricJet:
     g: np.ndarray
     dg: np.ndarray | None
     ddg: np.ndarray | None
-    dddg: np.ndarray | None
+    t: np.ndarray | None
     J: np.ndarray
 
 
@@ -68,14 +74,28 @@ def _pairing(space: JetSpace, degree: int):
             np.kron([[0.25, 0.25], [-0.25, 0.25]], np.ones((n, n))))
 
 
+@lru_cache(maxsize=None)
+def _trace_table(space: JetSpace):
+    """(table, expand): table[k, x, y] is the position of the order-5
+    monomial of the k-th sorted slot triple e <= f <= h and the pair
+    (x, y), of shape (C(m+2, 3), m, m); expand[e, f, h] is the k of the
+    sorted (e, f, h), so that the C(m+2, 3) traces expand to (m, m, m)."""
+    triples = list(itertools.combinations_with_replacement(range(space.nvars), 3))
+    expand = np.empty((space.nvars,) * 3, dtype=np.intp)
+    for k, triple in enumerate(triples):
+        expand[tuple(zip(*itertools.permutations(triple)))] = k
+    return space.partials_table(5)[tuple(zip(*triples))], expand
+
+
 def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> MetricJet:
     """Metric jet of the potential at a chart point (2n,), or at each row
     of a stack of points (P, 2n).
 
     ``depth`` counts how many derivative orders of g are produced (0-3);
-    the potential is expanded to order 2 + depth.  Raises MetricError if
-    g is not positive definite, naming the first such point and its
-    smallest eigenvalue.
+    the potential is expanded to order 2 + depth, and depth 3 gives t in
+    place of the third derivative of g.  Raises MetricError, naming the
+    first such point, if the jet is not finite (the potential's
+    derivatives overflow a float) or if g is not positive definite.
     """
     point = np.asarray(point, dtype=float)
     if point.ndim not in (1, 2) or point.shape[-1] != 2 * n:
@@ -84,15 +104,20 @@ def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> Met
         raise ValueError("depth must be between 0 and 3")
     jet = eval_jet(potential, point, 2 + depth)
     w = jet.coeffs * jet.space.factorial
-    paired = [None] * 4
-    for k in range(1 + depth):
+    if not np.isfinite(w).all():
+        finite = np.isfinite(w).all(axis=-1).reshape(-1)
+        p = point.reshape(-1, 2 * n)[np.argmin(finite)]
+        raise MetricError(f"metric jet is not finite at {p.tolist()} "
+                          "(the potential's derivatives overflow a float)")
+    paired = [None] * 3
+    for k in range(1 + min(depth, 2)):
         first, second, s2, s1 = _pairing(jet.space, 2 + k)
-        # In place: every fresh (2n)^5 temporary would cost its page faults.
-        paired[k] = t = w.take(second, axis=-1)
-        t *= s2
-        t += w.take(first, axis=-1)
-        t *= s1
-    g, dg, ddg, dddg = paired
+        # In place: each fresh (P, m^4) temporary of ddg costs its page faults.
+        paired[k] = pair = w.take(second, axis=-1)
+        pair *= s2
+        pair += w.take(first, axis=-1)
+        pair *= s1
+    g, dg, ddg = paired
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -105,7 +130,14 @@ def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> Met
                     f"metric is not positive definite at {p.tolist()} "
                     f"(smallest eigenvalue {smallest:.6e})"
                 ) from None
-    return MetricJet(point, n, g, dg, ddg, dddg, standard_complex_structure(n))
+    t = None
+    if depth == 3:
+        table, expand = _trace_table(jet.space)
+        lead, d = g.shape[:-2], g.shape[-1]
+        traces = (w.take(table, axis=-1).reshape(lead + (len(table), d * d))
+                  @ np.linalg.inv(g).reshape(lead + (d * d, 1)))
+        t = traces[..., 0].take(expand, axis=-1)
+    return MetricJet(point, n, g, dg, ddg, t, standard_complex_structure(n))
 
 
 def rotated_form_differential(j: np.ndarray, db: np.ndarray) -> np.ndarray:

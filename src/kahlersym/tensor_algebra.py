@@ -11,7 +11,7 @@ axes, and then every violation and norm is one value per point.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -22,13 +22,17 @@ class NonHermitianMetric(ValueError):
     """g(J., J.) differs from g(., .) beyond tolerance."""
 
 
+@lru_cache(maxsize=None)
 def standard_complex_structure(n: int) -> np.ndarray:
-    """J sending basis vector a to a+n for a <= n; exactly J^2 = -I."""
+    """J sending basis vector a to a+n for a <= n; exactly J^2 = -I.
+    Built once per n and read-only: every metric jet of that n shares it."""
     if n < 1:
         raise ValueError("complex dimension must be at least 1")
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    return np.block([[zero, -eye], [eye, zero]])
+    j = np.block([[zero, -eye], [eye, zero]])
+    j.flags.writeable = False
+    return j
 
 
 def max_norm(t, rank: int | None = None):

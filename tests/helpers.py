@@ -162,6 +162,12 @@ def pair_second_partials(h: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([top, bottom], axis=-2)
 
 
+def dddg_oracle(jet, n: int) -> np.ndarray:
+    """d^3 g as the dense (..., 2n, 2n, 2n, 2n, 2n) tensor d_e d_f d_h g_xy:
+    the block pairing of the fifth partials of an order-5 potential jet."""
+    return pair_second_partials(partials(jet, 5), n)
+
+
 # -- jet tables by explicit loops ------------------------------------------------
 
 
@@ -363,15 +369,16 @@ def parallel_values_loop(nabla_s, u_rows, x_rows, j) -> np.ndarray:
 # -- einsum forms of the batched-matmul kernels ----------------------------------
 
 
-def christoffel_einsum(m: MetricJet):
-    """(gamma, dgamma, ddgamma) of a depth-3 jet: g . gamma = gamma_1 and its
-    two derivatives, one einsum per contraction."""
+def christoffel_einsum(m: MetricJet, dddg: np.ndarray):
+    """(gamma, dgamma, ddgamma) of a depth-2 jet and its third derivative
+    ``dddg`` (see ``dddg_oracle``): g . gamma = gamma_1 and its two
+    derivatives, one einsum per contraction."""
     ginv = np.linalg.inv(m.g)
     gamma = np.einsum("...cd,...dab->...cab", ginv, _first_kind(m.dg))
     t = _first_kind(m.ddg) - np.einsum("...edm,...mab->...edab", m.dg, gamma)
     dgamma = np.einsum("...cd,...edab->...ecab", ginv, t)
     dg_dgamma = np.einsum("...edm,...fmab->...fedab", m.dg, dgamma)
-    t = (_first_kind(m.dddg)
+    t = (_first_kind(dddg)
          - np.einsum("...fedm,...mab->...fedab", m.ddg, gamma)
          - dg_dgamma - np.swapaxes(dg_dgamma, -5, -4))
     ddgamma = np.einsum("...cd,...fedab->...fecab", ginv, t)

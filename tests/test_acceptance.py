@@ -22,6 +22,7 @@ from kahlersym.classifier import (
 )
 from kahlersym.cli import _orthonormal_pair, main
 from kahlersym.curvature import curvature_bundle, parallel_transport
+from kahlersym.expressions import eval_jet
 from kahlersym.jets import JetScalar, jet_space
 from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import ALGEBRAIC_IDENTITIES
@@ -40,6 +41,7 @@ from helpers import (
     brute_r_dot_s,
     brute_tachibana,
     central_difference,
+    dddg_oracle,
     gauss_curvature_conformal,
     holomorphic_sectional,
     multi_index_entry,
@@ -344,12 +346,17 @@ def test_criterion_10_differentiation_integrity(fixtures):
 
         for point in sample_points(spec.domain, plan):
             m = metric_from_potential(potential, point, n, depth=3)
+            ginv = np.linalg.inv(m.g)
+            dddg = dddg_oracle(eval_jet(potential, point, 5), n)
             for axis in range(2 * n):
+                dddg_fd = central_difference(ddg_at, point, axis)
                 worst_fd = max(
                     worst_fd,
                     rel_err(m.dg[axis], central_difference(g_at, point, axis)),
                     rel_err(m.ddg[axis], central_difference(dg_at, point, axis)),
-                    rel_err(m.dddg[axis], central_difference(ddg_at, point, axis)),
+                    # t is twice the trace of d^3 g against G on the metric pair.
+                    rel_err(m.t[axis], 2 * np.einsum("fhxy,xy->fh", dddg_fd, ginv)),
+                    rel_err(dddg[axis], dddg_fd),
                 )
 
     rng = np.random.default_rng(2024)

@@ -256,7 +256,7 @@ def _fake_metric(g, n=2):
         g=np.asarray(g, float),
         dg=np.zeros((m, m, m)),
         ddg=None,
-        dddg=None,
+        t=None,
         J=standard_complex_structure(n),
     )
 
@@ -303,7 +303,7 @@ def test_preflight_flags_nonclosed_form():
     dg = np.zeros((4, 4, 4))
     dg[2, 0, 1] = dg[2, 1, 0] = 0.3  # d_{x2} g_{x1 y1}
     bad = MetricJet(
-        point=np.zeros(4), n=2, g=np.eye(4), dg=dg, ddg=None, dddg=None,
+        point=np.zeros(4), n=2, g=np.eye(4), dg=dg, ddg=None, t=None,
         J=standard_complex_structure(2),
     )
     report = _preflight(stack_metrics([good, bad]))
@@ -324,49 +324,41 @@ def test_preflight_accepts_stacked_jets(fixtures):
     assert report.checks["hermitian"]["point_index"] == 2  # first of the largest
 
 
-# Non-Einstein potentials of n = 1, 3 and 4, the points sampled from
-# each, and the points of a block at that n.
-BLOCK_SPECS = {
-    1: (ManifoldSpec("surface", 1, "log(1+absq(1)) + 0.1*absq(1)^2", ((-1.0, 1.0),) * 2),
-        5, 2),
+# Non-Einstein potentials of n = 1, 3 and 4 and the points sampled from each.
+STACK_SPECS = {
+    1: (ManifoldSpec("surface", 1, "log(1+absq(1)) + 0.1*absq(1)^2", ((-1.0, 1.0),) * 2), 5),
     3: (ManifoldSpec("gen3", 3, "rsq + 0.2*absq(1)*absq(2) + 0.1*absq(3)^2 + 0.05*x1*x2*y3",
-                     ((-0.5, 0.5),) * 6), 6, 4),
+                     ((-0.5, 0.5),) * 6), 6),
     4: (ManifoldSpec("gen4", 4, "rsq + 0.2*absq(1)*absq(4) + 0.1*absq(3)^2 + 0.05*x2*y3*y4",
-                     ((-0.5, 0.5),) * 8), 3, 2),
+                     ((-0.5, 0.5),) * 8), 3),
 }
 
 
-def test_evidence_across_blocks_matches_each_point(fixtures, monkeypatch):
-    # 70 points at n = 2 make blocks of 32, 32 and 6.
-    _check_evidence_across_blocks(monkeypatch, fixtures["perturbed_flat"], 70, 32)
+def test_evidence_across_blocks_matches_each_point(fixtures):
+    _check_stacked_evidence(fixtures["perturbed_flat"], 70)
 
 
-@pytest.mark.parametrize("n", sorted(BLOCK_SPECS))
-def test_evidence_across_blocks_matches_each_point_at_every_n(n, monkeypatch):
+@pytest.mark.parametrize("n", sorted(STACK_SPECS))
+def test_evidence_across_blocks_matches_each_point_at_every_n(n):
     # The BLAS kernels behind the matmuls differ with the tensor size.
-    _check_evidence_across_blocks(monkeypatch, *BLOCK_SPECS[n])
+    _check_stacked_evidence(*STACK_SPECS[n])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_report_does_not_depend_on_block_budget(n, fixtures, monkeypatch):
-    # Budgets of 2^13, 2^15 and 2^17 entries: blocks of 8, 32 and 128
-    # points at n = 2, of 1, 4 and 16 at n = 3, of 1, 1 and 4 at n = 4,
-    # each run ending on a partial block.
-    spec, count = {2: (fixtures["perturbed_flat"], 140), 3: (BLOCK_SPECS[3][0], 20),
-                   4: (BLOCK_SPECS[4][0], 9)}[n]
-    plan = SamplePlan(points=count, directions=4, planes=4, seed=5)
-    reports = set()
-    for budget in (2**13, 2**15, 2**17):
-        monkeypatch.setattr(classifier, "_BLOCK_ENTRIES", budget)
-        reports.add(run(spec, plan).to_json())
-    assert len(reports) == 1
+def test_run_holds_no_tensor_above_rank_four_per_point():
+    # No (2n)^5 tensor at n = 4: every array of the evidence run() gathers,
+    # its curvature bundle, metric jet and connection included, holds at
+    # most (2n)^4 entries per point.
+    spec, count = STACK_SPECS[4]
+    data = sample_evidence(spec, SamplePlan(points=count, directions=4, planes=4, seed=3))[2]
+    b = data.bundle
+    arrays = [v for part in (data, b, b.metric, b.connection) for v in vars(part).values()
+              if isinstance(v, np.ndarray) and v.ndim > 2]
+    assert arrays and all(v.size <= count * 8**4 for v in arrays)
+    assert b.metric.t.shape == (count, 8, 8, 8)
 
 
-def _check_evidence_across_blocks(monkeypatch, spec, count, per_block):
-    # A budget of per_block points, fewer than count and not dividing it,
-    # so that the points span several blocks and the last is partial.
-    assert per_block < count and count % per_block
-    monkeypatch.setattr(classifier, "_BLOCK_ENTRIES", per_block * (2 * spec.n) ** 5)
+def _check_stacked_evidence(spec, count):
+    """The evidence over all points stacked equals each point evaluated alone."""
     plan = SamplePlan(points=count, directions=4, planes=4, seed=3)
     points, report, data = sample_evidence(spec, plan)
     potential = spec.potential()
@@ -378,8 +370,9 @@ def _check_evidence_across_blocks(monkeypatch, spec, count, per_block):
         assert np.array_equal(data.bundle.metric.point[i], point)
         assert np.array_equal(data.dirs[i], direction_samples(plan, i, 2 * spec.n))
         assert np.array_equal(data.planes[i], plane_samples(plan, i, 2 * spec.n))
-        assert np.array_equal(data.bundle.metric.g[i], b.metric.g)
-        assert np.array_equal(data.bundle.metric.dg[i], b.metric.dg)
+        for field in ("g", "dg", "ddg", "t"):
+            assert np.array_equal(getattr(data.bundle.metric, field)[i],
+                                  getattr(b.metric, field)), (i, field)
         assert np.array_equal(data.bundle.connection.gamma[i], b.connection.gamma)
         assert np.array_equal(data.bundle.connection.dgamma[i], b.connection.dgamma)
         for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal"):

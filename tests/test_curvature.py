@@ -12,7 +12,7 @@ from kahlersym.curvature import (
     ricci,
     riemann,
 )
-from kahlersym.expressions import parse
+from kahlersym.expressions import eval_jet, parse
 from kahlersym.metrics import MetricJet, metric_from_potential
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
 
@@ -20,9 +20,11 @@ from helpers import (
     DegeneratePlane,
     central_difference,
     christoffel_einsum,
+    dddg_oracle,
     dricci_einsum,
     gauss_curvature_conformal,
     holomorphic_sectional,
+    pair_second_partials,
     parallel_transport_stagewise,
     rel_err,
     riemann_einsum,
@@ -167,7 +169,7 @@ def test_christoffel_derivatives_against_differences():
 
         m = metric_from_potential(pot, base, n)
         conn = christoffel(m)
-        ddgamma = christoffel_einsum(m)[2]
+        ddgamma = christoffel_einsum(m, dddg_oracle(eval_jet(pot, base, 5), n))[2]
         for c in range(2 * n):
             assert rel_err(conn.dgamma[c], central_difference(gamma_at, base, c)) < 1e-8
             assert rel_err(ddgamma[c], central_difference(dgamma_at, base, c)) < 1e-7
@@ -309,23 +311,41 @@ def _random_jet_slot(rng, points, m, order):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kernels_match_einsum_references(n):
     # Random depth-3 jets stacked over 3 points: the batched matmuls of the
-    # connection, the curvature and dS against their einsum forms.
+    # connection, the curvature and dS against their einsum forms.  As in
+    # real jets, g is J-invariant and d^3 g is the pairing of fully
+    # symmetric fifth partials p5, whose trace against G = g^-1 is t.
     rng = np.random.default_rng(20 + n)
     m = 2 * n
+    j = standard_complex_structure(n)
     a = rng.standard_normal((3, m, m))
-    jet = MetricJet(rng.standard_normal((3, m)), n,
-                    np.swapaxes(a, 1, 2) @ a + m * np.eye(m),
-                    *(_random_jet_slot(rng, 3, m, k) for k in (1, 2, 3)),
-                    standard_complex_structure(n))
+    g = np.swapaxes(a, 1, 2) @ a + m * np.eye(m)
+    g = (g + j.T @ g @ j) / 2
+    p5 = rng.standard_normal((3,) + (m,) * 5)
+    p5 = sum(np.transpose(p5, (0, *(1 + p for p in perm)))
+             for perm in itertools.permutations(range(5)))
+    t = np.einsum("pefhxy,pxy->pefh", p5, np.linalg.inv(g))
+    jet = MetricJet(rng.standard_normal((3, m)), n, g,
+                    *(_random_jet_slot(rng, 3, m, k) for k in (1, 2)), t, j)
     b = curvature_bundle(jet)
     conn = b.connection
-    expected = christoffel_einsum(jet)
+    expected = christoffel_einsum(jet, pair_second_partials(p5, n))
     for got, want in zip((conn.gamma, conn.dgamma), expected):
         assert rel_err(got, want) <= 1e-13
     r13, r04 = riemann_einsum(jet.g, conn.gamma, conn.dgamma)
     assert rel_err(b.r13, r13) <= 1e-13
     assert rel_err(b.r04, r04) <= 1e-13
     assert rel_err(b.dricci, dricci_einsum(*expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dricci_from_trace_matches_dense_oracle(n):
+    # Potentials without symmetry: dS from the jet's t against the einsum
+    # form of dd(gamma), built from the dense d^3 g.
+    pot = parse(f"log(1+rsq) + 0.1*x1*y{n}*absq(1) + 0.05*y1^3*x{n} + 0.07*x1^2*y1*x{n}^2", n)
+    points = np.random.default_rng(40 + n).uniform(-0.4, 0.4, size=(4, 2 * n))
+    m = metric_from_potential(pot, points, n)
+    expected = christoffel_einsum(m, dddg_oracle(eval_jet(pot, points, 5), n))
+    assert rel_err(curvature_bundle(m).dricci, dricci_einsum(*expected)) <= 1e-13
 
 
 def test_transport_matches_stage_by_stage_expansion():

@@ -1,5 +1,7 @@
 """Metric construction from potentials: block structure, jets, errors."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from kahlersym.metrics import (
 )
 from kahlersym.tensor_algebra import standard_complex_structure
 
-from helpers import central_difference, pair_second_partials, partials, rel_err
+from helpers import central_difference, dddg_oracle, pair_second_partials, partials, rel_err
 
 
 def test_flat_metric_is_exactly_identity():
@@ -20,7 +22,7 @@ def test_flat_metric_is_exactly_identity():
     assert np.array_equal(m.g, np.eye(4))
     assert np.array_equal(m.dg, np.zeros((4, 4, 4)))
     assert np.array_equal(m.ddg, np.zeros((4, 4, 4, 4)))
-    assert np.array_equal(m.dddg, np.zeros((4, 4, 4, 4, 4)))
+    assert np.array_equal(m.t, np.zeros((4, 4, 4)))
 
 
 def test_scaled_flat_metric():
@@ -80,31 +82,33 @@ def test_metric_derivatives_match_finite_differences():
         return metric_from_potential(pot, p, 2, depth=2).ddg
 
     m = metric_from_potential(pot, base, 2)
+    ginv = np.linalg.inv(m.g)
     for c in range(4):
         fd = central_difference(g_at, base, c)
         assert rel_err(m.dg[c], fd) < 1e-9
         fd2 = central_difference(dg_at, base, c)
         assert rel_err(m.ddg[c], fd2) < 1e-8
+        # t is twice the trace of d^3 g against G on the metric pair.
         fd3 = central_difference(ddg_at, base, c)
-        assert rel_err(m.dddg[c], fd3) < 1e-7
+        assert rel_err(m.t[c], 2 * np.einsum("fhxy,xy->fh", fd3, ginv)) < 1e-7
 
 
 def test_derivative_axes_are_symmetric():
     pot = parse("exp(absq(1)) + absq(2)^2", 2)
     m = metric_from_potential(pot, [0.3, 0.1, -0.2, 0.4], 2)
     assert np.allclose(m.ddg, np.swapaxes(m.ddg, 0, 1), atol=1e-15)
-    for perm in [(1, 0, 2), (2, 1, 0), (0, 2, 1)]:
-        assert np.allclose(m.dddg, np.transpose(m.dddg, perm + (3, 4)), atol=1e-15)
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(m.t, np.transpose(m.t, perm))
 
 
 def test_depth_limits_populated_fields():
     pot = parse("absq(1)", 1)
     m0 = metric_from_potential(pot, [0.0, 0.0], 1, depth=0)
-    assert m0.dg is None and m0.ddg is None and m0.dddg is None
+    assert m0.dg is None and m0.ddg is None and m0.t is None
     m1 = metric_from_potential(pot, [0.0, 0.0], 1, depth=1)
     assert m1.dg is not None and m1.ddg is None
     m2 = metric_from_potential(pot, [0.0, 0.0], 1, depth=2)
-    assert m2.ddg is not None and m2.dddg is None
+    assert m2.ddg is not None and m2.t is None
     with pytest.raises(ValueError, match="depth"):
         metric_from_potential(pot, [0.0, 0.0], 1, depth=4)
 
@@ -177,7 +181,7 @@ def test_metric_over_points_matches_each_point():
     assert np.array_equal(stacked.point, points)
     for i, point in enumerate(points):
         alone = metric_from_potential(pot, point, 2)
-        for field in ("g", "dg", "ddg", "dddg"):
+        for field in ("g", "dg", "ddg", "t"):
             assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)), field
     closed = two_form_closedness(stacked)
     assert closed.shape == (9,)
@@ -205,8 +209,17 @@ def test_pairing_gather_matches_block_oracle(n):
         pot = parse(source, n)
         m = metric_from_potential(pot, points, n)
         jet = eval_jet(pot, points, 5)
-        for degree, got in zip(range(2, 6), (m.g, m.dg, m.ddg, m.dddg)):
+        for degree, got in zip(range(2, 5), (m.g, m.dg, m.ddg)):
             want = pair_second_partials(partials(jet, degree), n)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (source, degree)
+        # The traces of d^3 g against G that dS takes, over the slot pairs
+        # (x, y), (h, x) and (f, h) of dddg[e,f,h,x,y], all come from t.
+        dddg, ginv = dddg_oracle(jet, n), np.linalg.inv(m.g)
+        tjj = m.J.T @ m.t @ m.J
+        for subscripts, want in (("pefhxy,pxy->pefh", m.t / 2),
+                                 ("pefhxy,phx->pefy", m.t / 4),
+                                 ("pefhxy,pfh->pexy", (m.t + tjj) / 4)):
+            got = np.einsum(subscripts, dddg, ginv)
+            assert rel_err(got, want) <= 1e-14, (source, subscripts)
         if source == "rsq":
             assert np.signbit(m.g[m.g == 0.0]).any()

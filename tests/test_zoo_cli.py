@@ -251,6 +251,20 @@ def test_cli_float_range_failure_is_input_error(tmp_path, capsys):
     assert "outside the float range in sub-expression `1e-100*(" in err
 
 
+def test_cli_overflowing_jet_is_input_error(tmp_path, capsys):
+    # (1e10*rsq)^40 overflows in the jet's products, not in an exp: the
+    # metric jet holds inf and NaN, which must not reach the identity suite.
+    path = write_manifest(
+        tmp_path, "name = huge\nn = 1\npotential = rsq + (1e10*rsq)^40\ndomain = 0.5 1\n"
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["classify", path, *SMALL_ARGS])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("input error: metric jet is not finite at [")
+    assert "overflow a float" in err
+
+
 @pytest.mark.parametrize("domain, interval", [
     ("-inf 1, -1 1", "[-inf, 1.0]"),
     ("-1e308 1e308", "[-1e+308, 1e+308]"),
