@@ -22,7 +22,9 @@ import numpy as np
 MAX_ORDER = 5
 # Product pairs per chunk in JetSpace.multiply, so that a chunk's
 # gathered products and index tables stay in cache.
-_PAIRS_PER_CHUNK = 2**13
+_PAIRS_PER_CHUNK = 2**12
+# Support tables kept per jet space; each holds at most a chunk of pairs.
+_MAX_PAIR_TABLES = 64
 
 
 class JetDomainError(ArithmeticError):
@@ -73,8 +75,9 @@ class JetSpace:
         self._degrees = exponents.sum(axis=1)
         # prefix[d]: the number of monomials of degree <= d (they are graded).
         self._prefix = np.searchsorted(self._degrees, np.arange(order + 1), side="right")
-        # (da, db) -> (pairs per point, left, right, out); see _chunk_tables.
-        self._pair_tables: dict[tuple[int, int], tuple] = {}
+        # (da, db, support_a, support_b) -> (pairs per point, tables); see
+        # _chunk_tables.
+        self._pair_tables: dict[tuple, tuple] = {}
 
     def _position_of_keys(self, keys: np.ndarray) -> np.ndarray:
         return self._by_key[np.searchsorted(self._keys, keys, sorter=self._by_key)]
@@ -96,50 +99,87 @@ class JetSpace:
         right = np.arange(len(left)) - starts
         return left, right, self._position_of_keys(self._keys[left] + self._keys[right])
 
-    def _chunk_tables(self, da: int, db: int, points: int):
-        """(pairs per point, left, right, out) of the (da, db) pair table laid
-        out flat for a run of points, point p's pairs offset by p * size.
+    def _support(self, coeffs: np.ndarray, degree: int) -> np.ndarray:
+        """Which coefficients of total degree <= ``degree`` are nonzero at
+        some point of the stack."""
+        return coeffs.reshape(-1, self.size)[:, :self._prefix[degree]].any(axis=0)
+
+    def _chunk_tables(self, da: int, db: int, support_a: np.ndarray,
+                      support_b: np.ndarray, points: int):
+        """(pairs per point, tables): the rows left, right and out of the
+        (da, db) pair table restricted to the pairs whose coefficients are
+        both in their operand's support, laid out flat for a run of points,
+        point p's pairs offset by p * size.
 
         A table covers as many points as the largest call so far, up to a
         chunk of _PAIRS_PER_CHUNK pairs, so that a space keeps no more
-        table than its calls use."""
-        key = (da, db)
-        if key not in self._pair_tables:
+        table than its calls use.  A space keeps at most _MAX_PAIR_TABLES
+        tables and drops the oldest first."""
+        key = (da, db, support_a.tobytes(), support_b.tobytes())
+        cached = self._pair_tables.get(key)
+        if cached is None:
             left, right, out = self.pair_table(da, db)
-            self._pair_tables[key] = (len(left), left, right, out)
-        pairs, left, right, out = self._pair_tables[key]
-        want = max(1, min(points, _PAIRS_PER_CHUNK // pairs))
-        if len(left) < want * pairs:
-            offsets = (np.arange(want) * self.size)[:, None]
-            self._pair_tables[key] = (pairs, *((t[:pairs] + offsets).ravel()
-                                               for t in (left, right, out)))
-        return self._pair_tables[key]
+            keep = support_a[left] & support_b[right]
+            if len(self._pair_tables) >= _MAX_PAIR_TABLES:
+                del self._pair_tables[next(iter(self._pair_tables))]
+            cached = self._pair_tables[key] = (int(keep.sum()),
+                                               np.stack([left[keep], right[keep], out[keep]]))
+        pairs, tables = cached
+        want = max(1, min(points, _PAIRS_PER_CHUNK // max(pairs, 1)))
+        if tables.shape[1] < want * pairs:
+            offsets = np.arange(want) * self.size
+            tables = (tables[:, None, :pairs] + offsets[:, None]).reshape(3, -1)
+            cached = self._pair_tables[key] = (pairs, tables)
+        return cached
 
     def multiply(self, a: np.ndarray, b: np.ndarray, da: int, db: int) -> np.ndarray:
         """Truncated product of coefficient arrays of shape (..., size) whose
         coefficients above total degree ``da`` (of a) and ``db`` (of b) are
         zero.
 
-        Products are gathered through the (da, db) pair table and summed a
-        chunk of points at a time: ``np.bincount`` adds each product to its
-        coefficient in table order, starting from +0.0, so every point gets
-        the same bits whatever the points beside it.  A constant operand
-        scales the other: ``0.0 + a0 * b``.  With finite coefficients every
-        skipped product is +0 or -0, which leaves such a sum unchanged, so
-        the result is bitwise the product over all pairs.  A skipped
-        0 * inf would be NaN: :meth:`JetScalar.__mul__` forms every product
-        when a result is not finite.
+        A constant operand scales the other: ``0.0 + a0 * b``.  Otherwise
+        products are gathered through the (da, db) pair table, restricted
+        to the pairs whose two coefficients are both nonzero at some point
+        of the stack (their supports).  With finite coefficients every
+        skipped product is +0 or -0, and every sum starts from +0.0, so the
+        result is bitwise the product over all pairs.
+
+        A skipped 0 * inf would be NaN, not zero, so a product with an
+        operand that is not finite must not come out finite:
+        :meth:`JetScalar.__mul__` then forms every product.  A coefficient
+        that is not finite is in its operand's support, and it meets the
+        other operand's constant term, in the constant scaling and in
+        every pair table.  Where that constant term is zero throughout
+        the stack (Horner's nilpotent part), the pair would be skipped, so
+        the support tables are used only if the operand is finite.
         """
         if da == 0:
             return 0.0 + a[..., :1] * b
         if db == 0:
             return 0.0 + a * b[..., :1]
+        support_a = self._support(a, da)
+        support_b = self._support(b, db)
+        if (not (support_a[0] or np.isfinite(b).all())
+                or not (support_b[0] or np.isfinite(a).all())):
+            # A non-finite coefficient could miss the zero constant term.
+            support_a[:] = support_b[:] = True
+        return self._gather(a, b, da, db, support_a, support_b)
+
+    def _gather(self, a: np.ndarray, b: np.ndarray, da: int, db: int,
+                support_a: np.ndarray, support_b: np.ndarray) -> np.ndarray:
+        """The products of the (da, db) pairs within the supports, summed
+        into their coefficients a chunk of points at a time: ``np.bincount``
+        adds each product in table order, starting from +0.0, so every
+        point gets the same bits whatever the points beside it."""
         if a.shape != b.shape:
             a, b = np.broadcast_arrays(a, b)
         shape = a.shape
         a = a.reshape(-1)
         b = b.reshape(-1)
-        pairs, left, right, out = self._chunk_tables(da, db, len(a) // self.size)
+        pairs, (left, right, out) = self._chunk_tables(da, db, support_a, support_b,
+                                                       len(a) // self.size)
+        if not pairs:
+            return np.zeros(shape)
         chunk = len(left) // pairs * self.size
         parts = []
         for start in range(0, len(a), chunk):
@@ -255,8 +295,9 @@ class JetScalar:
             return JetScalar(space, coeffs, min(self.degree + other.degree, space.order))
         # A non-finite result: a skipped product may be 0 * inf = NaN, not
         # zero.  Form every product, as for jets without a bound.
-        return JetScalar(space, space.multiply(self.coeffs, other.coeffs,
-                                               space.order, space.order))
+        every = np.ones(space.size, dtype=bool)
+        return JetScalar(space, space._gather(self.coeffs, other.coeffs, space.order,
+                                              space.order, every, every))
 
     __rmul__ = __mul__
 

@@ -3,7 +3,10 @@
 The identity suite re-derives the algebraic facts the classifier leans on
 (symmetries of S, R.S and the Tachibana tensors, the complex split, the
 holomorphic doubling, Riemann symmetries, the closed Ricci form) at every
-sampled point, as a permanent cross-check of the tensor bookkeeping.
+sampled point, as a permanent cross-check of the tensor bookkeeping.  J
+enters by half-swap slices, never by a product: the J-skew violation of a
+slot pair is read off its J-invariance violation, the same numbers bit for
+bit, and reported under both keys.
 
 Reports serialize to JSON deterministically: keys sorted, no timings, all
 values plain Python floats, so byte-identical runs are reproducible from
@@ -35,11 +38,12 @@ from .classifier import (
 from .metrics import rotated_form_differential
 from .symmetry_tensors import holomorphic_first_slot_check
 from .tensor_algebra import (
-    _j_first_pair,
-    _j_last_pair,
     _permute_slots,
     check_rs_symmetries,
     floored_scale,
+    j_conjugate_last_pair,
+    j_invariance_violation,
+    j_rotated_symmetric_violation,
     max_norm,
     rel_violation,
 )
@@ -83,29 +87,24 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
 
     out: dict[str, np.ndarray] = {}
     out["ricci_symmetric"] = rel_violation(s - np.swapaxes(s, -1, -2), d.scale_s, 2)
-    out["ricci_j_invariant"] = rel_violation(j.T @ s @ j - s, d.scale_s, 2)
-    out["ricci_j_skew"] = rel_violation(j.T @ s + s @ j, d.scale_s, 2)
-    sj = s @ j
-    out["ricci_holomorphic_zero"] = rel_violation(
-        0.5 * (sj + np.swapaxes(sj, -1, -2)), d.scale_s, 2
-    )
+    out["ricci_j_invariant"] = j_invariance_violation(s, d.scale_s, 2)
+    out["ricci_j_skew"] = out["ricci_j_invariant"]
+    out["ricci_holomorphic_zero"] = j_rotated_symmetric_violation(s, d.scale_s, 2)
 
     for prefix, tensor, scale in (
         ("rs", d.rs, d.scale_rs),
         ("qc", d.qc, d.scale_qc),
     ):
-        for key, value in check_rs_symmetries(tensor, j, scale).items():
+        for key, value in check_rs_symmetries(tensor, scale).items():
             out[f"{prefix}_{key}"] = value
 
-    out["tachibana_complex_split"] = rel_violation(
-        d.qc - d.q - _j_last_pair(d.q, j), d.scale_qc, 4
-    )
+    split = d.qc - d.q
+    split -= j_conjugate_last_pair(d.q)
+    out["tachibana_complex_split"] = rel_violation(split, d.scale_qc, 4)
     out["tachibana_holomorphic_double"] = rel_violation(
         _plane_reduce(d.qc - 2.0 * d.q, d.dirs, d.planes, j), d.scale_qc, 2
     )
-    out["holomorphic_first_slot_zero"] = holomorphic_first_slot_check(
-        d.qc, j, scale=d.scale_qc
-    )
+    out["holomorphic_first_slot_zero"] = holomorphic_first_slot_check(d.qc, d.scale_qc)
 
     out["riemann_antisym_first_pair"] = rel_violation(
         r04 + np.swapaxes(r04, -4, -3), scale_r, 4
@@ -116,13 +115,10 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
     out["riemann_pair_symmetry"] = rel_violation(
         r04 - _permute_slots(r04, 2, 3, 0, 1), scale_r, 4
     )
-    out["riemann_first_bianchi"] = rel_violation(
-        r04 + _permute_slots(r04, 1, 2, 0, 3) + _permute_slots(r04, 2, 0, 1, 3),
-        scale_r, 4,
-    )
-    out["kahler_j_invariance"] = rel_violation(
-        _j_first_pair(r04, j) - r04, scale_r, 4
-    )
+    bianchi = r04 + _permute_slots(r04, 1, 2, 0, 3)
+    bianchi += _permute_slots(r04, 2, 0, 1, 3)
+    out["riemann_first_bianchi"] = rel_violation(bianchi, scale_r, 4)
+    out["kahler_j_invariance"] = j_invariance_violation(r04, scale_r, 4, first_pair=True)
 
     out["ricci_form_closed"] = rel_violation(
         rotated_form_differential(j, b.dricci), max_norm(b.dricci, 3), 3

@@ -24,9 +24,9 @@ from .tensor_algebra import (
     ABS_FLOOR,
     floored_scale,
     hermitian_violation,
+    j_rotated_symmetric_violation,
     max_norm,
     NonHermitianMetric,
-    rel_violation,
     wedge_g_matrix,
 )
 
@@ -90,17 +90,16 @@ def quad_eval(t: np.ndarray, u, v, x, y) -> float:
     return float(np.einsum("ijab,i,j,a,b->", t, u, v, x, y))
 
 
-def holomorphic_first_slot_check(qc: np.ndarray, j: np.ndarray, scale):
+def holomorphic_first_slot_check(qc: np.ndarray, scale):
     """Max violation of Qc(x, Jx; ., .) = 0, relative to the tensor scale.
 
     Vanishing for every x is equivalent to the (u,v)-symmetrised form of
-    Qc contracted with J being zero, which is what gets measured.  The
-    reference ``scale`` replaces the tensor's own max-norm when larger,
-    as it must when qc itself is expected to be roundoff.
+    Qc contracted with J being zero, which is what gets measured, by
+    half-swap slices.  The reference ``scale`` replaces the tensor's own
+    max-norm when larger, as it must when qc itself is expected to be
+    roundoff.
     """
-    contracted = np.einsum("...imab,mk->...ikab", qc, j)
-    sym = 0.5 * (contracted + np.einsum("...kiab->...ikab", contracted))
-    return rel_violation(sym, np.maximum(scale, max_norm(qc, 4)), 4)
+    return j_rotated_symmetric_violation(qc, np.maximum(scale, max_norm(qc, 4)), 4)
 
 
 # -- Deszcz quotient -----------------------------------------------------------

@@ -21,12 +21,7 @@ from kahlersym.classifier import DEPENDENCE_THRESHOLD, _paired_values
 from kahlersym.curvature import _first_kind, christoffel
 from kahlersym.expressions import Call, Coord, Neg, Num, PotentialDomainError, Pow
 from kahlersym.metrics import MetricJet, metric_from_potential
-from kahlersym.tensor_algebra import (
-    _j_first_pair,
-    _j_last_pair,
-    check_rs_symmetries,
-    max_norm,
-)
+from kahlersym.tensor_algebra import ABS_FLOOR, check_rs_symmetries, max_norm
 
 
 # -- brute-force derivation tensors (explicit loops, no einsum) -----------------
@@ -100,6 +95,90 @@ def brute_complex_tachibana(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.n
     return out
 
 
+# -- J on a slot pair by matrix products ----------------------------------------
+
+
+def j_last_pair(t, j):
+    """J^T t J on the last two axes of t."""
+    return j.T @ t @ j
+
+
+def j_skew_last_pair(t, j):
+    """t J + J^T t on the last two axes of t."""
+    return t @ j + j.T @ t
+
+
+def on_first_pair(op, t, j):
+    """``op`` applied to the first slot pair of a (0,4)-tensor instead of the last."""
+    lead = tuple(range(t.ndim - 4))
+    swap = lead + tuple(len(lead) + k for k in (2, 3, 0, 1))
+    return np.transpose(op(np.transpose(t, swap), j), swap)
+
+
+def j_first_pair(t, j):
+    return on_first_pair(j_last_pair, t, j)
+
+
+def rel_violation_oracle(diff, scale, rank: int):
+    """Max-norm of the trailing ``rank`` axes of diff over the floored scale."""
+    axes = tuple(range(diff.ndim - rank, diff.ndim))
+    return np.max(np.abs(diff), axis=axes, initial=0.0) / np.maximum(scale, ABS_FLOOR)
+
+
+def rs_symmetries_matmul(t, j, scale) -> dict:
+    """check_rs_symmetries with J applied by matrix products, and J-skewness
+    formed from t J + J^T t on each pair."""
+    scale = np.maximum(scale, max_norm(t, 4))
+    return {
+        "antisym_last_pair": rel_violation_oracle(t + np.swapaxes(t, -2, -1), scale, 4),
+        "sym_first_pair": rel_violation_oracle(t - np.swapaxes(t, -4, -3), scale, 4),
+        "j_pair_invariance": np.maximum(
+            rel_violation_oracle(t - j_last_pair(t, j), scale, 4),
+            rel_violation_oracle(t - j_first_pair(t, j), scale, 4),
+        ),
+        "j_skew_first_pair": rel_violation_oracle(
+            on_first_pair(j_skew_last_pair, t, j), scale, 4),
+        "j_skew_last_pair": rel_violation_oracle(j_skew_last_pair(t, j), scale, 4),
+    }
+
+
+def j_rotated_symmetric_einsum(t, j, scale, rank: int):
+    """Max-norm of the symmetric part of c = t(., J.) on the first slot pair of
+    a rank-``rank`` tensor (the last pair when rank is 2), by einsum."""
+    if rank == 2:
+        c = np.einsum("...im,mk->...ik", t, j)
+        return rel_violation_oracle(0.5 * (c + np.einsum("...ki->...ik", c)), scale, 2)
+    c = np.einsum("...imab,mk->...ikab", t, j)
+    return rel_violation_oracle(0.5 * (c + np.einsum("...kiab->...ikab", c)), scale, 4)
+
+
+def identity_j_checks_matmul(d) -> dict:
+    """The identity-suite checks that apply J, with J applied by products."""
+    b = d.bundle
+    s, j, r04 = b.ricci, b.metric.J, b.r04
+    m = j.shape[0]
+    scale_r = np.maximum(
+        np.maximum(max_norm(r04, 4), max_norm(b.metric.g, 2)
+                   * (max_norm(b.connection.dgamma, 4)
+                      + m * max_norm(b.connection.gamma, 3) ** 2)),
+        ABS_FLOOR,
+    )
+    out = {
+        "ricci_j_invariant": rel_violation_oracle(j.T @ s @ j - s, d.scale_s, 2),
+        "ricci_j_skew": rel_violation_oracle(j.T @ s + s @ j, d.scale_s, 2),
+        "ricci_holomorphic_zero": j_rotated_symmetric_einsum(s, j, d.scale_s, 2),
+        "tachibana_complex_split": rel_violation_oracle(
+            d.qc - d.q - j_last_pair(d.q, j), d.scale_qc, 4),
+        "holomorphic_first_slot_zero": j_rotated_symmetric_einsum(
+            d.qc, j, np.maximum(d.scale_qc, max_norm(d.qc, 4)), 4),
+        "kahler_j_invariance": rel_violation_oracle(j_first_pair(r04, j) - r04, scale_r, 4),
+    }
+    for prefix, tensor, scale in (("rs", d.rs, d.scale_rs), ("qc", d.qc, d.scale_qc)):
+        for key, value in rs_symmetries_matmul(tensor, j, scale).items():
+            out[f"{prefix}_{key}"] = value
+    return out
+
+
 def symmetrize_rs(t: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Group-average onto the symmetry class checked by check_rs_symmetries
     (builds random test tensors of that class)."""
@@ -116,9 +195,9 @@ def symmetrize_rs(t: np.ndarray, j: np.ndarray) -> np.ndarray:
                     if flip_last:
                         u = -np.swapaxes(u, 2, 3)
                     if j_last:
-                        u = _j_last_pair(u, j)
+                        u = j_last_pair(u, j)
                     if j_first:
-                        u = _j_first_pair(u, j)
+                        u = j_first_pair(u, j)
                     acc += u
                     count += 1
     return acc / count
@@ -512,7 +591,7 @@ def reconstruct_from_holomorphic(eval_uuxjx, j: np.ndarray, validate: bool = Tru
                         b(i, jdx, xa + w) - b(i, jdx, xa) - b(i, jdx, w)
                     )
     if validate:
-        worst = max(float(np.max(v)) for v in check_rs_symmetries(t, j, 0.0).values())
+        worst = max(float(np.max(v)) for v in check_rs_symmetries(t, 0.0).values())
         if worst > tol:
             raise ReconstructionError(
                 "holomorphic evaluations are inconsistent with the symmetry class "

@@ -19,6 +19,7 @@ from helpers import (
     random_poly,
 )
 from kahlersym.expressions import eval_jet, parse
+from kahlersym import jets
 from kahlersym.jets import (
     MAX_ORDER,
     JetDomainError,
@@ -362,3 +363,119 @@ def test_series_outside_the_float_range_is_a_domain_error(primitive, value):
     point = JetScalar.variable(space, 0, [0.5, value])
     with pytest.raises(JetDomainError, match=re.escape(f"of {value!r} has Taylor")):
         primitive(point)
+
+
+def every_pair_product(space, a, b):
+    """The truncated product over every pair of the pair loop, one point at a
+    time, each coefficient summed in pair order from +0.0."""
+    left, right, out = pair_tables_loop(space)
+    a, b = np.broadcast_arrays(a, b)
+    flat_a, flat_b = a.reshape(-1, space.size), b.reshape(-1, space.size)
+    result = np.zeros(flat_a.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for p in range(len(flat_a)):
+            np.add.at(result[p], out, flat_a[p][left] * flat_b[p][right])
+    return result.reshape(a.shape)
+
+
+def assert_same_bits(got, want):
+    """Equal bits where finite (signs of zero included), NaN in the same places."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def sparse_coeffs(rng, space, shape, degree):
+    """bounded_coeffs with whole coefficients zero at every point, so that the
+    supports are proper subsets, and zeros of both signs."""
+    coeffs = bounded_coeffs(rng, space, shape, degree)
+    dropped = rng.random(space.size) < 0.5
+    coeffs[..., dropped] = np.where(rng.random(coeffs[..., dropped].shape) < 0.5, 0.0, -0.0)
+    return coeffs
+
+
+@pytest.mark.parametrize("nvars, order", [(1, 5), (2, 5), (4, 5), (3, 4), (6, 3)])
+def test_support_tables_match_the_pair_loop(nvars, order):
+    space = JetSpace(nvars, order)
+    rng = np.random.default_rng(10 * nvars + order)
+    for da, db in [(order, order), (1, 1), (2, 1), (order, 2), (1, order)]:
+        for shape in [(), (7,)]:
+            a = sparse_coeffs(rng, space, shape, da)
+            b = sparse_coeffs(rng, space, shape, db)
+            if shape and da > 1:
+                a[0, 0] = 0.0  # the constant term zero at one point only
+            got = space.multiply(a, b, da, db)
+            assert_same_bits(got, every_pair_product(space, a, b))
+            if shape:
+                for p in range(shape[0]):
+                    assert_same_bits(space.multiply(a[p], b[p], da, db), got[p])
+            # An operand zero at every point gathers no pair at all.
+            zero = np.where(rng.random(b.shape) < 0.5, 0.0, -0.0)
+            assert_same_bits(space.multiply(a, zero, da, db),
+                             every_pair_product(space, a, zero))
+
+
+HORNER = [
+    "log(2 + x1*y1 + x2^2)",
+    "exp(x1 - y2*x2) * y1",
+    "sqrt(3 + x1*x2 + y1^3)",
+    "1/(2 + y1 + x1*x2) + x2",
+    "log(1 + absq(1)) + 0.3*log(1 + absq(2))",
+    "exp(rsq) * log(1 + x1^2)",
+]
+
+
+@pytest.mark.parametrize("source", HORNER)
+def test_products_inside_horner_are_every_pair_products(source, monkeypatch):
+    """Every product eval_jet forms (the Horner steps of log, exp, sqrt and
+    1/ included) has the bits of the product over every pair."""
+    seen = []
+    multiply = JetSpace.multiply
+
+    def recorded(space, a, b, da, db):
+        result = multiply(space, a, b, da, db)
+        seen.append((space, a, b, result))
+        return result
+
+    monkeypatch.setattr(JetSpace, "multiply", recorded)
+    points = np.random.default_rng(3).uniform(-0.5, 0.5, (5, 4))
+    points[1, 0] = 0.0  # a zero coordinate: a coefficient zero at one point
+    for rows in (points, points[2]):
+        seen.clear()
+        eval_jet(parse(source, 2), rows, 5)
+        assert seen
+        for space, a, b, result in seen:
+            assert_same_bits(result, every_pair_product(space, a, b))
+
+
+def test_non_finite_operand_with_zero_constant_gets_every_pair():
+    """An inf at a top-degree coefficient times a jet whose constant term is
+    zero, as in a Horner step: the pair of the inf with that constant is
+    inf * 0 = NaN, which a product over the supports alone would skip."""
+    space = jet_space(2, 4)
+    rng = np.random.default_rng(12)
+    a = bounded_coeffs(rng, space, (3,), 4)
+    a[1, -1] = np.inf
+    h = bounded_coeffs(rng, space, (3,), 2)
+    h[:, 0] = 0.0
+    for left, right in ((a, h), (h, a), (a[1], h[1])):
+        with np.errstate(invalid="ignore"):
+            got = JetScalar(space, left) * JetScalar(space, right, 2 if right is h else 4)
+        want = every_pair_product(space, left, right)
+        assert np.isnan(want).any()
+        assert_same_bits(got.coeffs, want)
+        assert got.degree == space.order
+
+
+def test_support_table_cache_is_bounded():
+    space = JetSpace(3, 4)
+    rng = np.random.default_rng(13)
+    b = bounded_coeffs(rng, space, (4,), 4)
+    for k in range(3 * jets._MAX_PAIR_TABLES):
+        a = bounded_coeffs(rng, space, (4,), 4)
+        a[..., rng.random(space.size) < 0.5] = 0.0  # a support of its own
+        a[:, 0] = 1.0 + k
+        got = space.multiply(a, b, 4, 4)
+        assert len(space._pair_tables) <= jets._MAX_PAIR_TABLES
+        assert_same_bits(got, every_pair_product(space, a, b))
+    assert len(space._pair_tables) == jets._MAX_PAIR_TABLES

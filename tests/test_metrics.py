@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from kahlersym import metrics
 from kahlersym.expressions import eval_jet, parse
+from kahlersym.jets import JetScalar, jet_space
 from kahlersym.metrics import (
     MetricError,
     metric_from_potential,
@@ -223,3 +225,34 @@ def test_pairing_gather_matches_block_oracle(n):
             assert rel_err(got, want) <= 1e-14, (source, subscripts)
         if source == "rsq":
             assert np.signbit(m.g[m.g == 0.0]).any()
+
+
+def _j_conjugate_by_blocks(t: np.ndarray, n: int) -> np.ndarray:
+    """J^T t J on the last two axes, from the half blocks: [[YY, -YX], [-XY, XX]]."""
+    xx, xy = t[..., :n, :n], t[..., :n, n:]
+    yx, yy = t[..., n:, :n], t[..., n:, n:]
+    return np.concatenate([np.concatenate([yy, -yx], axis=-1),
+                           np.concatenate([-xy, xx], axis=-1)], axis=-2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pairing_is_j_invariant_bit_for_bit(n, monkeypatch):
+    """J^T g J = g holds by construction of the pairing, for g, dg and ddg
+    alike and for zeros of either sign: the check the Kahler preflight's
+    ``hermitian`` makes can never fail."""
+    space = jet_space(2 * n, 5)
+    rng = np.random.default_rng(70 + n)
+    coeffs = rng.standard_normal((6, space.size))
+    degrees = np.array([sum(mono) for mono in space.monomials])
+    coeffs[:, degrees == 2] *= 0.01
+    for k in range(2 * n):  # a dominant rsq keeps g positive definite
+        coeffs[:, space.position[tuple(2 * (i == k) for i in range(2 * n))]] = 1.0
+    coeffs[::2, 3::4] = 0.0
+    coeffs[1::2, 2::3] = -0.0
+    jet = JetScalar(space, coeffs)
+    monkeypatch.setattr(metrics, "eval_jet", lambda potential, point, order: jet)
+    m = metric_from_potential(None, np.zeros((6, 2 * n)), n)
+    assert np.signbit(m.g[m.g == 0.0]).any() and not np.signbit(m.g[m.g == 0.0]).all()
+    for field in (m.g, m.dg, m.ddg):
+        assert np.array_equal(_j_conjugate_by_blocks(field, n).view(np.uint64),
+                              field.view(np.uint64))

@@ -211,7 +211,7 @@ def test_stacked_evidence_matches_single_points(fixtures, small_plan):
         assert np.array_equal(data.bundle.r04[i], b.r04)
         for tensor, scale, name in ((data.rs, data.scale_rs, "rs"),
                                     (data.qc, data.scale_qc, "qc")):
-            single = check_rs_symmetries(tensor[i], b.metric.J, scale[i])
-            stacked = check_rs_symmetries(tensor, b.metric.J, scale)
+            single = check_rs_symmetries(tensor[i], scale[i])
+            stacked = check_rs_symmetries(tensor, scale)
             for key, value in single.items():
                 assert stacked[key][i] == value, (name, key)

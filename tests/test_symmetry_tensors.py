@@ -185,14 +185,14 @@ def test_symmetry_class_membership(bundles, name):
         (r_dot_s(b), rs_scale),
         (complex_tachibana_ricci(g, s, j), q_scale),
     ):
-        violations = check_rs_symmetries(t, j, scale)
+        violations = check_rs_symmetries(t, scale)
         assert max(violations.values()) < 1e-11, violations
     q = tachibana_ricci(g, s)
-    violations = check_rs_symmetries(q, j, q_scale)
+    violations = check_rs_symmetries(q, q_scale)
     assert violations["sym_first_pair"] < 1e-11
     assert violations["antisym_last_pair"] < 1e-11
     qc = complex_tachibana_ricci(g, s, j)
-    assert holomorphic_first_slot_check(qc, j, scale=q_scale) < 1e-11
+    assert holomorphic_first_slot_check(qc, q_scale) < 1e-11
 
 
 def test_real_tachibana_not_j_invariant(bundles):
@@ -200,7 +200,7 @@ def test_real_tachibana_not_j_invariant(bundles):
     what the complex variant exists to repair."""
     b = bundles["perturbed_flat"]
     q = tachibana_ricci(b.metric.g, b.ricci)
-    violations = check_rs_symmetries(q, b.metric.J, 0.0)
+    violations = check_rs_symmetries(q, 0.0)
     assert violations["j_pair_invariance"] > 1e-2
 
 

@@ -1,13 +1,20 @@
 """Wedge endomorphisms, symmetry checks, polarisation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from kahlersym.classifier import SamplePlan, sample_evidence
+from kahlersym.runner import identity_checks
+from kahlersym.zoo import ManifoldSpec
+from kahlersym.symmetry_tensors import holomorphic_first_slot_check
 from kahlersym.tensor_algebra import (
     ABS_FLOOR,
-    _j_skew_last_pair,
-    _on_first_pair,
     check_rs_symmetries,
+    j_conjugate_last_pair,
+    j_invariance_violation,
+    j_rotated_symmetric_violation,
     hermitian_violation,
     max_norm,
     rel_violation,
@@ -18,8 +25,16 @@ from kahlersym.symmetry_tensors import _endo_family_dot_bilinear
 
 from helpers import (
     ReconstructionError,
+    identity_j_checks_matmul,
+    j_first_pair,
+    j_last_pair,
+    j_rotated_symmetric_einsum,
     j_skew_einsum,
+    j_skew_last_pair,
+    on_first_pair,
     reconstruct_from_holomorphic,
+    rel_violation_oracle,
+    rs_symmetries_matmul,
     symmetrize_rs,
 )
 
@@ -77,13 +92,85 @@ def test_endo_dot_bilinear_loop_oracle():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_j_skew_matches_einsum_reference(n):
-    # J is a signed permutation, so the matmul form sums the same single
-    # nonzero product as the einsum form: equal bits.
+    # J is a signed permutation, so the einsum form of t J + J^T t sums a
+    # single nonzero product per entry: its violation equals the one read
+    # off the half blocks, bit for bit.
     t = np.random.default_rng(40 + n).standard_normal((3,) + (2 * n,) * 4)
+    scale = max_norm(t, 4)
+    first, last = j_skew_einsum(t, standard_complex_structure(n))
+    for skew, first_pair in ((first, True), (last, False)):
+        assert np.array_equal(j_invariance_violation(t, scale, 4, first_pair),
+                              rel_violation_oracle(skew, scale, 4))
+
+
+def _bits(value):
+    return np.asarray(value, float).view(np.uint64)
+
+
+def _tensors(n, seed):
+    """Three stacked (0,4)-tensors without symmetry, one point of which lies
+    in the R.S class (its violations sit at roundoff or 0), with zeros of
+    both signs."""
     j = standard_complex_structure(n)
-    first, last = j_skew_einsum(t, j)
-    assert np.array_equal(_on_first_pair(_j_skew_last_pair, t, j), first)
-    assert np.array_equal(_j_skew_last_pair(t, j), last)
+    t = np.random.default_rng(seed).standard_normal((3,) + (2 * n,) * 4)
+    t[1] = symmetrize_rs(t[1], j)
+    t[2, ::2, 1::3] = 0.0
+    t[2, 1::2, ::3] = -0.0
+    return t, j
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_half_block_checks_match_the_matmul_oracle(n):
+    """Each J check reads half blocks where the oracle multiplies by J: the
+    violations agree bit for bit, and J-skewness equals J-invariance per
+    pair in the oracle too."""
+    t, j = _tensors(n, 50 + n)
+    scale = np.array([0.0, 1e-3, 2.0])
+    got = check_rs_symmetries(t, scale)
+    want = rs_symmetries_matmul(t, j, scale)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(_bits(got[key]), _bits(want[key])), key
+    scale = np.maximum(scale, max_norm(t, 4))
+    for first, op in ((True, j_first_pair), (False, j_last_pair)):
+        skew = want["j_skew_first_pair" if first else "j_skew_last_pair"]
+        invariance = rel_violation_oracle(t - op(t, j), scale, 4)
+        assert np.array_equal(_bits(skew), _bits(invariance))
+        assert np.array_equal(_bits(j_invariance_violation(t, scale, 4, first)),
+                              _bits(invariance))
+    assert np.array_equal(_bits(holomorphic_first_slot_check(t, scale)),
+                          _bits(j_rotated_symmetric_einsum(t, j, scale, 4)))
+    q = t[::-1].copy()
+    assert np.array_equal(
+        _bits(rel_violation_oracle(t - q - j_conjugate_last_pair(q), scale, 4)),
+        _bits(rel_violation_oracle(t - q - j_last_pair(q, j), scale, 4)))
+    s = t[:, :, :, 0, 1]
+    for got, want in ((j_invariance_violation(s, scale, 2),
+                       rel_violation_oracle(j.T @ s @ j - s, scale, 2)),
+                      (j_invariance_violation(s, scale, 2),
+                       rel_violation_oracle(j.T @ s + s @ j, scale, 2)),
+                      (j_rotated_symmetric_violation(s, scale, 2),
+                       j_rotated_symmetric_einsum(s, j, scale, 2))):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_identity_suite_j_checks_match_the_matmul_oracle(n):
+    """The identity suite's J checks on evidence whose R.S, Q, Qc, Riemann
+    and Ricci tensors are replaced by tensors without symmetry."""
+    spec = ManifoldSpec("witness", n, "log(1+rsq) + 0.1*x1*absq(1)", ((-0.5, 0.5),) * (2 * n))
+    _, _, data = sample_evidence(spec, SamplePlan(points=3, directions=4, planes=4, seed=1))
+    rng = np.random.default_rng(80 + n)
+    shape = data.rs.shape
+    bundle = dataclasses.replace(data.bundle, r04=rng.standard_normal(shape),
+                                 ricci=rng.standard_normal(shape[:3]))
+    data = dataclasses.replace(data, bundle=bundle, rs=_tensors(n, 90 + n)[0],
+                               q=rng.standard_normal(shape), qc=rng.standard_normal(shape))
+    got = identity_checks(data)
+    for key, want in identity_j_checks_matmul(data).items():
+        assert np.array_equal(_bits(got[key]), _bits(want)), key
+    assert min(got[key][0] for key in ("rs_j_skew_last_pair", "qc_j_pair_invariance",
+                                       "tachibana_complex_split", "kahler_j_invariance")) > 1e-3
 
 
 def test_rel_violation_floor():
@@ -110,7 +197,7 @@ def test_symmetrize_is_projection():
     j = standard_complex_structure(2)
     t = rng.normal(size=(4, 4, 4, 4))
     sym = symmetrize_rs(t, j)
-    violations = check_rs_symmetries(sym, j, 0.0)
+    violations = check_rs_symmetries(sym, 0.0)
     assert _worst(violations) <= 1e-9, violations
     twice = symmetrize_rs(sym, j)
     assert np.allclose(twice, sym, atol=1e-12)
@@ -122,7 +209,7 @@ def test_check_rs_symmetries_flags_each_violation():
     base = symmetrize_rs(rng.normal(size=(4, 4, 4, 4)), j)
     bump = np.zeros_like(base)
     bump[0, 1, 2, 3] = max_norm(base)
-    violations = check_rs_symmetries(base + bump, j, 0.0)
+    violations = check_rs_symmetries(base + bump, 0.0)
     assert _worst(violations) > 0.1
 
 
@@ -131,15 +218,15 @@ def test_check_rs_symmetries_scale_parameter():
     rng = np.random.default_rng(23)
     j = standard_complex_structure(2)
     noise = 1e-16 * rng.normal(size=(4, 4, 4, 4))
-    own = check_rs_symmetries(noise, j, 0.0)
+    own = check_rs_symmetries(noise, 0.0)
     assert _worst(own) > 1e-3  # relative to its own tiny norm
-    scaled = check_rs_symmetries(noise, j, 1.0)
+    scaled = check_rs_symmetries(noise, 1.0)
     assert _worst(scaled) < 1e-12
     # supplied scale never loosens the check below the tensor's own norm
     big = np.zeros((4, 4, 4, 4))
     big[0, 0, 1, 1] = 1.0
-    judged = check_rs_symmetries(big, j, 1e-20)
-    assert _worst(judged) == _worst(check_rs_symmetries(big, j, 0.0))
+    judged = check_rs_symmetries(big, 1e-20)
+    assert _worst(judged) == _worst(check_rs_symmetries(big, 0.0))
 
 
 def _holo_evaluator(t, j):

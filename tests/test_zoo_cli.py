@@ -8,7 +8,13 @@ import re
 import pytest
 
 from kahlersym import cli
-from kahlersym.classifier import PreflightError, PreflightReport, LatticeError, SamplePlan
+from kahlersym.classifier import (
+    LatticeError,
+    PreflightError,
+    PreflightReport,
+    SamplePlan,
+    sample_points,
+)
 from kahlersym.cli import _plan_from_args, _resolve_target, build_parser, main
 from kahlersym.zoo import LADDER_CLASSES, ManifestError, ManifoldSpec, load_spec, zoo
 
@@ -263,6 +269,22 @@ def test_cli_overflowing_jet_is_input_error(tmp_path, capsys):
     assert code == 1
     assert err.startswith("input error: metric jet is not finite at [")
     assert "overflow a float" in err
+
+
+def test_cli_indefinite_metric_names_the_point(tmp_path, capsys):
+    # rsq - absq(1)^2 has g_11 = 1 - 2|z1|^2 - ..., indefinite where
+    # |z1| is large: an input error that names a sampled point.
+    path = write_manifest(
+        tmp_path, "name = indefinite\nn = 2\npotential = rsq - absq(1)^2\ndomain = -1 1\n"
+    )
+    code = main(["classify", path, *SMALL_ARGS])
+    err = capsys.readouterr().err
+    assert code == 1
+    match = re.match(r"input error: metric is not positive definite at (\[[^]]*\])", err)
+    assert match, err
+    named = json.loads(match.group(1))
+    plan = _plan_from_args(build_parser().parse_args(["classify", path, *SMALL_ARGS]))
+    assert named in sample_points(load_spec(path).domain, plan).tolist()
 
 
 @pytest.mark.parametrize("domain, interval", [
