@@ -101,6 +101,7 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
     split = d.qc - d.q
     split -= j_conjugate_last_pair(d.q)
     out["tachibana_complex_split"] = rel_violation(split, d.scale_qc, 4)
+    del split  # before the plane contraction below, the suite's largest temporaries
     out["tachibana_holomorphic_double"] = rel_violation(
         _plane_reduce(d.qc - 2.0 * d.q, d.dirs, d.planes, j), d.scale_qc, 2
     )
