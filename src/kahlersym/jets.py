@@ -23,7 +23,7 @@ MAX_ORDER = 5
 # Product pairs per chunk in JetSpace.multiply, so that a chunk's
 # gathered products and index tables stay in cache.
 _PAIRS_PER_CHUNK = 2**12
-# Support tables kept per jet space; each holds at most a chunk of pairs.
+# Pair tables a jet space keeps, one per pair of operand supports.
 _MAX_PAIR_TABLES = 64
 
 

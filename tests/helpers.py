@@ -4,12 +4,13 @@ Everything here deliberately avoids the library's kernels: the derivation
 tensors are assembled with explicit index loops, derivatives come from
 central finite differences, curvature of surfaces from the conformal-factor
 formula, and the batched-matmul contractions have their einsum forms kept
-here as references.  The oracles of the holomorphic-plane
-characterizations live here too, outside the package they check:
-sectional and holomorphic sectional curvature, the polarisation that
-rebuilds an R.S-class tensor from its (u,u;x,Jx) values, and a
-plain-float evaluator of a parsed potential.  Agreement between these and
-the package is the point of the tests.
+here as references, as do the matrix products with J that the identity
+suite's half-block reads are checked against.  The oracles of the
+holomorphic-plane characterizations live here too, outside the package
+they check: sectional and holomorphic sectional curvature, the
+polarisation that rebuilds an R.S-class tensor from its (u,u;x,Jx)
+values, and a plain-float evaluator of a parsed potential.  Agreement
+between these and the package is the point of the tests.
 """
 from __future__ import annotations
 

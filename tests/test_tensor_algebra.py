@@ -30,8 +30,6 @@ from helpers import (
     j_last_pair,
     j_rotated_symmetric_einsum,
     j_skew_einsum,
-    j_skew_last_pair,
-    on_first_pair,
     reconstruct_from_holomorphic,
     rel_violation_oracle,
     rs_symmetries_matmul,
