@@ -3,10 +3,11 @@
 The identity suite re-derives the algebraic facts the classifier leans on
 (symmetries of S, R.S and the Tachibana tensors, the complex split, the
 holomorphic doubling, Riemann symmetries, the closed Ricci form) at every
-sampled point, as a permanent cross-check of the tensor bookkeeping.  J
-enters by half-swap slices, never by a product: the J-skew violation of a
-slot pair is read off its J-invariance violation, the same numbers bit for
-bit, and reported under both keys.
+sampled point, as a permanent cross-check of the tensor bookkeeping.  The
+J-invariance, J-skew, complex-split and holomorphic checks apply J by
+half-swap slices, not by products; the J-skew violation of a slot pair is
+read off its J-invariance violation, the same numbers bit for bit, and
+reported under both keys.
 
 Reports serialize to JSON deterministically: keys sorted, no timings, all
 values plain Python floats, so byte-identical runs are reproducible from
