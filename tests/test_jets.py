@@ -458,9 +458,9 @@ def test_non_finite_operand_with_zero_constant_gets_every_pair():
     a[1, -1] = np.inf
     h = bounded_coeffs(rng, space, (3,), 2)
     h[:, 0] = 0.0
-    for left, right in ((a, h), (h, a), (a[1], h[1])):
+    for left, dl, right, dr in ((a, 4, h, 2), (h, 2, a, 4), (a[1], 4, h[1], 2)):
         with np.errstate(invalid="ignore"):
-            got = JetScalar(space, left) * JetScalar(space, right, 2 if right is h else 4)
+            got = JetScalar(space, left, dl) * JetScalar(space, right, dr)
         want = every_pair_product(space, left, right)
         assert np.isnan(want).any()
         assert_same_bits(got.coeffs, want)
