@@ -174,19 +174,30 @@ def curvature_bundle(m: MetricJet) -> CurvatureBundle:
 
 
 def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np.ndarray:
-    """Transport v0 along a polyline of chart points.
+    """Transport v0 along a polyline of chart points (W, 2n), giving (2n,),
+    or along each polyline of a stack (L, W, 2n), giving (L, 2n).
 
     Classic fourth-order Runge-Kutta on v' = -Gamma(x(t))(x'(t), v) with
-    ``steps`` fixed steps per segment.  The connection at the three stage
-    points of every step of a segment is expanded in one call before the
-    segment is integrated.  Deterministic for fixed inputs.
+    ``steps`` fixed steps per edge.  The stage times t0, t0 + h/2 and
+    t0 + h of every step are merged where bitwise equal (np.unique), and
+    the connection at those times on every edge of a polyline is expanded
+    in one call.  The L vectors (v0 broadcast to them) are stepped
+    together by stacked matvecs, each bitwise the product it would be
+    alone.  Deterministic for fixed inputs.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    waypoints = [np.asarray(p, float) for p in path]
-    if len(waypoints) < 2:
+    try:
+        paths = np.asarray(path, float)
+    except ValueError:
+        raise ValueError("a stack of polylines must have equal lengths") from None
+    single = paths.ndim == 2
+    if single:
+        paths = paths[None]
+    if paths.ndim != 3 or paths.shape[1] < 2:
         raise ValueError("path needs at least two points")
-    v = np.asarray(v0, float).copy()
+    count, m = paths.shape[0], paths.shape[-1]
+    v = np.array(np.broadcast_to(np.asarray(v0, float), (count, m)))
 
     h = 1.0 / steps
     # RK4 stage times of every step: t0, t0 + h/2 and t0 + h.
@@ -194,17 +205,24 @@ def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np
     for k in range(steps):
         t0 = k * h
         stages.extend((t0, t0 + 0.5 * h, t0 + h))
-    stages = np.array(stages)[:, None]
-    for p, q in zip(waypoints[:-1], waypoints[1:]):
-        dx = q - p
-        stage_points = p + stages * dx
-        gamma = christoffel(metric_from_potential(potential, stage_points, n, depth=1)).gamma
-        vel = -np.einsum("...cab,a->...cb", gamma, dx)
-        for k in range(steps):
-            a0, am, a1 = vel[3 * k:3 * k + 3]
-            k1 = a0 @ v
-            k2 = am @ (v + 0.5 * h * k1)
-            k3 = am @ (v + 0.5 * h * k2)
-            k4 = a1 @ (v + h * k3)
+    times, where = np.unique(stages, return_inverse=True)
+    where = where.reshape(steps, 3).tolist()
+    starts, dxs = paths[:, :-1], np.diff(paths, axis=1)
+    edges = dxs.shape[1]
+    stage_points = starts[:, :, None] + times[:, None] * dxs[:, :, None]
+    # vel[e, i, q] = -Gamma(dx, .) on edge e of polyline q at stage time i.
+    vel = np.empty((edges, len(times), count, m, m))
+    for q, points in enumerate(stage_points):
+        jet = metric_from_potential(potential, points.reshape(-1, m), n, depth=1)
+        gamma = christoffel(jet).gamma.reshape(points.shape + (m, m))
+        for e, dx in enumerate(dxs[q]):
+            vel[e, :, q] = -np.einsum("...cab,a->...cb", gamma[e], dx)
+    for e in range(edges):
+        for i0, im, i1 in where:
+            a0, am, a1 = vel[e, i0], vel[e, im], vel[e, i1]
+            k1 = (a0 @ v[..., None])[..., 0]
+            k2 = (am @ (v + 0.5 * h * k1)[..., None])[..., 0]
+            k3 = (am @ (v + 0.5 * h * k2)[..., None])[..., 0]
+            k4 = (a1 @ (v + h * k3)[..., None])[..., 0]
             v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
+    return v[0] if single else v

@@ -203,7 +203,9 @@ def transport_experiment(potential: Expr, n: int, point, v, axis_a: int, axis_b:
     S(v_h, v_h) - S(v, v) converges to +(R.S)(v, v; d_a, d_b).  The
     defect vectors (v - v_h)/h^2 are kept in ``details`` for the vector-
     level holonomy check.  ``bundle`` is the curvature bundle at ``point``;
-    a bundle of another dimension or point raises ValueError.
+    a bundle of another dimension or point raises ValueError, and so does
+    a degenerate loop: h^2 underflows to 0, or a corner of the loop equals
+    ``point`` in floats.
     """
     _check_ladder(ladder)
     point = np.asarray(point, float)
@@ -212,18 +214,20 @@ def transport_experiment(potential: Expr, n: int, point, v, axis_a: int, axis_b:
             f"bundle was built at n = {bundle.metric.n}, point "
             f"{bundle.metric.point.tolist()}, not at n = {n}, point {point.tolist()}"
         )
+    loops = [parallelogram_loop(point, axis_a, axis_b, h) for h in ladder]
+    for h, loop in zip(ladder, loops):
+        if h * h == 0 or any(np.array_equal(corner, point) for corner in loop[1:-1]):
+            raise ValueError(
+                f"loop size h = {h!r} is degenerate at {point.tolist()}: h^2 underflows "
+                "to 0 or a loop corner equals the base point in floats"
+            )
     v = np.asarray(v, float)
     s = bundle.ricci
     base = float(v @ s @ v)
-    defects = []
-    vector_defects = []
-    transported = []
-    for h in ladder:
-        vh = parallel_transport(potential, n, parallelogram_loop(point, axis_a, axis_b, h),
-                                v, steps=steps)
-        defects.append(float(vh @ s @ vh) - base)
-        vector_defects.append((v - vh) / h**2)
-        transported.append(vh)
+    # One call transports v around every loop of the ladder.
+    transported = parallel_transport(potential, n, loops, v, steps=steps)
+    defects = [float(vh @ s @ vh) - base for vh in transported]
+    vector_defects = [(v - vh) / h**2 for vh, h in zip(transported, ladder)]
     coeffs = [d / h**2 for d, h in zip(defects, ladder)]
     measured = _extrapolate_to_zero(ladder, coeffs)
     rs = r_dot_s(bundle)

@@ -14,6 +14,7 @@ from kahlersym.curvature import (
 )
 from kahlersym.expressions import eval_jet, parse
 from kahlersym.metrics import MetricJet, metric_from_potential
+from kahlersym.symmetry_tensors import parallelogram_loop
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
 
 from helpers import (
@@ -360,3 +361,31 @@ def test_transport_matches_stage_by_stage_expansion():
     for pot, steps in ((FS2, 32), (PERT2, 7), (HYP2, 1)):
         got = parallel_transport(pot, 2, square, v0, steps=steps)
         assert np.array_equal(got, parallel_transport_stagewise(pot, 2, square, v0, steps=steps))
+
+
+@pytest.mark.parametrize("steps", [1, 7, 32, 48])
+def test_stacked_transport_matches_stage_by_stage_expansion(steps):
+    # At 7 and 48 steps h is inexact: some k*h + h and (k+1)*h differ by
+    # one ulp, and each keeps its own stage point.
+    h = 1.0 / steps
+    times = {t for k in range(steps) for t in (k * h, k * h + 0.5 * h, k * h + h)}
+    assert (len(times) > 2 * steps + 1) == (steps in (7, 48))
+    base = np.array([0.1, 0.2, -0.1, 0.3])
+    loops = [parallelogram_loop(base, 0, 1, 0.02), parallelogram_loop(base, 3, 2, 0.01)]
+    v0 = np.array([[0.3, -1.2, 0.7, 0.4], [-0.5, 0.1, 0.9, -0.2]])
+    for pot in (FS2, PERT2, HYP2):
+        got = parallel_transport(pot, 2, loops, v0, steps=steps)
+        assert got.shape == (2, 4)
+        for loop, v, moved in zip(loops, v0, got):
+            alone = parallel_transport_stagewise(pot, 2, loop, v, steps=steps)
+            assert np.array_equal(moved, alone)
+        # One vector for the whole stack is broadcast to every polyline.
+        shared = parallel_transport(pot, 2, loops, v0[0], steps=steps)
+        assert np.array_equal(shared[0], got[0])
+
+
+def test_transport_rejects_a_ragged_stack():
+    base = np.zeros(4)
+    ragged = [parallelogram_loop(base, 0, 1, 0.02), parallelogram_loop(base, 0, 1, 0.02)[:3]]
+    with pytest.raises(ValueError, match="equal lengths"):
+        parallel_transport(FLAT2, 2, ragged, np.ones(4))

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kahlersym import classifier
+from kahlersym import classifier, curvature
 from kahlersym.classifier import (
     SamplePlan,
     direction_samples,
@@ -348,6 +348,39 @@ def test_transport_experiment_rejects_a_bundle_from_elsewhere(fixtures, bundles)
     for n, at in ((spec.n, point + 1e-3), (spec.n + 1, np.concatenate([point, [0.0, 0.0]]))):
         with pytest.raises(ValueError, match="bundle was built at n = 2"):
             transport_experiment(spec.potential(), n, at, v, 0, 2, bundle=bundle)
+
+
+def test_transport_experiment_expands_each_loop_once(fixtures, bundles, monkeypatch):
+    """One depth-1 expansion per ladder loop, over the distinct RK4 stage
+    times of its four edges: 2 * 32 + 1 of them at steps = 32."""
+    spec = fixtures["perturbed_flat"]
+    expanded = []
+
+    def spy(potential, point, n, depth=3):
+        expanded.append((np.shape(point), depth))
+        return metric_from_potential(potential, point, n, depth)
+
+    monkeypatch.setattr(curvature, "metric_from_potential", spy)
+    transport_experiment(spec.potential(), spec.n, POINTS["perturbed_flat"],
+                         np.array([0.9, -0.2, 0.4, 0.7]), 0, 2,
+                         bundle=bundles["perturbed_flat"])
+    assert expanded == [((4 * 65, 4), 1)] * 2
+
+
+@pytest.mark.parametrize("h", [1e-200, 1e-20])
+def test_transport_experiment_rejects_a_degenerate_loop(fixtures, bundles, h):
+    """h^2 underflowing to 0 would divide by zero; a loop whose corners
+    equal the base point in floats would measure a defect of exactly 0."""
+    spec = fixtures["perturbed_flat"]
+    with pytest.raises(ValueError, match=f"loop size h = {h!r} is degenerate"):
+        transport_experiment(spec.potential(), spec.n, POINTS["perturbed_flat"],
+                             np.array([0.9, -0.2, 0.4, 0.7]), 0, 2, ladder=(0.01, h),
+                             bundle=bundles["perturbed_flat"])
+    # At a zero coordinate the corner moves, but h^2 still underflows.
+    at_origin = curvature_bundle(metric_from_potential(spec.potential(), np.zeros(4), 2))
+    with pytest.raises(ValueError, match="loop size h = 1e-200"):
+        transport_experiment(spec.potential(), spec.n, np.zeros(4), np.ones(4), 0, 2,
+                             ladder=(1e-200,), bundle=at_origin)
 
 
 def test_transport_experiment_zero_on_semisymmetric(fixtures, bundles):

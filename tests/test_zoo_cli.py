@@ -446,6 +446,30 @@ def test_cli_experiment_degenerate_ladder_is_input_error(capsys, argv):
     assert err.startswith("input error: ladder values must be nonzero and distinct")
 
 
+@pytest.mark.parametrize("ladder", [["1e-200", "1e-201"], ["1e-20", "1e-21"]])
+def test_cli_experiment_degenerate_loop_is_input_error(capsys, ladder):
+    """h^2 underflowing to 0, or loop corners equal to the base point in
+    floats, is an input error that names the value."""
+    code = main(["experiment", "transport", "fs_cp2", "--h", *ladder])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error: loop size h = {float(ladder[0])!r} is degenerate")
+
+
+def test_cli_transport_names_the_first_failing_stage_point(tmp_path, capsys):
+    """Stage points are expanded in loop, edge and stage order, so the
+    first point outside the potential's domain is the one named."""
+    path = write_manifest(tmp_path, "name = disc\nn = 1\npotential = -log(1-rsq)\n"
+                                    "domain = -0.5 0.5\n")
+    code = main(["experiment", "transport", path, "--h", "0.5", "0.9", "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "input error: log of non-positive value -0.007785778957257072 "
+        "in sub-expression `1-(x1^2+y1^2)`\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["rotation", "fs_cp2", "--eps", "0.01", "nan"],
     ["transport", "fs_cp2", "--h", "0.02", "inf"],
