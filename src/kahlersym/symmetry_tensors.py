@@ -224,7 +224,6 @@ def transport_experiment(potential: Expr, n: int, point, v, axis_a: int, axis_b:
     v = np.asarray(v, float)
     s = bundle.ricci
     base = float(v @ s @ v)
-    # One call transports v around every loop of the ladder.
     transported = parallel_transport(potential, n, loops, v, steps=steps)
     defects = [float(vh @ s @ vh) - base for vh in transported]
     vector_defects = [(v - vh) / h**2 for vh, h in zip(transported, ladder)]

@@ -276,6 +276,9 @@ def test_transport_input_validation():
         parallel_transport(FLAT2, 2, [np.zeros(4)], np.ones(4))
     with pytest.raises(ValueError, match="steps"):
         parallel_transport(FLAT2, 2, [np.zeros(4), np.ones(4)], np.ones(4), steps=0)
+    ragged = [parallelogram_loop(np.zeros(4), 0, 1, 0.02), [np.zeros(4), np.ones(4)]]
+    with pytest.raises(ValueError, match="equal lengths"):
+        parallel_transport(FLAT2, 2, ragged, np.ones(4))
 
 
 def test_bundle_requires_depth_three():
@@ -382,10 +385,3 @@ def test_stacked_transport_matches_stage_by_stage_expansion(steps):
         # One vector for the whole stack is broadcast to every polyline.
         shared = parallel_transport(pot, 2, loops, v0[0], steps=steps)
         assert np.array_equal(shared[0], got[0])
-
-
-def test_transport_rejects_a_ragged_stack():
-    base = np.zeros(4)
-    ragged = [parallelogram_loop(base, 0, 1, 0.02), parallelogram_loop(base, 0, 1, 0.02)[:3]]
-    with pytest.raises(ValueError, match="equal lengths"):
-        parallel_transport(FLAT2, 2, ragged, np.ones(4))
