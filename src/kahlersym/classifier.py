@@ -179,18 +179,27 @@ class PointData:
     """Curvature bundle, derived tensors and samples at every sampled point.
 
     Every field carries a leading point axis: ``bundle`` holds the
-    curvature of all points, rs/q/qc are (P, m, m, m, m), dirs and planes
-    (P, count, m), and the scales (P,).  ``scale_s`` is the Ricci scale
-    max(|S|, m |R|): curvature tensors of type (1,3) do not change when the
-    potential is multiplied by a constant, so neither does this scale.
+    curvature of all points, rs/q/qc are (P, m, m, m, m), the plane seeds
+    ``planes`` (P, count, m), and the scales and norms (P,).  The
+    directions enter only as the rows u (x) u of ``dir_rows``, and the
+    plane seeds also as the rows x (x) Jx of ``plane_rows``, both
+    flattened to (P, count, m*m) and built once here for every sample
+    contraction.  norm_r13, norm_rs and norm_qc are the max-norms of r13,
+    rs and qc.  ``scale_s`` is the Ricci scale
+    max(|S|, m |R|): curvature tensors of type (1,3) do not change when
+    the potential is multiplied by a constant, so neither does this scale.
     """
 
     bundle: CurvatureBundle
     rs: np.ndarray
     q: np.ndarray
     qc: np.ndarray
-    dirs: np.ndarray
     planes: np.ndarray
+    dir_rows: np.ndarray
+    plane_rows: np.ndarray
+    norm_r13: np.ndarray
+    norm_rs: np.ndarray
+    norm_qc: np.ndarray
     scale_s: np.ndarray
     scale_rs: np.ndarray
     scale_qc: np.ndarray
@@ -202,18 +211,28 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
     the plan's points."""
     g, s, j = bundle.metric.g, bundle.ricci, bundle.metric.J
     m = j.shape[0]
+    dirs = _unit_rows(plan, _DIRECTION_STREAM, plan.directions, m)
+    planes = _unit_rows(plan, _PLANE_STREAM, plan.planes, m)
+    dir_rows = _outer_rows(dirs, dirs)
+    plane_rows = _outer_rows(planes, planes @ j.T)
     q = tachibana_ricci(g, s)
     qc = complex_tachibana_ricci(g, s, j)
+    rs = r_dot_s(bundle)
+    norm_r13, norm_s, norm_qc = max_norm(bundle.r13, 4), max_norm(s, 2), max_norm(qc, 4)
     return PointData(
         bundle=bundle,
-        rs=r_dot_s(bundle),
+        rs=rs,
         q=q,
         qc=qc,
-        dirs=_unit_rows(plan, _DIRECTION_STREAM, plan.directions, m),
-        planes=_unit_rows(plan, _PLANE_STREAM, plan.planes, m),
-        scale_s=floored_scale(max_norm(s, 2), m * max_norm(bundle.r13, 4)),
-        scale_rs=floored_scale(2.0 * m * max_norm(bundle.r13, 4) * max_norm(s, 2)),
-        scale_qc=dependence_scale(qc, g, s),
+        planes=planes,
+        dir_rows=dir_rows,
+        plane_rows=plane_rows,
+        norm_r13=norm_r13,
+        norm_rs=max_norm(rs, 4),
+        norm_qc=norm_qc,
+        scale_s=floored_scale(norm_s, m * norm_r13),
+        scale_rs=floored_scale(2.0 * m * norm_r13 * norm_s),
+        scale_qc=dependence_scale(qc, g, s, norm=norm_qc),
         dep_scale=dependence_scale(q, g, s),
     )
 
@@ -243,35 +262,40 @@ def sample_evidence(spec: ManifoldSpec, plan: SamplePlan):
 
 def _outer_rows(u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     """The rows u_k (x) v_k of two stacks of rows, flattened: (..., K, m*m)."""
-    return (u_rows[..., :, None] * v_rows[..., None, :]).reshape(u_rows.shape[:-1] + (-1,))
+    m = u_rows.shape[-1]
+    rows = np.repeat(u_rows, m, axis=-1)
+    rows *= np.tile(v_rows, m)
+    return rows
 
 
-def _first_pair_values(t: np.ndarray, u_rows: np.ndarray) -> np.ndarray:
-    """t(u,u;.,.) for every row u, flattened: (..., K, m*m)."""
+def _first_pair_values(t: np.ndarray, u_outer: np.ndarray) -> np.ndarray:
+    """t(u,u;.,.) for every row u (x) u of ``u_outer``, flattened: (..., K, m*m)."""
     m = t.shape[-1]
-    return _outer_rows(u_rows, u_rows) @ t.reshape(t.shape[:-4] + (m * m, m * m))
+    return u_outer @ t.reshape(t.shape[:-4] + (m * m, m * m))
 
 
-def _plane_reduce(t: np.ndarray, u_rows: np.ndarray, x_rows: np.ndarray,
-                  j: np.ndarray) -> np.ndarray:
-    """Values t(u,u;x,Jx) for all sampled directions u and plane seeds x."""
-    return _first_pair_values(t, u_rows) @ np.swapaxes(_outer_rows(x_rows, x_rows @ j.T), -1, -2)
+def _plane_reduce(t: np.ndarray, u_outer: np.ndarray, x_outer: np.ndarray) -> np.ndarray:
+    """Values t(u,u;x,Jx) for all sampled directions u and plane seeds x,
+    from the rows u (x) u and x (x) Jx."""
+    return _first_pair_values(t, u_outer) @ np.swapaxes(x_outer, -1, -2)
 
 
-def _paired_values(t: np.ndarray, u_rows: np.ndarray, x_rows: np.ndarray,
+def _paired_values(t: np.ndarray, u_outer: np.ndarray, x_rows: np.ndarray,
                    j: np.ndarray) -> np.ndarray:
-    """Values t(u_k,u_k;x_k,Jx_k) of the k-th direction on the k-th plane seed."""
+    """Values t(u_k,u_k;x_k,Jx_k) of the k-th direction, given by its row
+    u_k (x) u_k, on the k-th plane seed."""
     m = t.shape[-1]
-    tu = _first_pair_values(t, u_rows).reshape(u_rows.shape + (m,))
+    tu = _first_pair_values(t, u_outer).reshape(x_rows.shape + (m,))
     return (x_rows[..., None, :] @ tu @ (x_rows @ j.T)[..., :, None])[..., 0, 0]
 
 
-def _parallel_plane_values(nabla_s: np.ndarray, u_rows: np.ndarray,
+def _parallel_plane_values(nabla_s: np.ndarray, u_outer: np.ndarray,
                            x_rows: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Values (nabla_{x+Jx} S)(u,u) for all plane seeds x and directions u."""
+    """Values (nabla_{x+Jx} S)(u,u) for all plane seeds x and directions u,
+    the directions given by their rows u (x) u."""
     m = nabla_s.shape[-1]
     grad = (x_rows + x_rows @ j.T) @ nabla_s.reshape(nabla_s.shape[:-3] + (m, m * m))
-    return grad @ np.swapaxes(_outer_rows(u_rows, u_rows), -1, -2)
+    return grad @ np.swapaxes(u_outer, -1, -2)
 
 
 # -- criterion verdicts ----------------------------------------------------------
@@ -309,8 +333,8 @@ def _einstein(data, plan: SamplePlan):
     lams = b.scal / m
     scale = floored_scale(max_norm(s, 2), np.abs(lams) * max_norm(g, 2))
     direct_pp = max_norm(s - lams[:, None, None] * g, 2) / scale
-    values = _plane_reduce(data.qc, data.dirs, data.planes, b.metric.J)
-    char_pp = max_norm(values, 2) / data.scale_qc
+    values = _plane_reduce(data.qc, data.dir_rows, data.plane_rows)
+    char_pp = rel_violation(values, data.scale_qc, 2)
     spread = (lams.max() - lams.min()) / max(float(np.max(np.abs(lams))), ABS_FLOOR)
     details = {
         "lambda_mean": float(np.mean(lams)),
@@ -340,8 +364,8 @@ def _ricci_parallel(data, plan: SamplePlan):
         m * max_norm(b.connection.gamma, 3) * max_norm(b.ricci, 2),
     )
     direct_pp = max_norm(b.nabla_ricci, 3) / scale
-    values = _parallel_plane_values(b.nabla_ricci, data.dirs, data.planes, b.metric.J)
-    char_pp = max_norm(values, 2) / scale
+    values = _parallel_plane_values(b.nabla_ricci, data.dir_rows, data.planes, b.metric.J)
+    char_pp = rel_violation(values, scale, 2)
     verdict = _combine(
         "ricci_parallel", float(direct_pp.max()), float(char_pp.max()),
         plan.tolerance, {},
@@ -350,9 +374,9 @@ def _ricci_parallel(data, plan: SamplePlan):
 
 
 def _ricci_semisymmetric(data, plan: SamplePlan):
-    direct_pp = max_norm(data.rs, 4) / data.scale_rs
-    values = _plane_reduce(data.rs, data.dirs, data.planes, data.bundle.metric.J)
-    char_pp = max_norm(values, 2) / data.scale_rs
+    direct_pp = data.norm_rs / data.scale_rs
+    values = _plane_reduce(data.rs, data.dir_rows, data.plane_rows)
+    char_pp = rel_violation(values, data.scale_rs, 2)
     verdict = _combine(
         "ricci_semisymmetric", float(direct_pp.max()), float(char_pp.max()),
         plan.tolerance, {},
@@ -364,9 +388,14 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
     """Constancy of the Deszcz quotient over holomorphic planes, then the
     full tensor residual R.S - f_S Qc with the fitted f_S = L/2.
 
-    Sample i pairs direction i mod (directions) with plane seed i."""
+    Sample i pairs direction i mod (directions) with plane seed i: the
+    first ``planes`` rows of the direction stack, or its rows gathered
+    when there are fewer directions than planes."""
     attempted = plan.planes
-    v = data.dirs[:, np.arange(attempted) % plan.directions]
+    if attempted <= plan.directions:
+        v = data.dir_rows[:, :attempted]
+    else:
+        v = data.dir_rows[:, np.arange(attempted) % plan.directions]
     j = data.bundle.metric.J
     nums = _paired_values(data.rs, v, data.planes, j)
     dens = _paired_values(data.q, v, data.planes, j)
@@ -377,7 +406,7 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
     fits = defined.any(axis=1)
 
     # Points without a defined sample fall back to the size of R.S itself.
-    vacuous = max_norm(data.rs, 4) / data.scale_rs
+    vacuous = data.norm_rs / data.scale_rs
     num_d = np.where(defined, nums, 0.0)
     den_d = np.where(defined, dens, 0.0)
     # Both dots of a point scaled by the same power of two: exact, and finite.
@@ -389,8 +418,10 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
     spread_pp = np.where(fits, spread, vacuous)
     fitted = l_bar / 2.0
     f_hats = [float(f) if fit else None for f, fit in zip(fitted, fits)]
-    residual = max_norm(data.rs - fitted[:, None, None, None, None] * data.qc, 4)
-    residual_pp = np.where(fits, residual / data.scale_rs, vacuous)
+    # rs - f qc formed in place as (-f) qc + rs: the same bits.
+    residual = data.qc * -fitted[:, None, None, None, None]
+    residual += data.rs
+    residual_pp = np.where(fits, rel_violation(residual, data.scale_rs, 4), vacuous)
     details = {
         "defined_samples": defined_counts,
         "attempted_samples": [attempted] * len(vacuous),
@@ -416,7 +447,7 @@ def _f_s_constancy(f_hats, data, tol: float) -> bool | None:
         return None
     # f_S scales as 1/c under K -> cK, and so does |R| / |g|.
     b = data.bundle
-    curv = float(np.max(max_norm(b.r13, 4) / max_norm(b.metric.g, 2)))
+    curv = float(np.max(data.norm_r13 / max_norm(b.metric.g, 2)))
     return max(values) - min(values) <= tol * max(max(abs(f) for f in values), curv)
 
 

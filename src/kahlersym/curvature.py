@@ -64,13 +64,12 @@ def christoffel(m: MetricJet) -> Connection:
     if m.dg is None:
         raise ValueError("christoffel needs at least one derivative of the metric")
     lead, d = m.g.shape[:-2], m.g.shape[-1]
-    ginv = np.linalg.inv(m.g)
-    gamma = ginv @ _first_kind(m.dg).reshape(lead + (d, d * d))
+    gamma = m.G @ _first_kind(m.dg).reshape(lead + (d, d * d))
     dgamma = None
     if m.ddg is not None:
         t = (_first_kind(m.ddg).reshape(lead + (d * d, d * d))
              - m.dg.reshape(lead + (d * d, d)) @ gamma)
-        dgamma = (ginv[..., None, :, :] @ t.reshape(lead + (d, d, d * d))
+        dgamma = (m.G[..., None, :, :] @ t.reshape(lead + (d, d, d * d))
                   ).reshape(lead + (d,) * 4)
     return Connection(gamma.reshape(lead + (d,) * 3), dgamma)
 
@@ -99,9 +98,10 @@ def ricci(r13: np.ndarray) -> np.ndarray:
     return np.einsum("...aabc->...bc", r13)
 
 
-def scalar_curvature(s: np.ndarray, g: np.ndarray):
-    """g^{bc} S_bc: a float, or one value per point for stacked tensors."""
-    scal = np.einsum("...bc,...bc->...", np.linalg.inv(g), s)
+def scalar_curvature(s: np.ndarray, ginv: np.ndarray):
+    """g^{bc} S_bc from the inverse metric ``ginv``: a float, or one value
+    per point for stacked tensors."""
+    scal = np.einsum("...bc,...bc->...", ginv, s)
     return float(scal) if np.ndim(scal) == 0 else scal
 
 
@@ -128,10 +128,9 @@ def _ricci_derivative(m: MetricJet, gamma: np.ndarray, dgamma: np.ndarray) -> np
     transpose minus the other two is -(t + J^T t J)/8."""
     lead, d = m.g.shape[:-2], m.g.shape[-1]
     cube = lead + (d,) * 3
-    ginv = np.linalg.inv(m.g)
-    row = ginv.reshape(lead + (1, 1, d * d))
+    row = m.G.reshape(lead + (1, 1, d * d))
     # raised[e,a,m] = G[a,d] dg[e,d,m]; swapped[e,b,c] = raised[b,a,m] dgamma[e,m,a,c].
-    raised = ginv[..., None, :, :] @ m.dg
+    raised = m.G[..., None, :, :] @ m.dg
     swapped = (np.swapaxes(raised, -1, -2).reshape(lead + (1, d, d * d))
                @ dgamma.reshape(lead + (d, d * d, d)))
     # The factors of gamma[m,b,c] and of dgamma[e,m,b,c] summed over m.
@@ -150,7 +149,7 @@ def _ricci_derivative(m: MetricJet, gamma: np.ndarray, dgamma: np.ndarray) -> np
            ).reshape(cube)
         + (on_dgamma[..., None, None, :] @ dgamma.reshape(lead + (d, d, d * d))).reshape(cube)
         + (m.ddg.reshape(lead + (d * d, d * d))
-           @ (ginv[..., None, :, :] @ gamma).reshape(lead + (d * d, d))).reshape(cube)
+           @ (m.G[..., None, :, :] @ gamma).reshape(lead + (d * d, d))).reshape(cube)
         + swapped + np.swapaxes(swapped, -3, -2)
         - dgamma_t.reshape(lead + (d, d, d * d)) @ gamma_t.reshape(lead + (1, d * d, d))
         - gamma_t.reshape(lead + (1, d, d * d)) @ dgamma_t.reshape(lead + (d, d * d, d))
@@ -166,7 +165,7 @@ def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     s = ricci(r13)
     ds = _ricci_derivative(m, conn.gamma, conn.dgamma)
     ns = nabla_ricci(conn, s, ds)
-    scal = scalar_curvature(s, m.g)
+    scal = scalar_curvature(s, m.G)
     return CurvatureBundle(m, conn, r13, r04, s, ds, ns, scal)
 
 

@@ -39,18 +39,20 @@ class MetricError(ValueError):
 class MetricJet:
     """Metric value and coordinate derivatives at a chart point.
 
+    G = g^-1 is formed once here, for every reader of the inverse metric.
     dg[c,a,b] is the c-derivative of g_ab and ddg carries one more leading
     derivative axis.  t[e,f,h] is the trace of the fifth partials P5 of
-    the potential against G = g^-1 on their last slot pair, symmetric in
-    its three slots; it stands in for the third derivative of g, whose
-    only use is dS.  Entries beyond the requested depth are None.  Jets of
-    several points stack them on a leading point axis of point, g, dg, ddg
-    and t; J is shared.
+    the potential against G on their last slot pair, symmetric in its
+    three slots; it stands in for the third derivative of g, whose only
+    use is dS.  Entries beyond the requested depth are None.  Jets of
+    several points stack them on a leading point axis of point, g, G, dg,
+    ddg and t; J is shared.
     """
 
     point: np.ndarray
     n: int
     g: np.ndarray
+    G: np.ndarray
     dg: np.ndarray | None
     ddg: np.ndarray | None
     t: np.ndarray | None
@@ -96,14 +98,17 @@ def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> Met
     place of the third derivative of g.  Raises MetricError, naming the
     first such point, if the jet is not finite (the potential's
     derivatives overflow a float) or if g is not positive definite.
+    Floating-point warnings of the expansion are not raised: its result
+    is gated on finiteness right after.
     """
     point = np.asarray(point, dtype=float)
     if point.ndim not in (1, 2) or point.shape[-1] != 2 * n:
         raise ValueError(f"point must have length 2n = {2 * n}, got shape {point.shape}")
     if not 0 <= depth <= 3:
         raise ValueError("depth must be between 0 and 3")
-    jet = eval_jet(potential, point, 2 + depth)
-    w = jet.coeffs * jet.space.factorial
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = eval_jet(potential, point, 2 + depth)
+        w = jet.coeffs * jet.space.factorial
     if not np.isfinite(w).all():
         finite = np.isfinite(w).all(axis=-1).reshape(-1)
         p = point.reshape(-1, 2 * n)[np.argmin(finite)]
@@ -130,14 +135,15 @@ def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> Met
                     f"metric is not positive definite at {p.tolist()} "
                     f"(smallest eigenvalue {smallest:.6e})"
                 ) from None
+    ginv = np.linalg.inv(g)
     t = None
     if depth == 3:
         table, expand = _trace_table(jet.space)
         lead, d = g.shape[:-2], g.shape[-1]
         traces = (w.take(table, axis=-1).reshape(lead + (len(table), d * d))
-                  @ np.linalg.inv(g).reshape(lead + (d * d, 1)))
+                  @ ginv.reshape(lead + (d * d, 1)))
         t = traces[..., 0].take(expand, axis=-1)
-    return MetricJet(point, n, g, dg, ddg, t, standard_complex_structure(n))
+    return MetricJet(point, n, g, ginv, dg, ddg, t, standard_complex_structure(n))
 
 
 def rotated_form_differential(j: np.ndarray, db: np.ndarray) -> np.ndarray:

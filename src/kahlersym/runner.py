@@ -92,21 +92,26 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
     out["ricci_j_skew"] = out["ricci_j_invariant"]
     out["ricci_holomorphic_zero"] = j_rotated_symmetric_violation(s, d.scale_s, 2)
 
-    for prefix, tensor, scale in (
-        ("rs", d.rs, d.scale_rs),
-        ("qc", d.qc, d.scale_qc),
+    for prefix, tensor, scale, norm in (
+        ("rs", d.rs, d.scale_rs, d.norm_rs),
+        ("qc", d.qc, d.scale_qc, d.norm_qc),
     ):
-        for key, value in check_rs_symmetries(tensor, scale).items():
+        for key, value in check_rs_symmetries(tensor, scale, norm).items():
             out[f"{prefix}_{key}"] = value
 
     split = d.qc - d.q
     split -= j_conjugate_last_pair(d.q)
     out["tachibana_complex_split"] = rel_violation(split, d.scale_qc, 4)
-    del split  # before the plane contraction below, the suite's largest temporaries
+    # The split's buffer takes qc - 2q, formed as (-2q) + qc: the same bits.
+    double = np.multiply(d.q, -2.0, out=split)
+    double += d.qc
     out["tachibana_holomorphic_double"] = rel_violation(
-        _plane_reduce(d.qc - 2.0 * d.q, d.dirs, d.planes, j), d.scale_qc, 2
+        _plane_reduce(double, d.dir_rows, d.plane_rows), d.scale_qc, 2
     )
-    out["holomorphic_first_slot_zero"] = holomorphic_first_slot_check(d.qc, d.scale_qc)
+    del split, double  # the suite's largest temporaries
+    out["holomorphic_first_slot_zero"] = holomorphic_first_slot_check(
+        d.qc, d.scale_qc, d.norm_qc
+    )
 
     out["riemann_antisym_first_pair"] = rel_violation(
         r04 + np.swapaxes(r04, -4, -3), scale_r, 4
@@ -181,7 +186,7 @@ class RunReport:
             "identities_passed": self.identities_passed,
             "verdict": _verdict_dict(self.verdict) if self.verdict else None,
         }
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _json_text(report) + "\n"
 
     def human_summary(self) -> str:
         lines = []
@@ -237,6 +242,35 @@ class RunReport:
                 )
         lines.append(f"elapsed: {self.elapsed_seconds:.2f} s")
         return "\n".join(lines) + "\n"
+
+
+_SCALARS = json.JSONEncoder()
+_SCALAR_TYPES = frozenset({float, int, bool, type(None)})
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for dicts
+    with str keys, lists, tuples and scalars.
+
+    json.dumps with an indent runs its pure-Python encoder.  A list of
+    numbers, bools and None (no str, so no ", " inside an item) is
+    encoded by the C encoder instead, and its items are split apart and
+    re-indented; everything else recurses."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if _SCALAR_TYPES.issuperset(map(type, value)):
+            items = _SCALARS.encode(value)[1:-1].split(", ") if value else []
+        else:
+            items = [_json_text(x, inner) for x in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _plan_dict(plan: SamplePlan) -> dict[str, Any]:

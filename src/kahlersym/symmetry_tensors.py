@@ -48,9 +48,9 @@ def _endo_family_dot_bilinear(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     s_a = s @ flat
     st_a = np.swapaxes(s, -1, -2) @ flat
     shape = s_a.shape[:-2] + (m, m) + a.shape[-2:]
-    return np.ascontiguousarray(
-        -np.swapaxes(st_a.reshape(shape), -4, -3) - s_a.reshape(shape)
-    )
+    out = np.negative(np.swapaxes(st_a.reshape(shape), -4, -3), out=np.empty(shape))
+    out -= s_a.reshape(shape)
+    return out
 
 
 def r_dot_s(bundle: CurvatureBundle) -> np.ndarray:
@@ -61,7 +61,9 @@ def r_dot_s(bundle: CurvatureBundle) -> np.ndarray:
 
 def _wedge_family(g: np.ndarray) -> np.ndarray:
     eye = np.eye(g.shape[-1])
-    return np.einsum("...bc,da->...dcab", g, eye) - np.einsum("...ac,db->...dcab", g, eye)
+    wedge = np.einsum("...bc,da->...dcab", g, eye)
+    wedge -= np.einsum("...ac,db->...dcab", g, eye)
+    return wedge
 
 
 def tachibana_ricci(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -72,9 +74,14 @@ def tachibana_ricci(g: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _complex_wedge_family(g: np.ndarray, j: np.ndarray) -> np.ndarray:
     gj = g @ j
-    rotated = np.einsum("...cb,da->...dcab", gj, j) - np.einsum("...ca,db->...dcab", gj, j)
-    spin = -2.0 * np.einsum("...ab,dc->...dcab", j.T @ g, j)
-    return _wedge_family(g) + rotated + spin
+    rotated = np.einsum("...cb,da->...dcab", gj, j)
+    rotated -= np.einsum("...ca,db->...dcab", gj, j)
+    spin = np.einsum("...ab,dc->...dcab", j.T @ g, j)
+    spin *= -2.0
+    family = _wedge_family(g)
+    family += rotated
+    family += spin
+    return family
 
 
 def complex_tachibana_ricci(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -90,28 +97,33 @@ def quad_eval(t: np.ndarray, u, v, x, y) -> float:
     return float(np.einsum("ijab,i,j,a,b->", t, u, v, x, y))
 
 
-def holomorphic_first_slot_check(qc: np.ndarray, scale):
+def holomorphic_first_slot_check(qc: np.ndarray, scale, norm=None):
     """Max violation of Qc(x, Jx; ., .) = 0, relative to the tensor scale.
 
     Vanishing for every x is equivalent to the (u,v)-symmetrised form of
     Qc contracted with J being zero, which is what gets measured, by
     half-swap slices.  The reference ``scale`` replaces the tensor's own
     max-norm when larger, as it must when qc itself is expected to be
-    roundoff.
+    roundoff.  ``norm`` is that max-norm when the caller holds it already.
     """
-    return j_rotated_symmetric_violation(qc, np.maximum(scale, max_norm(qc, 4)), 4)
+    if norm is None:
+        norm = max_norm(qc, 4)
+    return j_rotated_symmetric_violation(qc, np.maximum(scale, norm), 4)
 
 
 # -- Deszcz quotient -----------------------------------------------------------
 
 
-def dependence_scale(q: np.ndarray, g: np.ndarray, s: np.ndarray) -> float:
+def dependence_scale(q: np.ndarray, g: np.ndarray, s: np.ndarray, norm=None) -> float:
     """Reference magnitude for 'Q(g,S) depends on this plane' tests.
 
     The floor ||g|| * ||S|| keeps roundoff noise in an identically zero
     Q(g,S) (Einstein points) from counting as curvature dependence.
+    ``norm`` is the max-norm of q when the caller holds it already.
     """
-    return floored_scale(max_norm(q, 4), max_norm(g, 2) * max_norm(s, 2))
+    if norm is None:
+        norm = max_norm(q, 4)
+    return floored_scale(norm, max_norm(g, 2) * max_norm(s, 2))
 
 
 # -- experiments ----------------------------------------------------------------

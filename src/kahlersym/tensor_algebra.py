@@ -169,19 +169,23 @@ def j_rotated_symmetric_violation(t: np.ndarray, scale, rank: int):
     return reduce(np.maximum, (_block_violation(part, lead, scale) for part in parts))
 
 
-def check_rs_symmetries(t: np.ndarray, scale) -> dict[str, np.ndarray]:
+def check_rs_symmetries(t: np.ndarray, scale, norm=None) -> dict[str, np.ndarray]:
     """Violations of the algebraic symmetries shared by R.S and the Tachibana tensors.
 
     Slots are (u, v, x, y): symmetric in (u, v), antisymmetric in (x, y),
     invariant under J applied to either pair, J-skew within each pair.
     Violations are relative to the larger of the tensor's max-norm and the
     reference ``scale`` (needed when t itself is roundoff; pass 0.0 to judge
-    t by its own norm).  For tensors stacked on leading point axes,
-    ``scale`` and every violation hold one value per point.  J-skewness
-    of a pair is read off its J-invariance (see j_invariance_violation).
+    t by its own norm).  ``norm`` is the tensor's max-norm when the
+    caller holds it already.  For tensors stacked on leading point axes,
+    ``scale``, ``norm`` and every violation hold one value per point.
+    J-skewness of a pair is read off its J-invariance (see
+    j_invariance_violation).
     """
     t = np.asarray(t, float)
-    scale = np.maximum(scale, max_norm(t, 4))
+    if norm is None:
+        norm = max_norm(t, 4)
+    scale = np.maximum(scale, norm)
     first = j_invariance_violation(t, scale, 4, first_pair=True)
     last = j_invariance_violation(t, scale, 4)
     return {

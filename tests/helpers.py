@@ -22,7 +22,12 @@ from kahlersym.classifier import DEPENDENCE_THRESHOLD, _paired_values
 from kahlersym.curvature import _first_kind, christoffel
 from kahlersym.expressions import Call, Coord, Neg, Num, PotentialDomainError, Pow
 from kahlersym.metrics import MetricJet, metric_from_potential
-from kahlersym.tensor_algebra import ABS_FLOOR, check_rs_symmetries, max_norm
+from kahlersym.tensor_algebra import (
+    ABS_FLOOR,
+    check_rs_symmetries,
+    max_norm,
+    standard_complex_structure,
+)
 
 
 # -- brute-force derivation tensors (explicit loops, no einsum) -----------------
@@ -204,15 +209,19 @@ def symmetrize_rs(t: np.ndarray, j: np.ndarray) -> np.ndarray:
     return acc / count
 
 
+def hand_metric(point, n: int, g, dg, ddg=None, t=None) -> MetricJet:
+    """A MetricJet of hand-built parts, carrying G = g^-1 formed as
+    metric_from_potential forms it."""
+    g = np.asarray(g, float)
+    return MetricJet(np.asarray(point, float), n, g, np.linalg.inv(g), dg, ddg, t,
+                     standard_complex_structure(n))
+
+
 def stack_metrics(metrics) -> MetricJet:
     """Single-point depth>=1 jets stacked on a point axis (g and dg only),
     for preflight checks of hand-built metrics."""
-    first = metrics[0]
-    return MetricJet(
-        np.stack([m.point for m in metrics]), first.n,
-        np.stack([m.g for m in metrics]), np.stack([m.dg for m in metrics]),
-        None, None, first.J,
-    )
+    return hand_metric(np.stack([m.point for m in metrics]), metrics[0].n,
+                       np.stack([m.g for m in metrics]), np.stack([m.dg for m in metrics]))
 
 
 # -- partials and their Hermitian pairing, array by array ------------------------
@@ -507,7 +516,7 @@ def j_skew_einsum(t, j):
 def deszcz_fit_loop(data, plan):
     """(spread, residual, f_hats) of the holo_ricci_pseudosymmetric rung,
     fitting the Deszcz quotient at one point at a time."""
-    v = data.dirs[:, np.arange(plan.planes) % plan.directions]
+    v = data.dir_rows[:, np.arange(plan.planes) % plan.directions]
     j = data.bundle.metric.J
     nums = _paired_values(data.rs, v, data.planes, j)
     dens = _paired_values(data.q, v, data.planes, j)

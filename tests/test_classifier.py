@@ -18,6 +18,7 @@ from kahlersym.classifier import (
     SamplePlan,
     _check_lattice,
     _holo_pseudosymmetric,
+    _outer_rows,
     _paired_values,
     _parallel_plane_values,
     _plane_reduce,
@@ -28,13 +29,19 @@ from kahlersym.classifier import (
     sample_points,
 )
 from kahlersym.curvature import christoffel, curvature_bundle
-from kahlersym.metrics import MetricJet, metric_from_potential
+from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
 from kahlersym.zoo import ManifoldSpec
 
-from helpers import deszcz_fit_loop, parallel_values_loop, plane_values_loop, stack_metrics
+from helpers import (
+    deszcz_fit_loop,
+    hand_metric,
+    parallel_values_loop,
+    plane_values_loop,
+    stack_metrics,
+)
 
 
 EXPECTED = {
@@ -250,15 +257,7 @@ def test_plan_validation():
 
 def _fake_metric(g, n=2):
     m = 2 * n
-    return MetricJet(
-        point=np.zeros(m),
-        n=n,
-        g=np.asarray(g, float),
-        dg=np.zeros((m, m, m)),
-        ddg=None,
-        t=None,
-        J=standard_complex_structure(n),
-    )
+    return hand_metric(np.zeros(m), n, g, np.zeros((m, m, m)))
 
 
 def _preflight(m):
@@ -302,10 +301,7 @@ def test_preflight_flags_nonclosed_form():
     good = _fake_metric(np.eye(4))
     dg = np.zeros((4, 4, 4))
     dg[2, 0, 1] = dg[2, 1, 0] = 0.3  # d_{x2} g_{x1 y1}
-    bad = MetricJet(
-        point=np.zeros(4), n=2, g=np.eye(4), dg=dg, ddg=None, t=None,
-        J=standard_complex_structure(2),
-    )
+    bad = hand_metric(np.zeros(4), 2, np.eye(4), dg)
     report = _preflight(stack_metrics([good, bad]))
     assert report.checks["closed_form"]["max"] > 1e-3
     assert report.checks["closed_form"]["point_index"] == 1
@@ -368,18 +364,23 @@ def _check_stacked_evidence(spec, count):
         first_order.append(m)
         b = curvature_bundle(m)
         assert np.array_equal(data.bundle.metric.point[i], point)
-        assert np.array_equal(data.dirs[i], direction_samples(plan, i, 2 * spec.n))
-        assert np.array_equal(data.planes[i], plane_samples(plan, i, 2 * spec.n))
-        for field in ("g", "dg", "ddg", "t"):
+        dirs, planes = direction_samples(plan, i, 2 * spec.n), plane_samples(plan, i, 2 * spec.n)
+        assert np.array_equal(data.planes[i], planes)
+        assert np.array_equal(data.dir_rows[i], _outer_rows(dirs, dirs))
+        assert np.array_equal(data.plane_rows[i], _outer_rows(planes, planes @ m.J.T))
+        for field in ("g", "G", "dg", "ddg", "t"):
             assert np.array_equal(getattr(data.bundle.metric, field)[i],
                                   getattr(b.metric, field)), (i, field)
         assert np.array_equal(data.bundle.connection.gamma[i], b.connection.gamma)
         assert np.array_equal(data.bundle.connection.dgamma[i], b.connection.dgamma)
         for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal"):
             assert np.array_equal(getattr(data.bundle, field)[i], getattr(b, field)), (i, field)
-        assert np.array_equal(data.rs[i], r_dot_s(b))
+        rs, qc = r_dot_s(b), complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
+        assert np.array_equal(data.rs[i], rs)
         assert np.array_equal(data.q[i], tachibana_ricci(b.metric.g, b.ricci))
-        assert np.array_equal(data.qc[i], complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J))
+        assert np.array_equal(data.qc[i], qc)
+        for norm, tensor in ((data.norm_r13, b.r13), (data.norm_rs, rs), (data.norm_qc, qc)):
+            assert norm[i] == max_norm(tensor, 4), i
     assert report == _preflight(stack_metrics(first_order))
 
 
@@ -400,10 +401,15 @@ def test_sample_contractions_match_index_loops(n):
     # plane values), and the ricci_parallel values, against sums taken one
     # index at a time; the gate is relative to the sum of |terms|.
     t, nabla_s, u, x, j = _contraction_inputs(n, 2, 3, 4)
-    planes = _plane_reduce(t, u, x, j)
-    paired = _paired_values(t, u, x[:, :3], j)
-    parallel = _parallel_plane_values(nabla_s, u, x, j)
+    u_outer, x_outer = _outer_rows(u, u), _outer_rows(x, x @ j.T)
+    planes = _plane_reduce(t, u_outer, x_outer)
+    paired = _paired_values(t, u_outer, x[:, :3], j)
+    parallel = _parallel_plane_values(nabla_s, u_outer, x, j)
     for p in range(2):
+        for k in range(3):
+            assert np.array_equal(u_outer[p, k], np.outer(u[p, k], u[p, k]).ravel())
+        for k in range(4):
+            assert np.array_equal(x_outer[p, k], np.outer(x[p, k], j @ x[p, k]).ravel())
         a = [np.abs(v) for v in (t[p], nabla_s[p], u[p], x[p], j)]
         expected = plane_values_loop(t[p], u[p], x[p], j)
         bound = 1e-13 * plane_values_loop(a[0], a[2], a[3], a[4])
@@ -418,11 +424,13 @@ def test_sample_contractions_match_index_loops(n):
 @pytest.mark.parametrize("n", [2, 4])
 def test_sample_contractions_over_points_match_one_point_at_a_time(n):
     t, nabla_s, u, x, j = _contraction_inputs(n, 40 if n == 2 else 6, 20, 20)
-    stacked = (_plane_reduce(t, u, x, j), _paired_values(t, u, x, j),
-               _parallel_plane_values(nabla_s, u, x, j))
+    u_outer, x_outer = _outer_rows(u, u), _outer_rows(x, x @ j.T)
+    stacked = (u_outer, x_outer, _plane_reduce(t, u_outer, x_outer),
+               _paired_values(t, u_outer, x, j), _parallel_plane_values(nabla_s, u_outer, x, j))
     for p in range(len(t)):
-        singles = (_plane_reduce(t[p], u[p], x[p], j), _paired_values(t[p], u[p], x[p], j),
-                   _parallel_plane_values(nabla_s[p], u[p], x[p], j))
+        u1, x1 = _outer_rows(u[p], u[p]), _outer_rows(x[p], x[p] @ j.T)
+        singles = (u1, x1, _plane_reduce(t[p], u1, x1), _paired_values(t[p], u1, x[p], j),
+                   _parallel_plane_values(nabla_s[p], u1, x[p], j))
         for values, single in zip(stacked, singles):
             assert np.array_equal(values[p], single), p
 
@@ -433,7 +441,7 @@ def test_deszcz_fit_over_points_matches_the_point_loop(fixtures):
     # 2 keeps the 4 samples whose |Q(g,S)| lies above the middle ones.
     plan = SamplePlan(points=6, directions=5, planes=7, seed=2)
     _, _, data = sample_evidence(fixtures["perturbed_flat"], plan)
-    v = data.dirs[2, np.arange(plan.planes) % plan.directions]
+    v = data.dir_rows[2, np.arange(plan.planes) % plan.directions]
     dens = np.abs(_paired_values(data.q[2], v, data.planes[2], data.bundle.metric.J))
     q = data.q.copy()
     q[[1, 4]] = 0.0
@@ -454,6 +462,18 @@ def test_deszcz_fit_over_points_matches_the_point_loop(fixtures):
         for got, want in zip((spread[p], residual[p], f_hats[p]),
                              (expected[0][p], expected[1][p], expected[2][p])):
             assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("directions, planes", [(7, 5), (6, 6), (5, 7)])
+def test_deszcz_samples_pair_direction_i_mod_count_with_plane_i(fixtures, directions, planes):
+    # Fewer planes than directions read a slice of the direction rows, as
+    # many read all of them, more gather them; the loop pairs the vectors.
+    plan = SamplePlan(points=3, directions=directions, planes=planes, seed=4)
+    _, _, data = sample_evidence(fixtures["perturbed_flat"], plan)
+    got = _holo_pseudosymmetric(data, plan)[1:]
+    for values, expected in zip(got, deszcz_fit_loop(data, plan)):
+        for value, want in zip(values, expected):
+            assert abs(value - want) <= 1e-14 * abs(want)
 
 
 # -- lattice ------------------------------------------------------------------

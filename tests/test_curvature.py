@@ -13,7 +13,7 @@ from kahlersym.curvature import (
     riemann,
 )
 from kahlersym.expressions import eval_jet, parse
-from kahlersym.metrics import MetricJet, metric_from_potential
+from kahlersym.metrics import metric_from_potential
 from kahlersym.symmetry_tensors import parallelogram_loop
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
 
@@ -24,6 +24,7 @@ from helpers import (
     dddg_oracle,
     dricci_einsum,
     gauss_curvature_conformal,
+    hand_metric,
     holomorphic_sectional,
     pair_second_partials,
     parallel_transport_stagewise,
@@ -328,8 +329,8 @@ def test_kernels_match_einsum_references(n):
     p5 = sum(np.transpose(p5, (0, *(1 + p for p in perm)))
              for perm in itertools.permutations(range(5)))
     t = np.einsum("pefhxy,pxy->pefh", p5, np.linalg.inv(g))
-    jet = MetricJet(rng.standard_normal((3, m)), n, g,
-                    *(_random_jet_slot(rng, 3, m, k) for k in (1, 2)), t, j)
+    jet = hand_metric(rng.standard_normal((3, m)), n, g,
+                      *(_random_jet_slot(rng, 3, m, k) for k in (1, 2)), t)
     b = curvature_bundle(jet)
     conn = b.connection
     expected = christoffel_einsum(jet, pair_second_partials(p5, n))

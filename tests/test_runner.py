@@ -5,13 +5,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kahlersym.classifier import SamplePlan, sample_evidence
+from kahlersym import classifier, tensor_algebra
+from kahlersym.classifier import SamplePlan, direction_samples, plane_samples, sample_evidence
 from kahlersym.curvature import curvature_bundle
 from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import (
     ALGEBRAIC_IDENTITIES,
     IDENTITY_TOLERANCE,
+    _json_text,
     identity_checks,
     identity_suite,
     run,
@@ -170,10 +174,46 @@ def test_report_points_match_plan(full_reports):
         assert report.elapsed_seconds >= 0.0
 
 
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, float("nan"), float("inf"), -float("inf")]
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS
+_STRINGS = st.text(max_size=8) | st.sampled_from(
+    ["", ", ", "a, b", "[1, 2]", "\"q\"\n", "\u00e9, \u2603"]
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS | _STRINGS | st.lists(_FLOATS, max_size=12) | st.tuples(_FLOATS, _FLOATS),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_STRINGS, _JSON_VALUES, max_size=4))
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_zoo_reports_are_written_as_json_dumps_writes_them(full_reports):
+    for name, report in full_reports.items():
+        text = report.to_json()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
+
+
 def test_identity_only_json_has_null_verdict(fixtures, small_plan):
     report = run(fixtures["flat_c2"], small_plan, with_classification=False)
     payload = json.loads(report.to_json())
     assert payload["verdict"] is None
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Rebind every kahlersym module attribute bound to ``original``."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("kahlersym"):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, replacement)
 
 
 def test_run_expands_one_metric_jet_per_point(fixtures, small_plan, monkeypatch):
@@ -187,28 +227,63 @@ def test_run_expands_one_metric_jet_per_point(fixtures, small_plan, monkeypatch)
         expanded.append((len(np.atleast_2d(point)), depth))
         return original(potential, point, n, depth)
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("kahlersym"):
-            for name, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, name, counted)
+    _patch_everywhere(monkeypatch, original, counted)
     assert kahlersym.metrics.metric_from_potential is counted
     run(fixtures["product_cp1_cp1_unequal"], small_plan)
     assert sum(points for points, _ in expanded) == small_plan.points
     assert {depth for _, depth in expanded} == {3}
 
 
+def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypatch):
+    # One run inverts g once, builds the direction rows u(x)u and the plane
+    # rows x(x)Jx once each, and takes one max-norm of each (P, m^4) tensor.
+    inverted, rows, normed = [], [], []
+    inv, outer_rows, max_norm = np.linalg.inv, classifier._outer_rows, tensor_algebra.max_norm
+
+    def counted_inv(a):
+        inverted.append(a.shape)
+        return inv(a)
+
+    def counted_rows(u, v):
+        rows.append(u.shape)
+        return outer_rows(u, v)
+
+    def counted_norm(t, rank=None):
+        if np.ndim(t) == 5:
+            normed.append(t)
+        return max_norm(t, rank)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    _patch_everywhere(monkeypatch, outer_rows, counted_rows)
+    _patch_everywhere(monkeypatch, max_norm, counted_norm)
+    run(fixtures["product_cp1_cp1_unequal"], small_plan)
+    p = small_plan.points
+    assert inverted == [(p, 4, 4)]
+    assert sorted(rows) == [(p, small_plan.directions, 4), (p, small_plan.planes, 4)]
+    assert normed and all(t.shape == (p,) + (4,) * 4 for t in normed)
+    addresses = [t.__array_interface__["data"][0] for t in normed]
+    assert len(set(addresses)) == len(addresses)
+
+
 def test_stacked_evidence_matches_single_points(fixtures, small_plan):
     spec = fixtures["perturbed_flat"]
     points, _, data = sample_evidence(spec, small_plan)
+    m = 2 * spec.n
     for i, point in enumerate(points):
         b = curvature_bundle(metric_from_potential(spec.potential(), point, spec.n))
-        assert np.array_equal(data.rs[i], r_dot_s(b))
+        assert np.array_equal(data.bundle.metric.G[i], b.metric.G)
+        rs = r_dot_s(b)
+        qc = complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
+        assert np.array_equal(data.rs[i], rs)
         assert np.array_equal(data.q[i], tachibana_ricci(b.metric.g, b.ricci))
-        assert np.array_equal(
-            data.qc[i], complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
-        )
+        assert np.array_equal(data.qc[i], qc)
         assert np.array_equal(data.bundle.r04[i], b.r04)
+        dirs, planes = direction_samples(small_plan, i, m), plane_samples(small_plan, i, m)
+        assert np.array_equal(data.dir_rows[i], classifier._outer_rows(dirs, dirs))
+        assert np.array_equal(data.plane_rows[i],
+                              classifier._outer_rows(planes, planes @ b.metric.J.T))
+        for norm, tensor in ((data.norm_r13, b.r13), (data.norm_rs, rs), (data.norm_qc, qc)):
+            assert norm[i] == tensor_algebra.max_norm(tensor, 4)
         for tensor, scale, name in ((data.rs, data.scale_rs, "rs"),
                                     (data.qc, data.scale_qc, "qc")):
             single = check_rs_symmetries(tensor[i], scale[i])

@@ -162,8 +162,9 @@ def test_identity_suite_j_checks_match_the_matmul_oracle(n):
     shape = data.rs.shape
     bundle = dataclasses.replace(data.bundle, r04=rng.standard_normal(shape),
                                  ricci=rng.standard_normal(shape[:3]))
-    data = dataclasses.replace(data, bundle=bundle, rs=_tensors(n, 90 + n)[0],
-                               q=rng.standard_normal(shape), qc=rng.standard_normal(shape))
+    rs, qc = _tensors(n, 90 + n)[0], rng.standard_normal(shape)
+    data = dataclasses.replace(data, bundle=bundle, rs=rs, q=rng.standard_normal(shape), qc=qc,
+                               norm_rs=max_norm(rs, 4), norm_qc=max_norm(qc, 4))
     got = identity_checks(data)
     for key, want in identity_j_checks_matmul(data).items():
         assert np.array_equal(_bits(got[key]), _bits(want)), key

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -260,15 +262,35 @@ def test_cli_float_range_failure_is_input_error(tmp_path, capsys):
 def test_cli_overflowing_jet_is_input_error(tmp_path, capsys):
     # (1e10*rsq)^40 overflows in the jet's products, not in an exp: the
     # metric jet holds inf and NaN, which must not reach the identity suite.
+    # The overflow is reported once, as the input error, and raises no
+    # floating-point warning on the way.
     path = write_manifest(
         tmp_path, "name = huge\nn = 1\npotential = rsq + (1e10*rsq)^40\ndomain = 0.5 1\n"
     )
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code = main(["classify", path, *SMALL_ARGS])
+    code = main(["classify", path, *SMALL_ARGS])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("input error: metric jet is not finite at [")
     assert "overflow a float" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_cli_overflowing_jet_prints_one_line(tmp_path):
+    # Under Python's default warning filters, as a user runs it: stderr is
+    # the input error line and nothing else.
+    path = write_manifest(
+        tmp_path, "name = huge\nn = 1\npotential = rsq + (1e10*rsq)^40\ndomain = 0.5 1\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from kahlersym.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "classify", path, *SMALL_ARGS],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 1
+    assert re.fullmatch(r"input error: metric jet is not finite at \[[^]\n]*\] "
+                        r"\(the potential's derivatives overflow a float\)\n", done.stderr), \
+        done.stderr
 
 
 def test_cli_indefinite_metric_names_the_point(tmp_path, capsys):
