@@ -195,7 +195,7 @@ def test_json_writer_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-def test_zoo_reports_are_written_as_json_dumps_writes_them(full_reports):
+def test_zoo_reports_match_json_dumps(full_reports):
     for name, report in full_reports.items():
         text = report.to_json()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
