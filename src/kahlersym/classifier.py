@@ -12,6 +12,10 @@ only come from a bookkeeping bug.
 Relative violations are measured against input-magnitude scales (norms of
 the tensors that were combined), not against the quantity under test, so
 identically zero signals read as zero instead of amplified roundoff.
+
+The rungs take the metric to be Kahler: metrics.metric_from_potential
+builds it so and refuses a g that is not positive definite, and the
+identity suite (runner) checks its Kahler form and J at every point.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from .curvature import CurvatureBundle, curvature_bundle
-from .metrics import MetricJet, metric_from_potential, two_form_closedness
+from .metrics import metric_from_potential
 from .symmetry_tensors import (
     complex_tachibana_ricci,
     dependence_scale,
@@ -32,7 +36,6 @@ from .symmetry_tensors import (
 from .tensor_algebra import (
     ABS_FLOOR,
     floored_scale,
-    hermitian_violation,
     max_norm,
     rel_violation,
 )
@@ -48,24 +51,9 @@ _PLANE_STREAM = 2
 
 # Sample points keep this fraction of each side away from the domain's faces.
 MARGIN = 1e-3
-# Gate of the Kahler preflight checks (relative violations).
-PREFLIGHT_TOLERANCE = 1e-9
 # A Deszcz sample is defined where |Q(g,S)(v,v;x,Jx)| exceeds this fraction
 # of the dependence scale.
 DEPENDENCE_THRESHOLD = 1e-8
-
-
-class PreflightError(RuntimeError):
-    """The sampled metric is not recognisably Kahler; classification aborts."""
-
-    def __init__(self, report: "PreflightReport"):
-        self.report = report
-        worst = ", ".join(
-            f"{name}: {entry['max']:.3e} at point #{entry['point_index']}"
-            for name, entry in sorted(report.checks.items())
-            if entry["max"] > PREFLIGHT_TOLERANCE
-        )
-        super().__init__(f"not Kahler within {PREFLIGHT_TOLERANCE:.1e}: {worst}")
 
 
 class LatticeError(RuntimeError):
@@ -134,43 +122,6 @@ def plane_samples(plan: SamplePlan, point_index: int, m: int) -> np.ndarray:
     return _unit_rows(plan, _PLANE_STREAM, plan.planes, m)[point_index]
 
 
-# -- preflight -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PreflightReport:
-    """Worst-case Kahler bookkeeping violations over the plan's points."""
-
-    checks: dict[str, dict[str, Any]]
-
-    @property
-    def passed(self) -> bool:
-        return all(entry["max"] <= PREFLIGHT_TOLERANCE for entry in self.checks.values())
-
-
-def _worst(values: np.ndarray) -> dict[str, Any]:
-    """The largest positive value and the first point holding it; NaN never
-    counts, and without a positive value the entry reads 0.0 at point 0."""
-    values = np.where(np.isnan(values), -np.inf, values)
-    index = int(np.argmax(values))
-    if values[index] > 0.0:
-        return {"max": float(values[index]), "point_index": index}
-    return {"max": 0.0, "point_index": 0}
-
-
-def preflight_from_metrics(m: MetricJet, gamma: np.ndarray) -> PreflightReport:
-    """Kahler checks on depth>=1 metric jets stacked on a point axis, whose
-    Christoffel symbols are ``gamma``."""
-    nj = (np.einsum("...cam,mb->...acb", gamma, m.J)
-          - np.einsum("cm,...mab->...acb", m.J, gamma))
-    values = {
-        "hermitian": hermitian_violation(m.g, m.J),
-        "closed_form": two_form_closedness(m),
-        "parallel_j": rel_violation(nj, max_norm(gamma, 3), 3),
-    }
-    return PreflightReport({name: _worst(v) for name, v in values.items()})
-
-
 # -- evidence at the sampled points ----------------------------------------------
 
 
@@ -237,21 +188,12 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
     )
 
 
-def sample_evidence(spec: ManifoldSpec, plan: SamplePlan):
-    """Sample the plan's points, expand their depth-3 metric jets,
-    preflight their g and dg, and gather the evidence.
-
-    Returns (points, preflight report, evidence).  Raises PreflightError
-    when the metric fails the Kahler checks; the curvature bundle is
-    built before that verdict.
-    """
-    potential = spec.potential()
+def sample_evidence(spec: ManifoldSpec, plan: SamplePlan) -> PointData:
+    """Sample the plan's points, expand their depth-3 metric jets and
+    gather the evidence; the points are ``bundle.metric.point``."""
     points = sample_points(spec.domain, plan)
-    bundle = curvature_bundle(metric_from_potential(potential, points, spec.n))
-    report = preflight_from_metrics(bundle.metric, bundle.connection.gamma)
-    if not report.passed:
-        raise PreflightError(report)
-    return points, report, gather_evidence(bundle, plan)
+    bundle = curvature_bundle(metric_from_potential(spec.potential(), points, spec.n))
+    return gather_evidence(bundle, plan)
 
 
 # Sample contractions are batched matrix products: a (0,4)-tensor t(u,v;x,y)

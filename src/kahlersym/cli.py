@@ -2,8 +2,8 @@
 
 Subcommands: classify, verify-identities, experiment (rotation |
 transport), zoo list.  Exit codes: 0 run completed, 1 input error,
-2 preflight failure (metric not recognisably Kahler), 3 internal
-lattice/route inconsistency.
+2 metric not positive definite at a sampled point (the potential is not
+Kahler there), 3 internal lattice/route inconsistency.
 
 Targets name either a built-in zoo fixture or a manifest file path; an
 exact fixture name wins when both exist.
@@ -20,7 +20,6 @@ import numpy as np
 
 from .classifier import (
     LatticeError,
-    PreflightError,
     SamplePlan,
     direction_samples,
     plane_samples,
@@ -28,7 +27,7 @@ from .classifier import (
 )
 from .curvature import curvature_bundle
 from .expressions import PotentialError
-from .metrics import MetricError, metric_from_potential
+from .metrics import MetricError, NotPositiveDefinite, metric_from_potential
 from .runner import run
 from .symmetry_tensors import (
     DEFAULT_EPS_LADDER,
@@ -40,13 +39,14 @@ from .zoo import ManifestError, ManifoldSpec, load_spec, zoo
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_PREFLIGHT = 2
+EXIT_NOT_KAHLER = 2
 EXIT_INCONSISTENT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad arguments; 2 is reserved for preflight
-    # failures here, so input problems are remapped to 1.
+    # argparse exits with 2 on bad arguments; 2 is reserved for metrics
+    # that are not positive definite here, so input problems are remapped
+    # to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
@@ -225,12 +225,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except NotPositiveDefinite as err:
+        sys.stderr.write(f"not Kahler: {err}\n")
+        return EXIT_NOT_KAHLER
     except (ManifestError, PotentialError, MetricError, ValueError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_INPUT
-    except PreflightError as err:
-        sys.stderr.write(f"preflight failure: {err}\n")
-        return EXIT_PREFLIGHT
     except LatticeError as err:
         sys.stderr.write(f"internal inconsistency: {err}\n")
         return EXIT_INCONSISTENT

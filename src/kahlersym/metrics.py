@@ -35,6 +35,10 @@ class MetricError(ValueError):
     """The potential does not define a finite, positive-definite metric at the point."""
 
 
+class NotPositiveDefinite(MetricError):
+    """g is not positive definite at a point: the potential is not Kahler there."""
+
+
 @dataclass(frozen=True)
 class MetricJet:
     """Metric value and coordinate derivatives at a chart point.
@@ -95,11 +99,11 @@ def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> Met
 
     ``depth`` counts how many derivative orders of g are produced (0-3);
     the potential is expanded to order 2 + depth, and depth 3 gives t in
-    place of the third derivative of g.  Raises MetricError, naming the
-    first such point, if the jet is not finite (the potential's
-    derivatives overflow a float) or if g is not positive definite.
-    Floating-point warnings of the expansion are not raised: its result
-    is gated on finiteness right after.
+    place of the third derivative of g.  Raises MetricError if the jet is
+    not finite (the potential's derivatives overflow a float) and its
+    subclass NotPositiveDefinite if g is not positive definite, naming
+    the first such point.  Floating-point warnings of the expansion are
+    not raised: its result is gated on finiteness right after.
     """
     point = np.asarray(point, dtype=float)
     if point.ndim not in (1, 2) or point.shape[-1] != 2 * n:
@@ -131,7 +135,7 @@ def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> Met
                 np.linalg.cholesky(gp)
             except np.linalg.LinAlgError:
                 smallest = float(np.linalg.eigvalsh(gp)[0])
-                raise MetricError(
+                raise NotPositiveDefinite(
                     f"metric is not positive definite at {p.tolist()} "
                     f"(smallest eigenvalue {smallest:.6e})"
                 ) from None

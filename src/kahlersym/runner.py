@@ -1,13 +1,12 @@
-"""Orchestration: preflight, identity suite, classification, reports.
+"""Orchestration: identity suite, classification, reports.
 
 The identity suite re-derives the algebraic facts the classifier leans on
 (symmetries of S, R.S and the Tachibana tensors, the complex split, the
 holomorphic doubling, Riemann symmetries, the closed Ricci form) at every
-sampled point, as a permanent cross-check of the tensor bookkeeping.  The
-J-invariance, J-skew, complex-split and holomorphic checks apply J by
-half-swap slices, not by products; the J-skew violation of a slot pair is
-read off its J-invariance violation, the same numbers bit for bit, and
-reported under both keys.
+sampled point, as a permanent cross-check of the tensor bookkeeping.  It
+also checks the metric's own Kahler conditions, a closed Kahler form and
+a parallel J, under the tighter gate KAHLER_TOLERANCE.  The J checks
+apply J by half-swap slices, not by products.
 
 Reports serialize to JSON deterministically: keys sorted, no timings, all
 values plain Python floats, so byte-identical runs are reproducible from
@@ -19,24 +18,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
 from .classifier import (
-    DEPENDENCE_THRESHOLD,
-    MARGIN,
-    PREFLIGHT_TOLERANCE,
     LadderVerdict,
     PointData,
-    PreflightReport,
     SamplePlan,
     _plane_reduce,
     classify_evidence,
     sample_evidence,
 )
-from .metrics import rotated_form_differential
+from .metrics import rotated_form_differential, two_form_closedness
 from .symmetry_tensors import holomorphic_first_slot_check
 from .tensor_algebra import (
     _permute_slots,
@@ -51,26 +46,15 @@ from .tensor_algebra import (
 from .zoo import ManifoldSpec
 
 IDENTITY_TOLERANCE = 1e-8
+# Gate of the checks of the metric itself, which the pairing of
+# metrics.metric_from_potential makes Kahler by construction.
+KAHLER_TOLERANCE = 1e-9
+_KAHLER_CHECKS = frozenset({"kahler_form_closed", "kahler_j_parallel"})
 
-# Checks that are pure slot algebra on already-computed tensors; these sit
-# at machine precision and get a tighter gate in the acceptance tests.
-ALGEBRAIC_IDENTITIES = frozenset(
-    {
-        "tachibana_complex_split",
-        "tachibana_holomorphic_double",
-        "holomorphic_first_slot_zero",
-        "rs_sym_first_pair",
-        "rs_antisym_last_pair",
-        "rs_j_pair_invariance",
-        "rs_j_skew_first_pair",
-        "rs_j_skew_last_pair",
-        "qc_sym_first_pair",
-        "qc_antisym_last_pair",
-        "qc_j_pair_invariance",
-        "qc_j_skew_first_pair",
-        "qc_j_skew_last_pair",
-    }
-)
+
+def _identity_gate(name: str) -> float:
+    """The gate of one identity check."""
+    return KAHLER_TOLERANCE if name in _KAHLER_CHECKS else IDENTITY_TOLERANCE
 
 
 def identity_checks(d: PointData) -> dict[str, np.ndarray]:
@@ -89,7 +73,6 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     out["ricci_symmetric"] = rel_violation(s - np.swapaxes(s, -1, -2), d.scale_s, 2)
     out["ricci_j_invariant"] = j_invariance_violation(s, d.scale_s, 2)
-    out["ricci_j_skew"] = out["ricci_j_invariant"]
     out["ricci_holomorphic_zero"] = j_rotated_symmetric_violation(s, d.scale_s, 2)
 
     for prefix, tensor, scale, norm in (
@@ -130,6 +113,13 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
     out["ricci_form_closed"] = rel_violation(
         rotated_form_differential(j, b.dricci), max_norm(b.dricci, 3), 3
     )
+
+    gamma = b.connection.gamma
+    out["kahler_form_closed"] = two_form_closedness(b.metric)
+    # (nabla_a J)^c_b = Gamma^c_am J^m_b - J^c_m Gamma^m_ab, J being constant.
+    nabla_j = (np.einsum("...cam,mb->...acb", gamma, j)
+               - np.einsum("cm,...mab->...acb", j, gamma))
+    out["kahler_j_parallel"] = rel_violation(nabla_j, max_norm(gamma, 3), 3)
     return out
 
 
@@ -151,22 +141,22 @@ class RunReport:
     spec: ManifoldSpec
     plan: SamplePlan
     points: np.ndarray
-    preflight: PreflightReport
     identities: dict[str, float]
     verdict: LadderVerdict | None
     elapsed_seconds: float
 
     @property
     def identities_passed(self) -> bool:
-        return all(v <= IDENTITY_TOLERANCE for v in self.identities.values())
+        return all(v <= _identity_gate(name) for name, v in self.identities.items())
 
     def worst_identity(self) -> tuple[str, float]:
-        name = max(self.identities, key=self.identities.get)
+        """The check closest to (or furthest over) its gate, and its value."""
+        name = max(self.identities, key=lambda k: self.identities[k] / _identity_gate(k))
         return name, self.identities[name]
 
     def to_json(self) -> str:
         report = {
-            "schema": "kahlersym-report/1",
+            "schema": "kahlersym-report/2",
             "spec": {
                 "name": self.spec.name,
                 "n": self.spec.n,
@@ -174,13 +164,8 @@ class RunReport:
                 "domain": [[float(lo), float(hi)] for lo, hi in self.spec.domain],
                 "expected_class": self.spec.expected_class,
             },
-            "plan": _plan_dict(self.plan),
+            "plan": {**asdict(self.plan), "tolerance": float(self.plan.tolerance)},
             "points": self.points.tolist(),
-            "preflight": {
-                "tolerance": PREFLIGHT_TOLERANCE,
-                "passed": self.preflight.passed,
-                "checks": self.preflight.checks,
-            },
             "identities": self.identities,
             "identity_tolerance": IDENTITY_TOLERANCE,
             "identities_passed": self.identities_passed,
@@ -196,17 +181,11 @@ class RunReport:
             f"plan: {self.plan.points} points, {self.plan.directions} directions, "
             f"{self.plan.planes} planes, seed {self.plan.seed}, source random"
         )
-        pf = " ".join(
-            f"{name}={entry['max']:.2e}"
-            for name, entry in sorted(self.preflight.checks.items())
-        )
-        state = "ok" if self.preflight.passed else "FAILED"
-        lines.append(f"preflight [{state}]: {pf}")
         worst_name, worst_value = self.worst_identity()
         state = "ok" if self.identities_passed else "FAILED"
         lines.append(
             f"identities [{state}]: worst {worst_name} = {worst_value:.2e} "
-            f"(gate {IDENTITY_TOLERANCE:.0e})"
+            f"(gate {_identity_gate(worst_name):.0e})"
         )
         if self.verdict is not None:
             lines.append("ladder:")
@@ -273,23 +252,6 @@ def _json_text(value, indent: str = "") -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _plan_dict(plan: SamplePlan) -> dict[str, Any]:
-    """The plan as kahlersym-report/1 records it: the five plan fields, plus
-    the fixed point source, rung tolerance map and classifier constants."""
-    return {
-        "points": plan.points,
-        "directions": plan.directions,
-        "planes": plan.planes,
-        "seed": plan.seed,
-        "source": "random",
-        "tolerance": float(plan.tolerance),
-        "tolerances": None,
-        "dependence_threshold": DEPENDENCE_THRESHOLD,
-        "preflight_tolerance": PREFLIGHT_TOLERANCE,
-        "margin": MARGIN,
-    }
-
-
 def _verdict_dict(v: LadderVerdict) -> dict[str, Any]:
     return {
         "classification": v.classification,
@@ -321,21 +283,21 @@ def _verdict_dict(v: LadderVerdict) -> dict[str, Any]:
 
 def run(spec: ManifoldSpec, plan: SamplePlan = SamplePlan(),
         with_classification: bool = True) -> RunReport:
-    """Preflight, identity suite and (optionally) full ladder classification.
+    """Identity suite and (optionally) full ladder classification.
 
-    Raises PreflightError when the Kahler checks fail and LatticeError when
-    rung verdicts violate the inclusion chain.
+    Raises NotPositiveDefinite (from metrics) when g is not positive
+    definite at a sampled point and LatticeError when rung verdicts
+    violate the inclusion chain.
     """
     start = time.perf_counter()
-    points, preflight, data = sample_evidence(spec, plan)
+    data = sample_evidence(spec, plan)
     identities = identity_suite(data)
     verdict = classify_evidence(data, plan, spec.n) if with_classification else None
     elapsed = time.perf_counter() - start
     return RunReport(
         spec=spec,
         plan=plan,
-        points=points,
-        preflight=preflight,
+        points=data.bundle.metric.point,
         identities=identities,
         verdict=verdict,
         elapsed_seconds=elapsed,

@@ -173,25 +173,22 @@ def check_rs_symmetries(t: np.ndarray, scale, norm=None) -> dict[str, np.ndarray
     """Violations of the algebraic symmetries shared by R.S and the Tachibana tensors.
 
     Slots are (u, v, x, y): symmetric in (u, v), antisymmetric in (x, y),
-    invariant under J applied to either pair, J-skew within each pair.
+    invariant under J applied to either pair.  Invariance of a pair is
+    the same number as its J-skewness (see j_invariance_violation), and
+    ``j_pair_invariance`` holds the larger of the two pairs.
     Violations are relative to the larger of the tensor's max-norm and the
     reference ``scale`` (needed when t itself is roundoff; pass 0.0 to judge
     t by its own norm).  ``norm`` is the tensor's max-norm when the
     caller holds it already.  For tensors stacked on leading point axes,
     ``scale``, ``norm`` and every violation hold one value per point.
-    J-skewness of a pair is read off its J-invariance (see
-    j_invariance_violation).
     """
     t = np.asarray(t, float)
     if norm is None:
         norm = max_norm(t, 4)
     scale = np.maximum(scale, norm)
-    first = j_invariance_violation(t, scale, 4, first_pair=True)
-    last = j_invariance_violation(t, scale, 4)
     return {
         "antisym_last_pair": rel_violation(t + np.swapaxes(t, -2, -1), scale, 4),
         "sym_first_pair": rel_violation(t - np.swapaxes(t, -4, -3), scale, 4),
-        "j_pair_invariance": np.maximum(last, first),
-        "j_skew_first_pair": first,
-        "j_skew_last_pair": last,
+        "j_pair_invariance": np.maximum(j_invariance_violation(t, scale, 4),
+                                        j_invariance_violation(t, scale, 4, first_pair=True)),
     }

@@ -132,8 +132,7 @@ def rel_violation_oracle(diff, scale, rank: int):
 
 
 def rs_symmetries_matmul(t, j, scale) -> dict:
-    """check_rs_symmetries with J applied by matrix products, and J-skewness
-    formed from t J + J^T t on each pair."""
+    """check_rs_symmetries with J applied by matrix products."""
     scale = np.maximum(scale, max_norm(t, 4))
     return {
         "antisym_last_pair": rel_violation_oracle(t + np.swapaxes(t, -2, -1), scale, 4),
@@ -142,9 +141,6 @@ def rs_symmetries_matmul(t, j, scale) -> dict:
             rel_violation_oracle(t - j_last_pair(t, j), scale, 4),
             rel_violation_oracle(t - j_first_pair(t, j), scale, 4),
         ),
-        "j_skew_first_pair": rel_violation_oracle(
-            on_first_pair(j_skew_last_pair, t, j), scale, 4),
-        "j_skew_last_pair": rel_violation_oracle(j_skew_last_pair(t, j), scale, 4),
     }
 
 
@@ -156,6 +152,22 @@ def j_rotated_symmetric_einsum(t, j, scale, rank: int):
         return rel_violation_oracle(0.5 * (c + np.einsum("...ki->...ik", c)), scale, 2)
     c = np.einsum("...imab,mk->...ikab", t, j)
     return rel_violation_oracle(0.5 * (c + np.einsum("...kiab->...ikab", c)), scale, 4)
+
+
+def kahler_checks_matmul(metric, gamma) -> dict:
+    """The identity suite's checks of the metric itself, with J applied by
+    products: d of the Kahler form w_ab = g(J d_a, d_b), and nabla J,
+    whose a-th slice is the commutator of Gamma_a = Gamma^._a. with J."""
+    j = metric.J
+    dw = j.T @ metric.dg  # dw[c,a,b] = d_c w_ab
+    d_omega = (dw - np.einsum("...cab->...acb", dw) + np.einsum("...cab->...abc", dw))
+    gamma_a = np.moveaxis(gamma, -2, -3)
+    return {
+        "kahler_form_closed": rel_violation_oracle(
+            d_omega, np.maximum(max_norm(metric.dg, 3), max_norm(metric.g, 2)), 3),
+        "kahler_j_parallel": rel_violation_oracle(
+            gamma_a @ j - j @ gamma_a, max_norm(gamma, 3), 3),
+    }
 
 
 def identity_j_checks_matmul(d) -> dict:
@@ -171,13 +183,13 @@ def identity_j_checks_matmul(d) -> dict:
     )
     out = {
         "ricci_j_invariant": rel_violation_oracle(j.T @ s @ j - s, d.scale_s, 2),
-        "ricci_j_skew": rel_violation_oracle(j.T @ s + s @ j, d.scale_s, 2),
         "ricci_holomorphic_zero": j_rotated_symmetric_einsum(s, j, d.scale_s, 2),
         "tachibana_complex_split": rel_violation_oracle(
             d.qc - d.q - j_last_pair(d.q, j), d.scale_qc, 4),
         "holomorphic_first_slot_zero": j_rotated_symmetric_einsum(
             d.qc, j, np.maximum(d.scale_qc, max_norm(d.qc, 4)), 4),
         "kahler_j_invariance": rel_violation_oracle(j_first_pair(r04, j) - r04, scale_r, 4),
+        **kahler_checks_matmul(b.metric, b.connection.gamma),
     }
     for prefix, tensor, scale in (("rs", d.rs, d.scale_rs), ("qc", d.qc, d.scale_qc)):
         for key, value in rs_symmetries_matmul(tensor, j, scale).items():
@@ -215,13 +227,6 @@ def hand_metric(point, n: int, g, dg, ddg=None, t=None) -> MetricJet:
     g = np.asarray(g, float)
     return MetricJet(np.asarray(point, float), n, g, np.linalg.inv(g), dg, ddg, t,
                      standard_complex_structure(n))
-
-
-def stack_metrics(metrics) -> MetricJet:
-    """Single-point depth>=1 jets stacked on a point axis (g and dg only),
-    for preflight checks of hand-built metrics."""
-    return hand_metric(np.stack([m.point for m in metrics]), metrics[0].n,
-                       np.stack([m.g for m in metrics]), np.stack([m.dg for m in metrics]))
 
 
 # -- partials and their Hermitian pairing, array by array ------------------------

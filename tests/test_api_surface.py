@@ -1,7 +1,8 @@
 """The public surface is what the README documents plus what the package
 itself uses: the "Library use" example runs, no public top-level
-function or class, nor a public method or property of such a class, sits
-in ``src/`` unused, and no module imports a name it does not use.  A name
+function or class, nor a public method or property of such a class, nor
+a public module-level constant, sits in ``src/`` unused, and no module
+imports a name it does not use.  A name
 counts as documented when it appears in an inline code span of the README
 or in its "Library use" block."""
 
@@ -97,6 +98,34 @@ def test_every_public_definition_is_used_or_documented():
         if not (used or node.name in documented):
             unused.append(key)
     assert unused == []
+
+
+def _public_constants(modules: dict[str, ast.Module]):
+    """(key, name, node) of every public name bound by a module-level
+    assignment."""
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield f"{module}.{name.id}", name.id, node
+
+
+def test_every_public_constant_is_read_or_documented():
+    """A public module-level constant is read by some module (its own
+    included) or named in the README."""
+    modules = _modules()
+    documented = _documented_names()
+    unread = [key for key, name, node in _public_constants(modules)
+              if name not in documented
+              and not any(name in _references(tree, skip=node) for tree in modules.values())]
+    assert unread == []
 
 
 def test_every_imported_name_is_used():

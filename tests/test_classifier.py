@@ -1,4 +1,4 @@
-"""Ladder classification: sampling, preflight, verdicts, lattice checks."""
+"""Ladder classification: sampling, evidence, verdicts, lattice checks."""
 
 import warnings
 from dataclasses import replace
@@ -14,7 +14,6 @@ from kahlersym.classifier import (
     PASS,
     CriterionVerdict,
     LatticeError,
-    PreflightError,
     SamplePlan,
     _check_lattice,
     _holo_pseudosymmetric,
@@ -24,23 +23,21 @@ from kahlersym.classifier import (
     _plane_reduce,
     direction_samples,
     plane_samples,
-    preflight_from_metrics,
     sample_evidence,
     sample_points,
 )
-from kahlersym.curvature import christoffel, curvature_bundle
+from kahlersym.curvature import curvature_bundle
 from kahlersym.metrics import metric_from_potential
-from kahlersym.runner import run
+from kahlersym.runner import identity_checks, run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
 from kahlersym.zoo import ManifoldSpec
 
 from helpers import (
     deszcz_fit_loop,
-    hand_metric,
+    kahler_checks_matmul,
     parallel_values_loop,
     plane_values_loop,
-    stack_metrics,
 )
 
 
@@ -123,13 +120,6 @@ def test_failing_rungs_fail_clearly(full_reports):
         for criterion in report.verdict.criteria():
             if criterion.status == FAIL:
                 assert criterion.direct > 10 * tol, (name, criterion.name)
-
-
-def test_preflight_green_on_zoo(full_reports):
-    for name, report in full_reports.items():
-        assert report.preflight.passed, name
-        for check, entry in report.preflight.checks.items():
-            assert entry["max"] <= 1e-9, (name, check)
 
 
 def test_flat_evidence_is_exactly_zero(full_reports):
@@ -252,74 +242,6 @@ def test_plan_validation():
             SamplePlan(tolerance=tolerance)
 
 
-# -- preflight ---------------------------------------------------------------
-
-
-def _fake_metric(g, n=2):
-    m = 2 * n
-    return hand_metric(np.zeros(m), n, g, np.zeros((m, m, m)))
-
-
-def _preflight(m):
-    return preflight_from_metrics(m, christoffel(m).gamma)
-
-
-def test_preflight_accepts_potential_metrics(fixtures):
-    spec = fixtures["fs_cp2"]
-    pts = sample_points(spec.domain, SamplePlan(points=5, directions=2, planes=2))
-    report = _preflight(metric_from_potential(spec.potential(), pts, spec.n, depth=1))
-    assert report.passed
-    assert set(report.checks) == {"hermitian", "closed_form", "parallel_j"}
-
-
-def test_shared_jet_preflight_matches_preflight_kahler(fixtures, full_reports):
-    """The preflight on the depth-3 jets of a run matches one on depth-1
-    jets expanded afresh at the same points."""
-    for name, spec in fixtures.items():
-        report = full_reports[name]
-        alone = _preflight(metric_from_potential(spec.potential(), report.points, spec.n,
-                                                 depth=1))
-        assert report.preflight == alone, name
-
-
-def test_preflight_flags_non_hermitian_metric():
-    good = _fake_metric(np.eye(4))
-    bad = _fake_metric(np.diag([1.0, 2.0, 3.0, 4.0]))
-    report = _preflight(stack_metrics([good, bad]))
-    assert not report.passed
-    assert report.checks["hermitian"]["max"] > 0.1
-    assert report.checks["hermitian"]["point_index"] == 1
-    err = PreflightError(report)
-    assert "not Kahler within" in str(err)
-    assert "hermitian" in str(err)
-    assert "point #1" in str(err)
-    assert err.report is report
-
-
-def test_preflight_flags_nonclosed_form():
-    # hand-built dg with a d(omega) != 0 component but symmetric derivative
-    good = _fake_metric(np.eye(4))
-    dg = np.zeros((4, 4, 4))
-    dg[2, 0, 1] = dg[2, 1, 0] = 0.3  # d_{x2} g_{x1 y1}
-    bad = hand_metric(np.zeros(4), 2, np.eye(4), dg)
-    report = _preflight(stack_metrics([good, bad]))
-    assert report.checks["closed_form"]["max"] > 1e-3
-    assert report.checks["closed_form"]["point_index"] == 1
-
-
-def test_preflight_accepts_stacked_jets(fixtures):
-    spec = fixtures["product_cp1_cp1_unequal"]
-    pts = sample_points(spec.domain, SamplePlan(points=9, directions=2, planes=2))
-    singles = [metric_from_potential(spec.potential(), p, spec.n, depth=1) for p in pts]
-    stacked = metric_from_potential(spec.potential(), pts, spec.n, depth=1)
-    assert _preflight(stacked) == _preflight(stack_metrics(singles))
-    bad = _fake_metric(np.diag([1.0, 2.0, 3.0, 4.0]))
-    worse = _fake_metric(np.diag([1.0, 3.0, 5.0, 4.0]))
-    good = _fake_metric(np.eye(4))
-    report = _preflight(stack_metrics([good, bad, worse, worse]))
-    assert report.checks["hermitian"]["point_index"] == 2  # first of the largest
-
-
 # Non-Einstein potentials of n = 1, 3 and 4 and the points sampled from each.
 STACK_SPECS = {
     1: (ManifoldSpec("surface", 1, "log(1+absq(1)) + 0.1*absq(1)^2", ((-1.0, 1.0),) * 2), 5),
@@ -345,7 +267,7 @@ def test_run_holds_no_tensor_above_rank_four_per_point():
     # its curvature bundle, metric jet and connection included, holds at
     # most (2n)^4 entries per point.
     spec, count = STACK_SPECS[4]
-    data = sample_evidence(spec, SamplePlan(points=count, directions=4, planes=4, seed=3))[2]
+    data = sample_evidence(spec, SamplePlan(points=count, directions=4, planes=4, seed=3))
     b = data.bundle
     arrays = [v for part in (data, b, b.metric, b.connection) for v in vars(part).values()
               if isinstance(v, np.ndarray) and v.ndim > 2]
@@ -356,12 +278,12 @@ def test_run_holds_no_tensor_above_rank_four_per_point():
 def _check_stacked_evidence(spec, count):
     """The evidence over all points stacked equals each point evaluated alone."""
     plan = SamplePlan(points=count, directions=4, planes=4, seed=3)
-    points, report, data = sample_evidence(spec, plan)
+    data = sample_evidence(spec, plan)
+    points = sample_points(spec.domain, plan)
+    checks = identity_checks(data)
     potential = spec.potential()
-    first_order = []
     for i, point in enumerate(points):
         m = metric_from_potential(potential, point, spec.n)
-        first_order.append(m)
         b = curvature_bundle(m)
         assert np.array_equal(data.bundle.metric.point[i], point)
         dirs, planes = direction_samples(plan, i, 2 * spec.n), plane_samples(plan, i, 2 * spec.n)
@@ -381,7 +303,8 @@ def _check_stacked_evidence(spec, count):
         assert np.array_equal(data.qc[i], qc)
         for norm, tensor in ((data.norm_r13, b.r13), (data.norm_rs, rs), (data.norm_qc, qc)):
             assert norm[i] == max_norm(tensor, 4), i
-    assert report == _preflight(stack_metrics(first_order))
+        for key, value in kahler_checks_matmul(m, b.connection.gamma).items():
+            assert checks[key][i] == value, (i, key)
 
 
 def _contraction_inputs(n, points, directions, planes):
@@ -440,7 +363,7 @@ def test_deszcz_fit_over_points_matches_the_point_loop(fixtures):
     # spread falls back to |R.S|, with no RuntimeWarning from the fit.  Point
     # 2 keeps the 4 samples whose |Q(g,S)| lies above the middle ones.
     plan = SamplePlan(points=6, directions=5, planes=7, seed=2)
-    _, _, data = sample_evidence(fixtures["perturbed_flat"], plan)
+    data = sample_evidence(fixtures["perturbed_flat"], plan)
     v = data.dir_rows[2, np.arange(plan.planes) % plan.directions]
     dens = np.abs(_paired_values(data.q[2], v, data.planes[2], data.bundle.metric.J))
     q = data.q.copy()
@@ -469,7 +392,7 @@ def test_deszcz_samples_pair_direction_i_mod_count_with_plane_i(fixtures, direct
     # Fewer planes than directions read a slice of the direction rows, as
     # many read all of them, more gather them; the loop pairs the vectors.
     plan = SamplePlan(points=3, directions=directions, planes=planes, seed=4)
-    _, _, data = sample_evidence(fixtures["perturbed_flat"], plan)
+    data = sample_evidence(fixtures["perturbed_flat"], plan)
     got = _holo_pseudosymmetric(data, plan)[1:]
     for values, expected in zip(got, deszcz_fit_loop(data, plan)):
         for value, want in zip(values, expected):

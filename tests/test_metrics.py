@@ -185,6 +185,9 @@ def test_metric_over_points_matches_each_point():
         alone = metric_from_potential(pot, point, 2)
         for field in ("g", "dg", "ddg", "t"):
             assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)), field
+    # A depth-1 jet (order 3) gives the g and dg of the order-5 one.
+    shallow = metric_from_potential(pot, points, 2, depth=1)
+    assert np.array_equal(shallow.g, stacked.g) and np.array_equal(shallow.dg, stacked.dg)
     closed = two_form_closedness(stacked)
     assert closed.shape == (9,)
     assert closed.tolist() == [two_form_closedness(metric_from_potential(pot, p, 2, depth=1))
@@ -238,8 +241,8 @@ def _j_conjugate_by_blocks(t: np.ndarray, n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pairing_is_j_invariant_bit_for_bit(n, monkeypatch):
     """J^T g J = g holds by construction of the pairing, for g, dg and ddg
-    alike and for zeros of either sign: the check the Kahler preflight's
-    ``hermitian`` makes can never fail."""
+    alike and for zeros of either sign.  So the metric is Hermitian
+    without a check, and the pipeline makes none."""
     space = jet_space(2 * n, 5)
     rng = np.random.default_rng(70 + n)
     coeffs = rng.standard_normal((6, space.size))

@@ -30,6 +30,8 @@ from helpers import (
     j_last_pair,
     j_rotated_symmetric_einsum,
     j_skew_einsum,
+    j_skew_last_pair,
+    on_first_pair,
     reconstruct_from_holomorphic,
     rel_violation_oracle,
     rs_symmetries_matmul,
@@ -121,7 +123,7 @@ def _tensors(n, seed):
 def test_half_block_checks_match_the_matmul_oracle(n):
     """Each J check reads half blocks where the oracle multiplies by J: the
     violations agree bit for bit, and J-skewness equals J-invariance per
-    pair in the oracle too."""
+    pair in the oracle too, so j_pair_invariance covers both."""
     t, j = _tensors(n, 50 + n)
     scale = np.array([0.0, 1e-3, 2.0])
     got = check_rs_symmetries(t, scale)
@@ -131,7 +133,8 @@ def test_half_block_checks_match_the_matmul_oracle(n):
         assert np.array_equal(_bits(got[key]), _bits(want[key])), key
     scale = np.maximum(scale, max_norm(t, 4))
     for first, op in ((True, j_first_pair), (False, j_last_pair)):
-        skew = want["j_skew_first_pair" if first else "j_skew_last_pair"]
+        skew_pair = on_first_pair(j_skew_last_pair, t, j) if first else j_skew_last_pair(t, j)
+        skew = rel_violation_oracle(skew_pair, scale, 4)
         invariance = rel_violation_oracle(t - op(t, j), scale, 4)
         assert np.array_equal(_bits(skew), _bits(invariance))
         assert np.array_equal(_bits(j_invariance_violation(t, scale, 4, first)),
@@ -155,21 +158,26 @@ def test_half_block_checks_match_the_matmul_oracle(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_identity_suite_j_checks_match_the_matmul_oracle(n):
     """The identity suite's J checks on evidence whose R.S, Q, Qc, Riemann
-    and Ricci tensors are replaced by tensors without symmetry."""
+    and Ricci tensors, dg and Christoffel symbols are replaced by tensors
+    without symmetry."""
     spec = ManifoldSpec("witness", n, "log(1+rsq) + 0.1*x1*absq(1)", ((-0.5, 0.5),) * (2 * n))
-    _, _, data = sample_evidence(spec, SamplePlan(points=3, directions=4, planes=4, seed=1))
+    data = sample_evidence(spec, SamplePlan(points=3, directions=4, planes=4, seed=1))
     rng = np.random.default_rng(80 + n)
     shape = data.rs.shape
-    bundle = dataclasses.replace(data.bundle, r04=rng.standard_normal(shape),
-                                 ricci=rng.standard_normal(shape[:3]))
+    b = data.bundle
+    bundle = dataclasses.replace(
+        b, r04=rng.standard_normal(shape), ricci=rng.standard_normal(shape[:3]),
+        metric=dataclasses.replace(b.metric, dg=rng.standard_normal(shape[:4])),
+        connection=dataclasses.replace(b.connection, gamma=rng.standard_normal(shape[:4])))
     rs, qc = _tensors(n, 90 + n)[0], rng.standard_normal(shape)
     data = dataclasses.replace(data, bundle=bundle, rs=rs, q=rng.standard_normal(shape), qc=qc,
                                norm_rs=max_norm(rs, 4), norm_qc=max_norm(qc, 4))
     got = identity_checks(data)
     for key, want in identity_j_checks_matmul(data).items():
         assert np.array_equal(_bits(got[key]), _bits(want)), key
-    assert min(got[key][0] for key in ("rs_j_skew_last_pair", "qc_j_pair_invariance",
-                                       "tachibana_complex_split", "kahler_j_invariance")) > 1e-3
+    assert min(got[key][0] for key in ("rs_j_pair_invariance", "qc_j_pair_invariance",
+                                       "tachibana_complex_split", "kahler_j_invariance",
+                                       "kahler_form_closed", "kahler_j_parallel")) > 1e-3
 
 
 def test_rel_violation_floor():

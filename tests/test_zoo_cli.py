@@ -10,13 +10,7 @@ import sys
 import pytest
 
 from kahlersym import cli
-from kahlersym.classifier import (
-    LatticeError,
-    PreflightError,
-    PreflightReport,
-    SamplePlan,
-    sample_points,
-)
+from kahlersym.classifier import LatticeError, SamplePlan, sample_points
 from kahlersym.cli import _plan_from_args, _resolve_target, build_parser, main
 from kahlersym.zoo import LADDER_CLASSES, ManifestError, ManifoldSpec, load_spec, zoo
 
@@ -197,7 +191,25 @@ def test_cli_classify_success(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "classification: einstein" in out
-    assert "preflight [ok]" in out
+    assert "identities [ok]" in out
+
+
+def test_readme_quick_start_matches_cli_output(capsys):
+    """Each line of the README's quick-start block is a line the command
+    prints, but for the elapsed time and the elided per-point list."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Quick start", 1)[1]
+    command, *shown = re.search(r"```\n(.*?)```", section, re.S).group(1).splitlines()
+    assert command.startswith("$ kahlersym ")
+    assert main(command.split()[2:]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    checked = [line for line in shown if not line.startswith("elapsed:")]
+    assert len(checked) == len(shown) - 1
+    for line in checked:
+        pattern = re.escape(line).replace(re.escape("[20, 20, ...]"), r"\[20(, 20)*\]")
+        assert any(re.fullmatch(pattern, out) for out in printed), line
 
 
 def test_cli_classify_writes_json(tmp_path, capsys):
@@ -295,18 +307,23 @@ def test_cli_overflowing_jet_prints_one_line(tmp_path):
 
 def test_cli_indefinite_metric_names_the_point(tmp_path, capsys):
     # rsq - absq(1)^2 has g_11 = 1 - 2|z1|^2 - ..., indefinite where
-    # |z1| is large: an input error that names a sampled point.
+    # |z1| is large: the potential is not Kahler there, exit 2, and the
+    # message names a sampled point and the smallest eigenvalue of g.
     path = write_manifest(
         tmp_path, "name = indefinite\nn = 2\npotential = rsq - absq(1)^2\ndomain = -1 1\n"
     )
-    code = main(["classify", path, *SMALL_ARGS])
-    err = capsys.readouterr().err
-    assert code == 1
-    match = re.match(r"input error: metric is not positive definite at (\[[^]]*\])", err)
-    assert match, err
-    named = json.loads(match.group(1))
     plan = _plan_from_args(build_parser().parse_args(["classify", path, *SMALL_ARGS]))
-    assert named in sample_points(load_spec(path).domain, plan).tolist()
+    sampled = sample_points(load_spec(path).domain, plan).tolist()
+    for argv in (["classify", path, *SMALL_ARGS], ["experiment", "rotation", path]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2, argv
+        assert out == ""
+        match = re.fullmatch(r"not Kahler: metric is not positive definite at (\[[^]]*\]) "
+                             r"\(smallest eigenvalue (-[0-9.e+-]+)\)\n", err)
+        assert match, err
+        assert json.loads(match.group(1)) in sampled
+        assert float(match.group(2)) < 0.0
 
 
 @pytest.mark.parametrize("domain, interval", [
@@ -364,24 +381,6 @@ def test_cli_verify_identities(capsys):
     assert code == 0
     assert "identities [ok]" in out
     assert "ladder:" not in out
-
-
-def test_cli_preflight_failure_exit_two(monkeypatch, capsys):
-    report = PreflightReport(
-        {"hermitian": {"max": 1.0, "point_index": 3},
-         "closed_form": {"max": 0.0, "point_index": 0},
-         "parallel_j": {"max": 0.0, "point_index": 0}},
-    )
-
-    def boom(*args, **kwargs):
-        raise PreflightError(report)
-
-    monkeypatch.setattr("kahlersym.cli.run", boom)
-    code = main(["classify", "fs_cp1", *SMALL_ARGS])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "preflight failure" in err
-    assert "hermitian" in err
 
 
 def test_cli_lattice_failure_exit_three(monkeypatch, capsys):
