@@ -26,8 +26,8 @@ from kahlersym.classifier import (
     sample_evidence,
     sample_points,
 )
-from kahlersym.curvature import curvature_bundle
-from kahlersym.metrics import metric_from_potential
+from kahlersym.curvature import christoffel, curvature_bundle
+from kahlersym.metrics import metric_from_potential, two_form_closedness
 from kahlersym.runner import identity_checks, run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
@@ -35,6 +35,7 @@ from kahlersym.zoo import ManifoldSpec
 
 from helpers import (
     deszcz_fit_loop,
+    hand_metric,
     kahler_checks_matmul,
     parallel_values_loop,
     plane_values_loop,
@@ -240,6 +241,62 @@ def test_plan_validation():
     for tolerance in (0.0, -1e-7, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             SamplePlan(tolerance=tolerance)
+
+
+# -- the metric's Kahler checks ----------------------------------------------
+
+KAHLER_KEYS = ("kahler_form_closed", "kahler_j_parallel")
+
+
+def _kahler_checks(m):
+    """d(omega) and nabla J of a depth>=1 jet, one value per point."""
+    return kahler_checks_matmul(m, christoffel(m).gamma)
+
+
+def test_preflight_green_on_zoo(full_reports):
+    """The Kahler form is closed and J parallel within 1e-9 on every fixture."""
+    for name, report in full_reports.items():
+        assert report.identities_passed, name
+        for check in KAHLER_KEYS:
+            assert report.identities[check] <= 1e-9, (name, check)
+
+
+def test_preflight_accepts_potential_metrics(fixtures):
+    spec = fixtures["fs_cp2"]
+    pts = sample_points(spec.domain, SamplePlan(points=5, directions=2, planes=2))
+    m = metric_from_potential(spec.potential(), pts, spec.n, depth=1)
+    checks = _kahler_checks(m)
+    assert set(checks) == set(KAHLER_KEYS)
+    for key, values in checks.items():
+        assert values.shape == (5,) and (values <= 1e-9).all(), key
+    assert np.array_equal(two_form_closedness(m), checks["kahler_form_closed"])
+
+
+def test_shared_jet_preflight_matches_preflight_kahler(fixtures, full_reports):
+    """The Kahler checks of a run, made on its depth-3 jets, match the same
+    checks on depth-1 jets expanded afresh at the same points."""
+    for name, spec in fixtures.items():
+        report = full_reports[name]
+        alone = _kahler_checks(metric_from_potential(spec.potential(), report.points, spec.n,
+                                                     depth=1))
+        for key, values in alone.items():
+            assert report.identities[key] == float(np.max(values)), (name, key)
+
+
+def test_preflight_accepts_stacked_jets(fixtures):
+    spec = fixtures["product_cp1_cp1_unequal"]
+    pts = sample_points(spec.domain, SamplePlan(points=9, directions=2, planes=2))
+    singles = [metric_from_potential(spec.potential(), p, spec.n, depth=1) for p in pts]
+    stacked = metric_from_potential(spec.potential(), pts, spec.n, depth=1)
+    for key, values in _kahler_checks(stacked).items():
+        assert values.tolist() == [float(_kahler_checks(m)[key]) for m in singles], key
+    # Hand-built stack: d(omega) != 0 at points 1-3, largest at 2 and 3.
+    dg = np.zeros((4, 4, 4, 4))
+    dg[1:, 2, 0, 1] = dg[1:, 2, 1, 0] = [0.1, 0.3, 0.3]  # d_{x2} g_{x1 y1}
+    g = np.broadcast_to(np.eye(4), (4, 4, 4))
+    closed = two_form_closedness(hand_metric(np.zeros((4, 4)), 2, g, dg))
+    assert closed[0] == 0.0
+    assert 1e-3 < closed[1] < closed[2] == closed[3]
 
 
 # Non-Einstein potentials of n = 1, 3 and 4 and the points sampled from each.

@@ -383,6 +383,24 @@ def test_cli_verify_identities(capsys):
     assert "ladder:" not in out
 
 
+def test_cli_preflight_failure_exit_two(tmp_path, capsys):
+    # An indefinite metric exits 2 from every command that samples it, and
+    # no report is written.
+    path = write_manifest(
+        tmp_path, "name = indefinite\nn = 2\npotential = rsq - absq(1)^2\ndomain = -1 1\n"
+    )
+    out_json = tmp_path / "report.json"
+    for argv in (["verify-identities", path, *SMALL_ARGS, "--json", str(out_json)],
+                 ["classify", path, *SMALL_ARGS, "--json", str(out_json)],
+                 ["experiment", "transport", path, "--json", str(out_json)]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("not Kahler: metric is not positive definite at "), err
+        assert not out_json.exists(), argv
+
+
 def test_cli_lattice_failure_exit_three(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise LatticeError("einstein passed but implied ricci_parallel failed")
