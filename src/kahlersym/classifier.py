@@ -28,7 +28,7 @@ import numpy as np
 from .curvature import CurvatureBundle, curvature_bundle
 from .metrics import metric_from_potential
 from .symmetry_tensors import (
-    complex_tachibana_ricci,
+    _complex_from_real,
     dependence_scale,
     r_dot_s,
     tachibana_ricci,
@@ -167,7 +167,7 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
     dir_rows = _outer_rows(dirs, dirs)
     plane_rows = _outer_rows(planes, planes @ j.T)
     q = tachibana_ricci(g, s)
-    qc = complex_tachibana_ricci(g, s, j)
+    qc = _complex_from_real(q)
     rs = r_dot_s(bundle)
     norm_r13, norm_s, norm_qc = max_norm(bundle.r13, 4), max_norm(s, 2), max_norm(qc, 4)
     return PointData(

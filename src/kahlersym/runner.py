@@ -1,12 +1,12 @@
 """Orchestration: identity suite, classification, reports.
 
 The identity suite re-derives the algebraic facts the classifier leans on
-(symmetries of S, R.S and the Tachibana tensors, the complex split, the
-holomorphic doubling, Riemann symmetries, the closed Ricci form) at every
-sampled point, as a permanent cross-check of the tensor bookkeeping.  It
-also checks the metric's own Kahler conditions, a closed Kahler form and
-a parallel J, under the tighter gate KAHLER_TOLERANCE.  The J checks
-apply J by half-swap slices, not by products.
+(symmetries of S, R.S and the Tachibana tensors, the holomorphic doubling,
+Riemann symmetries, the closed Ricci form) at every sampled point, as a
+permanent cross-check of the tensor bookkeeping.  It also checks the
+metric's own Kahler conditions, a closed Kahler form and a parallel J,
+under the tighter gate KAHLER_TOLERANCE.  The J checks apply J by
+half-swap slices, not by products.
 
 Reports serialize to JSON deterministically: keys sorted, no timings, all
 values plain Python floats, so byte-identical runs are reproducible from
@@ -37,7 +37,6 @@ from .tensor_algebra import (
     _permute_slots,
     check_rs_symmetries,
     floored_scale,
-    j_conjugate_last_pair,
     j_invariance_violation,
     j_rotated_symmetric_violation,
     max_norm,
@@ -82,16 +81,13 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
         for key, value in check_rs_symmetries(tensor, scale, norm).items():
             out[f"{prefix}_{key}"] = value
 
-    split = d.qc - d.q
-    split -= j_conjugate_last_pair(d.q)
-    out["tachibana_complex_split"] = rel_violation(split, d.scale_qc, 4)
-    # The split's buffer takes qc - 2q, formed as (-2q) + qc: the same bits.
-    double = np.multiply(d.q, -2.0, out=split)
+    # qc - 2q, formed as (-2q) + qc: the same bits.
+    double = d.q * -2.0
     double += d.qc
     out["tachibana_holomorphic_double"] = rel_violation(
         _plane_reduce(double, d.dir_rows, d.plane_rows), d.scale_qc, 2
     )
-    del split, double  # the suite's largest temporaries
+    del double  # the suite's largest temporary
     out["holomorphic_first_slot_zero"] = holomorphic_first_slot_check(
         d.qc, d.scale_qc, d.norm_qc
     )
@@ -156,7 +152,7 @@ class RunReport:
 
     def to_json(self) -> str:
         report = {
-            "schema": "kahlersym-report/2",
+            "schema": "kahlersym-report/3",
             "spec": {
                 "name": self.spec.name,
                 "n": self.spec.n,
@@ -179,7 +175,7 @@ class RunReport:
         lines.append(f"manifold {spec.name}  (n={spec.n}, potential: {spec.potential_source})")
         lines.append(
             f"plan: {self.plan.points} points, {self.plan.directions} directions, "
-            f"{self.plan.planes} planes, seed {self.plan.seed}, source random"
+            f"{self.plan.planes} planes, seed {self.plan.seed}"
         )
         worst_name, worst_value = self.worst_identity()
         state = "ok" if self.identities_passed else "FAILED"

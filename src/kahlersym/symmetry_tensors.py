@@ -7,9 +7,10 @@ by derivation.  With A an endomorphism attached to (x, y),
     T(u, v; x, y) = -S(A u, v) - S(u, A v),
 
 which gives R.S for A = R(x,y), the Tachibana-Ricci tensor Q(g,S) for
-the metric wedge A = x wedge_g y, and its complex variant Qc(g,S) for
-the complex wedge.  These tensors and their scales accept inputs stacked
-on leading point axes and then return one tensor or value per point.
+the metric wedge A = x wedge_g y, and its complex variant Qc(g,S) for the
+complex wedge, formed from Q(g,S) for a J-invariant S.  These tensors and
+their scales accept inputs stacked on leading point axes and then return
+one tensor or value per point.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .tensor_algebra import (
     ABS_FLOOR,
     floored_scale,
     hermitian_violation,
+    j_conjugate_last_pair,
     j_rotated_symmetric_violation,
     max_norm,
     NonHermitianMetric,
@@ -72,25 +74,23 @@ def tachibana_ricci(g: np.ndarray, s: np.ndarray) -> np.ndarray:
                                      np.asarray(s, float))
 
 
-def _complex_wedge_family(g: np.ndarray, j: np.ndarray) -> np.ndarray:
-    gj = g @ j
-    rotated = np.einsum("...cb,da->...dcab", gj, j)
-    rotated -= np.einsum("...ca,db->...dcab", gj, j)
-    spin = np.einsum("...ab,dc->...dcab", j.T @ g, j)
-    spin *= -2.0
-    family = _wedge_family(g)
-    family += rotated
-    family += spin
-    return family
+def _complex_from_real(q: np.ndarray) -> np.ndarray:
+    """Qc(g,S) = Q + J^T Q J on the last slot pair, one signed gather, for a
+    J-invariant S: of the complex wedge x^y + Jx^Jy - 2 g(Jx,y) J, the last
+    term acts on such an S as zero, since S(Ju, v) = -S(u, Jv)."""
+    qc = j_conjugate_last_pair(q)
+    qc += q
+    return qc
 
 
 def complex_tachibana_ricci(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Qc(g,S): derivation action of complex wedges; needs g Hermitian."""
+    """Qc(g,S) for a Hermitian g, the standard J and a J-invariant S (not
+    checked: a Ricci-flat S is roundoff, which no check relative to |S| passes)."""
     g = np.asarray(g, float)
     j = np.asarray(j, float)
     if np.any(hermitian_violation(g, j) > HERMITIAN_TOLERANCE):
         raise NonHermitianMetric("metric is not Hermitian w.r.t. the complex structure")
-    return _endo_family_dot_bilinear(_complex_wedge_family(g, j), np.asarray(s, float))
+    return _complex_from_real(tachibana_ricci(g, s))
 
 
 def quad_eval(t: np.ndarray, u, v, x, y) -> float:

@@ -184,8 +184,6 @@ def identity_j_checks_matmul(d) -> dict:
     out = {
         "ricci_j_invariant": rel_violation_oracle(j.T @ s @ j - s, d.scale_s, 2),
         "ricci_holomorphic_zero": j_rotated_symmetric_einsum(s, j, d.scale_s, 2),
-        "tachibana_complex_split": rel_violation_oracle(
-            d.qc - d.q - j_last_pair(d.q, j), d.scale_qc, 4),
         "holomorphic_first_slot_zero": j_rotated_symmetric_einsum(
             d.qc, j, np.maximum(d.scale_qc, max_norm(d.qc, 4)), 4),
         "kahler_j_invariance": rel_violation_oracle(j_first_pair(r04, j) - r04, scale_r, 4),

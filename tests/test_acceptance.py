@@ -59,7 +59,6 @@ EINSTEIN_OR_ABOVE = ("flat_c2", "fs_cp1", "fs_cp2", "hyperbolic_ball_2")
 # these sit at machine precision and get a tighter gate here.
 ALGEBRAIC_IDENTITIES = frozenset(
     {
-        "tachibana_complex_split",
         "tachibana_holomorphic_double",
         "holomorphic_first_slot_zero",
         "rs_sym_first_pair",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kahlersym import classifier, tensor_algebra
+from kahlersym import classifier, symmetry_tensors, tensor_algebra
 from kahlersym.classifier import SamplePlan, direction_samples, plane_samples, sample_evidence
 from kahlersym.curvature import curvature_bundle
 from kahlersym.metrics import metric_from_potential
@@ -37,7 +37,6 @@ EXPECTED_CHECKS = {
     "qc_antisym_last_pair",
     "qc_sym_first_pair",
     "qc_j_pair_invariance",
-    "tachibana_complex_split",
     "tachibana_holomorphic_double",
     "holomorphic_first_slot_zero",
     "riemann_antisym_first_pair",
@@ -162,7 +161,7 @@ def test_json_round_trip_and_schema(fixtures, small_plan):
     blob = report.to_json()
     assert blob.endswith("\n")
     payload = json.loads(blob)
-    assert payload["schema"] == "kahlersym-report/2"
+    assert payload["schema"] == "kahlersym-report/3"
     assert payload["spec"]["name"] == "product_cp1_cp1_unequal"
     assert payload["spec"]["n"] == 2
     assert payload["plan"] == dataclasses.asdict(small_plan)
@@ -293,9 +292,11 @@ def test_run_expands_one_metric_jet_per_point(fixtures, small_plan, monkeypatch)
 
 def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypatch):
     # One run inverts g once, builds the direction rows u(x)u and the plane
-    # rows x(x)Jx once each, and takes one max-norm of each (P, m^4) tensor.
-    inverted, rows, normed = [], [], []
+    # rows x(x)Jx once each, builds the metric-wedge family once (for Q and
+    # Qc alike), and takes one max-norm of each (P, m^4) tensor.
+    inverted, rows, normed, wedged = [], [], [], []
     inv, outer_rows, max_norm = np.linalg.inv, classifier._outer_rows, tensor_algebra.max_norm
+    wedge_family = symmetry_tensors._wedge_family
 
     def counted_inv(a):
         inverted.append(a.shape)
@@ -310,12 +311,18 @@ def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypat
             normed.append(t)
         return max_norm(t, rank)
 
+    def counted_wedge(g):
+        wedged.append(g.shape)
+        return wedge_family(g)
+
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    _patch_everywhere(monkeypatch, wedge_family, counted_wedge)
     _patch_everywhere(monkeypatch, outer_rows, counted_rows)
     _patch_everywhere(monkeypatch, max_norm, counted_norm)
     run(fixtures["product_cp1_cp1_unequal"], small_plan)
     p = small_plan.points
     assert inverted == [(p, 4, 4)]
+    assert wedged == [(p, 4, 4)]
     assert sorted(rows) == [(p, small_plan.directions, 4), (p, small_plan.planes, 4)]
     assert normed and all(t.shape == (p,) + (4,) * 4 for t in normed)
     addresses = [t.__array_interface__["data"][0] for t in normed]

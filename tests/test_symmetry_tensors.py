@@ -15,11 +15,11 @@ from kahlersym.classifier import (
 )
 from kahlersym.cli import _orthonormal_pair
 from kahlersym.curvature import curvature_bundle
+from kahlersym.expressions import parse
 from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import run
 from kahlersym.symmetry_tensors import (
     DEFAULT_EPS_LADDER,
-    _complex_wedge_family,
     _endo_family_dot_bilinear,
     _extrapolate_to_zero,
     _wedge_family,
@@ -86,9 +86,24 @@ def test_tachibana_matches_loop_oracle(bundles, name):
     assert max_norm(fast - slow) < 1e-13 * scale
 
 
-@pytest.mark.parametrize("name", sorted(POINTS))
+# Qc inputs beyond the zoo: the holomorphically Ricci-pseudosymmetric
+# witnesses, the semisymmetric witness and an n = 3 potential without U(3)
+# symmetry, as (potential, n, point).
+QC_INPUTS = {
+    "exp_rsq": ("exp(rsq)", 2, [0.3, -0.2, 0.1, 0.25]),
+    "quartic_rsq": ("rsq + 0.3*rsq^2", 3, [0.2, -0.1, 0.3, 0.15, -0.25, 0.1]),
+    "semisymmetric": ("log(1+absq(1)) + absq(2) + 0.2*absq(2)^2", 2, [0.4, -0.3, 0.2, 0.5]),
+    "no_u3_symmetry": ("log(1+rsq) + 0.1*x1*absq(1)", 3, [0.2, -0.1, 0.3, 0.15, -0.25, 0.1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTS) + sorted(QC_INPUTS))
 def test_complex_tachibana_matches_loop_oracle(bundles, name):
-    b = bundles[name]
+    if name in QC_INPUTS:
+        source, n, point = QC_INPUTS[name]
+        b = curvature_bundle(metric_from_potential(parse(source, n), point, n))
+    else:
+        b = bundles[name]
     fast = complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
     slow = brute_complex_tachibana(b.metric.g, b.ricci, b.metric.J)
     scale = max_norm(b.metric.g) * max_norm(b.ricci)
@@ -97,9 +112,10 @@ def test_complex_tachibana_matches_loop_oracle(bundles, name):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_derivation_tensors_match_einsum_reference(n):
-    # Random stacked inputs, with g Hermitian and S symmetric; the endomorphism
-    # family also with the size-1 plane axes of a single endomorphism, acting
-    # on a bilinear form that is not symmetric.
+    # Random stacked inputs, with g Hermitian and S symmetric (J-invariant for
+    # Qc, checked point by point against the complex-wedge loop oracle); the
+    # endomorphism family also with the size-1 plane axes of a single
+    # endomorphism, acting on a bilinear form that is not symmetric.
     rng = np.random.default_rng(30 + n)
     m = 2 * n
     j = standard_complex_structure(n)
@@ -112,10 +128,14 @@ def test_derivation_tensors_match_einsum_reference(n):
     cases = [
         (r_dot_s(SimpleNamespace(r13=r13, ricci=s)), np.einsum("...dabc->...dcab", r13)),
         (tachibana_ricci(g, s), _wedge_family(g)),
-        (complex_tachibana_ricci(g, s, j), _complex_wedge_family(g, j)),
     ]
     for got, family in cases:
         assert rel_err(got, endo_family_dot_bilinear_einsum(family, s)) <= 1e-13
+    s_j = 0.5 * (s + j.T @ s @ j)
+    qc = complex_tachibana_ricci(g, s_j, j)
+    for i in range(len(g)):
+        oracle = brute_complex_tachibana(g[i], s_j[i], j)
+        assert max_norm(qc[i] - oracle) <= 1e-13 * max_norm(g[i]) * max_norm(s_j[i])
     single = rng.standard_normal((3, m, m, 1, 1))
     forms = rng.standard_normal((3, m, m))
     for family, form in ((single, forms), (single[0], forms[0])):

@@ -176,8 +176,8 @@ def test_identity_suite_j_checks_match_the_matmul_oracle(n):
     for key, want in identity_j_checks_matmul(data).items():
         assert np.array_equal(_bits(got[key]), _bits(want)), key
     assert min(got[key][0] for key in ("rs_j_pair_invariance", "qc_j_pair_invariance",
-                                       "tachibana_complex_split", "kahler_j_invariance",
-                                       "kahler_form_closed", "kahler_j_parallel")) > 1e-3
+                                       "kahler_j_invariance", "kahler_form_closed",
+                                       "kahler_j_parallel")) > 1e-3
 
 
 def test_rel_violation_floor():
