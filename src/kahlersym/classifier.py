@@ -166,9 +166,9 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
     planes = _unit_rows(plan, _PLANE_STREAM, plan.planes, m)
     dir_rows = _outer_rows(dirs, dirs)
     plane_rows = _outer_rows(planes, planes @ j.T)
+    rs = r_dot_s(bundle)
     q = tachibana_ricci(g, s)
     qc = _complex_from_real(q)
-    rs = r_dot_s(bundle)
     norm_r13, norm_s, norm_qc = max_norm(bundle.r13, 4), max_norm(s, 2), max_norm(qc, 4)
     return PointData(
         bundle=bundle,

@@ -12,22 +12,26 @@ The sign of the lowered tensor makes sectional curvatures of round
 Fubini-Study metrics positive.  The Ricci tensor is the trace
 S_bc = r13[a,a,b,c], equal to contracting r04 with the inverse metric in
 its first and last slots.  The connection stops at d(gamma): dS takes
-its two traces of dd(gamma) straight from the metric jet.
+its two traces of dd(gamma) straight from the metric jet.  A curvature
+bundle keeps the depth-1 part of its jet and gamma alone: ddg, t and
+d(gamma) are released once R and dS are formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .expressions import Expr
 from .metrics import MetricJet, metric_from_potential
+from .tensor_algebra import max_norm
 
 
 @dataclass(frozen=True)
 class Connection:
-    """gamma[c,a,b]; dgamma[e,c,a,b] = d_e gamma[c,a,b] from a depth >= 2 jet, else None."""
+    """gamma[c,a,b]; dgamma[e,c,a,b] = d_e gamma[c,a,b] from a depth >= 2 jet,
+    else None, and None in a curvature bundle."""
 
     gamma: np.ndarray
     dgamma: np.ndarray | None
@@ -35,7 +39,15 @@ class Connection:
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Curvature at one point, or at several stacked on a leading point axis."""
+    """Curvature at one point, or at several stacked on a leading point axis.
+
+    ``metric`` is the depth-1 part of the jet the bundle was built from
+    (ddg = t = None) and ``connection`` holds gamma alone (dgamma = None):
+    the jet's ddg and t and d(gamma) feed only R and dS, so they are not
+    kept.  ``norm_dgamma`` is the max-norm of d(gamma) at each point, the
+    one value read of it afterwards; ``christoffel`` of a depth >= 2 jet
+    gives d(gamma) itself.
+    """
 
     metric: MetricJet
     connection: Connection
@@ -45,6 +57,7 @@ class CurvatureBundle:
     dricci: np.ndarray  # plain coordinate derivative of the Ricci components
     nabla_ricci: np.ndarray
     scal: float | np.ndarray
+    norm_dgamma: float | np.ndarray
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
@@ -157,7 +170,8 @@ def _ricci_derivative(m: MetricJet, gamma: np.ndarray, dgamma: np.ndarray) -> np
 
 
 def curvature_bundle(m: MetricJet) -> CurvatureBundle:
-    """Everything the classifier needs at the jet's points; requires depth-3 jets."""
+    """Everything the classifier needs at the jet's points; requires depth-3
+    jets.  The bundle keeps the jet to depth 1 and gamma (see CurvatureBundle)."""
     if m.t is None:
         raise ValueError("curvature_bundle needs a depth-3 metric jet")
     conn = christoffel(m)
@@ -166,7 +180,9 @@ def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     ds = _ricci_derivative(m, conn.gamma, conn.dgamma)
     ns = nabla_ricci(conn, s, ds)
     scal = scalar_curvature(s, m.G)
-    return CurvatureBundle(m, conn, r13, r04, s, ds, ns, scal)
+    norm_dgamma = max_norm(conn.dgamma, 4)
+    return CurvatureBundle(replace(m, ddg=None, t=None), Connection(conn.gamma, None),
+                           r13, r04, s, ds, ns, scal, norm_dgamma)
 
 
 # -- parallel transport --------------------------------------------------------

@@ -66,7 +66,7 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
     scale_r = floored_scale(
         max_norm(r04, 4),
         max_norm(g, 2)
-        * (max_norm(b.connection.dgamma, 4) + m * max_norm(b.connection.gamma, 3) ** 2),
+        * (b.norm_dgamma + m * max_norm(b.connection.gamma, 3) ** 2),
     )
 
     out: dict[str, np.ndarray] = {}

@@ -8,9 +8,11 @@ by derivation.  With A an endomorphism attached to (x, y),
 
 which gives R.S for A = R(x,y), the Tachibana-Ricci tensor Q(g,S) for
 the metric wedge A = x wedge_g y, and its complex variant Qc(g,S) for the
-complex wedge, formed from Q(g,S) for a J-invariant S.  These tensors and
-their scales accept inputs stacked on leading point axes and then return
-one tensor or value per point.
+complex wedge.  R.S is a matmul over the family R(x,y); Q(g,S), four
+products of g and S, is formed in closed form, and Qc(g,S) from Q(g,S)
+for a J-invariant S.  These tensors and their scales accept inputs
+stacked on leading point axes and then return one tensor or value per
+point.
 """
 
 from __future__ import annotations
@@ -42,16 +44,19 @@ def _endo_family_dot_bilinear(a: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     Both terms are batched matmuls of S with a as the (d, c x y) matrix:
     S(Au, v) is S^T A with its (v, u) slots swapped, S(u, Av) is S A.  The
-    result is laid out in C order, as for a single point, so the
-    contractions that read it sum in the same order for one point or many.
+    result is formed in the buffer of the S A product, negated and then
+    reduced by S(Au, v): -S(u, Av) - S(Au, v) has the bits, zeros' signs
+    included, of -S(Au, v) - S(u, Av).  It is laid out in C order, as for a
+    single point, so the contractions that read it sum in the same order
+    for one point or many.
     """
     m = s.shape[-1]
     flat = a.reshape(a.shape[:-4] + (m, -1))
     s_a = s @ flat
     st_a = np.swapaxes(s, -1, -2) @ flat
     shape = s_a.shape[:-2] + (m, m) + a.shape[-2:]
-    out = np.negative(np.swapaxes(st_a.reshape(shape), -4, -3), out=np.empty(shape))
-    out -= s_a.reshape(shape)
+    out = np.negative(s_a, out=s_a).reshape(shape)
+    out -= np.swapaxes(st_a.reshape(shape), -4, -3)
     return out
 
 
@@ -61,17 +66,21 @@ def r_dot_s(bundle: CurvatureBundle) -> np.ndarray:
     return _endo_family_dot_bilinear(family, bundle.ricci)
 
 
-def _wedge_family(g: np.ndarray) -> np.ndarray:
-    eye = np.eye(g.shape[-1])
-    wedge = np.einsum("...bc,da->...dcab", g, eye)
-    wedge -= np.einsum("...ac,db->...dcab", g, eye)
-    return wedge
-
-
 def tachibana_ricci(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Q(g,S): the derivation action of metric wedges on the Ricci tensor."""
-    return _endo_family_dot_bilinear(_wedge_family(np.asarray(g, float)),
-                                     np.asarray(s, float))
+    """Q(g,S) for a symmetric S: the derivation action of the metric wedges
+    (x wedge_g y) u = g(y,u) x - g(x,u) y on S, in closed form
+
+        Q(u,v;x,y) = g(u,x) S(v,y) + g(v,x) S(u,y) - (x <-> y),
+
+    formed as W - W^(x<->y) with W = A + A^(u<->v), A[u,v,x,y] = g[u,x] S[v,y].
+    Q is symmetric in (u, v) and antisymmetric in (x, y) bit for bit, and
+    Q(g, g) is exactly zero.
+    """
+    g = np.asarray(g, float)
+    s = np.asarray(s, float)
+    a = g[..., :, None, :, None] * s[..., None, :, None, :]
+    w = a + np.swapaxes(a, -4, -3)
+    return np.subtract(w, np.swapaxes(w, -2, -1), out=a)
 
 
 def _complex_from_real(q: np.ndarray) -> np.ndarray:

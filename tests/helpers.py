@@ -1,9 +1,11 @@
 """Independent oracles and numeric utilities shared by the test modules.
 
 Everything here deliberately avoids the library's kernels: the derivation
-tensors are assembled with explicit index loops, derivatives come from
-central finite differences, curvature of surfaces from the conformal-factor
-formula, and the batched-matmul contractions have their einsum forms kept
+tensors are assembled with explicit index loops or, for Q(g,S), by its
+definition over the whole metric-wedge family, S and dS also come from
+the Ricci potential log det g, derivatives come from central finite
+differences, curvature of surfaces from the conformal-factor formula,
+and the batched-matmul contractions have their einsum forms kept
 here as references, as do the matrix products with J that the identity
 suite's half-block reads are checked against.  The oracles of the
 holomorphic-plane characterizations live here too, outside the package
@@ -64,6 +66,22 @@ def brute_tachibana(g: np.ndarray, s: np.ndarray) -> np.ndarray:
                         - g[a, j] * s[i, b]
                     )
     return out
+
+
+def wedge_family(g: np.ndarray) -> np.ndarray:
+    """The metric wedges as one endomorphism family w[d,c,x,y]:
+    (e_x wedge_g e_y) u = g(e_y, u) e_x - g(e_x, u) e_y."""
+    eye = np.eye(g.shape[-1])
+    wedge = np.einsum("...bc,da->...dcab", g, eye)
+    wedge -= np.einsum("...ac,db->...dcab", g, eye)
+    return wedge
+
+
+def wedge_tachibana(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Q(g,S) by its definition, -S(A u, v) - S(u, A v) for A = x wedge_g y,
+    over the whole wedge family (stacked inputs too)."""
+    g = np.asarray(g, float)
+    return endo_family_dot_bilinear_einsum(wedge_family(g), np.asarray(s, float))
 
 
 def _wedge_matrix(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -170,14 +188,16 @@ def kahler_checks_matmul(metric, gamma) -> dict:
     }
 
 
-def identity_j_checks_matmul(d) -> dict:
-    """The identity-suite checks that apply J, with J applied by products."""
+def identity_j_checks_matmul(d, potential) -> dict:
+    """The identity-suite checks that apply J, with J applied by products;
+    d(gamma) comes from the depth-3 jet of ``potential`` at the same points."""
     b = d.bundle
     s, j, r04 = b.ricci, b.metric.J, b.r04
     m = j.shape[0]
+    dgamma = christoffel(metric_from_potential(potential, b.metric.point, b.metric.n)).dgamma
     scale_r = np.maximum(
         np.maximum(max_norm(r04, 4), max_norm(b.metric.g, 2)
-                   * (max_norm(b.connection.dgamma, 4)
+                   * (max_norm(dgamma, 4)
                       + m * max_norm(b.connection.gamma, 3) ** 2)),
         ABS_FLOOR,
     )
@@ -498,6 +518,28 @@ def dricci_einsum(gamma, dgamma, ddgamma):
         - np.einsum("...eabm,...mac->...ebc", dgamma, gamma)
         - np.einsum("...abm,...emac->...ebc", gamma, dgamma)
     )
+
+
+def ricci_from_log_det(m: MetricJet):
+    """(S, dS) of a depth-3 jet from the Ricci potential Phi = log det g,
+    with no Christoffel symbol or Riemann tensor: S = -pairing(d^2 Phi) and
+    dS = -pairing(d^3 Phi).  With D_a = G d_a g and D_ab = G d_a d_b g,
+
+        d_ab Phi  = tr D_ab - tr(D_a D_b),
+        d_eab Phi = t/2 - tr(D_e D_ab) - tr(D_ea D_b) - tr(D_a D_eb)
+                    + tr(D_e D_a D_b) + tr(D_a D_e D_b),
+
+    where tr(G d_e d_a d_b g) = t/2 because G is J-invariant."""
+    one = np.einsum("...xy,...ayz->...axz", m.G, m.dg)
+    two = np.einsum("...xy,...abyz->...abxz", m.G, m.ddg)
+    d2 = np.einsum("...abxx->...ab", two) - np.einsum("...axy,...byx->...ab", one, one)
+    d3 = (m.t / 2
+          - np.einsum("...exy,...abyx->...eab", one, two)
+          - np.einsum("...bxy,...eayx->...eab", one, two)
+          - np.einsum("...axy,...ebyx->...eab", one, two)
+          + np.einsum("...exy,...ayz,...bzx->...eab", one, one, one)
+          + np.einsum("...axy,...eyz,...bzx->...eab", one, one, one))
+    return -pair_second_partials(d2, m.n), -pair_second_partials(d3, m.n)
 
 
 def endo_family_dot_bilinear_einsum(a, s):

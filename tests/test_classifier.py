@@ -322,14 +322,18 @@ def test_evidence_across_blocks_matches_each_point_at_every_n(n):
 def test_run_holds_no_tensor_above_rank_four_per_point():
     # No (2n)^5 tensor at n = 4: every array of the evidence run() gathers,
     # its curvature bundle, metric jet and connection included, holds at
-    # most (2n)^4 entries per point.
+    # most (2n)^4 entries per point; so do the depth-3 jet and the connection
+    # with d(gamma) that the bundle is built from, as metric_from_potential
+    # and christoffel give them.
     spec, count = STACK_SPECS[4]
     data = sample_evidence(spec, SamplePlan(points=count, directions=4, planes=4, seed=3))
     b = data.bundle
-    arrays = [v for part in (data, b, b.metric, b.connection) for v in vars(part).values()
+    jet = metric_from_potential(spec.potential(), b.metric.point, spec.n)
+    parts = (data, b, b.metric, b.connection, jet, christoffel(jet))
+    arrays = [v for part in parts for v in vars(part).values()
               if isinstance(v, np.ndarray) and v.ndim > 2]
     assert arrays and all(v.size <= count * 8**4 for v in arrays)
-    assert b.metric.t.shape == (count, 8, 8, 8)
+    assert jet.t.shape == (count, 8, 8, 8)
 
 
 def _check_stacked_evidence(spec, count):
@@ -339,6 +343,14 @@ def _check_stacked_evidence(spec, count):
     points = sample_points(spec.domain, plan)
     checks = identity_checks(data)
     potential = spec.potential()
+    # The bundle keeps no ddg, t or d(gamma); those of the stacked jet the
+    # run expands are checked point by point as metric_from_potential and
+    # christoffel give them.
+    jet = metric_from_potential(potential, points, spec.n)
+    dgamma = christoffel(jet).dgamma
+    assert data.bundle.metric.ddg is None and data.bundle.metric.t is None
+    assert data.bundle.connection.dgamma is None
+    assert np.array_equal(data.bundle.norm_dgamma, max_norm(dgamma, 4))
     for i, point in enumerate(points):
         m = metric_from_potential(potential, point, spec.n)
         b = curvature_bundle(m)
@@ -347,12 +359,14 @@ def _check_stacked_evidence(spec, count):
         assert np.array_equal(data.planes[i], planes)
         assert np.array_equal(data.dir_rows[i], _outer_rows(dirs, dirs))
         assert np.array_equal(data.plane_rows[i], _outer_rows(planes, planes @ m.J.T))
-        for field in ("g", "G", "dg", "ddg", "t"):
+        for field in ("g", "G", "dg"):
             assert np.array_equal(getattr(data.bundle.metric, field)[i],
                                   getattr(b.metric, field)), (i, field)
+        for field in ("g", "G", "dg", "ddg", "t"):
+            assert np.array_equal(getattr(jet, field)[i], getattr(m, field)), (i, field)
         assert np.array_equal(data.bundle.connection.gamma[i], b.connection.gamma)
-        assert np.array_equal(data.bundle.connection.dgamma[i], b.connection.dgamma)
-        for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal"):
+        assert np.array_equal(dgamma[i], christoffel(m).dgamma)
+        for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal", "norm_dgamma"):
             assert np.array_equal(getattr(data.bundle, field)[i], getattr(b, field)), (i, field)
         rs, qc = r_dot_s(b), complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
         assert np.array_equal(data.rs[i], rs)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from kahlersym.classifier import SamplePlan, sample_points
 from kahlersym.curvature import (
     christoffel,
     curvature_bundle,
@@ -16,6 +17,7 @@ from kahlersym.expressions import eval_jet, parse
 from kahlersym.metrics import metric_from_potential
 from kahlersym.symmetry_tensors import parallelogram_loop
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
+from kahlersym.zoo import ManifoldSpec, zoo
 
 from helpers import (
     DegeneratePlane,
@@ -29,6 +31,7 @@ from helpers import (
     pair_second_partials,
     parallel_transport_stagewise,
     rel_err,
+    ricci_from_log_det,
     riemann_einsum,
     sectional,
 )
@@ -292,16 +295,22 @@ def test_bundle_requires_depth_three():
 
 
 def test_bundle_over_points_matches_each_point():
+    # The bundle keeps gamma alone; d(gamma) is checked on christoffel of
+    # the same stacked jet.
     points = rng_points(2, 6, -0.4, 0.4, seed=11)
-    stacked = curvature_bundle(metric_from_potential(PERT2, points, 2))
+    jet = metric_from_potential(PERT2, points, 2)
+    stacked = curvature_bundle(jet)
     assert stacked.scal.shape == (6,)
+    connection = christoffel(jet)
     for i, point in enumerate(points):
         alone = bundle(PERT2, point, 2)
-        for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal"):
+        for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal", "norm_dgamma"):
             assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)), field
+        assert np.array_equal(stacked.connection.gamma[i], alone.connection.gamma)
+        alone_connection = christoffel(metric_from_potential(PERT2, point, 2))
         for field in ("gamma", "dgamma"):
-            assert np.array_equal(getattr(stacked.connection, field)[i],
-                                  getattr(alone.connection, field)), field
+            assert np.array_equal(getattr(connection, field)[i],
+                                  getattr(alone_connection, field)), field
 
 
 def _random_jet_slot(rng, points, m, order):
@@ -332,14 +341,44 @@ def test_kernels_match_einsum_references(n):
     jet = hand_metric(rng.standard_normal((3, m)), n, g,
                       *(_random_jet_slot(rng, 3, m, k) for k in (1, 2)), t)
     b = curvature_bundle(jet)
-    conn = b.connection
+    conn = christoffel(jet)
     expected = christoffel_einsum(jet, pair_second_partials(p5, n))
     for got, want in zip((conn.gamma, conn.dgamma), expected):
         assert rel_err(got, want) <= 1e-13
+    assert np.array_equal(b.connection.gamma, conn.gamma)
     r13, r04 = riemann_einsum(jet.g, conn.gamma, conn.dgamma)
     assert rel_err(b.r13, r13) <= 1e-13
     assert rel_err(b.r04, r04) <= 1e-13
     assert rel_err(b.dricci, dricci_einsum(*expected)) <= 1e-13
+
+
+# The zoo, two holomorphically Ricci-pseudosymmetric witnesses (n = 2 and
+# n = 3) and the semisymmetric witness.
+LOG_DET_SPECS = {
+    **zoo(),
+    "exp_rsq": ManifoldSpec("exp_rsq", 2, "exp(rsq)", ((-0.5, 0.5),) * 4),
+    "quartic_rsq": ManifoldSpec("quartic_rsq", 3, "rsq + 0.3*rsq^2", ((-0.5, 0.5),) * 6),
+    "semisymmetric": ManifoldSpec("semisymmetric", 2,
+                                  "log(1+absq(1)) + absq(2) + 0.2*absq(2)^2", ((-0.8, 0.8),) * 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_DET_SPECS))
+def test_ricci_and_its_derivative_match_the_log_det_route(name):
+    # S and dS from the Ricci potential log det g share no code with
+    # christoffel, riemann or _ricci_derivative.  Judged against the Ricci
+    # scale max(|S|, m|R|), and for dS also against m|Gamma| times it.
+    spec = LOG_DET_SPECS[name]
+    points = sample_points(spec.domain, SamplePlan(points=8, seed=3))
+    jet = metric_from_potential(spec.potential(), points, spec.n)
+    s, ds = ricci_from_log_det(jet)
+    b = curvature_bundle(jet)
+    m = 2 * spec.n
+    scale_s = np.maximum(max_norm(b.ricci, 2), m * max_norm(b.r13, 4))
+    assert np.all(max_norm(s - b.ricci, 2) <= 1e-12 * scale_s)
+    scale_ds = np.maximum(max_norm(b.dricci, 3),
+                          m * max_norm(b.connection.gamma, 3) * scale_s)
+    assert np.all(max_norm(ds - b.dricci, 3) <= 1e-10 * scale_ds)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

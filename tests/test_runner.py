@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,11 +293,11 @@ def test_run_expands_one_metric_jet_per_point(fixtures, small_plan, monkeypatch)
 
 def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypatch):
     # One run inverts g once, builds the direction rows u(x)u and the plane
-    # rows x(x)Jx once each, builds the metric-wedge family once (for Q and
-    # Qc alike), and takes one max-norm of each (P, m^4) tensor.
-    inverted, rows, normed, wedged = [], [], [], []
+    # rows x(x)Jx once each, forms Q(g,S) once (for Q and Qc alike), and
+    # takes one max-norm of each (P, m^4) tensor.
+    inverted, rows, normed, formed = [], [], [], []
     inv, outer_rows, max_norm = np.linalg.inv, classifier._outer_rows, tensor_algebra.max_norm
-    wedge_family = symmetry_tensors._wedge_family
+    tachibana = symmetry_tensors.tachibana_ricci
 
     def counted_inv(a):
         inverted.append(a.shape)
@@ -311,22 +312,45 @@ def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypat
             normed.append(t)
         return max_norm(t, rank)
 
-    def counted_wedge(g):
-        wedged.append(g.shape)
-        return wedge_family(g)
+    def counted_tachibana(g, s):
+        formed.append((g.shape, s.shape))
+        return tachibana(g, s)
 
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
-    _patch_everywhere(monkeypatch, wedge_family, counted_wedge)
+    _patch_everywhere(monkeypatch, tachibana, counted_tachibana)
     _patch_everywhere(monkeypatch, outer_rows, counted_rows)
     _patch_everywhere(monkeypatch, max_norm, counted_norm)
     run(fixtures["product_cp1_cp1_unequal"], small_plan)
     p = small_plan.points
     assert inverted == [(p, 4, 4)]
-    assert wedged == [(p, 4, 4)]
+    assert formed == [((p, 4, 4), (p, 4, 4))]
     assert sorted(rows) == [(p, small_plan.directions, 4), (p, small_plan.planes, 4)]
     assert normed and all(t.shape == (p,) + (4,) * 4 for t in normed)
     addresses = [t.__array_interface__["data"][0] for t in normed]
     assert len(set(addresses)) == len(addresses)
+
+
+def test_run_working_set_stays_below_eight_and_a_half_tensors():
+    # T is one (P, m^4) float tensor.  numpy registers its buffers with
+    # tracemalloc, so the traced peak of a run (set-up caches warmed by a
+    # first run) counts every tensor held at once: the bundle's R in two
+    # layouts, R.S, Q and Qc and the temporaries of whichever step peaks.
+    n = 4
+    spec = ManifoldSpec("fs_cp4", n, "log(1+rsq)", ((-0.5, 0.5),) * (2 * n))
+    plan = SamplePlan(points=10, directions=4, planes=4, seed=3)
+    run(spec, plan)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run(spec, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    tensor = plan.points * (2 * n) ** 4 * 8
+    assert peak <= 8.5 * tensor, peak / tensor
 
 
 def test_stacked_evidence_matches_single_points(fixtures, small_plan):

@@ -22,7 +22,6 @@ from kahlersym.symmetry_tensors import (
     DEFAULT_EPS_LADDER,
     _endo_family_dot_bilinear,
     _extrapolate_to_zero,
-    _wedge_family,
     complex_tachibana_ricci,
     dependence_scale,
     holomorphic_first_slot_check,
@@ -46,6 +45,8 @@ from helpers import (
     brute_tachibana,
     endo_family_dot_bilinear_einsum,
     rel_err,
+    wedge_family,
+    wedge_tachibana,
 )
 
 POINTS = {
@@ -84,6 +85,38 @@ def test_tachibana_matches_loop_oracle(bundles, name):
     slow = brute_tachibana(b.metric.g, b.ricci)
     scale = max_norm(b.metric.g) * max_norm(b.ricci)
     assert max_norm(fast - slow) < 1e-13 * scale
+
+
+def _check_closed_form_tachibana(g, s):
+    """Q(g,S) in closed form against the wedge definition, point by point,
+    and its pair symmetries bit for bit."""
+    q = tachibana_ricci(g, s)
+    scale = max_norm(g, 2) * max_norm(s, 2)
+    assert np.all(max_norm(q - wedge_tachibana(g, s), 4) <= 1e-13 * scale)
+    assert np.array_equal(q, np.swapaxes(q, -4, -3))
+    assert np.array_equal(q, -np.swapaxes(q, -2, -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_tachibana_matches_wedge_definition(n):
+    # Random symmetric positive-definite g and symmetric S, stacked over
+    # three points and each point alone.
+    rng = np.random.default_rng(60 + n)
+    m = 2 * n
+    a = rng.standard_normal((3, m, m))
+    g = np.swapaxes(a, 1, 2) @ a + m * np.eye(m)
+    s = rng.standard_normal((3, m, m))
+    s = s + np.swapaxes(s, 1, 2)
+    _check_closed_form_tachibana(g, s)
+    for gp, sp in zip(g, s):
+        _check_closed_form_tachibana(gp, sp)
+
+
+def test_closed_form_tachibana_matches_wedge_definition_on_the_zoo(fixtures):
+    for spec in fixtures.values():
+        points = sample_points(spec.domain, SamplePlan(points=6, seed=3))
+        b = curvature_bundle(metric_from_potential(spec.potential(), points, spec.n))
+        _check_closed_form_tachibana(b.metric.g, b.ricci)
 
 
 # Qc inputs beyond the zoo: the holomorphically Ricci-pseudosymmetric
@@ -127,7 +160,7 @@ def test_derivation_tensors_match_einsum_reference(n):
     r13 = rng.standard_normal((3, m, m, m, m))
     cases = [
         (r_dot_s(SimpleNamespace(r13=r13, ricci=s)), np.einsum("...dabc->...dcab", r13)),
-        (tachibana_ricci(g, s), _wedge_family(g)),
+        (tachibana_ricci(g, s), wedge_family(g)),
     ]
     for got, family in cases:
         assert rel_err(got, endo_family_dot_bilinear_einsum(family, s)) <= 1e-13
@@ -160,7 +193,9 @@ def test_tachibana_of_metric_itself_vanishes():
         h = a @ a.T + m * np.eye(m)
         j = standard_complex_structure(n)
         g = 0.5 * (h + j.T @ h @ j)
-        assert max_norm(tachibana_ricci(g, g)) < 1e-12 * max_norm(g) ** 2
+        # Closed form: every entry is the difference of one sum of two
+        # products taken in both orders, so exactly zero.
+        assert not tachibana_ricci(g, g).any()
         assert max_norm(complex_tachibana_ricci(g, g, j)) < 1e-12 * max_norm(g) ** 2
 
 

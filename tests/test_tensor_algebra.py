@@ -173,7 +173,7 @@ def test_identity_suite_j_checks_match_the_matmul_oracle(n):
     data = dataclasses.replace(data, bundle=bundle, rs=rs, q=rng.standard_normal(shape), qc=qc,
                                norm_rs=max_norm(rs, 4), norm_qc=max_norm(qc, 4))
     got = identity_checks(data)
-    for key, want in identity_j_checks_matmul(data).items():
+    for key, want in identity_j_checks_matmul(data, spec.potential()).items():
         assert np.array_equal(_bits(got[key]), _bits(want)), key
     assert min(got[key][0] for key in ("rs_j_pair_invariance", "qc_j_pair_invariance",
                                        "kahler_j_invariance", "kahler_form_closed",
