@@ -11,10 +11,11 @@ Index conventions, used consistently everywhere:
 The sign of the lowered tensor makes sectional curvatures of round
 Fubini-Study metrics positive.  The Ricci tensor is the trace
 S_bc = r13[a,a,b,c], equal to contracting r04 with the inverse metric in
-its first and last slots.  The connection stops at d(gamma): dS takes
-its two traces of dd(gamma) straight from the metric jet.  A curvature
-bundle keeps the depth-1 part of its jet and gamma alone: ddg, t and
-d(gamma) are released once R and dS are formed.
+its first and last slots.  The connection stops at d(gamma): dS comes
+from the Ricci potential log det g of the metric jet, with no
+connection (see _ricci_derivative).  A curvature bundle keeps the
+depth-1 part of its jet and gamma alone: ddg, t and d(gamma) are
+released once R and dS are formed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .expressions import Expr
 from .metrics import MetricJet, metric_from_potential
-from .tensor_algebra import max_norm
+from .tensor_algebra import j_conjugate_last_pair, max_norm
 
 
 @dataclass(frozen=True)
@@ -128,56 +129,45 @@ def nabla_ricci(conn: Connection, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     )
 
 
-def _ricci_derivative(m: MetricJet, gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """d_e S_bc.  Its two dd(gamma) terms, sum_a d_e d_a gamma[a,b,c] and
-    sum_a d_e d_b gamma[a,a,c], are traces against G = g^-1 of g dd(gamma) =
-    dd(gamma_1) - dd(g) gamma - d(g) d(gamma) - (the same, derivative slots
-    swapped), taken before any product: dd(gamma) is never formed and every
-    product is an O(m^5) matmul.  Their G[a,d] d_e d_a d_b g_dc terms cancel.
-    Their d^3 g terms are traces of d_e d_f d_h g_xy against G over the
-    slot pairs (h, x), (f, h) and (x, y), read off the jet's t: G J^T is
-    antisymmetric and kills the symmetric fifth partials, so the traces
-    are t/4, (t + J^T t J)/4 and t/2, and half of the first plus its
-    transpose minus the other two is -(t + J^T t J)/8."""
+def _ricci_derivative(m: MetricJet) -> np.ndarray:
+    """d_e S_bc from the Ricci potential Phi = log det g: dS = -pairing(d^3 Phi)
+    on the last slot pair, with no Christoffel symbol.  With D_a = G d_a g,
+
+        d_eab Phi = t/2 - tr(D_e G d_a d_b g) - (its two slot rotations)
+                    + tr(D_e D_a D_b) + tr(D_a D_e D_b),
+
+    where tr(G d_e d_a d_b g) = t/2 because G is J-invariant.  Each trace
+    is one O(m^5) matmul on reshapes.  Holds for the jet of a Kahler
+    potential, as every metric_from_potential jet is."""
     lead, d = m.g.shape[:-2], m.g.shape[-1]
     cube = lead + (d,) * 3
-    row = m.G.reshape(lead + (1, 1, d * d))
-    # raised[e,a,m] = G[a,d] dg[e,d,m]; swapped[e,b,c] = raised[b,a,m] dgamma[e,m,a,c].
-    raised = m.G[..., None, :, :] @ m.dg
-    swapped = (np.swapaxes(raised, -1, -2).reshape(lead + (1, d, d * d))
-               @ dgamma.reshape(lead + (d, d * d, d)))
-    # The factors of gamma[m,b,c] and of dgamma[e,m,b,c] summed over m.
-    on_gamma = (np.einsum("...eaam->...em", dgamma)
-                - (row @ m.ddg.reshape(lead + (d, d * d, d)))[..., 0, :])
-    on_dgamma = (np.einsum("...aam->...m", gamma)
-                 - (row[..., 0, :, :] @ m.dg.reshape(lead + (d * d, d)))[..., 0, :])
-    # gamma_t[b,a,m] = gamma[a,b,m] and dgamma_t[e,b,a,m] = dgamma[e,a,b,m]
-    # put the summed slots of the last two gamma.dgamma products side by side.
-    gamma_t = np.swapaxes(gamma, -3, -2)
-    dgamma_t = np.swapaxes(dgamma, -3, -2)
-    return (
-        -0.125 * (m.t + m.J.T @ m.t @ m.J)
-        + (on_gamma @ gamma.reshape(lead + (d, d * d))
-           - raised.reshape(lead + (d, d * d)) @ dgamma.reshape(lead + (d * d, d * d))
-           ).reshape(cube)
-        + (on_dgamma[..., None, None, :] @ dgamma.reshape(lead + (d, d, d * d))).reshape(cube)
-        + (m.ddg.reshape(lead + (d * d, d * d))
-           @ (m.G[..., None, :, :] @ gamma).reshape(lead + (d * d, d))).reshape(cube)
-        + swapped + np.swapaxes(swapped, -3, -2)
-        - dgamma_t.reshape(lead + (d, d, d * d)) @ gamma_t.reshape(lead + (1, d * d, d))
-        - gamma_t.reshape(lead + (1, d, d * d)) @ dgamma_t.reshape(lead + (d, d * d, d))
-    )
+    one = m.G[..., None, :, :] @ m.dg
+    # tr(D_e G d_a d_b g) = sum_xy (G d_e g G)[x,y] d_a d_b g_xy.
+    two = ((one @ m.G[..., None, :, :]).reshape(lead + (d, d * d))
+           @ np.swapaxes(m.ddg.reshape(lead + (d * d, d * d)), -1, -2)).reshape(cube)
+    # tr(D_e D_a D_b) = sum_xz (D_e D_a)[x,z] D_b[z,x].
+    three = ((one[..., :, None, :, :] @ one[..., None, :, :, :]).reshape(lead + (d * d, d * d))
+             @ np.swapaxes(np.swapaxes(one, -1, -2).reshape(lead + (d, d * d)), -1, -2)
+             ).reshape(cube)
+    d3 = 0.5 * m.t - two - np.swapaxes(two, -3, -2) - np.moveaxis(two, -3, -1)
+    d3 += three
+    d3 += np.swapaxes(three, -3, -2)
+    d3 += j_conjugate_last_pair(d3)
+    d3 *= -0.25
+    return d3
 
 
 def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     """Everything the classifier needs at the jet's points; requires depth-3
-    jets.  The bundle keeps the jet to depth 1 and gamma (see CurvatureBundle)."""
+    jets of a Kahler potential, as every metric_from_potential jet is (dS is
+    taken from log det g).  The bundle keeps the jet to depth 1 and gamma
+    (see CurvatureBundle)."""
     if m.t is None:
         raise ValueError("curvature_bundle needs a depth-3 metric jet")
     conn = christoffel(m)
     r13, r04 = riemann(m, conn)
     s = ricci(r13)
-    ds = _ricci_derivative(m, conn.gamma, conn.dgamma)
+    ds = _ricci_derivative(m)
     ns = nabla_ricci(conn, s, ds)
     scal = scalar_curvature(s, m.G)
     norm_dgamma = max_norm(conn.dgamma, 4)

@@ -104,6 +104,7 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
     bianchi = r04 + _permute_slots(r04, 1, 2, 0, 3)
     bianchi += _permute_slots(r04, 2, 0, 1, 3)
     out["riemann_first_bianchi"] = rel_violation(bianchi, scale_r, 4)
+    del bianchi
     out["kahler_j_invariance"] = j_invariance_violation(r04, scale_r, 4, first_pair=True)
 
     out["ricci_form_closed"] = rel_violation(

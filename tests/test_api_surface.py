@@ -1,7 +1,8 @@
 """The public surface is what the README documents plus what the package
 itself uses: the "Library use" example runs, no public top-level
 function or class, nor a public method or property of such a class, nor
-a public module-level constant, sits in ``src/`` unused, and no module
+a public module-level constant, sits in ``src/`` unused, no private
+function or method is left unreferenced in ``src/``, and no module
 imports a name it does not use.  A name
 counts as documented when it appears in an inline code span of the README
 or in its "Library use" block."""
@@ -97,6 +98,31 @@ def test_every_public_definition_is_used_or_documented():
                    for other in modules.values())
         if not (used or node.name in documented):
             unused.append(key)
+    assert unused == []
+
+
+def _private_definitions(modules: dict[str, ast.Module]):
+    """(key, node) of every private top-level def, and of every private
+    method of any class (dunder methods excepted)."""
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                yield f"{module}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef)
+                            and member.name.startswith("_")
+                            and not member.name.endswith("__")):
+                        yield f"{module}.{node.name}.{member.name}", member
+
+
+def test_every_private_definition_is_used():
+    """A private function or method is called or read somewhere in ``src/``
+    outside its own body, so a retired kernel leaves no helper behind."""
+    modules = _modules()
+    unused = [key for key, node in _private_definitions(modules)
+              if not any(node.name in _references(tree, skip=node)
+                         for tree in modules.values())]
     assert unused == []
 
 

@@ -9,6 +9,7 @@ from kahlersym.classifier import SamplePlan, sample_points
 from kahlersym.curvature import (
     christoffel,
     curvature_bundle,
+    nabla_ricci,
     parallel_transport,
     ricci,
     riemann,
@@ -322,24 +323,32 @@ def _random_jet_slot(rng, points, m, order):
     return t + np.swapaxes(t, -1, -2)
 
 
+def _random_partials(rng, points, m, degree):
+    """Random fully symmetric partials of one order, stacked over points."""
+    p = rng.standard_normal((points,) + (m,) * degree)
+    return sum(np.transpose(p, (0, *(1 + q for q in perm)))
+               for perm in itertools.permutations(range(degree)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kernels_match_einsum_references(n):
     # Random depth-3 jets stacked over 3 points: the batched matmuls of the
     # connection, the curvature and dS against their einsum forms.  As in
     # real jets, g is J-invariant and d^3 g is the pairing of fully
-    # symmetric fifth partials p5, whose trace against G = g^-1 is t.
+    # symmetric fifth partials p5, whose trace against G = g^-1 is t.  The
+    # connection and curvature read a generic jet; dS, which is taken from
+    # log det g, reads a Kahler one, whose dg and ddg are the pairings of
+    # fully symmetric partials p3 and p4.
     rng = np.random.default_rng(20 + n)
     m = 2 * n
     j = standard_complex_structure(n)
     a = rng.standard_normal((3, m, m))
     g = np.swapaxes(a, 1, 2) @ a + m * np.eye(m)
     g = (g + j.T @ g @ j) / 2
-    p5 = rng.standard_normal((3,) + (m,) * 5)
-    p5 = sum(np.transpose(p5, (0, *(1 + p for p in perm)))
-             for perm in itertools.permutations(range(5)))
+    p5 = _random_partials(rng, 3, m, 5)
     t = np.einsum("pefhxy,pxy->pefh", p5, np.linalg.inv(g))
-    jet = hand_metric(rng.standard_normal((3, m)), n, g,
-                      *(_random_jet_slot(rng, 3, m, k) for k in (1, 2)), t)
+    point = rng.standard_normal((3, m))
+    jet = hand_metric(point, n, g, *(_random_jet_slot(rng, 3, m, k) for k in (1, 2)), t)
     b = curvature_bundle(jet)
     conn = christoffel(jet)
     expected = christoffel_einsum(jet, pair_second_partials(p5, n))
@@ -349,7 +358,10 @@ def test_kernels_match_einsum_references(n):
     r13, r04 = riemann_einsum(jet.g, conn.gamma, conn.dgamma)
     assert rel_err(b.r13, r13) <= 1e-13
     assert rel_err(b.r04, r04) <= 1e-13
-    assert rel_err(b.dricci, dricci_einsum(*expected)) <= 1e-13
+    kahler = hand_metric(point, n, g, *(pair_second_partials(_random_partials(rng, 3, m, k), n)
+                                        for k in (3, 4)), t)
+    expected = christoffel_einsum(kahler, pair_second_partials(p5, n))
+    assert rel_err(curvature_bundle(kahler).dricci, dricci_einsum(*expected)) <= 1e-13
 
 
 # The zoo, two holomorphically Ricci-pseudosymmetric witnesses (n = 2 and
@@ -365,9 +377,10 @@ LOG_DET_SPECS = {
 
 @pytest.mark.parametrize("name", sorted(LOG_DET_SPECS))
 def test_ricci_and_its_derivative_match_the_log_det_route(name):
-    # S and dS from the Ricci potential log det g share no code with
-    # christoffel, riemann or _ricci_derivative.  Judged against the Ricci
-    # scale max(|S|, m|R|), and for dS also against m|Gamma| times it.
+    # S and dS from the Ricci potential log det g, by einsum.  S checks the
+    # trace of riemann's r13; dS checks _ricci_derivative, which takes the
+    # same route by batched matmuls.  Judged against the Ricci scale
+    # max(|S|, m|R|), and for dS also against m|Gamma| times it.
     spec = LOG_DET_SPECS[name]
     points = sample_points(spec.domain, SamplePlan(points=8, seed=3))
     jet = metric_from_potential(spec.potential(), points, spec.n)
@@ -381,10 +394,67 @@ def test_ricci_and_its_derivative_match_the_log_det_route(name):
     assert np.all(max_norm(ds - b.dricci, 3) <= 1e-10 * scale_ds)
 
 
+def _closed_form_ricci(spec, points):
+    """(S, dS) of a U(n)-invariant potential from the closed form of log det h
+    in CLOSED_FORM_LOG_DET: S = -2 pairing(log det h), read off the metric
+    of that potential and its first derivative."""
+    expr, sign = CLOSED_FORM_LOG_DET[spec.name]
+    closed = metric_from_potential(parse(expr, spec.n), points, spec.n, depth=1)
+    return -2.0 * sign * closed.g, -2.0 * sign * closed.dg
+
+
+# log det h = sign * expr, up to a constant, for K = f(rsq), where
+# det h = f'^(n-1) (f' + rsq f''); expr is negated where its metric is not
+# positive definite.
+CLOSED_FORM_LOG_DET = {
+    "fs_cp2": ("3*log(1+rsq)", -1.0),
+    "hyperbolic_ball_2": ("-3*log(1-rsq)", 1.0),
+    "fs_cp3": ("4*log(1+rsq)", -1.0),
+    "exp_rsq": ("2*rsq + log(1+rsq)", 1.0),
+    "steep_exp_rsq": ("600*rsq + log(1+300*rsq)", 1.0),
+}
+CLOSED_FORM_SPECS = {
+    **{name: LOG_DET_SPECS[name] for name in ("fs_cp2", "hyperbolic_ball_2", "exp_rsq")},
+    "fs_cp3": ManifoldSpec("fs_cp3", 3, "log(1+rsq)", ((-0.8, 0.8),) * 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_SPECS))
+def test_ricci_and_its_derivatives_match_the_closed_form(name):
+    # A third route for U(n)-invariant potentials, on the gates of the
+    # log-det route: S, dS, and nabla S formed from the closed S and dS.
+    spec = CLOSED_FORM_SPECS[name]
+    points = sample_points(spec.domain, SamplePlan(points=8, seed=3))
+    b = curvature_bundle(metric_from_potential(spec.potential(), points, spec.n))
+    s, ds = _closed_form_ricci(spec, points)
+    m = 2 * spec.n
+    scale_s = np.maximum(max_norm(b.ricci, 2), m * max_norm(b.r13, 4))
+    assert np.all(max_norm(s - b.ricci, 2) <= 1e-12 * scale_s)
+    scale_ds = np.maximum(max_norm(b.dricci, 3),
+                          m * max_norm(b.connection.gamma, 3) * scale_s)
+    assert np.all(max_norm(ds - b.dricci, 3) <= 1e-10 * scale_ds)
+    nabla_s = nabla_ricci(b.connection, s, ds)
+    assert np.all(max_norm(nabla_s - b.nabla_ricci, 3) <= 1e-10 * scale_ds)
+
+
+def test_steep_dricci_no_less_accurate_than_the_christoffel_route():
+    # exp(300*rsq) near the edge of its float range: the K-jet's conditioning
+    # costs both routes about 1e-7 of max|dS| against the closed form, and
+    # the log det g route of the bundle must do no worse than the einsum
+    # Christoffel route with the dense d^3 g.
+    spec = ManifoldSpec("steep_exp_rsq", 2, "exp(300*rsq)", ((-0.76, 0.76),) * 4)
+    points = sample_points(spec.domain, SamplePlan(points=40, seed=3))
+    jet = metric_from_potential(spec.potential(), points, 2)
+    _, ds = _closed_form_ricci(spec, points)
+    christoffel_route = dricci_einsum(
+        *christoffel_einsum(jet, dddg_oracle(eval_jet(spec.potential(), points, 5), 2)))
+    assert max_norm(curvature_bundle(jet).dricci - ds) <= max_norm(christoffel_route - ds)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dricci_from_trace_matches_dense_oracle(n):
-    # Potentials without symmetry: dS from the jet's t against the einsum
-    # form of dd(gamma), built from the dense d^3 g.
+    # Potentials without symmetry: dS of the bundle, from log det g, against
+    # the einsum Christoffel route, built from the dense d^3 g.
     pot = parse(f"log(1+rsq) + 0.1*x1*y{n}*absq(1) + 0.05*y1^3*x{n} + 0.07*x1^2*y1*x{n}^2", n)
     points = np.random.default_rng(40 + n).uniform(-0.4, 0.4, size=(4, 2 * n))
     m = metric_from_potential(pot, points, n)
