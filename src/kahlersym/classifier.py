@@ -205,9 +205,7 @@ def sample_evidence(spec: ManifoldSpec, plan: SamplePlan) -> PointData:
 def _outer_rows(u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     """The rows u_k (x) v_k of two stacks of rows, flattened: (..., K, m*m)."""
     m = u_rows.shape[-1]
-    rows = np.repeat(u_rows, m, axis=-1)
-    rows *= np.tile(v_rows, m)
-    return rows
+    return (u_rows[..., :, None] * v_rows[..., None, :]).reshape(u_rows.shape[:-1] + (m * m,))
 
 
 def _first_pair_values(t: np.ndarray, u_outer: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ A :class:`JetScalar` holds the Taylor coefficients of a smooth scalar
 function of ``nvars`` real variables about a point, truncated at a fixed
 total degree.  Sums, products, integer powers and quotients are computed
 in the truncated polynomial ring, so they are exact (up to roundoff) on
-polynomials whose total degree fits the truncation order.  log, exp and
-sqrt are evaluated by composing their univariate Taylor series with the
-nilpotent part of the jet.
+polynomials whose total degree fits the truncation order.  log, exp,
+sqrt and reciprocals are evaluated by composing their univariate Taylor
+series, built for every point of the stack at once, with the nilpotent
+part of the jet.
 
 Coefficients are stored in the Taylor normalisation: the entry for a
 multi-index ``a`` is the partial derivative divided by ``a!``.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -75,8 +77,11 @@ class JetSpace:
         self._degrees = exponents.sum(axis=1)
         # prefix[d]: the number of monomials of degree <= d (they are graded).
         self._prefix = np.searchsorted(self._degrees, np.arange(order + 1), side="right")
-        # (da, db, support_a, support_b) -> (pairs per point, tables); see
-        # _chunk_tables.
+        # A support is an int whose bit i marks monomial i as possibly
+        # nonzero; ``full`` marks every monomial.
+        self.full = (1 << self.size) - 1
+        # (da, db, support_a, support_b) -> (pairs per point, tables,
+        # support of the product); see _chunk_tables.
         self._pair_tables: dict[tuple, tuple] = {}
 
     def _position_of_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -99,87 +104,93 @@ class JetSpace:
         right = np.arange(len(left)) - starts
         return left, right, self._position_of_keys(self._keys[left] + self._keys[right])
 
-    def _support(self, coeffs: np.ndarray, degree: int) -> np.ndarray:
-        """Which coefficients of total degree <= ``degree`` are nonzero at
-        some point of the stack."""
-        return coeffs.reshape(-1, self.size)[:, :self._prefix[degree]].any(axis=0)
-
-    def _chunk_tables(self, da: int, db: int, support_a: np.ndarray,
-                      support_b: np.ndarray, points: int):
-        """(pairs per point, tables): the rows left, right and out of the
-        (da, db) pair table restricted to the pairs whose coefficients are
-        both in their operand's support, laid out flat for a run of points,
-        point p's pairs offset by p * size.
+    def _chunk_tables(self, da: int, db: int, support_a: int, support_b: int,
+                      points: int):
+        """(pairs per point, tables, support): the rows left, right and out
+        of the (da, db) pair table restricted to the pairs whose
+        coefficients are both in their operand's support, laid out flat
+        for a run of points, point p's pairs offset by p * size; and the
+        support of the product, the out positions of those pairs.
 
         A table covers as many points as the largest call so far, up to a
         chunk of _PAIRS_PER_CHUNK pairs, so that a space keeps no more
         table than its calls use.  A space keeps at most _MAX_PAIR_TABLES
         tables and drops the oldest first."""
-        key = (da, db, support_a.tobytes(), support_b.tobytes())
+        key = (da, db, support_a, support_b)
         cached = self._pair_tables.get(key)
         if cached is None:
             left, right, out = self.pair_table(da, db)
-            keep = support_a[left] & support_b[right]
+            keep = self._flags(support_a)[left] & self._flags(support_b)[right]
+            flags = np.zeros(self.size, dtype=bool)
+            flags[out[keep]] = True
             if len(self._pair_tables) >= _MAX_PAIR_TABLES:
                 del self._pair_tables[next(iter(self._pair_tables))]
-            cached = self._pair_tables[key] = (int(keep.sum()),
-                                               np.stack([left[keep], right[keep], out[keep]]))
-        pairs, tables = cached
+            cached = self._pair_tables[key] = (
+                int(keep.sum()), np.stack([left[keep], right[keep], out[keep]]),
+                int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little"))
+        pairs, tables, support = cached
         want = max(1, min(points, _PAIRS_PER_CHUNK // max(pairs, 1)))
         if tables.shape[1] < want * pairs:
             offsets = np.arange(want) * self.size
             tables = (tables[:, None, :pairs] + offsets[:, None]).reshape(3, -1)
-            cached = self._pair_tables[key] = (pairs, tables)
+            cached = self._pair_tables[key] = (pairs, tables, support)
         return cached
 
-    def multiply(self, a: np.ndarray, b: np.ndarray, da: int, db: int) -> np.ndarray:
+    def _flags(self, support: int) -> np.ndarray:
+        """A support as one bool per monomial."""
+        packed = np.frombuffer(support.to_bytes((self.size + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(packed, count=self.size, bitorder="little").astype(bool)
+
+    def multiply(self, a: np.ndarray, b: np.ndarray, da: int, db: int,
+                 support_a: int, support_b: int) -> tuple[np.ndarray, int]:
         """Truncated product of coefficient arrays of shape (..., size) whose
-        coefficients above total degree ``da`` (of a) and ``db`` (of b) are
-        zero.
+        coefficients above total degree ``da`` (of a) and ``db`` (of b), or
+        outside ``support_a`` (of a) and ``support_b`` (of b), are zero;
+        returns the product and its support.
 
         A constant operand scales the other: ``0.0 + a0 * b``.  Otherwise
         products are gathered through the (da, db) pair table, restricted
-        to the pairs whose two coefficients are both nonzero at some point
-        of the stack (their supports).  With finite coefficients every
-        skipped product is +0 or -0, and every sum starts from +0.0, so the
-        result is bitwise the product over all pairs.
+        to the pairs whose two coefficients are both in their operand's
+        support.  With finite coefficients every skipped product is +0 or
+        -0, and every sum starts from +0.0, so the result is bitwise the
+        product over all pairs.
 
         A skipped 0 * inf would be NaN, not zero, so a product with an
         operand that is not finite must not come out finite:
-        :meth:`JetScalar.__mul__` then forms every product.  A coefficient
-        that is not finite is in its operand's support, and it meets the
-        other operand's constant term, in the constant scaling and in
-        every pair table.  Where that constant term is zero throughout
-        the stack (Horner's nilpotent part), the pair would be skipped, so
-        the support tables are used only if the operand is finite.
+        :meth:`JetScalar.__mul__` then forms every product.  A jet that is
+        not finite has such a coefficient in its support (scaling by inf or
+        NaN spoils every coefficient), and it meets the other operand's
+        constant term, in the constant scaling and in every pair table.
+        Where that constant term is outside its support (Horner's nilpotent
+        part), the pair would be skipped, so the support tables are used
+        only if the operand is finite.
         """
         if da == 0:
-            return 0.0 + a[..., :1] * b
+            return 0.0 + a[..., :1] * b, support_b if support_a & 1 else 0
         if db == 0:
-            return 0.0 + a * b[..., :1]
-        support_a = self._support(a, da)
-        support_b = self._support(b, db)
-        if (not (support_a[0] or np.isfinite(b).all())
-                or not (support_b[0] or np.isfinite(a).all())):
+            return 0.0 + a * b[..., :1], support_a if support_b & 1 else 0
+        if (not (support_a & 1 or np.isfinite(b).all())
+                or not (support_b & 1 or np.isfinite(a).all())):
             # A non-finite coefficient could miss the zero constant term.
-            support_a[:] = support_b[:] = True
+            support_a = support_b = self.full
         return self._gather(a, b, da, db, support_a, support_b)
 
     def _gather(self, a: np.ndarray, b: np.ndarray, da: int, db: int,
-                support_a: np.ndarray, support_b: np.ndarray) -> np.ndarray:
+                support_a: int, support_b: int) -> tuple[np.ndarray, int]:
         """The products of the (da, db) pairs within the supports, summed
-        into their coefficients a chunk of points at a time: ``np.bincount``
-        adds each product in table order, starting from +0.0, so every
-        point gets the same bits whatever the points beside it."""
+        into their coefficients a chunk of points at a time, and the
+        product's support: ``np.bincount`` adds each product in table
+        order, starting from +0.0, so every point gets the same bits
+        whatever the points beside it."""
         if a.shape != b.shape:
             a, b = np.broadcast_arrays(a, b)
         shape = a.shape
         a = a.reshape(-1)
         b = b.reshape(-1)
-        pairs, (left, right, out) = self._chunk_tables(da, db, support_a, support_b,
-                                                       len(a) // self.size)
+        pairs, (left, right, out), support = self._chunk_tables(
+            da, db, support_a, support_b, len(a) // self.size)
         if not pairs:
-            return np.zeros(shape)
+            return np.zeros(shape), support
         chunk = len(left) // pairs * self.size
         parts = []
         for start in range(0, len(a), chunk):
@@ -188,7 +199,7 @@ class JetSpace:
             products = a[start:stop].take(left[:count]) * b[start:stop].take(right[:count])
             parts.append(np.bincount(out[:count], products, minlength=stop - start))
         out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return out.reshape(shape)
+        return out.reshape(shape), support
 
     def __repr__(self):
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
@@ -206,20 +217,26 @@ class JetScalar:
     holds the expansions about many points, each computed exactly as it
     would be alone.
 
-    ``degree`` bounds the total degree of the nonzero coefficients:
-    constants have 0 and variables 1, a sum takes the larger bound and a
-    product the sum of both, capped at the order; scaling and negation
-    keep it.  Every coefficient above it is zero while the coefficients
-    are finite.  The bound of a jet built from raw coefficients is the
-    order.
+    ``degree`` bounds the total degree of the nonzero coefficients and
+    ``support`` marks the monomials that may be nonzero (bit i for
+    monomial i), both found from how the jet was formed, not from its
+    data: a constant has degree 0 and support {0}, a variable degree 1
+    and support {0, e_k}; a sum takes the larger degree and the union of
+    the supports; a product the sum of the degrees, capped at the order,
+    and the out positions of the pairs it gathers; scaling and negation
+    keep both.  Every coefficient above the degree or outside the support
+    is zero while the coefficients are finite.  A jet built from raw
+    coefficients has the order and the full support.
     """
 
-    __slots__ = ("space", "coeffs", "degree")
+    __slots__ = ("space", "coeffs", "degree", "support")
 
-    def __init__(self, space: JetSpace, coeffs, degree: int | None = None):
+    def __init__(self, space: JetSpace, coeffs, degree: int | None = None,
+                 support: int | None = None):
         self.space = space
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.degree = space.order if degree is None else degree
+        self.support = space.full if support is None else support
 
     @classmethod
     def constant(cls, space: JetSpace, value) -> "JetScalar":
@@ -227,7 +244,7 @@ class JetScalar:
         value = np.asarray(value, dtype=float)
         coeffs = np.zeros(value.shape + (space.size,))
         coeffs[..., 0] = value
-        return cls(space, coeffs, 0)
+        return cls(space, coeffs, 0, 1)
 
     @classmethod
     def variable(cls, space: JetSpace, index: int, value) -> "JetScalar":
@@ -236,9 +253,11 @@ class JetScalar:
             raise ValueError(f"variable index {index} out of range")
         jet = cls.constant(space, value)
         if space.order >= 1:
-            unit = tuple(1 if k == index else 0 for k in range(space.nvars))
-            jet.coeffs[..., space.position[unit]] = 1.0
+            position = space.position[tuple(1 if k == index else 0
+                                            for k in range(space.nvars))]
+            jet.coeffs[..., position] = 1.0
             jet.degree = 1
+            jet.support |= 1 << position
         return jet
 
     @property
@@ -262,7 +281,7 @@ class JetScalar:
         if other is None:
             return NotImplemented
         return JetScalar(self.space, self.coeffs + other.coeffs,
-                         max(self.degree, other.degree))
+                         max(self.degree, other.degree), self.support | other.support)
 
     __radd__ = __add__
 
@@ -271,33 +290,36 @@ class JetScalar:
         if other is None:
             return NotImplemented
         return JetScalar(self.space, self.coeffs - other.coeffs,
-                         max(self.degree, other.degree))
+                         max(self.degree, other.degree), self.support | other.support)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return JetScalar(self.space, other.coeffs - self.coeffs,
-                         max(self.degree, other.degree))
+                         max(self.degree, other.degree), self.support | other.support)
 
     def __neg__(self):
-        return JetScalar(self.space, -self.coeffs, self.degree)
+        return JetScalar(self.space, -self.coeffs, self.degree, self.support)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return JetScalar(self.space, self.coeffs * float(other), self.degree)
+            return JetScalar(self.space, self.coeffs * float(other), self.degree,
+                             self.support)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         space = self.space
-        coeffs = space.multiply(self.coeffs, other.coeffs, self.degree, other.degree)
+        coeffs, support = space.multiply(self.coeffs, other.coeffs, self.degree,
+                                         other.degree, self.support, other.support)
         if np.isfinite(coeffs).all():
-            return JetScalar(space, coeffs, min(self.degree + other.degree, space.order))
+            return JetScalar(space, coeffs, min(self.degree + other.degree, space.order),
+                             support)
         # A non-finite result: a skipped product may be 0 * inf = NaN, not
         # zero.  Form every product, as for jets without a bound.
-        every = np.ones(space.size, dtype=bool)
-        return JetScalar(space, space._gather(self.coeffs, other.coeffs, space.order,
-                                              space.order, every, every))
+        coeffs, _ = space._gather(self.coeffs, other.coeffs, space.order, space.order,
+                                  space.full, space.full)
+        return JetScalar(space, coeffs)
 
     __rmul__ = __mul__
 
@@ -305,7 +327,8 @@ class JetScalar:
         if isinstance(other, (int, float, np.floating, np.integer)):
             if float(other) == 0.0:
                 raise JetDomainError("division by zero")
-            return JetScalar(self.space, self.coeffs / float(other), self.degree)
+            return JetScalar(self.space, self.coeffs / float(other), self.degree,
+                             self.support)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -327,35 +350,55 @@ class JetScalar:
             if np.any(self.coeffs[..., 0] == 0.0):
                 raise JetDomainError("zero raised to a negative power")
             return self.reciprocal() ** (-exponent)
-        result = JetScalar.constant(self.space, 1.0)
+        if exponent == 0:
+            return JetScalar.constant(self.space, 1.0)
+        # Square and multiply from the base itself: base.coeffs + 0.0 has
+        # the bits of 1 * base, and a product holds no -0.0.
+        result = None
         base = self
         k = exponent
-        while k:
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-            if k:
-                base = base * base
+            if not k:
+                break
+            base = base * base
+        if result is self:
+            return JetScalar(self.space, self.coeffs + 0.0, self.degree, self.support)
         return result
 
     def reciprocal(self) -> "JetScalar":
         order = self.space.order
 
-        def series(c0):
+        def check(c0):
             if c0 == 0.0:
                 raise JetDomainError("division by zero")
-            return [(-1.0) ** k / c0 ** (k + 1) for k in range(order + 1)]
+            _check_float_range("reciprocal", c0, range(1, order + 2))
 
-        return _compose_per_point(self, series, "reciprocal")
+        values = _values(self)
+        powers = _powers(values, range(1, order + 2))
+        if powers is None or not powers.all():
+            _raise_first(values, check)
+        with np.errstate(over="ignore"):
+            series = np.array([(-1.0) ** k for k in range(order + 1)]) / powers
+        return self._compose(series)
 
     def _compose(self, series: np.ndarray) -> "JetScalar":
         """Horner evaluation of univariate series at the nilpotent part;
-        ``series`` holds one row of coefficients per point, (..., K)."""
-        h = JetScalar(self.space, self.coeffs.copy(), self.degree)
+        ``series`` holds one row of coefficients per point, flat over the
+        point axes: (points, K).  Each series constant is added to the
+        constant term in place, which has the bits of adding a constant
+        jet, since a product holds no -0.0."""
+        shape = self.coeffs.shape[:-1]
+        series = series.reshape(shape + series.shape[-1:])
+        h = JetScalar(self.space, self.coeffs.copy(), self.degree, self.support & ~1)
         h.coeffs[..., 0] = 0.0
         acc = JetScalar.constant(self.space, series[..., -1])
         for k in range(series.shape[-1] - 2, -1, -1):
-            acc = acc * h + JetScalar.constant(self.space, series[..., k])
+            acc = acc * h
+            acc.coeffs[..., 0] += series[..., k]
+            acc.support |= 1
         return acc
 
     def __repr__(self):
@@ -367,62 +410,92 @@ def _per_point(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def _compose_per_point(j: JetScalar, series, name: str) -> JetScalar:
-    """Compose ``j`` with the univariate series that ``series(c0)`` builds
-    in Python floats from the value c0 at each point.
+# -- univariate series, for every point of a stack at once ----------------------
+#
+# Each primitive builds its series coefficients as a (points, order + 1)
+# array with the IEEE operations of the one-point formula: libm's log, exp
+# and pow mapped over the values as Python floats (numpy's own SIMD log
+# and power can differ in the last bit), then exact divisions and
+# products in numpy.  Where some value is out of the primitive's domain,
+# the first such value in point order raises, with its message.
 
-    A series whose coefficients leave the float range (c0**k underflows
-    to 0 or overflows) raises JetDomainError naming the value.
-    """
-    values = j.coeffs[..., 0]
-    rows = []
-    for c0 in values.ravel().tolist():
-        try:
-            rows.append(series(c0))
-        except (ZeroDivisionError, OverflowError):
-            raise JetDomainError(
-                f"{name} of {c0!r} has Taylor coefficients outside the float range"
-            ) from None
-    return j._compose(np.array(rows).reshape(values.shape + (j.space.order + 1,)))
+
+def _values(j: JetScalar) -> list[float]:
+    return j.coeffs[..., 0].ravel().tolist()
+
+
+def _powers(values: list[float], exponents: range) -> np.ndarray | None:
+    """(points, len(exponents)) table of c0**k from libm's pow, or None if
+    one of them overflows."""
+    try:
+        columns = [list(map(math.pow, values, repeat(float(k)))) for k in exponents]
+    except OverflowError:
+        return None
+    return np.array(columns, dtype=float).reshape(len(exponents), len(values)).T
+
+
+def _check_float_range(name: str, c0: float, exponents: range) -> None:
+    """Raise unless every c0**k is a nonzero float."""
+    try:
+        inside = all(math.pow(c0, k) != 0.0 for k in exponents)
+    except OverflowError:
+        inside = False
+    if not inside:
+        raise JetDomainError(
+            f"{name} of {c0!r} has Taylor coefficients outside the float range")
+
+
+def _raise_first(values: list[float], check) -> None:
+    """Raise the JetDomainError of the first value ``check`` rejects."""
+    for c0 in values:
+        check(c0)
 
 
 def jet_log(j: JetScalar) -> JetScalar:
     order = j.space.order
 
-    def series(c0):
+    def check(c0):
         if c0 <= 0.0:
             raise JetDomainError(f"log of non-positive value {c0!r}")
-        coeffs = [math.log(c0)]
-        for k in range(1, order + 1):
-            coeffs.append((-1.0) ** (k + 1) / (k * c0**k))
-        return coeffs
+        _check_float_range("log", c0, range(1, order + 1))
 
-    return _compose_per_point(j, series, "log")
+    values = _values(j)
+    powers = _powers(values, range(1, order + 1))
+    if powers is None or not powers.all() or (j.coeffs[..., 0] <= 0.0).any():
+        _raise_first(values, check)
+    signs = np.array([(-1.0) ** (k + 1) for k in range(1, order + 1)])
+    with np.errstate(over="ignore"):
+        tail = signs / (np.arange(1, order + 1) * powers)
+    return j._compose(np.column_stack([list(map(math.log, values)), tail]))
 
 
 def jet_exp(j: JetScalar) -> JetScalar:
     order = j.space.order
 
-    def series(c0):
+    def check(c0):
         try:
-            e0 = math.exp(c0)
+            math.exp(c0)
         except OverflowError:
             raise JetDomainError(f"exp of {c0!r} overflows a float") from None
-        return [e0 / math.factorial(k) for k in range(order + 1)]
 
-    return _compose_per_point(j, series, "exp")
+    values = _values(j)
+    try:
+        e0 = np.array(list(map(math.exp, values)))
+    except OverflowError:
+        _raise_first(values, check)
+    factorials = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+    return j._compose(e0[:, None] / factorials)
 
 
 def jet_sqrt(j: JetScalar) -> JetScalar:
     order = j.space.order
-
-    def series(c0):
-        if c0 <= 0.0:
-            raise JetDomainError(f"sqrt of non-positive value {c0!r}")
-        coeffs = [math.sqrt(c0)]
+    c0 = j.coeffs[..., 0].ravel()
+    outside = np.flatnonzero(c0 <= 0.0)
+    if len(outside):
+        raise JetDomainError(f"sqrt of non-positive value {float(c0[outside[0]])!r}")
+    series = [np.sqrt(c0)]
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, order + 1):
             # binomial(1/2, k) * c0^(1/2 - k), built up iteratively
-            coeffs.append(coeffs[-1] * (1.5 - k) / (k * c0))
-        return coeffs
-
-    return _compose_per_point(j, series, "sqrt")
+            series.append(series[-1] * (1.5 - k) / (k * c0))
+    return j._compose(np.stack(series, axis=-1))

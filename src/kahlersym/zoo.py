@@ -8,10 +8,10 @@ A manifest is a flat key = value file (one pair per line, # comments):
     domain = -1.2 1.2, -1.2 1.2, -1.2 1.2, -1.2 1.2
     expected_class = einstein
 
-``domain`` lists one "lo hi" interval per real coordinate (2n of them),
-or a single interval applied to every coordinate.  ``expected_class`` is
-optional: one of ricci_flat, einstein, ricci_parallel,
-ricci_semisymmetric, holo_ricci_pseudosymmetric, none.
+``domain`` lists one "lo hi" interval per real coordinate (2n of them,
+separated by commas), or a single interval applied to every coordinate.
+``expected_class`` is optional: one of ricci_flat, einstein,
+ricci_parallel, ricci_semisymmetric, holo_ricci_pseudosymmetric, none.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ def _parse_domain(text: str, n: int, path: str) -> tuple[tuple[float, float], ..
         parts = chunk.split()
         if len(parts) != 2:
             raise ManifestError(
-                f"{path}: each domain interval needs two numbers, got {chunk!r}"
+                f"{path}: each domain interval needs two numbers, and intervals "
+                f"are separated by commas; got {chunk!r}"
             )
         try:
             lo, hi = float(parts[0]), float(parts[1])

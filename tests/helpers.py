@@ -11,18 +11,22 @@ suite's half-block reads are checked against.  The oracles of the
 holomorphic-plane characterizations live here too, outside the package
 they check: sectional and holomorphic sectional curvature, the
 polarisation that rebuilds an R.S-class tensor from its (u,u;x,Jx)
-values, and a plain-float evaluator of a parsed potential.  Agreement
-between these and the package is the point of the tests.
+values, a plain-float evaluator of a parsed potential, and the
+univariate series of log, exp, sqrt and 1/x built one point at a time
+in Python floats.  Agreement between these and the package is the point
+of the tests.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from kahlersym.classifier import DEPENDENCE_THRESHOLD, _paired_values
 from kahlersym.curvature import _first_kind, christoffel
 from kahlersym.expressions import Call, Coord, Neg, Num, PotentialDomainError, Pow
+from kahlersym.jets import JetDomainError
 from kahlersym.metrics import MetricJet, metric_from_potential
 from kahlersym.tensor_algebra import (
     ABS_FLOOR,
@@ -315,6 +319,48 @@ def pair_tables_loop(space):
             right.append(j)
             out.append(space.position[tuple(p + q for p, q in zip(a, b))])
     return np.array(left), np.array(right), np.array(out)
+
+
+def support_bits(space, coeffs) -> int:
+    """The data support of a coefficient stack: bit i set where coefficient
+    i is nonzero (or not finite) at some point."""
+    nonzero = (np.asarray(coeffs).reshape(-1, space.size) != 0).any(axis=0)
+    return sum(1 << int(i) for i in np.flatnonzero(nonzero))
+
+
+# -- univariate series one point at a time, in Python floats ---------------------
+
+
+def series_loop(name: str, order: int, c0: float) -> list[float]:
+    """Taylor coefficients of log, exp, sqrt or the reciprocal about c0, as
+    Python floats with Python's float operators, one point at a time.
+    Raises JetDomainError as the jets do, naming c0."""
+    try:
+        if name == "log":
+            if c0 <= 0.0:
+                raise JetDomainError(f"log of non-positive value {c0!r}")
+            return [math.log(c0)] + [(-1.0) ** (k + 1) / (k * c0**k)
+                                     for k in range(1, order + 1)]
+        if name == "exp":
+            try:
+                e0 = math.exp(c0)
+            except OverflowError:
+                raise JetDomainError(f"exp of {c0!r} overflows a float") from None
+            return [e0 / math.factorial(k) for k in range(order + 1)]
+        if name == "sqrt":
+            if c0 <= 0.0:
+                raise JetDomainError(f"sqrt of non-positive value {c0!r}")
+            coeffs = [math.sqrt(c0)]
+            for k in range(1, order + 1):
+                coeffs.append(coeffs[-1] * (1.5 - k) / (k * c0))
+            return coeffs
+        if c0 == 0.0:
+            raise JetDomainError("division by zero")
+        return [(-1.0) ** k / c0 ** (k + 1) for k in range(order + 1)]
+    except (ZeroDivisionError, OverflowError):
+        raise JetDomainError(
+            f"{name} of {c0!r} has Taylor coefficients outside the float range"
+        ) from None
 
 
 # -- parallel transport one RK4 stage point at a time ----------------------------

@@ -17,6 +17,8 @@ from helpers import (
     poly_eval,
     poly_partial,
     random_poly,
+    series_loop,
+    support_bits,
 )
 from kahlersym.expressions import eval_jet, parse
 from kahlersym import jets
@@ -243,6 +245,11 @@ def test_multiply_over_points_matches_one_point_at_a_time():
     # one-point product sums over all pairs in pair-table order, as
     # np.add.at does, so a bounded product must skip only zeros.
     space = JetSpace(4, 5)
+    full = space.full
+
+    def product(a, b, da, db):
+        return space.multiply(a, b, da, db, full, full)[0]
+
     rng = np.random.default_rng(5)
     left, right, out = pair_tables_loop(space)
     for da, db in [(5, 5), (1, 1), (2, 2), (4, 2), (5, 2), (2, 3), (0, 3), (3, 0), (0, 0)]:
@@ -251,16 +258,16 @@ def test_multiply_over_points_matches_one_point_at_a_time():
         singles = np.zeros((70, space.size))
         for p in range(70):
             np.add.at(singles[p], out, a[p][left] * b[p][right])
-            one = space.multiply(a[p], b[p], da, db)
+            one = product(a[p], b[p], da, db)
             assert np.array_equal(one, singles[p])
             assert np.array_equal(np.signbit(one), np.signbit(singles[p]))
         # The chunk tables were sized to one point above; they grow here.
-        stacked = space.multiply(a, b, da, db)
+        stacked = product(a, b, da, db)
         assert np.array_equal(stacked, singles), (da, db)
         assert np.array_equal(np.signbit(stacked), np.signbit(singles))
-        assert np.array_equal(space.multiply(a[:3], b[:3], da, db), singles[:3])
-        assert np.array_equal(space.multiply(a[0], b, da, db),
-                              space.multiply(np.tile(a[0], (70, 1)), b, da, db))
+        assert np.array_equal(product(a[:3], b[:3], da, db), singles[:3])
+        assert np.array_equal(product(a[0], b, da, db),
+                              product(np.tile(a[0], (70, 1)), b, da, db))
 
 
 def dense(jet):
@@ -291,8 +298,9 @@ def test_degree_bound_holds_and_keeps_the_bits(source, order, monkeypatch):
     assert np.all(jet.coeffs[..., above] == 0.0)
 
     multiply = JetSpace.multiply
-    monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, da, db:
-                        multiply(space, a, b, space.order, space.order))
+    monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, da, db, sa, sb:
+                        multiply(space, a, b, space.order, space.order,
+                                 space.full, space.full))
     every_pair = eval_jet(expr, points, order).coeffs
     assert np.array_equal(jet.coeffs, every_pair)
     assert np.array_equal(np.signbit(jet.coeffs), np.signbit(every_pair))
@@ -404,15 +412,22 @@ def test_support_tables_match_the_pair_loop(nvars, order):
             b = sparse_coeffs(rng, space, shape, db)
             if shape and da > 1:
                 a[0, 0] = 0.0  # the constant term zero at one point only
-            got = space.multiply(a, b, da, db)
-            assert_same_bits(got, every_pair_product(space, a, b))
-            if shape:
-                for p in range(shape[0]):
-                    assert_same_bits(space.multiply(a[p], b[p], da, db), got[p])
+            # The data supports, and supersets of them by random extra bits.
+            sa, sb = support_bits(space, a), support_bits(space, b)
+            extra = support_bits(space, rng.random(space.size) < 0.3)
+            for support_a, support_b in ((sa, sb), (sa | extra, sb), (sa, sb | extra)):
+                got, support = space.multiply(a, b, da, db, support_a, support_b)
+                assert_same_bits(got, every_pair_product(space, a, b))
+                assert support_bits(space, got) & ~support == 0
+                if shape:
+                    for p in range(shape[0]):
+                        one = space.multiply(a[p], b[p], da, db, support_a, support_b)
+                        assert_same_bits(one[0], got[p])
             # An operand zero at every point gathers no pair at all.
             zero = np.where(rng.random(b.shape) < 0.5, 0.0, -0.0)
-            assert_same_bits(space.multiply(a, zero, da, db),
-                             every_pair_product(space, a, zero))
+            got, support = space.multiply(a, zero, da, db, sa, 0)
+            assert_same_bits(got, every_pair_product(space, a, zero))
+            assert support == 0
 
 
 HORNER = [
@@ -432,9 +447,10 @@ def test_products_inside_horner_are_every_pair_products(source, monkeypatch):
     seen = []
     multiply = JetSpace.multiply
 
-    def recorded(space, a, b, da, db):
-        result = multiply(space, a, b, da, db)
-        seen.append((space, a, b, result))
+    def recorded(space, a, b, da, db, sa, sb):
+        result = multiply(space, a, b, da, db, sa, sb)
+        # A copy: Horner adds the next series constant in place.
+        seen.append((space, a, b, result[0].copy()))
         return result
 
     monkeypatch.setattr(JetSpace, "multiply", recorded)
@@ -475,7 +491,122 @@ def test_support_table_cache_is_bounded():
         a = bounded_coeffs(rng, space, (4,), 4)
         a[..., rng.random(space.size) < 0.5] = 0.0  # a support of its own
         a[:, 0] = 1.0 + k
-        got = space.multiply(a, b, 4, 4)
+        got, _ = space.multiply(a, b, 4, 4, support_bits(space, a), space.full)
         assert len(space._pair_tables) <= jets._MAX_PAIR_TABLES
         assert_same_bits(got, every_pair_product(space, a, b))
     assert len(space._pair_tables) == jets._MAX_PAIR_TABLES
+
+
+def test_horner_step_after_an_overflow_keeps_the_non_finite_bits(monkeypatch):
+    """1/(0.01 + x1 + 1e148*x1^2) at x1 = 0, order 5: a Horner step of the
+    reciprocal overflows only at the top degree, and the next step's pair
+    of that inf with the nilpotent part's zero constant term, outside its
+    support, is NaN over all pairs.  The support tables must not skip it."""
+    expr = parse("1/(0.01 + x1 + 1e148*x1^2) * y1", 1)
+    points = np.array([[0.0, 0.3], [0.0, -0.2]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = eval_jet(expr, points, 5)
+        multiply = JetSpace.multiply
+        monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, da, db, sa, sb:
+                            multiply(space, a, b, space.order, space.order,
+                                     space.full, space.full))
+        every_pair = eval_jet(expr, points, 5)
+    assert not np.isfinite(every_pair.coeffs).all(axis=-1).any()
+    assert_same_bits(jet.coeffs, every_pair.coeffs)
+    assert jet.degree == 5
+
+
+@pytest.mark.parametrize("source", sorted(ZOO) + MIXED_DEGREE + HORNER)
+def test_every_jet_support_holds_its_nonzero_coefficients(source, monkeypatch):
+    """Every jet eval_jet forms, operands and Horner steps included, has a
+    support that marks every coefficient nonzero at some point, and a
+    degree above every such coefficient."""
+    formed = []
+    init = JetScalar.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        formed.append(self)
+
+    monkeypatch.setattr(JetScalar, "__init__", recorded)
+    n = ZOO[source].n if source in ZOO else 2
+    expr = ZOO[source].potential() if source in ZOO else parse(source, n)
+    points = np.random.default_rng(4).uniform(-0.6, 0.6, (7, 2 * n))
+    points[2, 0] = 0.0
+    for order in (1, 3, 5):
+        formed.clear()
+        eval_jet(expr, points, order)
+        assert formed
+        for jet in formed:
+            space = jet.space
+            assert support_bits(space, jet.coeffs) & ~jet.support == 0, order
+            assert np.all(jet.coeffs[..., degrees_of(space) > jet.degree] == 0.0)
+
+
+SERIES_STACKS = [
+    [0.5, 2.0, 1e-100, 1e100, 3.0],
+    [1.5, np.inf, 0.25, np.nan, 7.0],
+    [-0.5, 1.0, 0.0, -0.0, -np.inf],
+    [0.75, 1e-100, -2.0, 1e100],
+    [1.25, 1e100, -2.0, 1e-100],
+    [800.0, -800.0, 1e-200, 1e200, 5e-324, 1.7e308],
+    [2.0, 0.5, -1e-300, 1e300],
+    [0.1, 0.7, 4.0],
+    # Enough values that numpy's SIMD log, exp or power would differ from
+    # libm's somewhere (on an AVX-512 host a few log values in 3,000 do).
+    np.random.default_rng(19).uniform(0.05, 20.0, 3000).tolist(),
+]
+PRIMITIVES = {"log": jet_log, "exp": jet_exp, "sqrt": jet_sqrt,
+              "reciprocal": JetScalar.reciprocal}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+@pytest.mark.parametrize("values", SERIES_STACKS, ids=range(len(SERIES_STACKS)))
+def test_series_over_the_stack_match_the_point_loop(name, values, monkeypatch):
+    """The series each primitive builds for a whole stack have the bits of
+    the one-point formulas in Python floats (tests/helpers.series_loop),
+    and a stack with a value outside the domain raises that loop's error
+    for the first such value, message included.  Building them warns of
+    nothing (pytest turns a RuntimeWarning into an error)."""
+    built = []
+    monkeypatch.setattr(JetScalar, "_compose", lambda self, series: built.append(series))
+    for order in range(MAX_ORDER + 1):
+        space = jet_space(2, order)
+        jet = JetScalar.variable(space, 1, np.tile(values, (2, 1)))  # points (2, P)
+        flat = jet.coeffs[..., 0].ravel().tolist()
+        try:
+            want = np.array([series_loop(name, order, c0) for c0 in flat])
+        except JetDomainError as err:
+            with pytest.raises(JetDomainError, match=f"^{re.escape(str(err))}$"):
+                PRIMITIVES[name](jet)
+            continue
+        built.clear()
+        PRIMITIVES[name](jet)
+        (got,) = built
+        assert got.shape == want.shape
+        assert_same_bits(got, want)
+
+
+def test_integer_powers_have_the_bits_of_powers_from_one():
+    """x**k squares and multiplies from the base itself; it has the bits of
+    the same square-and-multiply started from the constant 1, signs of
+    zero included, for bounded and raw jets."""
+    space = jet_space(3, 4)
+    rng = np.random.default_rng(21)
+    x = JetScalar.variable(space, 0, [0.5, -1.5, 0.0])
+    y = JetScalar.variable(space, 2, [2.0, 0.25, -0.75])
+    raw = JetScalar(space, bounded_coeffs(rng, space, (3,), 2))
+    for base in (x, x * y - 0.5, raw, -raw):
+        for exponent in range(8):
+            want = JetScalar.constant(space, 1.0)
+            power, k = base, exponent
+            while k:
+                if k & 1:
+                    want = want * power
+                k >>= 1
+                if k:
+                    power = power * power
+            got = base**exponent
+            assert got is not base
+            assert_same_bits(got.coeffs, want.coeffs)
+            assert got.degree == want.degree

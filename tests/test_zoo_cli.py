@@ -109,6 +109,23 @@ def test_manifest_explicit_intervals(tmp_path):
     assert spec.expected_class is None
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_manifest_domain_forms(tmp_path, n):
+    """The two forms of docs/manifest-format.md: one interval for every
+    coordinate, or 2n intervals separated by commas.  Intervals written
+    with spaces alone are one interval of too many numbers."""
+    head = f"name = box\nn = {n}\npotential = rsq\n"
+    intervals = [(0.3 + k, 1.2 + k) for k in range(2 * n)]
+    listed = ", ".join(f"{lo} {hi}" for lo, hi in intervals)
+    assert load_spec(write_manifest(tmp_path, head + "domain = -1.5 1.5\n")).domain \
+        == ((-1.5, 1.5),) * (2 * n)
+    assert load_spec(write_manifest(tmp_path, head + f"domain = {listed}\n")).domain \
+        == tuple(intervals)
+    path = write_manifest(tmp_path, head + f"domain = {listed.replace(',', '')}\n")
+    with pytest.raises(ManifestError, match="intervals are separated by commas"):
+        load_spec(path)
+
+
 def test_manifest_missing_file():
     with pytest.raises(ManifestError, match="not found"):
         load_spec("/nonexistent/manifest.txt")
@@ -239,6 +256,30 @@ def test_cli_classify_manifest_target(tmp_path, capsys):
     assert code == 0
     assert "manifold myflat" in out
     assert "classification: ricci_flat" in out
+
+
+NATURAL_MANIFESTS = [
+    ("log(1+absq(1)) - log(1-absq(2))", "-0.6 0.6", "ricci_parallel"),
+    ("log(1+absq(1)) + log(1+absq(2))", "-1.5 1.5", "einstein"),
+    ("absq(1)+absq(2) + 0.3*(x1^2 - y1^2) + x1*x2 - y1*y2", "-1 1", "ricci_flat"),
+    ("rsq + log(rsq)", "0.3 1.2, -1.2 1.2, -1.2 1.2, -1.2 1.2",
+     "holo_ricci_pseudosymmetric"),
+]
+
+
+@pytest.mark.parametrize("potential, domain, expected", NATURAL_MANIFESTS,
+                         ids=[case[2] for case in NATURAL_MANIFESTS])
+def test_cli_classifies_natural_metrics(tmp_path, capsys, potential, domain, expected):
+    """Manifests a user would write: CP1 x CH1 (parallel Ricci), CP1 x CP1
+    with equal factors (Einstein), a flat metric plus pluriharmonic terms
+    (the Re of holomorphic z1^2 and z1 z2), and Burns' metric
+    rsq + log(rsq) (holomorphically Ricci pseudosymmetric)."""
+    path = write_manifest(tmp_path, f"name = natural\nn = 2\npotential = {potential}\n"
+                                    f"domain = {domain}\nexpected_class = {expected}\n")
+    code = main(["classify", path, "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert f"classification: {expected}  (expected: {expected})" in out
 
 
 def test_cli_unknown_target_is_input_error(capsys):
