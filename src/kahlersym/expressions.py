@@ -363,6 +363,5 @@ def eval_jet(e: Expr, point, order: int) -> JetScalar:
     jet = rec(e)
     if jet.coeffs.ndim < point.ndim:  # a constant expression: give it the point axes
         shape = point.shape[:-1] + (space.size,)
-        jet = JetScalar(space, np.broadcast_to(jet.coeffs, shape).copy(), jet.degree,
-                        jet.support)
+        jet = JetScalar(space, np.broadcast_to(jet.coeffs, shape).copy(), support=jet.support)
     return jet

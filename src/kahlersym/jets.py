@@ -7,7 +7,9 @@ in the truncated polynomial ring, so they are exact (up to roundoff) on
 polynomials whose total degree fits the truncation order.  log, exp,
 sqrt and reciprocals are evaluated by composing their univariate Taylor
 series, built for every point of the stack at once, with the nilpotent
-part of the jet.
+part of the jet.  Every jet carries a support, the monomials that may be
+nonzero, and a product forms only the pairs of coefficients within its
+operands' supports.
 
 Coefficients are stored in the Taylor normalisation: the entry for a
 multi-index ``a`` is the partial derivative divided by ``a!``.
@@ -80,8 +82,8 @@ class JetSpace:
         # A support is an int whose bit i marks monomial i as possibly
         # nonzero; ``full`` marks every monomial.
         self.full = (1 << self.size) - 1
-        # (da, db, support_a, support_b) -> (pairs per point, tables,
-        # support of the product); see _chunk_tables.
+        # (support_a, support_b) -> (pairs per point, tables, support of
+        # the product); see _chunk_tables.
         self._pair_tables: dict[tuple, tuple] = {}
 
     def _position_of_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -104,22 +106,23 @@ class JetSpace:
         right = np.arange(len(left)) - starts
         return left, right, self._position_of_keys(self._keys[left] + self._keys[right])
 
-    def _chunk_tables(self, da: int, db: int, support_a: int, support_b: int,
-                      points: int):
+    def _chunk_tables(self, support_a: int, support_b: int, points: int):
         """(pairs per point, tables, support): the rows left, right and out
-        of the (da, db) pair table restricted to the pairs whose
-        coefficients are both in their operand's support, laid out flat
-        for a run of points, point p's pairs offset by p * size; and the
-        support of the product, the out positions of those pairs.
+        of the pair table restricted to the pairs whose coefficients are
+        both in their operand's support, laid out flat for a run of points,
+        point p's pairs offset by p * size; and the support of the product,
+        the out positions of those pairs.  The pair table is bounded by the
+        largest degree in each support (the monomials are graded).
 
         A table covers as many points as the largest call so far, up to a
         chunk of _PAIRS_PER_CHUNK pairs, so that a space keeps no more
         table than its calls use.  A space keeps at most _MAX_PAIR_TABLES
         tables and drops the oldest first."""
-        key = (da, db, support_a, support_b)
+        key = (support_a, support_b)
         cached = self._pair_tables.get(key)
         if cached is None:
-            left, right, out = self.pair_table(da, db)
+            left, right, out = self.pair_table(self._degrees[support_a.bit_length() - 1],
+                                               self._degrees[support_b.bit_length() - 1])
             keep = self._flags(support_a)[left] & self._flags(support_b)[right]
             flags = np.zeros(self.size, dtype=bool)
             flags[out[keep]] = True
@@ -141,54 +144,36 @@ class JetSpace:
         packed = np.frombuffer(support.to_bytes((self.size + 7) // 8, "little"), np.uint8)
         return np.unpackbits(packed, count=self.size, bitorder="little").astype(bool)
 
-    def multiply(self, a: np.ndarray, b: np.ndarray, da: int, db: int,
-                 support_a: int, support_b: int) -> tuple[np.ndarray, int]:
+    def multiply(self, a: np.ndarray, b: np.ndarray, support_a: int,
+                 support_b: int) -> tuple[np.ndarray, int]:
         """Truncated product of coefficient arrays of shape (..., size) whose
-        coefficients above total degree ``da`` (of a) and ``db`` (of b), or
-        outside ``support_a`` (of a) and ``support_b`` (of b), are zero;
-        returns the product and its support.
+        coefficients outside ``support_a`` (of a) and ``support_b`` (of b)
+        are zero; returns the product and its support.
 
-        A constant operand scales the other: ``0.0 + a0 * b``.  Otherwise
-        products are gathered through the (da, db) pair table, restricted
-        to the pairs whose two coefficients are both in their operand's
-        support.  With finite coefficients every skipped product is +0 or
-        -0, and every sum starts from +0.0, so the result is bitwise the
-        product over all pairs.
-
-        A skipped 0 * inf would be NaN, not zero, so a product with an
-        operand that is not finite must not come out finite:
-        :meth:`JetScalar.__mul__` then forms every product.  A jet that is
-        not finite has such a coefficient in its support (scaling by inf or
-        NaN spoils every coefficient), and it meets the other operand's
-        constant term, in the constant scaling and in every pair table.
-        Where that constant term is outside its support (Horner's nilpotent
-        part), the pair would be skipped, so the support tables are used
-        only if the operand is finite.
+        Products are gathered only for the pairs whose two coefficients are
+        both in their operand's support, and a constant operand (support
+        within {0}) scales the other: ``0.0 + a0 * b``.  With finite
+        operands every skipped product is +0 or -0, and every sum starts
+        from +0.0, so the result is bitwise the product over all pairs,
+        also where it overflows.  A skipped 0 * inf would be NaN, not zero,
+        so if either operand is not finite every pair is gathered, and the
+        product has the full support.
         """
-        if da == 0:
-            return 0.0 + a[..., :1] * b, support_b if support_a & 1 else 0
-        if db == 0:
-            return 0.0 + a * b[..., :1], support_a if support_b & 1 else 0
-        if (not (support_a & 1 or np.isfinite(b).all())
-                or not (support_b & 1 or np.isfinite(a).all())):
-            # A non-finite coefficient could miss the zero constant term.
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             support_a = support_b = self.full
-        return self._gather(a, b, da, db, support_a, support_b)
-
-    def _gather(self, a: np.ndarray, b: np.ndarray, da: int, db: int,
-                support_a: int, support_b: int) -> tuple[np.ndarray, int]:
-        """The products of the (da, db) pairs within the supports, summed
-        into their coefficients a chunk of points at a time, and the
-        product's support: ``np.bincount`` adds each product in table
-        order, starting from +0.0, so every point gets the same bits
-        whatever the points beside it."""
+        elif support_a <= 1:
+            return 0.0 + a[..., :1] * b, support_b if support_a else 0
+        elif support_b <= 1:
+            return 0.0 + a * b[..., :1], support_a if support_b else 0
         if a.shape != b.shape:
             a, b = np.broadcast_arrays(a, b)
         shape = a.shape
         a = a.reshape(-1)
         b = b.reshape(-1)
+        # np.bincount adds each product in table order, starting from +0.0,
+        # so every point gets the same bits whatever the points beside it.
         pairs, (left, right, out), support = self._chunk_tables(
-            da, db, support_a, support_b, len(a) // self.size)
+            support_a, support_b, len(a) // self.size)
         if not pairs:
             return np.zeros(shape), support
         chunk = len(left) // pairs * self.size
@@ -217,25 +202,21 @@ class JetScalar:
     holds the expansions about many points, each computed exactly as it
     would be alone.
 
-    ``degree`` bounds the total degree of the nonzero coefficients and
     ``support`` marks the monomials that may be nonzero (bit i for
-    monomial i), both found from how the jet was formed, not from its
-    data: a constant has degree 0 and support {0}, a variable degree 1
-    and support {0, e_k}; a sum takes the larger degree and the union of
-    the supports; a product the sum of the degrees, capped at the order,
-    and the out positions of the pairs it gathers; scaling and negation
-    keep both.  Every coefficient above the degree or outside the support
-    is zero while the coefficients are finite.  A jet built from raw
-    coefficients has the order and the full support.
+    monomial i), found from how the jet was formed, not from its data: a
+    constant has support {0}, a variable {0, e_k}; a sum takes the union
+    of the supports; a product the out positions of the pairs it gathers
+    (every monomial if an operand is not finite); scaling and negation
+    keep it.  Every coefficient outside the support is zero while the
+    coefficients are finite.  A jet built from raw coefficients has the
+    full support.
     """
 
-    __slots__ = ("space", "coeffs", "degree", "support")
+    __slots__ = ("space", "coeffs", "support")
 
-    def __init__(self, space: JetSpace, coeffs, degree: int | None = None,
-                 support: int | None = None):
+    def __init__(self, space: JetSpace, coeffs, *, support: int | None = None):
         self.space = space
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.degree = space.order if degree is None else degree
         self.support = space.full if support is None else support
 
     @classmethod
@@ -244,7 +225,7 @@ class JetScalar:
         value = np.asarray(value, dtype=float)
         coeffs = np.zeros(value.shape + (space.size,))
         coeffs[..., 0] = value
-        return cls(space, coeffs, 0, 1)
+        return cls(space, coeffs, support=1)
 
     @classmethod
     def variable(cls, space: JetSpace, index: int, value) -> "JetScalar":
@@ -256,7 +237,6 @@ class JetScalar:
             position = space.position[tuple(1 if k == index else 0
                                             for k in range(space.nvars))]
             jet.coeffs[..., position] = 1.0
-            jet.degree = 1
             jet.support |= 1 << position
         return jet
 
@@ -281,7 +261,7 @@ class JetScalar:
         if other is None:
             return NotImplemented
         return JetScalar(self.space, self.coeffs + other.coeffs,
-                         max(self.degree, other.degree), self.support | other.support)
+                         support=self.support | other.support)
 
     __radd__ = __add__
 
@@ -290,45 +270,35 @@ class JetScalar:
         if other is None:
             return NotImplemented
         return JetScalar(self.space, self.coeffs - other.coeffs,
-                         max(self.degree, other.degree), self.support | other.support)
+                         support=self.support | other.support)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return JetScalar(self.space, other.coeffs - self.coeffs,
-                         max(self.degree, other.degree), self.support | other.support)
+                         support=self.support | other.support)
 
     def __neg__(self):
-        return JetScalar(self.space, -self.coeffs, self.degree, self.support)
+        return JetScalar(self.space, -self.coeffs, support=self.support)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return JetScalar(self.space, self.coeffs * float(other), self.degree,
-                             self.support)
+            return JetScalar(self.space, self.coeffs * float(other), support=self.support)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        space = self.space
-        coeffs, support = space.multiply(self.coeffs, other.coeffs, self.degree,
-                                         other.degree, self.support, other.support)
-        if np.isfinite(coeffs).all():
-            return JetScalar(space, coeffs, min(self.degree + other.degree, space.order),
-                             support)
-        # A non-finite result: a skipped product may be 0 * inf = NaN, not
-        # zero.  Form every product, as for jets without a bound.
-        coeffs, _ = space._gather(self.coeffs, other.coeffs, space.order, space.order,
-                                  space.full, space.full)
-        return JetScalar(space, coeffs)
+        coeffs, support = self.space.multiply(self.coeffs, other.coeffs, self.support,
+                                              other.support)
+        return JetScalar(self.space, coeffs, support=support)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
             if float(other) == 0.0:
-                raise JetDomainError("division by zero")
-            return JetScalar(self.space, self.coeffs / float(other), self.degree,
-                             self.support)
+                raise JetDomainError(f"division by zero value {float(other)!r}")
+            return JetScalar(self.space, self.coeffs / float(other), support=self.support)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -347,8 +317,6 @@ class JetScalar:
             raise TypeError("jet powers must be integers")
         exponent = int(exponent)
         if exponent < 0:
-            if np.any(self.coeffs[..., 0] == 0.0):
-                raise JetDomainError("zero raised to a negative power")
             return self.reciprocal() ** (-exponent)
         if exponent == 0:
             return JetScalar.constant(self.space, 1.0)
@@ -365,7 +333,7 @@ class JetScalar:
                 break
             base = base * base
         if result is self:
-            return JetScalar(self.space, self.coeffs + 0.0, self.degree, self.support)
+            return JetScalar(self.space, self.coeffs + 0.0, support=self.support)
         return result
 
     def reciprocal(self) -> "JetScalar":
@@ -373,7 +341,7 @@ class JetScalar:
 
         def check(c0):
             if c0 == 0.0:
-                raise JetDomainError("division by zero")
+                raise JetDomainError(f"division by zero value {c0!r}")
             _check_float_range("reciprocal", c0, range(1, order + 2))
 
         values = _values(self)
@@ -392,7 +360,7 @@ class JetScalar:
         jet, since a product holds no -0.0."""
         shape = self.coeffs.shape[:-1]
         series = series.reshape(shape + series.shape[-1:])
-        h = JetScalar(self.space, self.coeffs.copy(), self.degree, self.support & ~1)
+        h = JetScalar(self.space, self.coeffs.copy(), support=self.support & ~1)
         h.coeffs[..., 0] = 0.0
         acc = JetScalar.constant(self.space, series[..., -1])
         for k in range(series.shape[-1] - 2, -1, -1):

@@ -355,7 +355,7 @@ def series_loop(name: str, order: int, c0: float) -> list[float]:
                 coeffs.append(coeffs[-1] * (1.5 - k) / (k * c0))
             return coeffs
         if c0 == 0.0:
-            raise JetDomainError("division by zero")
+            raise JetDomainError(f"division by zero value {c0!r}")
         return [(-1.0) ** k / c0 ** (k + 1) for k in range(order + 1)]
     except (ZeroDivisionError, OverflowError):
         raise JetDomainError(
@@ -718,7 +718,7 @@ def eval_scalar(e, point) -> float:
     if isinstance(e, Pow):
         base = eval_scalar(e.base, point)
         if e.exponent < 0 and base == 0.0:
-            raise PotentialDomainError("zero raised to a negative power", e)
+            raise PotentialDomainError(f"division by zero value {base!r}", e)
         return base**e.exponent
     if isinstance(e, Call):
         v = eval_scalar(e.arg, point)
@@ -740,5 +740,5 @@ def eval_scalar(e, point) -> float:
     if e.op == "*":
         return lhs * rhs
     if rhs == 0.0:
-        raise PotentialDomainError("division by zero", e.rhs)
+        raise PotentialDomainError(f"division by zero value {rhs!r}", e.rhs)
     return lhs / rhs

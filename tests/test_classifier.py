@@ -82,19 +82,38 @@ def unscaled_reports(fixtures, full_reports, full_plan):
     ]
 
 
-@pytest.mark.parametrize("c", [1e-9, 1e-3, 1e3, 1e9])
-def test_classification_invariant_under_potential_scaling(unscaled_reports, c):
-    """K -> cK scales g by c and leaves R^a_bcd, S, every rung and the
-    verdict on f_S constancy unchanged."""
+def _scaled(c):
+    return lambda source, n: f"{c!r}*({source})"
+
+
+def _plus_pluriharmonic(source, n):
+    """K + Re(h) for a holomorphic quadratic h: ddbar of it vanishes, but
+    its monomials change the supports of the potential's jets."""
+    if n >= 2:
+        return f"({source}) + 0.3*(x1^2 - y1^2) + x1*x2 - y1*y2"
+    return f"({source}) + 0.3*(x1^2 - y1^2) + 0.7*x1*y1"
+
+
+POTENTIAL_MAPS = {repr(c): _scaled(c) for c in (1e-9, 1e-3, 1e3, 1e9)}
+POTENTIAL_MAPS["pluriharmonic"] = _plus_pluriharmonic
+
+
+@pytest.mark.parametrize("potential_map", POTENTIAL_MAPS.values(), ids=POTENTIAL_MAPS)
+def test_classification_invariant_under_potential_scaling(unscaled_reports, potential_map):
+    """K -> cK scales g by c, and K -> K + Re(h) for a holomorphic h leaves
+    g as it is; both leave R^a_bcd, S, every rung and the verdict on f_S
+    constancy unchanged."""
     for spec, reference in unscaled_reports:
         name = spec.name
-        scaled = replace(spec, potential_source=f"{c!r}*({spec.potential_source})")
+        mapped = replace(spec, potential_source=potential_map(spec.potential_source, spec.n))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = run(scaled, reference.plan)
+            report = run(mapped, reference.plan)
         assert report.identities_passed, (name, report.worst_identity())
         assert not report.verdict.any_route_mismatch, name
         assert report.verdict.classification == reference.verdict.classification, name
+        assert ([c.status for c in report.verdict.criteria()]
+                == [c.status for c in reference.verdict.criteria()]), name
         assert report.verdict.f_s_constant == reference.verdict.f_s_constant, name
 
 

@@ -209,6 +209,17 @@ def test_domain_error_negative_power_at_zero():
         eval_jet(tree, [0.0, 0.0], order=2)
 
 
+@pytest.mark.parametrize("source, sub", [("1/x1", "x1"), ("x1^-2", "x1^-2")])
+def test_zero_division_names_the_value(source, sub):
+    """Division by zero names the value, sign included, at the first point
+    in stack order where it happens, like every other domain message."""
+    points = [[0.5, 1.0], [-0.0, 1.0], [0.0, 2.0]]
+    with pytest.raises(PotentialDomainError) as exc:
+        eval_jet(parse(source, 1), points, order=3)
+    assert str(exc.value) == f"division by zero value -0.0 in sub-expression `{sub}`"
+    assert pretty(exc.value.subexpression) == sub
+
+
 def test_domain_error_is_potential_error():
     assert issubclass(PotentialDomainError, PotentialError)
     assert issubclass(PotentialSyntaxError, PotentialError)

@@ -239,16 +239,20 @@ def bounded_coeffs(rng, space, shape, degree):
     return coeffs
 
 
+def degree_support(space, degree):
+    """The support of every monomial of total degree <= ``degree``."""
+    return support_bits(space, degrees_of(space) <= degree)
+
+
 def test_multiply_over_points_matches_one_point_at_a_time():
     # 70 points of (4, 5) products span several chunks, the last partial;
     # zeros of both signs check that signs of zero survive too.  The
     # one-point product sums over all pairs in pair-table order, as
-    # np.add.at does, so a bounded product must skip only zeros.
+    # np.add.at does, so a product within the supports must skip only zeros.
     space = JetSpace(4, 5)
-    full = space.full
 
     def product(a, b, da, db):
-        return space.multiply(a, b, da, db, full, full)[0]
+        return space.multiply(a, b, degree_support(space, da), degree_support(space, db))[0]
 
     rng = np.random.default_rng(5)
     left, right, out = pair_tables_loop(space)
@@ -271,8 +275,8 @@ def test_multiply_over_points_matches_one_point_at_a_time():
 
 
 def dense(jet):
-    """The same coefficients with the bound dropped to the order, so that
-    products of it gather every pair."""
+    """The same coefficients with the full support, so that products of it
+    gather every pair."""
     return JetScalar(jet.space, jet.coeffs)
 
 
@@ -290,36 +294,46 @@ ZOO = zoo()
 @pytest.mark.parametrize("source", sorted(ZOO) + MIXED_DEGREE)
 @pytest.mark.parametrize("order", [1, 3, 5])
 def test_degree_bound_holds_and_keeps_the_bits(source, order, monkeypatch):
+    """The support, and the degree bound the pair tables take from it (the
+    degree of its last monomial), hold every nonzero coefficient."""
     n = ZOO[source].n if source in ZOO else 2
     expr = ZOO[source].potential() if source in ZOO else parse(source, n)
     points = np.random.default_rng(order).uniform(-0.6, 0.6, (9, 2 * n))
     jet = eval_jet(expr, points, order)
-    above = degrees_of(jet.space) > jet.degree
-    assert np.all(jet.coeffs[..., above] == 0.0)
+    degrees = degrees_of(jet.space)
+    assert np.all(jet.coeffs[..., degrees > degrees[jet.support.bit_length() - 1]] == 0.0)
+    assert support_bits(jet.space, jet.coeffs) & ~jet.support == 0
 
     multiply = JetSpace.multiply
-    monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, da, db, sa, sb:
-                        multiply(space, a, b, space.order, space.order,
-                                 space.full, space.full))
+    monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, sa, sb:
+                        multiply(space, a, b, space.full, space.full))
     every_pair = eval_jet(expr, points, order).coeffs
     assert np.array_equal(jet.coeffs, every_pair)
     assert np.array_equal(np.signbit(jet.coeffs), np.signbit(every_pair))
 
 
-def test_degree_bounds_of_the_ring_operations():
+def test_supports_of_the_ring_operations():
     space = jet_space(2, 5)
+
+    def monomials(*exponents):
+        return sum(1 << space.position[e] for e in exponents)
+
+    one, ex, ey, exy = monomials((0, 0)), monomials((1, 0)), monomials((0, 1)), monomials((1, 1))
     x = JetScalar.variable(space, 0, 0.5)
     y = JetScalar.variable(space, 1, -1.5)
     c = JetScalar.constant(space, 3.0)
-    assert (c.degree, x.degree) == (0, 1)
-    assert (x + c).degree == (c - x).degree == (1.0 - x).degree == 1
-    assert (x * y).degree == (x * y + x).degree == 2
-    assert (-(x * y)).degree == (2.5 * x * y).degree == (x * y / 4.0).degree == 2
-    assert (x**3 * y**4).degree == 5
-    assert jet_log(1.0 + x).degree == 5
-    assert jet_exp(c).degree == 0
-    assert JetScalar(space, x.coeffs).degree == 5
-    assert JetScalar.variable(jet_space(2, 0), 1, 2.0).degree == 0
+    assert (c.support, x.support, y.support) == (one, one | ex, one | ey)
+    assert (x + c).support == (c - x).support == (1.0 - x).support == one | ex
+    assert (x + y).support == (y - x).support == one | ex | ey
+    assert (x * y).support == one | ex | ey | exy
+    assert (x * y + x).support == (x * y).support
+    assert (-(x * y)).support == (2.5 * x * y).support == (x * y / 4.0).support == (x * y).support
+    assert (x**3 * y**4).support == monomials(*[(a, b) for a in range(4) for b in range(5)
+                                                if a + b <= 5])
+    assert jet_log(1.0 + x).support == monomials(*[(a, 0) for a in range(6)])
+    assert jet_exp(c).support == one
+    assert JetScalar(space, x.coeffs).support == space.full
+    assert JetScalar.variable(jet_space(2, 0), 1, 2.0).support == 1
 
 
 def test_constant_operand_product_keeps_the_signs_of_zero():
@@ -336,9 +350,9 @@ def test_constant_operand_product_keeps_the_signs_of_zero():
 
 
 def test_non_finite_products_gather_every_pair():
-    # A skipped product 0 * inf would be NaN: the bounded product gives the
-    # same coefficients, NaN in the same places, as gathering every pair,
-    # and drops its bound to the order.
+    # A skipped product 0 * inf would be NaN: a product with an operand
+    # that is not finite gives the same coefficients, NaN in the same
+    # places, as gathering every pair, and has the full support.
     space = jet_space(2, 4)
     x = JetScalar.variable(space, 0, 0.5)
     y = JetScalar.variable(space, 1, -1.5)
@@ -357,7 +371,16 @@ def test_non_finite_products_gather_every_pair():
             expected = dense(a) * dense(b)
         assert not np.all(np.isfinite(got.coeffs))
         assert np.array_equal(got.coeffs, expected.coeffs, equal_nan=True)
-        assert got.degree == space.order
+        assert got.support == space.full
+    # Finite operands whose product overflows: the skipped products are
+    # +0 or -0, so the result has the bits of every pair, and its support
+    # stays the one the pairs give.
+    a, b = x * 1e200, y * 1e200
+    with np.errstate(over="ignore"):
+        got = a * b
+    assert not np.all(np.isfinite(got.coeffs))
+    assert_same_bits(got.coeffs, every_pair_product(space, a.coeffs, b.coeffs))
+    assert got.support == (x * y).support != space.full
 
 
 @pytest.mark.parametrize("primitive, value", [
@@ -416,16 +439,16 @@ def test_support_tables_match_the_pair_loop(nvars, order):
             sa, sb = support_bits(space, a), support_bits(space, b)
             extra = support_bits(space, rng.random(space.size) < 0.3)
             for support_a, support_b in ((sa, sb), (sa | extra, sb), (sa, sb | extra)):
-                got, support = space.multiply(a, b, da, db, support_a, support_b)
+                got, support = space.multiply(a, b, support_a, support_b)
                 assert_same_bits(got, every_pair_product(space, a, b))
                 assert support_bits(space, got) & ~support == 0
                 if shape:
                     for p in range(shape[0]):
-                        one = space.multiply(a[p], b[p], da, db, support_a, support_b)
+                        one = space.multiply(a[p], b[p], support_a, support_b)
                         assert_same_bits(one[0], got[p])
             # An operand zero at every point gathers no pair at all.
             zero = np.where(rng.random(b.shape) < 0.5, 0.0, -0.0)
-            got, support = space.multiply(a, zero, da, db, sa, 0)
+            got, support = space.multiply(a, zero, sa, 0)
             assert_same_bits(got, every_pair_product(space, a, zero))
             assert support == 0
 
@@ -447,8 +470,8 @@ def test_products_inside_horner_are_every_pair_products(source, monkeypatch):
     seen = []
     multiply = JetSpace.multiply
 
-    def recorded(space, a, b, da, db, sa, sb):
-        result = multiply(space, a, b, da, db, sa, sb)
+    def recorded(space, a, b, sa, sb):
+        result = multiply(space, a, b, sa, sb)
         # A copy: Horner adds the next series constant in place.
         seen.append((space, a, b, result[0].copy()))
         return result
@@ -474,13 +497,14 @@ def test_non_finite_operand_with_zero_constant_gets_every_pair():
     a[1, -1] = np.inf
     h = bounded_coeffs(rng, space, (3,), 2)
     h[:, 0] = 0.0
-    for left, dl, right, dr in ((a, 4, h, 2), (h, 2, a, 4), (a[1], 4, h[1], 2)):
+    sa, sh = space.full, degree_support(space, 2) & ~1
+    for left, sl, right, sr in ((a, sa, h, sh), (h, sh, a, sa), (a[1], sa, h[1], sh)):
         with np.errstate(invalid="ignore"):
-            got = JetScalar(space, left, dl) * JetScalar(space, right, dr)
+            got = JetScalar(space, left, support=sl) * JetScalar(space, right, support=sr)
         want = every_pair_product(space, left, right)
         assert np.isnan(want).any()
         assert_same_bits(got.coeffs, want)
-        assert got.degree == space.order
+        assert got.support == space.full
 
 
 def test_support_table_cache_is_bounded():
@@ -491,7 +515,7 @@ def test_support_table_cache_is_bounded():
         a = bounded_coeffs(rng, space, (4,), 4)
         a[..., rng.random(space.size) < 0.5] = 0.0  # a support of its own
         a[:, 0] = 1.0 + k
-        got, _ = space.multiply(a, b, 4, 4, support_bits(space, a), space.full)
+        got, _ = space.multiply(a, b, support_bits(space, a), space.full)
         assert len(space._pair_tables) <= jets._MAX_PAIR_TABLES
         assert_same_bits(got, every_pair_product(space, a, b))
     assert len(space._pair_tables) == jets._MAX_PAIR_TABLES
@@ -507,25 +531,23 @@ def test_horner_step_after_an_overflow_keeps_the_non_finite_bits(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         jet = eval_jet(expr, points, 5)
         multiply = JetSpace.multiply
-        monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, da, db, sa, sb:
-                            multiply(space, a, b, space.order, space.order,
-                                     space.full, space.full))
+        monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, sa, sb:
+                            multiply(space, a, b, space.full, space.full))
         every_pair = eval_jet(expr, points, 5)
     assert not np.isfinite(every_pair.coeffs).all(axis=-1).any()
     assert_same_bits(jet.coeffs, every_pair.coeffs)
-    assert jet.degree == 5
+    assert jet.support == jet.space.full
 
 
 @pytest.mark.parametrize("source", sorted(ZOO) + MIXED_DEGREE + HORNER)
 def test_every_jet_support_holds_its_nonzero_coefficients(source, monkeypatch):
     """Every jet eval_jet forms, operands and Horner steps included, has a
-    support that marks every coefficient nonzero at some point, and a
-    degree above every such coefficient."""
+    support that marks every coefficient nonzero at some point."""
     formed = []
     init = JetScalar.__init__
 
-    def recorded(self, *args):
-        init(self, *args)
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         formed.append(self)
 
     monkeypatch.setattr(JetScalar, "__init__", recorded)
@@ -540,7 +562,6 @@ def test_every_jet_support_holds_its_nonzero_coefficients(source, monkeypatch):
         for jet in formed:
             space = jet.space
             assert support_bits(space, jet.coeffs) & ~jet.support == 0, order
-            assert np.all(jet.coeffs[..., degrees_of(space) > jet.degree] == 0.0)
 
 
 SERIES_STACKS = [
@@ -609,4 +630,4 @@ def test_integer_powers_have_the_bits_of_powers_from_one():
             got = base**exponent
             assert got is not base
             assert_same_bits(got.coeffs, want.coeffs)
-            assert got.degree == want.degree
+            assert got.support == want.support
