@@ -186,9 +186,17 @@ def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np
     ``steps`` fixed steps per edge.  The stage times t0, t0 + h/2 and
     t0 + h of every step are merged where bitwise equal (np.unique), and
     the connection at those times on every edge of a polyline is expanded
-    in one call.  The L vectors (v0 broadcast to them) are stepped
-    together by stacked matvecs, each bitwise the product it would be
-    alone.  Deterministic for fixed inputs.
+    in one call.  The ODE is linear, so each step is the matrix
+
+        M = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   K1 = A0,  K2 = Am (I + h/2 K1),
+        K3 = Am (I + h/2 K2),  K4 = A1 (I + h K3),
+
+    formed for every step of every edge at once; the step matrices are
+    composed by a pairwise product (later steps on the left) and applied
+    to v once.  This agrees with stepping the vector to roundoff, not
+    bitwise: within 1e-13 max|v| and 1e-8 max|v - v_h| of the vector RK4
+    of tests/helpers.parallel_transport_stagewise.  Each polyline of a
+    stack gets the bits it gets alone.  Deterministic for fixed inputs.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -202,7 +210,7 @@ def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np
     if paths.ndim != 3 or paths.shape[1] < 2:
         raise ValueError("path needs at least two points")
     count, m = paths.shape[0], paths.shape[-1]
-    v = np.array(np.broadcast_to(np.asarray(v0, float), (count, m)))
+    v = np.broadcast_to(np.asarray(v0, float), (count, m))
 
     h = 1.0 / steps
     # RK4 stage times of every step: t0, t0 + h/2 and t0 + h.
@@ -211,23 +219,27 @@ def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np
         t0 = k * h
         stages.extend((t0, t0 + 0.5 * h, t0 + h))
     times, where = np.unique(stages, return_inverse=True)
-    where = where.reshape(steps, 3).tolist()
     starts, dxs = paths[:, :-1], np.diff(paths, axis=1)
     edges = dxs.shape[1]
     stage_points = starts[:, :, None] + times[:, None] * dxs[:, :, None]
-    # vel[e, i, q] = -Gamma(dx, .) on edge e of polyline q at stage time i.
-    vel = np.empty((edges, len(times), count, m, m))
+    # vel[q, e, i] = -Gamma(dx, .) on edge e of polyline q at stage time i.
+    vel = np.empty((count, edges, len(times), m, m))
     for q, points in enumerate(stage_points):
         jet = metric_from_potential(potential, points.reshape(-1, m), n, depth=1)
         gamma = christoffel(jet).gamma.reshape(points.shape + (m, m))
-        for e, dx in enumerate(dxs[q]):
-            vel[e, :, q] = -np.einsum("...cab,a->...cb", gamma[e], dx)
-    for e in range(edges):
-        for i0, im, i1 in where:
-            a0, am, a1 = vel[e, i0], vel[e, im], vel[e, i1]
-            k1 = (a0 @ v[..., None])[..., 0]
-            k2 = (am @ (v + 0.5 * h * k1)[..., None])[..., 0]
-            k3 = (am @ (v + 0.5 * h * k2)[..., None])[..., 0]
-            k4 = (a1 @ (v + h * k3)[..., None])[..., 0]
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        vel[q] = -np.einsum("etcab,ea->etcb", gamma, dxs[q])
+    # a[..., j, :, :] is A0, Am or A1 of each (edge, step), steps in order.
+    a = vel[:, :, where.reshape(steps, 3)].reshape(count, edges * steps, 3, m, m)
+    a0, am, a1 = a[:, :, 0], a[:, :, 1], a[:, :, 2]
+    eye = np.eye(m)
+    k2 = am @ (eye + 0.5 * h * a0)
+    k3 = am @ (eye + 0.5 * h * k2)
+    k4 = a1 @ (eye + h * k3)
+    mats = eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    # Pairwise product, later steps on the left; an odd last matrix
+    # carries to the next level.
+    while mats.shape[1] > 1:
+        carry = mats[:, mats.shape[1] - mats.shape[1] % 2:]
+        mats = np.concatenate([mats[:, 1::2] @ mats[:, :-1:2], carry], axis=1)
+    v = (mats[:, 0] @ v[..., None])[..., 0]
     return v[0] if single else v

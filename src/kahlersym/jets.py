@@ -156,12 +156,11 @@ class JetSpace:
         operands every skipped product is +0 or -0, and every sum starts
         from +0.0, so the result is bitwise the product over all pairs,
         also where it overflows.  A skipped 0 * inf would be NaN, not zero,
-        so if either operand is not finite every pair is gathered, and the
+        so an operand that is not finite must come with the full support,
+        as JetScalar products pass it; then every pair is gathered, and the
         product has the full support.
         """
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            support_a = support_b = self.full
-        elif support_a <= 1:
+        if support_a <= 1:
             return 0.0 + a[..., :1] * b, support_b if support_a else 0
         elif support_b <= 1:
             return 0.0 + a * b[..., :1], support_a if support_b else 0
@@ -210,14 +209,25 @@ class JetScalar:
     keep it.  Every coefficient outside the support is zero while the
     coefficients are finite.  A jet built from raw coefficients has the
     full support.
+
+    Whether every coefficient is finite is found once per jet and kept: a
+    constant's from its value, any other's by a scan the first time it is
+    a product operand.  So coefficients are not changed in place after
+    that.
     """
 
-    __slots__ = ("space", "coeffs", "support")
+    __slots__ = ("space", "coeffs", "support", "_finite")
 
     def __init__(self, space: JetSpace, coeffs, *, support: int | None = None):
         self.space = space
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.support = space.full if support is None else support
+        self._finite = None
+
+    def _is_finite(self) -> bool:
+        if self._finite is None:
+            self._finite = bool(np.isfinite(self.coeffs).all())
+        return self._finite
 
     @classmethod
     def constant(cls, space: JetSpace, value) -> "JetScalar":
@@ -225,7 +235,9 @@ class JetScalar:
         value = np.asarray(value, dtype=float)
         coeffs = np.zeros(value.shape + (space.size,))
         coeffs[..., 0] = value
-        return cls(space, coeffs, support=1)
+        jet = cls(space, coeffs, support=1)
+        jet._finite = bool(np.isfinite(value).all())
+        return jet
 
     @classmethod
     def variable(cls, space: JetSpace, index: int, value) -> "JetScalar":
@@ -288,8 +300,11 @@ class JetScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        coeffs, support = self.space.multiply(self.coeffs, other.coeffs, self.support,
-                                              other.support)
+        if self._is_finite() and other._is_finite():
+            support_a, support_b = self.support, other.support
+        else:
+            support_a = support_b = self.space.full
+        coeffs, support = self.space.multiply(self.coeffs, other.coeffs, support_a, support_b)
         return JetScalar(self.space, coeffs, support=support)
 
     __rmul__ = __mul__

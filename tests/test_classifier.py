@@ -1,5 +1,6 @@
 """Ladder classification: sampling, evidence, verdicts, lattice checks."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from kahlersym.classifier import (
     sample_points,
 )
 from kahlersym.curvature import christoffel, curvature_bundle
+from kahlersym.expressions import parse, pretty
 from kahlersym.metrics import metric_from_potential, two_form_closedness
 from kahlersym.runner import identity_checks, run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
@@ -98,23 +100,69 @@ POTENTIAL_MAPS = {repr(c): _scaled(c) for c in (1e-9, 1e-3, 1e3, 1e9)}
 POTENTIAL_MAPS["pluriharmonic"] = _plus_pluriharmonic
 
 
+def _assert_same_verdict(mapped, reference):
+    name = mapped.name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run(mapped, reference.plan)
+    assert report.identities_passed, (name, report.worst_identity())
+    assert not report.verdict.any_route_mismatch, name
+    assert report.verdict.classification == reference.verdict.classification, name
+    assert ([c.status for c in report.verdict.criteria()]
+            == [c.status for c in reference.verdict.criteria()]), name
+    assert report.verdict.f_s_constant == reference.verdict.f_s_constant, name
+
+
 @pytest.mark.parametrize("potential_map", POTENTIAL_MAPS.values(), ids=POTENTIAL_MAPS)
 def test_classification_invariant_under_potential_scaling(unscaled_reports, potential_map):
     """K -> cK scales g by c, and K -> K + Re(h) for a holomorphic h leaves
     g as it is; both leave R^a_bcd, S, every rung and the verdict on f_S
     constancy unchanged."""
     for spec, reference in unscaled_reports:
-        name = spec.name
         mapped = replace(spec, potential_source=potential_map(spec.potential_source, spec.n))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            report = run(mapped, reference.plan)
-        assert report.identities_passed, (name, report.worst_identity())
-        assert not report.verdict.any_route_mismatch, name
-        assert report.verdict.classification == reference.verdict.classification, name
-        assert ([c.status for c in report.verdict.criteria()]
-                == [c.status for c in reference.verdict.criteria()]), name
-        assert report.verdict.f_s_constant == reference.verdict.f_s_constant, name
+        _assert_same_verdict(mapped, reference)
+
+
+def _substitute(spec, coords, factor):
+    """K o phi for the complex-linear phi that ``coords`` gives, as a map from
+    a coordinate name to its image, on the domain scaled by ``factor``.
+    The source is macro-expanded first, so every coordinate is spelled out."""
+    source = re.sub(r"\b[xy]\d+\b", lambda c: f"({coords.get(c[0], c[0])})",
+                    pretty(parse(spec.potential_source, spec.n)))
+    domain = tuple((lo * factor, hi * factor) for lo, hi in spec.domain)
+    return replace(spec, potential_source=source, domain=domain)
+
+
+def _dilation(lam):
+    def chart(spec):
+        coords = {f"{a}{k}": f"{lam!r}*{a}{k}" for a in "xy" for k in range(1, spec.n + 1)}
+        return _substitute(spec, coords, 1 / lam)
+    return chart
+
+
+def _unitary(spec):
+    """z -> ((z1 + z2)/sqrt 2, (z1 - i z2)/sqrt 2), on the halved domain, so
+    that the image of every sample lies in the original box."""
+    r = 0.5 ** 0.5
+    coords = {"x1": f"{r!r}*(x1+x2)", "y1": f"{r!r}*(y1+y2)",
+              "x2": f"{r!r}*(x1+y2)", "y2": f"{r!r}*(y1-x2)"}
+    return _substitute(spec, coords, 0.5)
+
+
+CHART_MAPS = {f"dilation_{lam!r}": _dilation(lam) for lam in (1e-3, 1e-2, 1e2, 1e3)}
+CHART_MAPS["unitary"] = _unitary
+
+
+@pytest.mark.parametrize("chart_map", CHART_MAPS.values(), ids=CHART_MAPS)
+def test_classification_invariant_under_linear_changes_of_chart(unscaled_reports, chart_map):
+    """K o phi for a complex-linear phi is the pullback of the metric by a
+    biholomorphism: a dilation z -> lam z (on the domain divided by lam)
+    scales g by lam^2, and a unitary map is an isometry of flat C^n, so
+    the class, every rung and the verdict on f_S constancy stay put."""
+    for spec, reference in unscaled_reports:
+        if chart_map is _unitary and spec.n < 2:
+            continue
+        _assert_same_verdict(chart_map(spec), reference)
 
 
 def test_witnesses_have_non_constant_f_s(unscaled_reports):

@@ -261,7 +261,8 @@ def test_transport_preserves_norm_and_flat_identity():
         np.array([0.1, -0.4, 0.2, 0.6]),
     ]
     out = parallel_transport(FLAT2, 2, path, v0)
-    assert np.allclose(out, v0, atol=1e-14)
+    # Gamma is exactly 0, so every step matrix is exactly I.
+    assert np.array_equal(out, v0)
 
     # curved space: g-norm is preserved to solver accuracy
     sq = [
@@ -462,6 +463,15 @@ def test_dricci_from_trace_matches_dense_oracle(n):
     assert rel_err(curvature_bundle(m).dricci, dricci_einsum(*expected)) <= 1e-13
 
 
+def assert_near_stagewise(moved, pot, loop, v, steps):
+    """Step matrices against the vector RK4 oracle: the gap is roundoff,
+    both of |v| and of the holonomy |v - v_h| the experiments read."""
+    oracle = parallel_transport_stagewise(pot, 2, loop, v, steps=steps)
+    gap = np.max(np.abs(moved - oracle))
+    assert gap <= 1e-13 * np.max(np.abs(oracle))
+    assert gap <= 1e-8 * np.max(np.abs(v - oracle))
+
+
 def test_transport_matches_stage_by_stage_expansion():
     v0 = np.array([0.3, -1.2, 0.7, 0.4])
     square = [
@@ -473,7 +483,10 @@ def test_transport_matches_stage_by_stage_expansion():
     ]
     for pot, steps in ((FS2, 32), (PERT2, 7), (HYP2, 1)):
         got = parallel_transport(pot, 2, square, v0, steps=steps)
-        assert np.array_equal(got, parallel_transport_stagewise(pot, 2, square, v0, steps=steps))
+        # Stacked with another polyline, the square keeps its bits.
+        stacked = parallel_transport(pot, 2, [square, square[::-1]], v0, steps=steps)
+        assert np.array_equal(stacked[0], got)
+        assert_near_stagewise(got, pot, square, v0, steps)
 
 
 @pytest.mark.parametrize("steps", [1, 7, 32, 48])
@@ -490,8 +503,8 @@ def test_stacked_transport_matches_stage_by_stage_expansion(steps):
         got = parallel_transport(pot, 2, loops, v0, steps=steps)
         assert got.shape == (2, 4)
         for loop, v, moved in zip(loops, v0, got):
-            alone = parallel_transport_stagewise(pot, 2, loop, v, steps=steps)
-            assert np.array_equal(moved, alone)
+            assert np.array_equal(moved, parallel_transport(pot, 2, loop, v, steps=steps))
+            assert_near_stagewise(moved, pot, loop, v, steps)
         # One vector for the whole stack is broadcast to every polyline.
         shared = parallel_transport(pot, 2, loops, v0[0], steps=steps)
         assert np.array_equal(shared[0], got[0])
