@@ -11,7 +11,9 @@ only come from a bookkeeping bug.
 
 Relative violations are measured against input-magnitude scales (norms of
 the tensors that were combined), not against the quantity under test, so
-identically zero signals read as zero instead of amplified roundoff.
+identically zero signals read as zero instead of amplified roundoff.  The
+rungs and the identity suite read every scale from one table, formed once
+per evidence by ``_scales``.
 
 The rungs take the metric to be Kahler: metrics.metric_from_potential
 builds it so and refuses a g that is not positive definite, and the
@@ -27,18 +29,8 @@ import numpy as np
 
 from .curvature import CurvatureBundle, curvature_bundle
 from .metrics import metric_from_potential
-from .symmetry_tensors import (
-    _complex_from_real,
-    dependence_scale,
-    r_dot_s,
-    tachibana_ricci,
-)
-from .tensor_algebra import (
-    ABS_FLOOR,
-    floored_scale,
-    max_norm,
-    rel_violation,
-)
+from .symmetry_tensors import _complex_from_real, r_dot_s, tachibana_ricci
+from .tensor_algebra import floored_scale, max_norm, rel_violation
 from .zoo import ManifoldSpec
 
 PASS = "pass"
@@ -52,7 +44,7 @@ _PLANE_STREAM = 2
 # Sample points keep this fraction of each side away from the domain's faces.
 MARGIN = 1e-3
 # A Deszcz sample is defined where |Q(g,S)(v,v;x,Jx)| exceeds this fraction
-# of the dependence scale.
+# of the scale "Q".
 DEPENDENCE_THRESHOLD = 1e-8
 
 
@@ -131,14 +123,11 @@ class PointData:
 
     Every field carries a leading point axis: ``bundle`` holds the
     curvature of all points, rs/q/qc are (P, m, m, m, m), the plane seeds
-    ``planes`` (P, count, m), and the scales and norms (P,).  The
-    directions enter only as the rows u (x) u of ``dir_rows``, and the
-    plane seeds also as the rows x (x) Jx of ``plane_rows``, both
-    flattened to (P, count, m*m) and built once here for every sample
-    contraction.  norm_r13, norm_rs and norm_qc are the max-norms of r13,
-    rs and qc.  ``scale_s`` is the Ricci scale
-    max(|S|, m |R|): curvature tensors of type (1,3) do not change when
-    the potential is multiplied by a constant, so neither does this scale.
+    ``planes`` (P, count, m).  The directions enter only as the rows
+    u (x) u of ``dir_rows``, and the plane seeds also as the rows x (x) Jx
+    of ``plane_rows``, both flattened to (P, count, m*m) and built once
+    here for every sample contraction.  ``scales`` is the scale table of
+    ``_scales``, one (P,) array per name.
     """
 
     bundle: CurvatureBundle
@@ -148,43 +137,62 @@ class PointData:
     planes: np.ndarray
     dir_rows: np.ndarray
     plane_rows: np.ndarray
-    norm_r13: np.ndarray
-    norm_rs: np.ndarray
-    norm_qc: np.ndarray
-    scale_s: np.ndarray
-    scale_rs: np.ndarray
-    scale_qc: np.ndarray
-    dep_scale: np.ndarray
+    scales: dict[str, np.ndarray]
+
+
+def _scales(b: CurvatureBundle, rs, q, qc) -> dict[str, np.ndarray]:
+    """The scale table: the max-norm "|T|" of each tensor T a rung or an
+    identity reads, each taken once, and every scale they divide by, formed
+    from those norms and named after what it judges (docs/conventions.md,
+    "Scales").  One value per point for stacked tensors.
+
+    Scales of curvature tensors of type (1,3) do not change when the
+    potential is multiplied by a constant: "S" = max(|S|, m |R|) does not,
+    and f_S scales as 1/c under K -> cK, as "f_S" = |R| / |g| does.
+    """
+    m = b.metric.g.shape[-1]
+    sc = {f"|{name}|": max_norm(t, rank) for name, t, rank in (
+        ("g", b.metric.g, 2), ("dg", b.metric.dg, 3), ("gamma", b.connection.gamma, 3),
+        ("S", b.ricci, 2), ("dS", b.dricci, 3), ("R13", b.r13, 4), ("R04", b.r04, 4),
+        ("Q", q, 4), ("Qc", qc, 4), ("R.S", rs, 4))}
+    g, s, r13, gamma = sc["|g|"], sc["|S|"], sc["|R13|"], sc["|gamma|"]
+    lam = np.abs(b.scal / m)
+    sc.update({
+        "S": floored_scale(s, m * r13),
+        "lambda": floored_scale(lam),
+        "S - lambda g": floored_scale(s, lam * g),
+        "nabla S": floored_scale(sc["|dS|"], m * gamma * s),
+        "R.S": floored_scale(2.0 * m * r13 * s),
+        # The floor |g||S| keeps roundoff in an identically zero Q(g,S)
+        # (Einstein points) from counting as curvature dependence.
+        "Q": floored_scale(sc["|Q|"], g * s),
+        "Qc": floored_scale(sc["|Qc|"], g * s),
+        "R": floored_scale(sc["|R04|"], g * (b.norm_dgamma + m * gamma ** 2)),
+        "d omega": floored_scale(sc["|dg|"], g),
+        "f_S": r13 / g,
+    })
+    return sc
 
 
 def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
-    """Symmetry tensors and samples at the points of a bundle stacked over
-    the plan's points."""
-    g, s, j = bundle.metric.g, bundle.ricci, bundle.metric.J
+    """Symmetry tensors, samples and scales at the points of a bundle
+    stacked over the plan's points."""
+    j = bundle.metric.J
     m = j.shape[0]
     dirs = _unit_rows(plan, _DIRECTION_STREAM, plan.directions, m)
     planes = _unit_rows(plan, _PLANE_STREAM, plan.planes, m)
-    dir_rows = _outer_rows(dirs, dirs)
-    plane_rows = _outer_rows(planes, planes @ j.T)
     rs = r_dot_s(bundle)
-    q = tachibana_ricci(g, s)
+    q = tachibana_ricci(bundle.metric.g, bundle.ricci)
     qc = _complex_from_real(q)
-    norm_r13, norm_s, norm_qc = max_norm(bundle.r13, 4), max_norm(s, 2), max_norm(qc, 4)
     return PointData(
         bundle=bundle,
         rs=rs,
         q=q,
         qc=qc,
         planes=planes,
-        dir_rows=dir_rows,
-        plane_rows=plane_rows,
-        norm_r13=norm_r13,
-        norm_rs=max_norm(rs, 4),
-        norm_qc=norm_qc,
-        scale_s=floored_scale(norm_s, m * norm_r13),
-        scale_rs=floored_scale(2.0 * m * norm_r13 * norm_s),
-        scale_qc=dependence_scale(qc, g, s, norm=norm_qc),
-        dep_scale=dependence_scale(q, g, s),
+        dir_rows=_outer_rows(dirs, dirs),
+        plane_rows=_outer_rows(planes, planes @ j.T),
+        scales=_scales(bundle, rs, q, qc),
     )
 
 
@@ -267,15 +275,13 @@ def _combine(name: str, direct: float, characterization: float | None,
 
 
 def _einstein(data, plan: SamplePlan):
-    b = data.bundle
-    g, s = b.metric.g, b.ricci
-    m = g.shape[-1]
-    lams = b.scal / m
-    scale = floored_scale(max_norm(s, 2), np.abs(lams) * max_norm(g, 2))
-    direct_pp = max_norm(s - lams[:, None, None] * g, 2) / scale
+    b, sc = data.bundle, data.scales
+    g = b.metric.g
+    lams = b.scal / g.shape[-1]
+    direct_pp = max_norm(b.ricci - lams[:, None, None] * g, 2) / sc["S - lambda g"]
     values = _plane_reduce(data.qc, data.dir_rows, data.plane_rows)
-    char_pp = rel_violation(values, data.scale_qc, 2)
-    spread = (lams.max() - lams.min()) / max(float(np.max(np.abs(lams))), ABS_FLOOR)
+    char_pp = rel_violation(values, sc["Qc"], 2)
+    spread = (lams.max() - lams.min()) / float(np.max(sc["lambda"]))
     details = {
         "lambda_mean": float(np.mean(lams)),
         "lambda_spread": float(spread),
@@ -291,18 +297,13 @@ def _einstein(data, plan: SamplePlan):
 
 
 def _ricci_flat(data, plan: SamplePlan):
-    per_point = max_norm(data.bundle.ricci, 2) / data.scale_s
+    per_point = data.scales["|S|"] / data.scales["S"]
     verdict = _combine("ricci_flat", float(per_point.max()), None, plan.tolerance, {})
     return verdict, per_point
 
 
 def _ricci_parallel(data, plan: SamplePlan):
-    b = data.bundle
-    m = b.metric.g.shape[-1]
-    scale = floored_scale(
-        max_norm(b.dricci, 3),
-        m * max_norm(b.connection.gamma, 3) * max_norm(b.ricci, 2),
-    )
+    b, scale = data.bundle, data.scales["nabla S"]
     direct_pp = max_norm(b.nabla_ricci, 3) / scale
     values = _parallel_plane_values(b.nabla_ricci, data.dir_rows, data.planes, b.metric.J)
     char_pp = rel_violation(values, scale, 2)
@@ -314,9 +315,10 @@ def _ricci_parallel(data, plan: SamplePlan):
 
 
 def _ricci_semisymmetric(data, plan: SamplePlan):
-    direct_pp = data.norm_rs / data.scale_rs
+    scale = data.scales["R.S"]
+    direct_pp = data.scales["|R.S|"] / scale
     values = _plane_reduce(data.rs, data.dir_rows, data.plane_rows)
-    char_pp = rel_violation(values, data.scale_rs, 2)
+    char_pp = rel_violation(values, scale, 2)
     verdict = _combine(
         "ricci_semisymmetric", float(direct_pp.max()), float(char_pp.max()),
         plan.tolerance, {},
@@ -339,14 +341,15 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
     j = data.bundle.metric.J
     nums = _paired_values(data.rs, v, data.planes, j)
     dens = _paired_values(data.q, v, data.planes, j)
-    bound = (DEPENDENCE_THRESHOLD * data.dep_scale)[:, None]
+    scale = data.scales["R.S"]
+    bound = (DEPENDENCE_THRESHOLD * data.scales["Q"])[:, None]
     defined = np.abs(dens) > bound
     near = (np.abs(dens) > 0.1 * bound) & (np.abs(dens) <= 10.0 * bound)
     defined_counts = defined.sum(axis=1).tolist()
     fits = defined.any(axis=1)
 
     # Points without a defined sample fall back to the size of R.S itself.
-    vacuous = data.norm_rs / data.scale_rs
+    vacuous = data.scales["|R.S|"] / scale
     num_d = np.where(defined, nums, 0.0)
     den_d = np.where(defined, dens, 0.0)
     # Both dots of a point scaled by the same power of two: exact, and finite.
@@ -354,14 +357,14 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
     num_e, den_e = np.ldexp(num_d, -e), np.ldexp(den_d, -e)
     l_bar = np.divide(np.sum(num_e * den_e, axis=1), np.sum(den_e * den_e, axis=1),
                       out=np.zeros(len(vacuous)), where=fits)
-    spread = np.max(np.abs(num_d - l_bar[:, None] * den_d), axis=1) / data.scale_rs
+    spread = np.max(np.abs(num_d - l_bar[:, None] * den_d), axis=1) / scale
     spread_pp = np.where(fits, spread, vacuous)
     fitted = l_bar / 2.0
     f_hats = [float(f) if fit else None for f, fit in zip(fitted, fits)]
     # rs - f qc formed in place as (-f) qc + rs: the same bits.
     residual = data.qc * -fitted[:, None, None, None, None]
     residual += data.rs
-    residual_pp = np.where(fits, rel_violation(residual, data.scale_rs, 4), vacuous)
+    residual_pp = np.where(fits, rel_violation(residual, scale, 4), vacuous)
     details = {
         "defined_samples": defined_counts,
         "attempted_samples": [attempted] * len(vacuous),
@@ -385,9 +388,7 @@ def _f_s_constancy(f_hats, data, tol: float) -> bool | None:
     values = [f for f in f_hats if f is not None]
     if not values:
         return None
-    # f_S scales as 1/c under K -> cK, and so does |R| / |g|.
-    b = data.bundle
-    curv = float(np.max(data.norm_r13 / max_norm(b.metric.g, 2)))
+    curv = float(np.max(data.scales["f_S"]))
     return max(values) - min(values) <= tol * max(max(abs(f) for f in values), curv)
 
 

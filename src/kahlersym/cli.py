@@ -89,8 +89,11 @@ def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _write_json(path: str, payload: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as err:
+        raise ValueError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _cmd_run(args) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .expressions import Expr, eval_jet
 from .jets import JetSpace
-from .tensor_algebra import max_norm, rel_violation, standard_complex_structure
+from .tensor_algebra import standard_complex_structure
 
 
 class MetricError(ValueError):
@@ -155,12 +155,3 @@ def rotated_form_differential(j: np.ndarray, db: np.ndarray) -> np.ndarray:
     derivatives db[c,a,b] of B: (dw)_cab = d_c w_ab - d_a w_cb + d_b w_ca."""
     dw = np.einsum("ma,...cmb->...cab", j, db)
     return dw - np.swapaxes(dw, -3, -2) + np.moveaxis(dw, -3, -1)
-
-
-def two_form_closedness(m: MetricJet):
-    """Max-norm of d(omega), scaled by the max-norm of dg (floored); one
-    value per point for stacked jets."""
-    if m.dg is None:
-        raise ValueError("metric jet lacks first derivatives")
-    dw = rotated_form_differential(m.J, m.dg)
-    return rel_violation(dw, np.maximum(max_norm(m.dg, 3), max_norm(m.g, 2)), 3)

@@ -31,15 +31,12 @@ from .classifier import (
     classify_evidence,
     sample_evidence,
 )
-from .metrics import rotated_form_differential, two_form_closedness
-from .symmetry_tensors import holomorphic_first_slot_check
+from .metrics import rotated_form_differential
 from .tensor_algebra import (
     _permute_slots,
     check_rs_symmetries,
-    floored_scale,
     j_invariance_violation,
     j_rotated_symmetric_violation,
-    max_norm,
     rel_violation,
 )
 from .zoo import ManifoldSpec
@@ -57,66 +54,57 @@ def _identity_gate(name: str) -> float:
 
 
 def identity_checks(d: PointData) -> dict[str, np.ndarray]:
-    """Every identity violation at each point, keyed by frozen check names."""
-    b = d.bundle
-    g, s, j = b.metric.g, b.ricci, b.metric.J
-    m = j.shape[0]
-    r04 = b.r04
-
-    scale_r = floored_scale(
-        max_norm(r04, 4),
-        max_norm(g, 2)
-        * (b.norm_dgamma + m * max_norm(b.connection.gamma, 3) ** 2),
-    )
+    """Every identity violation at each point, keyed by frozen check names;
+    each divides by a scale of the table ``d.scales``."""
+    b, sc = d.bundle, d.scales
+    s, j, r04 = b.ricci, b.metric.J, b.r04
 
     out: dict[str, np.ndarray] = {}
-    out["ricci_symmetric"] = rel_violation(s - np.swapaxes(s, -1, -2), d.scale_s, 2)
-    out["ricci_j_invariant"] = j_invariance_violation(s, d.scale_s, 2)
-    out["ricci_holomorphic_zero"] = j_rotated_symmetric_violation(s, d.scale_s, 2)
+    out["ricci_symmetric"] = rel_violation(s - np.swapaxes(s, -1, -2), sc["S"], 2)
+    out["ricci_j_invariant"] = j_invariance_violation(s, sc["S"], 2)
+    out["ricci_holomorphic_zero"] = j_rotated_symmetric_violation(s, sc["S"], 2)
 
-    for prefix, tensor, scale, norm in (
-        ("rs", d.rs, d.scale_rs, d.norm_rs),
-        ("qc", d.qc, d.scale_qc, d.norm_qc),
-    ):
-        for key, value in check_rs_symmetries(tensor, scale, norm).items():
+    for prefix, tensor, name in (("rs", d.rs, "R.S"), ("qc", d.qc, "Qc")):
+        for key, value in check_rs_symmetries(tensor, sc[name], sc[f"|{name}|"]).items():
             out[f"{prefix}_{key}"] = value
 
     # qc - 2q, formed as (-2q) + qc: the same bits.
     double = d.q * -2.0
     double += d.qc
     out["tachibana_holomorphic_double"] = rel_violation(
-        _plane_reduce(double, d.dir_rows, d.plane_rows), d.scale_qc, 2
+        _plane_reduce(double, d.dir_rows, d.plane_rows), sc["Qc"], 2
     )
     del double  # the suite's largest temporary
-    out["holomorphic_first_slot_zero"] = holomorphic_first_slot_check(
-        d.qc, d.scale_qc, d.norm_qc
-    )
+    # Qc(x, Jx; ., .) = 0 for every x: the (u,v)-symmetrised Qc(., J.) vanishes.
+    out["holomorphic_first_slot_zero"] = j_rotated_symmetric_violation(d.qc, sc["Qc"], 4)
 
     out["riemann_antisym_first_pair"] = rel_violation(
-        r04 + np.swapaxes(r04, -4, -3), scale_r, 4
+        r04 + np.swapaxes(r04, -4, -3), sc["R"], 4
     )
     out["riemann_antisym_last_pair"] = rel_violation(
-        r04 + np.swapaxes(r04, -2, -1), scale_r, 4
+        r04 + np.swapaxes(r04, -2, -1), sc["R"], 4
     )
     out["riemann_pair_symmetry"] = rel_violation(
-        r04 - _permute_slots(r04, 2, 3, 0, 1), scale_r, 4
+        r04 - _permute_slots(r04, 2, 3, 0, 1), sc["R"], 4
     )
     bianchi = r04 + _permute_slots(r04, 1, 2, 0, 3)
     bianchi += _permute_slots(r04, 2, 0, 1, 3)
-    out["riemann_first_bianchi"] = rel_violation(bianchi, scale_r, 4)
+    out["riemann_first_bianchi"] = rel_violation(bianchi, sc["R"], 4)
     del bianchi
-    out["kahler_j_invariance"] = j_invariance_violation(r04, scale_r, 4, first_pair=True)
+    out["kahler_j_invariance"] = j_invariance_violation(r04, sc["R"], 4, first_pair=True)
 
     out["ricci_form_closed"] = rel_violation(
-        rotated_form_differential(j, b.dricci), max_norm(b.dricci, 3), 3
+        rotated_form_differential(j, b.dricci), sc["|dS|"], 3
     )
 
     gamma = b.connection.gamma
-    out["kahler_form_closed"] = two_form_closedness(b.metric)
+    out["kahler_form_closed"] = rel_violation(
+        rotated_form_differential(j, b.metric.dg), sc["d omega"], 3
+    )
     # (nabla_a J)^c_b = Gamma^c_am J^m_b - J^c_m Gamma^m_ab, J being constant.
     nabla_j = (np.einsum("...cam,mb->...acb", gamma, j)
                - np.einsum("cm,...mab->...acb", j, gamma))
-    out["kahler_j_parallel"] = rel_violation(nabla_j, max_norm(gamma, 3), 3)
+    out["kahler_j_parallel"] = rel_violation(nabla_j, sc["|gamma|"], 3)
     return out
 
 

@@ -10,9 +10,8 @@ which gives R.S for A = R(x,y), the Tachibana-Ricci tensor Q(g,S) for
 the metric wedge A = x wedge_g y, and its complex variant Qc(g,S) for the
 complex wedge.  R.S is a matmul over the family R(x,y); Q(g,S), four
 products of g and S, is formed in closed form, and Qc(g,S) from Q(g,S)
-for a J-invariant S.  These tensors and their scales accept inputs
-stacked on leading point axes and then return one tensor or value per
-point.
+for a J-invariant S.  These tensors accept inputs stacked on leading
+point axes and then return one tensor per point.
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ from .curvature import CurvatureBundle, parallel_transport
 from .expressions import Expr
 from .tensor_algebra import (
     ABS_FLOOR,
-    floored_scale,
     hermitian_violation,
     j_conjugate_last_pair,
-    j_rotated_symmetric_violation,
     max_norm,
     NonHermitianMetric,
     wedge_g_matrix,
@@ -104,35 +101,6 @@ def complex_tachibana_ricci(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.n
 
 def quad_eval(t: np.ndarray, u, v, x, y) -> float:
     return float(np.einsum("ijab,i,j,a,b->", t, u, v, x, y))
-
-
-def holomorphic_first_slot_check(qc: np.ndarray, scale, norm=None):
-    """Max violation of Qc(x, Jx; ., .) = 0, relative to the tensor scale.
-
-    Vanishing for every x is equivalent to the (u,v)-symmetrised form of
-    Qc contracted with J being zero, which is what gets measured, by
-    half-swap slices.  The reference ``scale`` replaces the tensor's own
-    max-norm when larger, as it must when qc itself is expected to be
-    roundoff.  ``norm`` is that max-norm when the caller holds it already.
-    """
-    if norm is None:
-        norm = max_norm(qc, 4)
-    return j_rotated_symmetric_violation(qc, np.maximum(scale, norm), 4)
-
-
-# -- Deszcz quotient -----------------------------------------------------------
-
-
-def dependence_scale(q: np.ndarray, g: np.ndarray, s: np.ndarray, norm=None) -> float:
-    """Reference magnitude for 'Q(g,S) depends on this plane' tests.
-
-    The floor ||g|| * ||S|| keeps roundoff noise in an identically zero
-    Q(g,S) (Einstein points) from counting as curvature dependence.
-    ``norm`` is the max-norm of q when the caller holds it already.
-    """
-    if norm is None:
-        norm = max_norm(q, 4)
-    return floored_scale(norm, max_norm(g, 2) * max_norm(s, 2))
 
 
 # -- experiments ----------------------------------------------------------------

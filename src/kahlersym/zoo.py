@@ -98,7 +98,11 @@ def load_spec(path: str) -> ManifoldSpec:
     if not os.path.exists(path):
         raise ManifestError(f"manifest file not found: {path}")
     fields: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as err:
+        raise ManifestError(f"cannot read manifest {path}: {err.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -18,13 +18,19 @@ of the tests.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 
-from kahlersym.classifier import DEPENDENCE_THRESHOLD, _paired_values
-from kahlersym.curvature import _first_kind, christoffel
+from kahlersym.classifier import (
+    DEPENDENCE_THRESHOLD,
+    SamplePlan,
+    _paired_values,
+    gather_evidence,
+)
+from kahlersym.curvature import _first_kind, christoffel, curvature_bundle
 from kahlersym.expressions import Call, Coord, Neg, Num, PotentialDomainError, Pow
 from kahlersym.jets import JetDomainError
 from kahlersym.metrics import MetricJet, metric_from_potential
@@ -206,15 +212,15 @@ def identity_j_checks_matmul(d, potential) -> dict:
         ABS_FLOOR,
     )
     out = {
-        "ricci_j_invariant": rel_violation_oracle(j.T @ s @ j - s, d.scale_s, 2),
-        "ricci_holomorphic_zero": j_rotated_symmetric_einsum(s, j, d.scale_s, 2),
+        "ricci_j_invariant": rel_violation_oracle(j.T @ s @ j - s, d.scales["S"], 2),
+        "ricci_holomorphic_zero": j_rotated_symmetric_einsum(s, j, d.scales["S"], 2),
         "holomorphic_first_slot_zero": j_rotated_symmetric_einsum(
-            d.qc, j, np.maximum(d.scale_qc, max_norm(d.qc, 4)), 4),
+            d.qc, j, np.maximum(d.scales["Qc"], max_norm(d.qc, 4)), 4),
         "kahler_j_invariance": rel_violation_oracle(j_first_pair(r04, j) - r04, scale_r, 4),
         **kahler_checks_matmul(b.metric, b.connection.gamma),
     }
-    for prefix, tensor, scale in (("rs", d.rs, d.scale_rs), ("qc", d.qc, d.scale_qc)):
-        for key, value in rs_symmetries_matmul(tensor, j, scale).items():
+    for prefix, tensor, name in (("rs", d.rs, "R.S"), ("qc", d.qc, "Qc")):
+        for key, value in rs_symmetries_matmul(tensor, j, d.scales[name]).items():
             out[f"{prefix}_{key}"] = value
     return out
 
@@ -249,6 +255,19 @@ def hand_metric(point, n: int, g, dg, ddg=None, t=None) -> MetricJet:
     g = np.asarray(g, float)
     return MetricJet(np.asarray(point, float), n, g, np.linalg.inv(g), dg, ddg, t,
                      standard_complex_structure(n))
+
+
+def evidence_at(potential, points, n: int, **changes):
+    """The evidence of the potential's metric at a stack of points, with
+    two directions and two planes per point.  ``dg`` of the metric jet or
+    ``gamma`` of the connection, when given, replace the bundle's own
+    before the evidence, its scale table included, is gathered."""
+    b = curvature_bundle(metric_from_potential(potential, points, n))
+    b = dataclasses.replace(
+        b, metric=dataclasses.replace(b.metric, dg=changes.get("dg", b.metric.dg)),
+        connection=dataclasses.replace(b.connection,
+                                       gamma=changes.get("gamma", b.connection.gamma)))
+    return gather_evidence(b, SamplePlan(points=len(points), directions=2, planes=2))
 
 
 # -- partials and their Hermitian pairing, array by array ------------------------
@@ -611,8 +630,9 @@ def deszcz_fit_loop(data, plan):
     j = data.bundle.metric.J
     nums = _paired_values(data.rs, v, data.planes, j)
     dens = _paired_values(data.q, v, data.planes, j)
-    defined = np.abs(dens) > (DEPENDENCE_THRESHOLD * data.dep_scale)[:, None]
-    vacuous = max_norm(data.rs, 4) / data.scale_rs
+    scale = data.scales["R.S"]
+    defined = np.abs(dens) > (DEPENDENCE_THRESHOLD * data.scales["Q"])[:, None]
+    vacuous = max_norm(data.rs, 4) / scale
     spread = vacuous.copy()
     residual = vacuous.copy()
     f_hats = [None] * len(vacuous)
@@ -621,9 +641,9 @@ def deszcz_fit_loop(data, plan):
         e = np.frexp(np.max(np.abs(den_d)))[1]
         num_e, den_e = np.ldexp(num_d, -e), np.ldexp(den_d, -e)
         l_bar = float(np.dot(num_e, den_e) / np.dot(den_e, den_e))
-        spread[p] = float(np.max(np.abs(num_d - l_bar * den_d))) / data.scale_rs[p]
+        spread[p] = float(np.max(np.abs(num_d - l_bar * den_d))) / scale[p]
         f_hats[p] = l_bar / 2.0
-        residual[p] = max_norm(data.rs[p] - f_hats[p] * data.qc[p]) / data.scale_rs[p]
+        residual[p] = max_norm(data.rs[p] - f_hats[p] * data.qc[p]) / scale[p]
     return spread, residual, f_hats
 
 

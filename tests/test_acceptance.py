@@ -166,7 +166,8 @@ def test_criterion_05_polarization_round_trip(fixtures):
     for name in ("fs_cp2", "product_cp1_cp1_unequal", "perturbed_flat"):
         data = sample_evidence(fixtures[name], plan)
         j = data.bundle.metric.J
-        for rs, qc, scale_rs, scale_qc in zip(data.rs, data.qc, data.scale_rs, data.scale_qc):
+        for rs, qc, scale_rs, scale_qc in zip(data.rs, data.qc, data.scales["R.S"],
+                                              data.scales["Qc"]):
             for tensor, scale in ((rs, scale_rs), (qc, scale_qc)):
                 def ev(u, x, t=tensor):
                     return float(np.einsum("ijab,i,j,a,b->", t, u, u, x, j @ x))

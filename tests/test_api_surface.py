@@ -169,3 +169,18 @@ def test_every_imported_name_is_used():
                     if bound not in references:
                         unused.append(f"{module}: {alias.name}")
     assert unused == []
+
+
+def test_floored_scale_is_called_in_the_scale_table_alone():
+    """Every scale a rung or an identity divides by is formed in one
+    function, classifier._scales, so the scale policy lives in one place."""
+    callers = set()
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call)
+                        and "floored_scale" in _references(call.func)):
+                    callers.add(f"{module}.{node.name}")
+    assert callers == {"classifier._scales"}

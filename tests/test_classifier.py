@@ -22,6 +22,7 @@ from kahlersym.classifier import (
     _paired_values,
     _parallel_plane_values,
     _plane_reduce,
+    _scales,
     direction_samples,
     plane_samples,
     sample_evidence,
@@ -29,7 +30,7 @@ from kahlersym.classifier import (
 )
 from kahlersym.curvature import christoffel, curvature_bundle
 from kahlersym.expressions import parse, pretty
-from kahlersym.metrics import metric_from_potential, two_form_closedness
+from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import identity_checks, run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
@@ -37,7 +38,7 @@ from kahlersym.zoo import ManifoldSpec
 
 from helpers import (
     deszcz_fit_loop,
-    hand_metric,
+    evidence_at,
     kahler_checks_matmul,
     parallel_values_loop,
     plane_values_loop,
@@ -336,7 +337,8 @@ def test_preflight_accepts_potential_metrics(fixtures):
     assert set(checks) == set(KAHLER_KEYS)
     for key, values in checks.items():
         assert values.shape == (5,) and (values <= 1e-9).all(), key
-    assert np.array_equal(two_form_closedness(m), checks["kahler_form_closed"])
+    closed = identity_checks(evidence_at(spec.potential(), pts, spec.n))["kahler_form_closed"]
+    assert np.array_equal(closed, checks["kahler_form_closed"])
 
 
 def test_shared_jet_preflight_matches_preflight_kahler(fixtures, full_reports):
@@ -360,8 +362,8 @@ def test_preflight_accepts_stacked_jets(fixtures):
     # Hand-built stack: d(omega) != 0 at points 1-3, largest at 2 and 3.
     dg = np.zeros((4, 4, 4, 4))
     dg[1:, 2, 0, 1] = dg[1:, 2, 1, 0] = [0.1, 0.3, 0.3]  # d_{x2} g_{x1 y1}
-    g = np.broadcast_to(np.eye(4), (4, 4, 4))
-    closed = two_form_closedness(hand_metric(np.zeros((4, 4)), 2, g, dg))
+    flat = evidence_at(parse("rsq", 2), np.zeros((4, 4)), 2, dg=dg)
+    closed = identity_checks(flat)["kahler_form_closed"]
     assert closed[0] == 0.0
     assert 1e-3 < closed[1] < closed[2] == closed[3]
 
@@ -435,12 +437,15 @@ def _check_stacked_evidence(spec, count):
         assert np.array_equal(dgamma[i], christoffel(m).dgamma)
         for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal", "norm_dgamma"):
             assert np.array_equal(getattr(data.bundle, field)[i], getattr(b, field)), (i, field)
-        rs, qc = r_dot_s(b), complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
+        rs, q = r_dot_s(b), tachibana_ricci(b.metric.g, b.ricci)
+        qc = complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
         assert np.array_equal(data.rs[i], rs)
-        assert np.array_equal(data.q[i], tachibana_ricci(b.metric.g, b.ricci))
+        assert np.array_equal(data.q[i], q)
         assert np.array_equal(data.qc[i], qc)
-        for norm, tensor in ((data.norm_r13, b.r13), (data.norm_rs, rs), (data.norm_qc, qc)):
-            assert norm[i] == max_norm(tensor, 4), i
+        single = _scales(b, rs, q, qc)
+        assert data.scales.keys() == single.keys()
+        for key, value in single.items():
+            assert data.scales[key][i] == value, (i, key)
         for key, value in kahler_checks_matmul(m, b.connection.gamma).items():
             assert checks[key][i] == value, (i, key)
 
@@ -506,13 +511,13 @@ def test_deszcz_fit_over_points_matches_the_point_loop(fixtures):
     dens = np.abs(_paired_values(data.q[2], v, data.planes[2], data.bundle.metric.J))
     q = data.q.copy()
     q[[1, 4]] = 0.0
-    q[2] *= DEPENDENCE_THRESHOLD * data.dep_scale[2] / np.sort(dens)[2:4].mean()
+    q[2] *= DEPENDENCE_THRESHOLD * data.scales["Q"][2] / np.sort(dens)[2:4].mean()
     data = replace(data, q=q)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         verdict, spread, residual, f_hats = _holo_pseudosymmetric(data, plan)
     assert verdict.details["defined_samples"] == [7, 0, 4, 7, 0, 7]
-    vacuous = max_norm(data.rs, 4) / data.scale_rs
+    vacuous = max_norm(data.rs, 4) / data.scales["R.S"]
     expected = deszcz_fit_loop(data, plan)
     for p in range(6):
         if p in (1, 4):

@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 
 from kahlersym import metrics
+from kahlersym.curvature import christoffel
 from kahlersym.expressions import eval_jet, parse
 from kahlersym.jets import JetScalar, jet_space
-from kahlersym.metrics import (
-    MetricError,
-    metric_from_potential,
-    two_form_closedness,
-)
+from kahlersym.metrics import MetricError, metric_from_potential
+from kahlersym.runner import identity_checks
 from kahlersym.tensor_algebra import standard_complex_structure
 
-from helpers import central_difference, dddg_oracle, pair_second_partials, partials, rel_err
+from helpers import (
+    central_difference,
+    dddg_oracle,
+    evidence_at,
+    kahler_checks_matmul,
+    pair_second_partials,
+    partials,
+    rel_err,
+)
 
 
 def test_flat_metric_is_exactly_identity():
@@ -156,18 +162,9 @@ def test_two_form_closed_on_zoo_potentials():
     ]
     rng = np.random.default_rng(11)
     for source, n in sources:
-        pot = parse(source, n)
-        for _ in range(3):
-            point = rng.uniform(-0.3, 0.3, size=2 * n)
-            m = metric_from_potential(pot, point, n, depth=1)
-            assert two_form_closedness(m) < 1e-13
-
-
-def test_two_form_closedness_needs_derivatives():
-    pot = parse("absq(1)", 1)
-    m = metric_from_potential(pot, [0.0, 0.0], 1, depth=0)
-    with pytest.raises(ValueError, match="first derivatives"):
-        two_form_closedness(m)
+        points = rng.uniform(-0.3, 0.3, size=(3, 2 * n))
+        closed = identity_checks(evidence_at(parse(source, n), points, n))["kahler_form_closed"]
+        assert np.all(closed < 1e-13), source
 
 
 def test_standard_complex_structure_squares_to_minus_identity():
@@ -188,10 +185,11 @@ def test_metric_over_points_matches_each_point():
     # A depth-1 jet (order 3) gives the g and dg of the order-5 one.
     shallow = metric_from_potential(pot, points, 2, depth=1)
     assert np.array_equal(shallow.g, stacked.g) and np.array_equal(shallow.dg, stacked.dg)
-    closed = two_form_closedness(stacked)
+    closed = identity_checks(evidence_at(pot, points, 2))["kahler_form_closed"]
     assert closed.shape == (9,)
-    assert closed.tolist() == [two_form_closedness(metric_from_potential(pot, p, 2, depth=1))
-                               for p in points]
+    singles = [metric_from_potential(pot, p, 2, depth=1) for p in points]
+    assert closed.tolist() == [kahler_checks_matmul(m, christoffel(m).gamma)["kahler_form_closed"]
+                               for m in singles]
 
 
 def test_metric_error_names_the_first_indefinite_point():

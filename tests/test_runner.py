@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from kahlersym import classifier, symmetry_tensors, tensor_algebra
 from kahlersym.classifier import SamplePlan, direction_samples, plane_samples, sample_evidence
 from kahlersym.curvature import curvature_bundle
+from kahlersym.expressions import parse
 from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import (
     IDENTITY_TOLERANCE,
@@ -26,6 +27,7 @@ from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachiba
 from kahlersym.tensor_algebra import check_rs_symmetries
 from kahlersym.zoo import ManifoldSpec
 
+from helpers import evidence_at
 from test_acceptance import ALGEBRAIC_IDENTITIES
 
 EXPECTED_CHECKS = {
@@ -81,15 +83,9 @@ def test_identities_pass_across_zoo(full_reports):
 
 
 def _flat_evidence_with(**changes):
-    """Evidence of a flat metric at two points, with ``dg`` of its metric
-    jet or ``gamma`` of its connection replaced."""
-    spec = ManifoldSpec("flat", 2, "rsq", ((-1.0, 1.0),) * 4)
-    data = sample_evidence(spec, SamplePlan(points=2, directions=2, planes=2))
-    b = data.bundle
-    metric = dataclasses.replace(b.metric, dg=changes.get("dg", b.metric.dg))
-    connection = dataclasses.replace(b.connection, gamma=changes.get("gamma", b.connection.gamma))
-    return dataclasses.replace(
-        data, bundle=dataclasses.replace(b, metric=metric, connection=connection))
+    """Evidence of a flat metric at two points, gathered with ``dg`` of its
+    metric jet or ``gamma`` of its connection replaced."""
+    return evidence_at(parse("rsq", 2), np.zeros((2, 4)), 2, **changes)
 
 
 def test_identity_suite_flags_nonclosed_form():
@@ -371,10 +367,12 @@ def test_stacked_evidence_matches_single_points(fixtures, small_plan):
         assert np.array_equal(data.dir_rows[i], classifier._outer_rows(dirs, dirs))
         assert np.array_equal(data.plane_rows[i],
                               classifier._outer_rows(planes, planes @ b.metric.J.T))
-        for norm, tensor in ((data.norm_r13, b.r13), (data.norm_rs, rs), (data.norm_qc, qc)):
-            assert norm[i] == tensor_algebra.max_norm(tensor, 4)
-        for tensor, scale, name in ((data.rs, data.scale_rs, "rs"),
-                                    (data.qc, data.scale_qc, "qc")):
+        single = classifier._scales(b, rs, tachibana_ricci(b.metric.g, b.ricci), qc)
+        assert data.scales.keys() == single.keys()
+        for key, value in single.items():
+            assert data.scales[key][i] == value, key
+        for tensor, scale, name in ((data.rs, data.scales["R.S"], "rs"),
+                                    (data.qc, data.scales["Qc"], "qc")):
             single = check_rs_symmetries(tensor[i], scale[i])
             stacked = check_rs_symmetries(tensor, scale)
             for key, value in single.items():

@@ -1,6 +1,7 @@
 """Curvature-action tensors against brute-force loop oracles, plus the
 rotation and transport experiments that probe them geometrically."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from kahlersym import classifier, curvature
 from kahlersym.classifier import (
     SamplePlan,
+    _scales,
     direction_samples,
     plane_samples,
+    sample_evidence,
     sample_points,
 )
 from kahlersym.cli import _orthonormal_pair
@@ -18,13 +21,12 @@ from kahlersym.curvature import curvature_bundle
 from kahlersym.expressions import parse
 from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import run
+from kahlersym.zoo import ManifoldSpec
 from kahlersym.symmetry_tensors import (
     DEFAULT_EPS_LADDER,
     _endo_family_dot_bilinear,
     _extrapolate_to_zero,
     complex_tachibana_ricci,
-    dependence_scale,
-    holomorphic_first_slot_check,
     parallelogram_loop,
     quad_eval,
     r_dot_s,
@@ -33,8 +35,10 @@ from kahlersym.symmetry_tensors import (
     transport_experiment,
 )
 from kahlersym.tensor_algebra import (
+    ABS_FLOOR,
     NonHermitianMetric,
     check_rs_symmetries,
+    j_rotated_symmetric_violation,
     max_norm,
     standard_complex_structure,
 )
@@ -247,7 +251,7 @@ def test_symmetry_class_membership(bundles, name):
     assert violations["sym_first_pair"] < 1e-11
     assert violations["antisym_last_pair"] < 1e-11
     qc = complex_tachibana_ricci(g, s, j)
-    assert holomorphic_first_slot_check(qc, q_scale) < 1e-11
+    assert j_rotated_symmetric_violation(qc, max(q_scale, max_norm(qc)), 4) < 1e-11
 
 
 def test_real_tachibana_not_j_invariant(bundles):
@@ -321,11 +325,13 @@ def test_deszcz_threshold_scaling(fixtures, monkeypatch):
 
 
 def test_dependence_scale_floors():
-    g = np.eye(4)
-    s = np.zeros((4, 4))
-    q = np.zeros((4, 4, 4, 4))
-    assert dependence_scale(q, g, s) == pytest.approx(1e-14)
-    assert dependence_scale(q, g, np.eye(4)) == pytest.approx(1.0)
+    # The scale table's "Q" entry is max(|Q|, |g||S|), floored: at points of
+    # flat C^2, g = I and S = Q = 0, and with S replaced by I it is |g||S|.
+    spec = ManifoldSpec("flat", 2, "rsq", ((-1.0, 1.0),) * 4)
+    data = sample_evidence(spec, SamplePlan(points=2, directions=2, planes=2))
+    assert data.scales["Q"].tolist() == [ABS_FLOOR] * 2
+    bundle = replace(data.bundle, ricci=np.broadcast_to(np.eye(4), (2, 4, 4)))
+    assert _scales(bundle, data.rs, data.q, data.qc)["Q"].tolist() == [1.0] * 2
 
 
 def test_extrapolate_to_zero_exact_on_polynomials():

@@ -5,10 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kahlersym.classifier import SamplePlan, sample_evidence
+from kahlersym.classifier import SamplePlan, _scales, sample_evidence
 from kahlersym.runner import identity_checks
 from kahlersym.zoo import ManifoldSpec
-from kahlersym.symmetry_tensors import holomorphic_first_slot_check
 from kahlersym.tensor_algebra import (
     ABS_FLOOR,
     check_rs_symmetries,
@@ -139,7 +138,7 @@ def test_half_block_checks_match_the_matmul_oracle(n):
         assert np.array_equal(_bits(skew), _bits(invariance))
         assert np.array_equal(_bits(j_invariance_violation(t, scale, 4, first)),
                               _bits(invariance))
-    assert np.array_equal(_bits(holomorphic_first_slot_check(t, scale)),
+    assert np.array_equal(_bits(j_rotated_symmetric_violation(t, scale, 4)),
                           _bits(j_rotated_symmetric_einsum(t, j, scale, 4)))
     q = t[::-1].copy()
     assert np.array_equal(
@@ -169,9 +168,9 @@ def test_identity_suite_j_checks_match_the_matmul_oracle(n):
         b, r04=rng.standard_normal(shape), ricci=rng.standard_normal(shape[:3]),
         metric=dataclasses.replace(b.metric, dg=rng.standard_normal(shape[:4])),
         connection=dataclasses.replace(b.connection, gamma=rng.standard_normal(shape[:4])))
-    rs, qc = _tensors(n, 90 + n)[0], rng.standard_normal(shape)
-    data = dataclasses.replace(data, bundle=bundle, rs=rs, q=rng.standard_normal(shape), qc=qc,
-                               norm_rs=max_norm(rs, 4), norm_qc=max_norm(qc, 4))
+    rs, q, qc = _tensors(n, 90 + n)[0], rng.standard_normal(shape), rng.standard_normal(shape)
+    data = dataclasses.replace(data, bundle=bundle, rs=rs, q=q, qc=qc,
+                               scales=_scales(bundle, rs, q, qc))
     got = identity_checks(data)
     for key, want in identity_j_checks_matmul(data, spec.potential()).items():
         assert np.array_equal(_bits(got[key]), _bits(want)), key

@@ -392,6 +392,31 @@ def test_cli_bad_manifest_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_cli_unreadable_manifest_is_input_error(tmp_path, capsys):
+    # A directory exists but cannot be opened as a manifest file.
+    with pytest.raises(ManifestError, match="cannot read manifest"):
+        load_spec(str(tmp_path))
+    code = main(["classify", str(tmp_path), *SMALL_ARGS])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"input error: cannot read manifest {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "fs_cp1", *SMALL_ARGS],
+    ["verify-identities", "fs_cp1", *SMALL_ARGS],
+    ["experiment", "rotation", "fs_cp1"],
+])
+def test_cli_unwritable_json_is_input_error(tmp_path, capsys, argv):
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        code = main([*argv, "--json", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"input error: cannot write {target}: "), err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_bad_plan_is_input_error(capsys):
     code = main(["classify", "fs_cp1", "--points", "1"])
     assert code == 1
