@@ -213,8 +213,11 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "num":
+            value = float(tok.text)
+            if np.isinf(value):
+                self.fail(f"number {tok.text!r} overflows a float")
             self.advance()
-            return Num(float(tok.text))
+            return Num(value)
         if tok.kind == "name":
             return self.name_atom()
         if self.at_op("("):

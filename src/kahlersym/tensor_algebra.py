@@ -152,25 +152,8 @@ def j_invariance_violation(t: np.ndarray, scale, rank: int, first_pair: bool = F
                       _block_violation(xy + yx, lead, scale))
 
 
-def j_rotated_symmetric_violation(t: np.ndarray, scale, rank: int):
-    """Max-norm of the symmetric part of c = t(., J.) in the first two slots
-    of the rank-``rank`` tensor t, relative to ``scale``.
-
-    c has the half blocks [[M_XY, -M_XX], [M_YY, -M_YX]], so (c + c^T)/2
-    is read off M_XY, M_YX and M_YY^T - M_XX (its lower-left block
-    repeats the upper-right one transposed)."""
-    lead = t.shape[:t.ndim - rank]
-    xx, xy, yx, yy = _half_blocks(t, rank, first_pair=True)
-    parts = (xy + np.swapaxes(xy, -3, -2),
-             np.swapaxes(yy, -3, -2) - xx,
-             yx + np.swapaxes(yx, -3, -2))
-    for part in parts:
-        part *= 0.5
-    return reduce(np.maximum, (_block_violation(part, lead, scale) for part in parts))
-
-
 def check_rs_symmetries(t: np.ndarray, scale, norm=None) -> dict[str, np.ndarray]:
-    """Violations of the algebraic symmetries shared by R.S and the Tachibana tensors.
+    """Violations of the algebraic symmetries of R.S, which Qc(g,S) shares.
 
     Slots are (u, v, x, y): symmetric in (u, v), antisymmetric in (x, y),
     invariant under J applied to either pair.  Invariance of a pair is

@@ -103,18 +103,23 @@ def load_spec(path: str) -> ManifoldSpec:
     except OSError as err:
         raise ManifestError(f"cannot read manifest {path}: {err.strerror}") from None
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ManifestError(f"{path}:{lineno}: expected `key = value`")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key or not value:
-                raise ManifestError(f"{path}:{lineno}: expected `key = value`")
-            if key in fields:
-                raise ManifestError(f"{path}:{lineno}: duplicate key {key!r}")
-            fields[key] = value
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as err:
+            raise ManifestError(
+                f"cannot read manifest {path}: not UTF-8 text ({err.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ManifestError(f"{path}:{lineno}: expected `key = value`")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise ManifestError(f"{path}:{lineno}: expected `key = value`")
+        if key in fields:
+            raise ManifestError(f"{path}:{lineno}: duplicate key {key!r}")
+        fields[key] = value
 
     for required in ("name", "n", "potential", "domain"):
         if required not in fields:

@@ -213,15 +213,13 @@ def identity_j_checks_matmul(d, potential) -> dict:
     )
     out = {
         "ricci_j_invariant": rel_violation_oracle(j.T @ s @ j - s, d.scales["S"], 2),
-        "ricci_holomorphic_zero": j_rotated_symmetric_einsum(s, j, d.scales["S"], 2),
-        "holomorphic_first_slot_zero": j_rotated_symmetric_einsum(
-            d.qc, j, np.maximum(d.scales["Qc"], max_norm(d.qc, 4)), 4),
+        "qc_j_pair_invariance": rel_violation_oracle(d.qc - j_first_pair(d.qc, j),
+                                                     d.scales["Qc"], 4),
         "kahler_j_invariance": rel_violation_oracle(j_first_pair(r04, j) - r04, scale_r, 4),
         **kahler_checks_matmul(b.metric, b.connection.gamma),
     }
-    for prefix, tensor, name in (("rs", d.rs, "R.S"), ("qc", d.qc, "Qc")):
-        for key, value in rs_symmetries_matmul(tensor, j, d.scales[name]).items():
-            out[f"{prefix}_{key}"] = value
+    for key, value in rs_symmetries_matmul(d.rs, j, d.scales["R.S"]).items():
+        out[f"rs_{key}"] = value
     return out
 
 
@@ -259,14 +257,15 @@ def hand_metric(point, n: int, g, dg, ddg=None, t=None) -> MetricJet:
 
 def evidence_at(potential, points, n: int, **changes):
     """The evidence of the potential's metric at a stack of points, with
-    two directions and two planes per point.  ``dg`` of the metric jet or
-    ``gamma`` of the connection, when given, replace the bundle's own
-    before the evidence, its scale table included, is gathered."""
+    two directions and two planes per point.  Each change replaces the
+    field of its name of the curvature bundle, of its metric jet (``dg``,
+    ``g``, ...) or of its connection (``gamma``) before the evidence, its
+    R.S, Q, Qc and scale table included, is gathered."""
+    def changed(part):
+        return dataclasses.replace(part, **{k: v for k, v in changes.items() if hasattr(part, k)})
+
     b = curvature_bundle(metric_from_potential(potential, points, n))
-    b = dataclasses.replace(
-        b, metric=dataclasses.replace(b.metric, dg=changes.get("dg", b.metric.dg)),
-        connection=dataclasses.replace(b.connection,
-                                       gamma=changes.get("gamma", b.connection.gamma)))
+    b = changed(dataclasses.replace(b, metric=changed(b.metric), connection=changed(b.connection)))
     return gather_evidence(b, SamplePlan(points=len(points), directions=2, planes=2))
 
 

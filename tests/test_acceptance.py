@@ -59,13 +59,9 @@ EINSTEIN_OR_ABOVE = ("flat_c2", "fs_cp1", "fs_cp2", "hyperbolic_ball_2")
 # these sit at machine precision and get a tighter gate here.
 ALGEBRAIC_IDENTITIES = frozenset(
     {
-        "tachibana_holomorphic_double",
-        "holomorphic_first_slot_zero",
         "rs_sym_first_pair",
         "rs_antisym_last_pair",
         "rs_j_pair_invariance",
-        "qc_sym_first_pair",
-        "qc_antisym_last_pair",
         "qc_j_pair_invariance",
     }
 )

@@ -106,6 +106,8 @@ def test_parenthesized_pretty_keeps_grouping():
         ("x1 @ y1", 1, 4),
         ("x1 ** 2", 1, 5),
         ("\n  x1 + + y1", 2, 8),
+        ("absq(1) + log(x1 - 1e999)", 1, 20),
+        ("x1 *\n .5E400", 2, 2),
     ],
 )
 def test_syntax_error_position(source, line, column):
@@ -114,6 +116,12 @@ def test_syntax_error_position(source, line, column):
     assert exc.value.line == line
     assert exc.value.column == column
     assert f"line {line}, column {column}" in str(exc.value)
+
+
+def test_literal_that_overflows_a_float():
+    with pytest.raises(PotentialSyntaxError, match="number '1e999' overflows a float"):
+        parse("1e999", 1)
+    assert parse("1.7e308 + 1e-999", 1) == BinOp("+", Num(1.7e308), Num(0.0))
 
 
 def test_unknown_identifier():

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kahlersym import classifier, symmetry_tensors, tensor_algebra
-from kahlersym.classifier import SamplePlan, direction_samples, plane_samples, sample_evidence
+from kahlersym.classifier import (
+    SamplePlan,
+    _plane_reduce,
+    direction_samples,
+    plane_samples,
+    sample_evidence,
+)
 from kahlersym.curvature import curvature_bundle
 from kahlersym.expressions import parse
 from kahlersym.metrics import metric_from_potential
@@ -24,24 +30,20 @@ from kahlersym.runner import (
     run,
 )
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
-from kahlersym.tensor_algebra import check_rs_symmetries
-from kahlersym.zoo import ManifoldSpec
+from kahlersym.tensor_algebra import check_rs_symmetries, j_conjugate_last_pair
+from kahlersym.zoo import ManifoldSpec, zoo
 
-from helpers import evidence_at
+from helpers import evidence_at, j_rotated_symmetric_einsum, rel_violation_oracle
 from test_acceptance import ALGEBRAIC_IDENTITIES
+from test_classifier import WITNESSES
 
 EXPECTED_CHECKS = {
     "ricci_symmetric",
     "ricci_j_invariant",
-    "ricci_holomorphic_zero",
     "rs_antisym_last_pair",
     "rs_sym_first_pair",
     "rs_j_pair_invariance",
-    "qc_antisym_last_pair",
-    "qc_sym_first_pair",
     "qc_j_pair_invariance",
-    "tachibana_holomorphic_double",
-    "holomorphic_first_slot_zero",
     "riemann_antisym_first_pair",
     "riemann_antisym_last_pair",
     "riemann_pair_symmetry",
@@ -107,6 +109,66 @@ def test_identity_suite_flags_j_not_parallel():
     assert parallel[1] == 1.0
 
 
+# For each identity check, an entry of a field of the curvature bundle that
+# it reads: raised by 1 at point 1 of the product metric, it carries the
+# check over its gate there, while point 0 keeps its roundoff.
+_BREAKING_ENTRY = {
+    "ricci_symmetric": ("ricci", (0, 1)),
+    "ricci_j_invariant": ("ricci", (0, 0)),
+    "rs_antisym_last_pair": ("r13", (0, 1, 1, 0)),
+    "rs_sym_first_pair": ("ricci", (0, 1)),
+    "rs_j_pair_invariance": ("r13", (0, 1, 1, 0)),
+    "qc_j_pair_invariance": ("ricci", (0, 0)),
+    "riemann_antisym_first_pair": ("r04", (0, 1, 2, 3)),
+    "riemann_antisym_last_pair": ("r04", (0, 1, 2, 3)),
+    "riemann_pair_symmetry": ("r04", (0, 1, 2, 3)),
+    "riemann_first_bianchi": ("r04", (0, 1, 2, 3)),
+    "kahler_j_invariance": ("r04", (0, 1, 2, 3)),
+    "ricci_form_closed": ("dricci", (1, 0, 0)),
+    "kahler_form_closed": ("dg", (2, 0, 1)),
+    "kahler_j_parallel": ("gamma", (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_CHECKS))
+def test_every_identity_check_can_fail(name):
+    """Every check can cross its gate on its own: one entry of one bundle
+    field is changed, and R.S, Q, Qc and the scales are gathered again."""
+    potential = parse("log(1+absq(1)) + 2*log(1+absq(2))", 2)
+    points = np.array([[0.1, 0.2, -0.3, 0.4], [0.3, -0.1, 0.2, 0.5]])
+    field, entry = _BREAKING_ENTRY[name]
+    b = evidence_at(potential, points, 2).bundle
+    value = next(getattr(part, field) for part in (b, b.metric, b.connection)
+                 if hasattr(part, field)).copy()
+    value[(1, *entry)] += 1.0
+    check = identity_checks(evidence_at(potential, points, 2, **{field: value}))[name]
+    assert check[0] <= _gate(name) < check[1]
+
+
+@pytest.mark.parametrize("spec", [*zoo().values(), *WITNESSES], ids=lambda spec: spec.name)
+def test_facts_that_hold_by_construction(spec):
+    """What the identity suite does not check, because its construction
+    keeps it: Qc(g,S) = Q + J^T Q J, by a signed gather of the closed-form
+    Q, has Q's pair symmetries and J-invariance on its last pair bit for
+    bit; the holomorphic-plane identities follow from checked ones."""
+    d = sample_evidence(spec, SamplePlan())
+    j, sc, qc = d.bundle.metric.J, d.scales, d.qc
+    checks = identity_checks(d)
+    assert np.array_equal(qc, np.swapaxes(qc, -4, -3))
+    assert np.array_equal(qc, -np.swapaxes(qc, -2, -1))
+    assert np.array_equal(qc, j_conjugate_last_pair(qc))
+    # Qc(x, Jx; ., .) = 0 reads half the first pair's J-defect of Qc, since
+    # Qc is (u,v)-symmetric.
+    assert np.array_equal(j_rotated_symmetric_einsum(qc, j, sc["Qc"], 4),
+                          0.5 * checks["qc_j_pair_invariance"])
+    # S(x, Jx) = 0 is bounded by the J-invariance and symmetry of S.
+    holomorphic = j_rotated_symmetric_einsum(d.bundle.ricci, j, sc["S"], 2)
+    assert np.all(holomorphic <= (checks["ricci_j_invariant"] + checks["ricci_symmetric"]) / 2)
+    # Qc = 2Q on holomorphic planes, since Q is (x,y)-antisymmetric.
+    double = _plane_reduce(qc - 2.0 * d.q, d.dir_rows, d.plane_rows)
+    assert np.all(rel_violation_oracle(double, sc["Qc"], 2) <= 1e-15)
+
+
 def test_kahler_checks_gate_at_kahler_tolerance(fixtures, small_plan):
     report = run(fixtures["flat_c2"], small_plan)
     assert KAHLER_TOLERANCE == 1e-9
@@ -158,7 +220,7 @@ def test_json_round_trip_and_schema(fixtures, small_plan):
     blob = report.to_json()
     assert blob.endswith("\n")
     payload = json.loads(blob)
-    assert payload["schema"] == "kahlersym-report/3"
+    assert payload["schema"] == "kahlersym-report/4"
     assert payload["spec"]["name"] == "product_cp1_cp1_unequal"
     assert payload["spec"]["n"] == 2
     assert payload["plan"] == dataclasses.asdict(small_plan)

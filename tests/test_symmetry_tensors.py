@@ -38,7 +38,6 @@ from kahlersym.tensor_algebra import (
     ABS_FLOOR,
     NonHermitianMetric,
     check_rs_symmetries,
-    j_rotated_symmetric_violation,
     max_norm,
     standard_complex_structure,
 )
@@ -48,6 +47,7 @@ from helpers import (
     brute_r_dot_s,
     brute_tachibana,
     endo_family_dot_bilinear_einsum,
+    j_rotated_symmetric_einsum,
     rel_err,
     wedge_family,
     wedge_tachibana,
@@ -251,7 +251,7 @@ def test_symmetry_class_membership(bundles, name):
     assert violations["sym_first_pair"] < 1e-11
     assert violations["antisym_last_pair"] < 1e-11
     qc = complex_tachibana_ricci(g, s, j)
-    assert j_rotated_symmetric_violation(qc, max(q_scale, max_norm(qc)), 4) < 1e-11
+    assert j_rotated_symmetric_einsum(qc, j, max(q_scale, max_norm(qc)), 4) < 1e-11
 
 
 def test_real_tachibana_not_j_invariant(bundles):

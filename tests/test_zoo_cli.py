@@ -402,6 +402,28 @@ def test_cli_unreadable_manifest_is_input_error(tmp_path, capsys):
     assert err == f"input error: cannot read manifest {tmp_path}: Is a directory\n"
 
 
+def test_cli_manifest_not_utf8_names_its_path(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"name = a\n\xff\xfe\n")
+    with pytest.raises(ManifestError, match="not UTF-8"):
+        load_spec(str(path))
+    code = main(["classify", str(path), *SMALL_ARGS])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"input error: cannot read manifest {path}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_cli_overflowing_literal_is_input_error(tmp_path, capsys):
+    path = write_manifest(
+        tmp_path, "name = a\nn = 1\npotential = absq(1) + log(x1 - 1e999)\ndomain = -1 1\n"
+    )
+    code = main(["classify", path, *SMALL_ARGS])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("input error: invalid potential: line 1, column 20: "
+                   "number '1e999' overflows a float\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "fs_cp1", *SMALL_ARGS],
     ["verify-identities", "fs_cp1", *SMALL_ARGS],
