@@ -16,8 +16,8 @@ rungs and the identity suite read every scale from one table, formed once
 per evidence by ``_scales``.
 
 The rungs take the metric to be Kahler: metrics.metric_from_potential
-builds it so and refuses a g that is not positive definite, and the
-identity suite (runner) checks its Kahler form and J at every point.
+builds it so, as J-pairings of fully symmetric partials, and refuses a g
+that is not positive definite.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _scales(b: CurvatureBundle, rs, q, qc) -> dict[str, np.ndarray]:
     """
     m = b.metric.g.shape[-1]
     sc = {f"|{name}|": max_norm(t, rank) for name, t, rank in (
-        ("g", b.metric.g, 2), ("dg", b.metric.dg, 3), ("gamma", b.connection.gamma, 3),
+        ("g", b.metric.g, 2), ("gamma", b.connection.gamma, 3),
         ("S", b.ricci, 2), ("dS", b.dricci, 3), ("R13", b.r13, 4), ("R04", b.r04, 4),
         ("Q", q, 4), ("Qc", qc, 4), ("R.S", rs, 4))}
     g, s, r13, gamma = sc["|g|"], sc["|S|"], sc["|R13|"], sc["|gamma|"]
@@ -168,7 +168,6 @@ def _scales(b: CurvatureBundle, rs, q, qc) -> dict[str, np.ndarray]:
         "Q": floored_scale(sc["|Q|"], g * s),
         "Qc": floored_scale(sc["|Qc|"], g * s),
         "R": floored_scale(sc["|R04|"], g * (b.norm_dgamma + m * gamma ** 2)),
-        "d omega": floored_scale(sc["|dg|"], g),
         "f_S": r13 / g,
     })
     return sc

@@ -52,8 +52,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_target(target: str, perturbation: float) -> ManifoldSpec:
-    fixtures = zoo(perturbation)
+def _resolve_target(target: str) -> ManifoldSpec:
+    fixtures = zoo()
     if target in fixtures:
         return fixtures[target]
     if os.path.exists(target):
@@ -84,8 +84,6 @@ def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
                    help="per-criterion relative tolerance (default 1e-7)")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the JSON report to PATH")
-    p.add_argument("--perturbation", type=float, default=0.1,
-                   help="epsilon of the perturbed_flat fixture (default 0.1)")
 
 
 def _write_json(path: str, payload: str) -> None:
@@ -98,7 +96,7 @@ def _write_json(path: str, payload: str) -> None:
 
 def _cmd_run(args) -> int:
     """classify, or verify-identities (the same run without the ladder)."""
-    spec = _resolve_target(args.target, args.perturbation)
+    spec = _resolve_target(args.target)
     report = run(spec, _plan_from_args(args),
                  with_classification=args.command == "classify")
     sys.stdout.write(report.human_summary())
@@ -125,7 +123,7 @@ def _orthonormal_pair(g, first, second):
 
 
 def _cmd_experiment(args) -> int:
-    spec = _resolve_target(args.target, args.perturbation)
+    spec = _resolve_target(args.target)
     potential = spec.potential()
     plan = SamplePlan(seed=args.seed)
     point = sample_points(spec.domain, plan)[0]
@@ -174,7 +172,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    fixtures = zoo(args.perturbation)
+    fixtures = zoo()
     name_w = max(len(name) for name in fixtures)
     for spec in fixtures.values():
         domain = ", ".join(f"[{lo:g},{hi:g}]" for lo, hi in spec.domain)
@@ -212,12 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integrator steps per loop edge (default 32)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", metavar="PATH", default=None)
-    p.add_argument("--perturbation", type=float, default=0.1)
     p.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("zoo", help="inspect the built-in fixtures")
     p.add_argument("action", choices=("list",))
-    p.add_argument("--perturbation", type=float, default=0.1)
     p.set_defaults(handler=_cmd_zoo)
 
     return parser

@@ -148,10 +148,3 @@ def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> Met
                   @ ginv.reshape(lead + (d * d, 1)))
         t = traces[..., 0].take(expand, axis=-1)
     return MetricJet(point, n, g, ginv, dg, ddg, t, standard_complex_structure(n))
-
-
-def rotated_form_differential(j: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """d of the 2-form w_ab = B(J d_a, d_b), given the coordinate
-    derivatives db[c,a,b] of B: (dw)_cab = d_c w_ab - d_a w_cb + d_b w_ca."""
-    dw = np.einsum("ma,...cmb->...cab", j, db)
-    return dw - np.swapaxes(dw, -3, -2) + np.moveaxis(dw, -3, -1)

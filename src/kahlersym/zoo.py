@@ -72,7 +72,7 @@ def _validated(spec: ManifoldSpec) -> ManifoldSpec:
     return spec
 
 
-def zoo(perturbation: float = 0.1) -> dict[str, ManifoldSpec]:
+def zoo() -> dict[str, ManifoldSpec]:
     """The built-in fixtures, keyed by name."""
     entries = [
         ManifoldSpec("flat_c2", 2, "absq(1)+absq(2)",
@@ -87,7 +87,7 @@ def zoo(perturbation: float = 0.1) -> dict[str, ManifoldSpec]:
                      "log(1+absq(1)) + 2*log(1+absq(2))",
                      ((-1.5, 1.5),) * 4, "ricci_parallel"),
         ManifoldSpec("perturbed_flat", 2,
-                     f"absq(1)+absq(2)+{perturbation}*absq(1)*absq(2)",
+                     "absq(1)+absq(2)+0.1*absq(1)*absq(2)",
                      ((-1.0, 1.0),) * 4, "none"),
     ]
     return {spec.name: _validated(spec) for spec in entries}

@@ -182,20 +182,34 @@ def j_rotated_symmetric_einsum(t, j, scale, rank: int):
     return rel_violation_oracle(0.5 * (c + np.einsum("...kiab->...ikab", c)), scale, 4)
 
 
-def kahler_checks_matmul(metric, gamma) -> dict:
-    """The identity suite's checks of the metric itself, with J applied by
-    products: d of the Kahler form w_ab = g(J d_a, d_b), and nabla J,
-    whose a-th slice is the commutator of Gamma_a = Gamma^._a. with J."""
+def _rotated_form_differential_matmul(j, db):
+    """d of the 2-form w_ab = B(J d_a, d_b) from the derivatives db[c,a,b] of
+    B, with J applied by a product: (dw)_cab = d_c w_ab - d_a w_cb + d_b w_ca."""
+    dw = j.T @ db  # dw[c,a,b] = d_c w_ab
+    return dw - np.einsum("...cab->...acb", dw) + np.einsum("...cab->...abc", dw)
+
+
+def kahler_checks_matmul(metric, gamma, dricci=None, scale_s=None) -> dict:
+    """The Kahler conditions that hold by construction, with J applied by
+    products: d of the Kahler form w_ab = g(J d_a, d_b) over max(|dg|, |g|),
+    and nabla J, whose a-th slice is the commutator of Gamma_a = Gamma^._a.
+    with J, over |Gamma|.  Given the derivative ``dricci`` of S and the Ricci
+    scale ``scale_s`` (the scale "S"), also d of the Ricci form
+    rho_ab = S(J d_a, d_b), over max(|dS|, m |Gamma| scale_s)."""
     j = metric.J
-    dw = j.T @ metric.dg  # dw[c,a,b] = d_c w_ab
-    d_omega = (dw - np.einsum("...cab->...acb", dw) + np.einsum("...cab->...abc", dw))
     gamma_a = np.moveaxis(gamma, -2, -3)
-    return {
+    out = {
         "kahler_form_closed": rel_violation_oracle(
-            d_omega, np.maximum(max_norm(metric.dg, 3), max_norm(metric.g, 2)), 3),
+            _rotated_form_differential_matmul(j, metric.dg),
+            np.maximum(max_norm(metric.dg, 3), max_norm(metric.g, 2)), 3),
         "kahler_j_parallel": rel_violation_oracle(
             gamma_a @ j - j @ gamma_a, max_norm(gamma, 3), 3),
     }
+    if dricci is not None:
+        scale = np.maximum(max_norm(dricci, 3), j.shape[0] * max_norm(gamma, 3) * scale_s)
+        out["ricci_form_closed"] = rel_violation_oracle(
+            _rotated_form_differential_matmul(j, dricci), scale, 3)
+    return out
 
 
 def identity_j_checks_matmul(d, potential) -> dict:
@@ -216,7 +230,6 @@ def identity_j_checks_matmul(d, potential) -> dict:
         "qc_j_pair_invariance": rel_violation_oracle(d.qc - j_first_pair(d.qc, j),
                                                      d.scales["Qc"], 4),
         "kahler_j_invariance": rel_violation_oracle(j_first_pair(r04, j) - r04, scale_r, 4),
-        **kahler_checks_matmul(b.metric, b.connection.gamma),
     }
     for key, value in rs_symmetries_matmul(d.rs, j, d.scales["R.S"]).items():
         out[f"rs_{key}"] = value

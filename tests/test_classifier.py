@@ -31,7 +31,7 @@ from kahlersym.classifier import (
 from kahlersym.curvature import christoffel, curvature_bundle
 from kahlersym.expressions import parse, pretty
 from kahlersym.metrics import metric_from_potential
-from kahlersym.runner import identity_checks, run
+from kahlersym.runner import run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
 from kahlersym.zoo import ManifoldSpec
@@ -311,7 +311,7 @@ def test_plan_validation():
             SamplePlan(tolerance=tolerance)
 
 
-# -- the metric's Kahler checks ----------------------------------------------
+# -- the metric's Kahler conditions -----------------------------------------
 
 KAHLER_KEYS = ("kahler_form_closed", "kahler_j_parallel")
 
@@ -321,12 +321,15 @@ def _kahler_checks(m):
     return kahler_checks_matmul(m, christoffel(m).gamma)
 
 
-def test_preflight_green_on_zoo(full_reports):
+def test_preflight_green_on_zoo(fixtures, full_reports):
     """The Kahler form is closed and J parallel within 1e-9 on every fixture."""
-    for name, report in full_reports.items():
+    for name, spec in fixtures.items():
+        report = full_reports[name]
         assert report.identities_passed, name
+        checks = _kahler_checks(metric_from_potential(spec.potential(), report.points, spec.n,
+                                                      depth=1))
         for check in KAHLER_KEYS:
-            assert report.identities[check] <= 1e-9, (name, check)
+            assert np.max(checks[check]) <= 1e-9, (name, check)
 
 
 def test_preflight_accepts_potential_metrics(fixtures):
@@ -337,19 +340,22 @@ def test_preflight_accepts_potential_metrics(fixtures):
     assert set(checks) == set(KAHLER_KEYS)
     for key, values in checks.items():
         assert values.shape == (5,) and (values <= 1e-9).all(), key
-    closed = identity_checks(evidence_at(spec.potential(), pts, spec.n))["kahler_form_closed"]
+    b = evidence_at(spec.potential(), pts, spec.n).bundle
+    closed = kahler_checks_matmul(b.metric, b.connection.gamma)["kahler_form_closed"]
     assert np.array_equal(closed, checks["kahler_form_closed"])
 
 
 def test_shared_jet_preflight_matches_preflight_kahler(fixtures, full_reports):
-    """The Kahler checks of a run, made on its depth-3 jets, match the same
-    checks on depth-1 jets expanded afresh at the same points."""
+    """The Kahler conditions on the depth-3 jets of a run's evidence match
+    the same conditions on depth-1 jets expanded afresh at the same points."""
     for name, spec in fixtures.items():
         report = full_reports[name]
+        b = sample_evidence(spec, report.plan).bundle
+        shared = kahler_checks_matmul(b.metric, b.connection.gamma)
         alone = _kahler_checks(metric_from_potential(spec.potential(), report.points, spec.n,
                                                      depth=1))
         for key, values in alone.items():
-            assert report.identities[key] == float(np.max(values)), (name, key)
+            assert np.array_equal(shared[key], values), (name, key)
 
 
 def test_preflight_accepts_stacked_jets(fixtures):
@@ -362,8 +368,8 @@ def test_preflight_accepts_stacked_jets(fixtures):
     # Hand-built stack: d(omega) != 0 at points 1-3, largest at 2 and 3.
     dg = np.zeros((4, 4, 4, 4))
     dg[1:, 2, 0, 1] = dg[1:, 2, 1, 0] = [0.1, 0.3, 0.3]  # d_{x2} g_{x1 y1}
-    flat = evidence_at(parse("rsq", 2), np.zeros((4, 4)), 2, dg=dg)
-    closed = identity_checks(flat)["kahler_form_closed"]
+    flat = evidence_at(parse("rsq", 2), np.zeros((4, 4)), 2, dg=dg).bundle
+    closed = kahler_checks_matmul(flat.metric, flat.connection.gamma)["kahler_form_closed"]
     assert closed[0] == 0.0
     assert 1e-3 < closed[1] < closed[2] == closed[3]
 
@@ -410,7 +416,8 @@ def _check_stacked_evidence(spec, count):
     plan = SamplePlan(points=count, directions=4, planes=4, seed=3)
     data = sample_evidence(spec, plan)
     points = sample_points(spec.domain, plan)
-    checks = identity_checks(data)
+    b = data.bundle
+    kahler = kahler_checks_matmul(b.metric, b.connection.gamma, b.dricci, data.scales["S"])
     potential = spec.potential()
     # The bundle keeps no ddg, t or d(gamma); those of the stacked jet the
     # run expands are checked point by point as metric_from_potential and
@@ -446,8 +453,9 @@ def _check_stacked_evidence(spec, count):
         assert data.scales.keys() == single.keys()
         for key, value in single.items():
             assert data.scales[key][i] == value, (i, key)
-        for key, value in kahler_checks_matmul(m, b.connection.gamma).items():
-            assert checks[key][i] == value, (i, key)
+        for key, value in kahler_checks_matmul(m, b.connection.gamma, b.dricci,
+                                               single["S"]).items():
+            assert kahler[key][i] == value, (i, key)
 
 
 def _contraction_inputs(n, points, directions, planes):
