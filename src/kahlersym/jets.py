@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, combinations_with_replacement, repeat
 
 import numpy as np
 
 MAX_ORDER = 5
+# k! for every exponent a jet can hold.
+_FACTORIALS = np.array([math.factorial(k) for k in range(MAX_ORDER + 1)])
 # Product pairs per chunk in JetSpace.multiply, so that a chunk's
 # gathered products and index tables stay in cache.
 _PAIRS_PER_CHUNK = 2**12
@@ -36,21 +38,15 @@ class JetDomainError(ArithmeticError):
     or an exp whose value overflows a float."""
 
 
-def _monomials(nvars, degree):
-    if nvars == 1:
-        yield (degree,)
-        return
-    for head in range(degree, -1, -1):
-        for tail in _monomials(nvars - 1, degree - head):
-            yield (head,) + tail
-
-
 class JetSpace:
     """Shared monomial tables for all jets with the same shape.
 
-    Holds the graded list of multi-indices up to ``order`` and flat index
-    tables used to multiply coefficient arrays a chunk of points at a
-    time; :meth:`partials_table` lays out the partials of one order.
+    The monomials are the multi-indices of total degree <= ``order``,
+    graded by degree and, within a degree, in descending lexicographic
+    order of their exponents: 1, x1, x2, ..., x1^2, x1 x2, ...  Every table
+    here and every product's summation order follow that order.  Flat
+    index tables multiply coefficient arrays a chunk of points at a time;
+    :meth:`partials_table` lays out the partials of one order.
     """
 
     def __init__(self, nvars: int, order: int):
@@ -60,25 +56,24 @@ class JetSpace:
             raise ValueError(f"jet order must lie in [0, {MAX_ORDER}], got {order}")
         self.nvars = nvars
         self.order = order
-        monomials: list[tuple[int, ...]] = []
-        for degree in range(order + 1):
-            monomials.extend(_monomials(nvars, degree))
-        self.monomials = tuple(monomials)
-        self.size = len(monomials)
-        self.position = {mono: i for i, mono in enumerate(monomials)}
-        self.factorial = np.array(
-            [math.prod(math.factorial(e) for e in mono) for mono in monomials]
-        )
         # Key a multi-index a by sum_k a_k (order+1)^k: no digit carries
         # below the truncation order, so the key of a product monomial is
-        # the sum of its factors' keys.
-        exponents = np.asarray(monomials, dtype=np.int64).reshape(-1, nvars)
+        # the sum of its factors' keys, and the key of an index tuple is the
+        # sum of its indices' weights.  combinations_with_replacement lists
+        # the sorted index tuples of one degree in lexicographic order, so
+        # the exponents they count come in descending lexicographic order.
         self._weights = (order + 1) ** np.arange(nvars, dtype=np.int64)
-        self._keys = exponents @ self._weights
+        weights = self._weights.tolist()
+        self._keys = np.fromiter(
+            chain.from_iterable(map(sum, combinations_with_replacement(weights, degree))
+                                for degree in range(order + 1)), dtype=np.int64)
+        exponents = self._keys[:, None] // self._weights % (order + 1)
+        self.monomials = tuple(map(tuple, exponents.tolist()))
+        self.size = len(self.monomials)
+        self.position = dict(zip(self.monomials, range(self.size)))
+        self.factorial = _FACTORIALS[exponents].prod(axis=1)
         self._by_key = np.argsort(self._keys)
         self._degrees = exponents.sum(axis=1)
-        # prefix[d]: the number of monomials of degree <= d (they are graded).
-        self._prefix = np.searchsorted(self._degrees, np.arange(order + 1), side="right")
         # A support is an int whose bit i marks monomial i as possibly
         # nonzero; ``full`` marks every monomial.
         self.full = (1 << self.size) - 1
@@ -89,30 +84,24 @@ class JetSpace:
     def _position_of_keys(self, keys: np.ndarray) -> np.ndarray:
         return self._by_key[np.searchsorted(self._keys, keys, sorter=self._by_key)]
 
-    def partials_table(self, degree: int) -> np.ndarray:
+    def partials_table(self, degree: int, base: int | np.ndarray = 0) -> np.ndarray:
         """Array of shape (nvars,) * degree holding, at every index tuple,
-        the position of the monomial that counts those indices."""
-        grid = np.indices((self.nvars,) * degree, dtype=np.intp)
-        return self._position_of_keys(self._weights[grid].sum(axis=0))
-
-    def pair_table(self, da: int, db: int):
-        """(left, right, out) of one point's product: the pairs (i, j) with
-        deg a_i <= da, deg a_j <= db and deg a_i + deg a_j <= order, in
-        row-major order, and the position of a_i + a_j."""
-        rows = self._prefix[da]
-        lengths = self._prefix[np.minimum(db, self.order - self._degrees[:rows])]
-        left = np.repeat(np.arange(rows), lengths)
-        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        right = np.arange(len(left)) - starts
-        return left, right, self._position_of_keys(self._keys[left] + self._keys[right])
+        the position of the monomial that counts those indices times the
+        monomial at position ``base``; an array ``base`` stacks one such
+        table per entry on its own axes."""
+        keys = self._keys[base]
+        for _ in range(degree):
+            keys = np.add.outer(keys, self._weights)
+        return self._position_of_keys(keys)
 
     def _chunk_tables(self, support_a: int, support_b: int, points: int):
         """(pairs per point, tables, support): the rows left, right and out
-        of the pair table restricted to the pairs whose coefficients are
-        both in their operand's support, laid out flat for a run of points,
-        point p's pairs offset by p * size; and the support of the product,
-        the out positions of those pairs.  The pair table is bounded by the
-        largest degree in each support (the monomials are graded).
+        of one point's product, laid out flat for a run of points, point p's
+        pairs offset by p * size; and the support of the product, the out
+        positions of those pairs.  The pairs (i, j) are those with i in
+        ``support_a``, j in ``support_b`` and deg a_i + deg a_j <= order, in
+        row-major order, and out is the position of a_i + a_j.  Since the
+        monomials are graded, row i pairs with a prefix of ``support_b``.
 
         A table covers as many points as the largest call so far, up to a
         chunk of _PAIRS_PER_CHUNK pairs, so that a space keeps no more
@@ -121,15 +110,20 @@ class JetSpace:
         key = (support_a, support_b)
         cached = self._pair_tables.get(key)
         if cached is None:
-            left, right, out = self.pair_table(self._degrees[support_a.bit_length() - 1],
-                                               self._degrees[support_b.bit_length() - 1])
-            keep = self._flags(support_a)[left] & self._flags(support_b)[right]
+            rows = np.flatnonzero(self._flags(support_a))
+            cols = np.flatnonzero(self._flags(support_b))
+            lengths = np.searchsorted(self._degrees[cols], self.order - self._degrees[rows],
+                                      side="right")
+            left = np.repeat(rows, lengths)
+            starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+            right = cols[np.arange(len(left)) - starts]
+            out = self._position_of_keys(self._keys[left] + self._keys[right])
             flags = np.zeros(self.size, dtype=bool)
-            flags[out[keep]] = True
+            flags[out] = True
             if len(self._pair_tables) >= _MAX_PAIR_TABLES:
                 del self._pair_tables[next(iter(self._pair_tables))]
             cached = self._pair_tables[key] = (
-                int(keep.sum()), np.stack([left[keep], right[keep], out[keep]]),
+                len(left), np.stack([left, right, out]),
                 int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little"))
         pairs, tables, support = cached
         want = max(1, min(points, _PAIRS_PER_CHUNK // max(pairs, 1)))
@@ -246,8 +240,7 @@ class JetScalar:
             raise ValueError(f"variable index {index} out of range")
         jet = cls.constant(space, value)
         if space.order >= 1:
-            position = space.position[tuple(1 if k == index else 0
-                                            for k in range(space.nvars))]
+            position = 1 + index  # the degree-1 monomials follow the constant
             jet.coeffs[..., position] = 1.0
             jet.support |= 1 << position
         return jet
@@ -466,8 +459,7 @@ def jet_exp(j: JetScalar) -> JetScalar:
         e0 = np.array(list(map(math.exp, values)))
     except OverflowError:
         _raise_first(values, check)
-    factorials = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
-    return j._compose(e0[:, None] / factorials)
+    return j._compose(e0[:, None] / _FACTORIALS[:order + 1])
 
 
 def jet_sqrt(j: JetScalar) -> JetScalar:

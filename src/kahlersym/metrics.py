@@ -20,7 +20,6 @@ the whole curvature pipeline and no (2n)^5 tensor is formed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,15 +81,13 @@ def _pairing(space: JetSpace, degree: int):
 
 @lru_cache(maxsize=None)
 def _trace_table(space: JetSpace):
-    """(table, expand): table[k, x, y] is the position of the order-5
-    monomial of the k-th sorted slot triple e <= f <= h and the pair
-    (x, y), of shape (C(m+2, 3), m, m); expand[e, f, h] is the k of the
-    sorted (e, f, h), so that the C(m+2, 3) traces expand to (m, m, m)."""
-    triples = list(itertools.combinations_with_replacement(range(space.nvars), 3))
-    expand = np.empty((space.nvars,) * 3, dtype=np.intp)
-    for k, triple in enumerate(triples):
-        expand[tuple(zip(*itertools.permutations(triple)))] = k
-    return space.partials_table(5)[tuple(zip(*triples))], expand
+    """(table, expand): with the k-th degree-3 monomial the k-th sorted
+    slot triple e <= f <= h, table[k, x, y] is the position of the order-5
+    monomial of that triple and the pair (x, y), of shape (C(m+2, 3), m, m);
+    expand[e, f, h] is the k of the sorted (e, f, h), so that the
+    C(m+2, 3) traces expand to (m, m, m)."""
+    triples, expand = np.unique(space.partials_table(3), return_inverse=True)
+    return space.partials_table(2, triples), expand
 
 
 def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> MetricJet:

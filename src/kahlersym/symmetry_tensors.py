@@ -24,8 +24,8 @@ from .curvature import CurvatureBundle, parallel_transport
 from .expressions import Expr
 from .tensor_algebra import (
     ABS_FLOOR,
-    hermitian_violation,
     j_conjugate_last_pair,
+    j_invariance_violation,
     max_norm,
     NonHermitianMetric,
     wedge_g_matrix,
@@ -91,10 +91,11 @@ def _complex_from_real(q: np.ndarray) -> np.ndarray:
 
 def complex_tachibana_ricci(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Qc(g,S) for a Hermitian g, the standard J and a J-invariant S (not
-    checked: a Ricci-flat S is roundoff, which no check relative to |S| passes)."""
+    checked: a Ricci-flat S is roundoff, which no check relative to |S| passes).
+    ``j`` must be the standard J (``MetricJet.J``): Qc and the check on g
+    apply it as the signed half swap it is."""
     g = np.asarray(g, float)
-    j = np.asarray(j, float)
-    if np.any(hermitian_violation(g, j) > HERMITIAN_TOLERANCE):
+    if np.any(j_invariance_violation(g, max_norm(g, 2), 2) > HERMITIAN_TOLERANCE):
         raise NonHermitianMetric("metric is not Hermitian w.r.t. the complex structure")
     return _complex_from_real(tachibana_ricci(g, s))
 

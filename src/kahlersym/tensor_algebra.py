@@ -59,10 +59,6 @@ def rel_violation(diff: np.ndarray, reference_scale, rank: int | None = None):
     return _largest(np.abs(diff, out=diff), rank) / np.maximum(reference_scale, ABS_FLOOR)
 
 
-def hermitian_violation(g: np.ndarray, j: np.ndarray):
-    return rel_violation(j.T @ g @ j - g, max_norm(g, 2), 2)
-
-
 def _check_dims(g, *vectors):
     m = g.shape[0]
     if g.shape != (m, m):

@@ -318,17 +318,52 @@ def dddg_oracle(jet, n: int) -> np.ndarray:
 # -- jet tables by explicit loops ------------------------------------------------
 
 
+def monomials_loop(nvars: int, degree: int):
+    """The exponent tuples of one total degree in descending lexicographic
+    order, by recursion on the leading exponent."""
+    if nvars == 1:
+        yield (degree,)
+        return
+    for head in range(degree, -1, -1):
+        for tail in monomials_loop(nvars - 1, degree - head):
+            yield (head,) + tail
+
+
+def counted(space, indices) -> int:
+    """Position of the monomial that counts the variable indices given."""
+    alpha = [0] * space.nvars
+    for i in indices:
+        alpha[i] += 1
+    return space.position[tuple(alpha)]
+
+
+def partials_table_loop(space, degree: int) -> np.ndarray:
+    """JetSpace.partials_table, one index tuple at a time."""
+    out = np.empty((space.nvars,) * degree, dtype=np.intp)
+    for idx in itertools.product(range(space.nvars), repeat=degree):
+        out[idx] = counted(space, idx)
+    return out
+
+
 def partials_loop(jet, degree: int) -> np.ndarray:
     """All partial derivatives of one order, one index tuple at a time."""
-    m = jet.space.nvars
     scaled = jet.coeffs * jet.space.factorial
-    out = np.empty((m,) * degree)
-    for idx in itertools.product(range(m), repeat=degree):
-        alpha = [0] * m
-        for i in idx:
-            alpha[i] += 1
-        out[idx] = scaled[jet.space.position[tuple(alpha)]]
-    return out
+    return scaled[partials_table_loop(jet.space, degree)]
+
+
+def trace_table_loop(space):
+    """metrics._trace_table of an order-5 space, one slot triple and one
+    permutation of it at a time."""
+    m = space.nvars
+    triples = list(itertools.combinations_with_replacement(range(m), 3))
+    table = np.empty((len(triples), m, m), dtype=np.intp)
+    expand = np.empty((m,) * 3, dtype=np.intp)
+    for k, triple in enumerate(triples):
+        for permuted in itertools.permutations(triple):
+            expand[permuted] = k
+        for x, y in itertools.product(range(m), repeat=2):
+            table[k, x, y] = counted(space, triple + (x, y))
+    return table, expand
 
 
 def multi_index_entry(alpha) -> tuple[int, ...]:

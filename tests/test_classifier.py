@@ -321,7 +321,7 @@ def _kahler_checks(m):
     return kahler_checks_matmul(m, christoffel(m).gamma)
 
 
-def test_preflight_green_on_zoo(fixtures, full_reports):
+def test_kahler_conditions_hold_on_zoo(fixtures, full_reports):
     """The Kahler form is closed and J parallel within 1e-9 on every fixture."""
     for name, spec in fixtures.items():
         report = full_reports[name]
@@ -332,7 +332,7 @@ def test_preflight_green_on_zoo(fixtures, full_reports):
             assert np.max(checks[check]) <= 1e-9, (name, check)
 
 
-def test_preflight_accepts_potential_metrics(fixtures):
+def test_kahler_checks_of_depth_one_jets_match_the_bundle(fixtures):
     spec = fixtures["fs_cp2"]
     pts = sample_points(spec.domain, SamplePlan(points=5, directions=2, planes=2))
     m = metric_from_potential(spec.potential(), pts, spec.n, depth=1)
@@ -345,7 +345,7 @@ def test_preflight_accepts_potential_metrics(fixtures):
     assert np.array_equal(closed, checks["kahler_form_closed"])
 
 
-def test_shared_jet_preflight_matches_preflight_kahler(fixtures, full_reports):
+def test_kahler_checks_of_evidence_jets_match_depth_one_jets(fixtures, full_reports):
     """The Kahler conditions on the depth-3 jets of a run's evidence match
     the same conditions on depth-1 jets expanded afresh at the same points."""
     for name, spec in fixtures.items():
@@ -358,7 +358,7 @@ def test_shared_jet_preflight_matches_preflight_kahler(fixtures, full_reports):
             assert np.array_equal(shared[key], values), (name, key)
 
 
-def test_preflight_accepts_stacked_jets(fixtures):
+def test_kahler_checks_of_stacked_jets_match_single_points(fixtures):
     spec = fixtures["product_cp1_cp1_unequal"]
     pts = sample_points(spec.domain, SamplePlan(points=9, directions=2, planes=2))
     singles = [metric_from_potential(spec.potential(), p, spec.n, depth=1) for p in pts]

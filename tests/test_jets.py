@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    monomials_loop,
     multi_index_entry,
     pair_tables_loop,
     partials,
     partials_loop,
+    partials_table_loop,
     poly_eval,
     poly_partial,
     random_poly,
@@ -217,16 +219,58 @@ def degrees_of(space) -> np.ndarray:
 
 
 @pytest.mark.parametrize("nvars", range(1, 9))
-def test_pair_tables_match_the_pair_loop(nvars):
+def test_jet_space_tables_match_tuple_loops(nvars):
+    """The monomials, their order, factorials and keys, and the partials
+    tables, against one tuple at a time."""
     for order in range(MAX_ORDER + 1):
         space = JetSpace(nvars, order)
-        degrees = degrees_of(space)
+        monomials = [mono for degree in range(order + 1)
+                     for mono in monomials_loop(nvars, degree)]
+        # Graded, then descending lexicographic within a degree.
+        assert monomials == sorted(monomials, key=lambda mono: (sum(mono), [-e for e in mono]))
+        assert space.monomials == tuple(monomials)
+        assert space.size == len(monomials) == math.comb(nvars + order, order)
+        assert space.position == {mono: i for i, mono in enumerate(monomials)}
+        factorial = np.array([math.prod(map(math.factorial, mono)) for mono in monomials])
+        assert space.factorial.dtype == factorial.dtype
+        assert np.array_equal(space.factorial, factorial)
+        keys = [sum(e * (order + 1) ** k for k, e in enumerate(mono)) for mono in monomials]
+        assert space._keys.tolist() == keys
+        for degree in range(order + 1):
+            if nvars**degree <= 4096:
+                table = space.partials_table(degree)
+                assert table.dtype == np.intp
+                assert np.array_equal(table, partials_table_loop(space, degree)), (order, degree)
+
+
+def flags_of(space, support) -> np.ndarray:
+    """A support as one bool per monomial, bit by bit."""
+    return np.array([bool(support >> i & 1) for i in range(space.size)])
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_pair_tables_match_the_pair_loop(nvars):
+    """The pair tables of two supports are the rows of the pair loop whose
+    two monomials lie in their operand's support, in the same order, and
+    the product's support is the out positions of those rows."""
+    rng = np.random.default_rng(nvars)
+    for order in range(MAX_ORDER + 1):
+        space = JetSpace(nvars, order)
         left, right, out = pair_tables_loop(space)
-        for da, db in itertools.product(range(order + 1), repeat=2):
-            keep = (degrees[left] <= da) & (degrees[right] <= db)
-            got = space.pair_table(da, db)
-            for table, expected in zip(got, (left[keep], right[keep], out[keep])):
-                assert np.array_equal(table, expected), (order, da, db)
+        supports = [degree_support(space, degree) for degree in range(1, order + 1)]
+        for _ in range(3):
+            supports.append(support_bits(space, rng.random(space.size) < rng.random()))
+        supports += [support & ~1 for support in supports]
+        flags = {support: flags_of(space, support) for support in supports}
+        for sa, sb in itertools.product(supports, repeat=2):
+            if sa <= 1 or sb <= 1:
+                continue  # multiply scales by a constant operand instead
+            keep = flags[sa][left] & flags[sb][right]
+            pairs, tables, support = space._chunk_tables(sa, sb, 1)
+            assert pairs == keep.sum()
+            for table, expected in zip(tables[:, :pairs], (left[keep], right[keep], out[keep])):
+                assert np.array_equal(table, expected), (order, sa, sb)
+            assert support == sum(1 << int(i) for i in np.unique(out[keep]))
 
 
 def bounded_coeffs(rng, space, shape, degree):

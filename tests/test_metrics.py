@@ -20,6 +20,7 @@ from helpers import (
     pair_second_partials,
     partials,
     rel_err,
+    trace_table_loop,
 )
 
 
@@ -258,3 +259,11 @@ def test_pairing_is_j_invariant_bit_for_bit(n, monkeypatch):
     for field in (m.g, m.dg, m.ddg):
         assert np.array_equal(_j_conjugate_by_blocks(field, n).view(np.uint64),
                               field.view(np.uint64))
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_trace_table_matches_the_permutation_loop(nvars):
+    space = jet_space(nvars, 5)
+    for got, want in zip(metrics._trace_table(space), trace_table_loop(space)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -91,7 +91,7 @@ def _flat_kahler_checks_with(**changes):
     return kahler_checks_matmul(b.metric, b.connection.gamma, b.dricci, d.scales["S"])
 
 
-def test_identity_suite_flags_nonclosed_form():
+def test_kahler_checks_flag_nonclosed_form():
     # A hand-built dg (or dS) at point 1 with a d(omega) (or d(rho)) != 0
     # component, symmetric in its metric slots.
     db = np.zeros((2, 4, 4, 4))
@@ -102,7 +102,7 @@ def test_identity_suite_flags_nonclosed_form():
         assert closed[1] > 1e-3, check
 
 
-def test_identity_suite_flags_j_not_parallel():
+def test_kahler_checks_flag_j_not_parallel():
     # Gamma^{x1}_{x1 x1} alone does not commute with J: nabla J != 0 at point 1.
     gamma = np.zeros((2, 4, 4, 4))
     gamma[1, 0, 0, 0] = 0.5
