@@ -18,7 +18,7 @@ multi-index ``a`` is the partial derivative divided by ``a!``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, repeat
 
 import numpy as np
@@ -67,19 +67,27 @@ class JetSpace:
         self._keys = np.fromiter(
             chain.from_iterable(map(sum, combinations_with_replacement(weights, degree))
                                 for degree in range(order + 1)), dtype=np.int64)
-        exponents = self._keys[:, None] // self._weights % (order + 1)
-        self.monomials = tuple(map(tuple, exponents.tolist()))
-        self.size = len(self.monomials)
-        self.position = dict(zip(self.monomials, range(self.size)))
-        self.factorial = _FACTORIALS[exponents].prod(axis=1)
+        self._exponents = self._keys[:, None] // self._weights % (order + 1)
+        self.size = len(self._keys)
+        self.factorial = _FACTORIALS[self._exponents].prod(axis=1)
         self._by_key = np.argsort(self._keys)
-        self._degrees = exponents.sum(axis=1)
+        self._degrees = self._exponents.sum(axis=1)
         # A support is an int whose bit i marks monomial i as possibly
         # nonzero; ``full`` marks every monomial.
         self.full = (1 << self.size) - 1
         # (support_a, support_b) -> (pairs per point, tables, support of
         # the product); see _chunk_tables.
         self._pair_tables: dict[tuple, tuple] = {}
+
+    @cached_property
+    def monomials(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent tuples, in the monomial order."""
+        return tuple(map(tuple, self._exponents.tolist()))
+
+    @cached_property
+    def position(self) -> dict[tuple[int, ...], int]:
+        """Exponent tuple -> its position in the monomial order."""
+        return dict(zip(self.monomials, range(self.size)))
 
     def _position_of_keys(self, keys: np.ndarray) -> np.ndarray:
         return self._by_key[np.searchsorted(self._keys, keys, sorter=self._by_key)]

@@ -84,10 +84,11 @@ def _trace_table(space: JetSpace):
     """(table, expand): with the k-th degree-3 monomial the k-th sorted
     slot triple e <= f <= h, table[k, x, y] is the position of the order-5
     monomial of that triple and the pair (x, y), of shape (C(m+2, 3), m, m);
-    expand[e, f, h] is the k of the sorted (e, f, h), so that the
-    C(m+2, 3) traces expand to (m, m, m)."""
-    triples, expand = np.unique(space.partials_table(3), return_inverse=True)
-    return space.partials_table(2, triples), expand
+    expand[e, f, h] is the k of the sorted (e, f, h), the position of its
+    monomial less the first degree-3 one, so that the C(m+2, 3) traces
+    expand to (m, m, m)."""
+    slots = space.partials_table(3)
+    return space.partials_table(2, np.unique(slots)), slots - slots[(0,) * 3]
 
 
 def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> MetricJet:

@@ -89,11 +89,10 @@ def _complex_from_real(q: np.ndarray) -> np.ndarray:
     return qc
 
 
-def complex_tachibana_ricci(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Qc(g,S) for a Hermitian g, the standard J and a J-invariant S (not
-    checked: a Ricci-flat S is roundoff, which no check relative to |S| passes).
-    ``j`` must be the standard J (``MetricJet.J``): Qc and the check on g
-    apply it as the signed half swap it is."""
+def complex_tachibana_ricci(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Qc(g,S) for the standard J (``MetricJet.J``), a g Hermitian for it and
+    a J-invariant S (not checked: a Ricci-flat S is roundoff, which no check
+    relative to |S| passes)."""
     g = np.asarray(g, float)
     if np.any(j_invariance_violation(g, max_norm(g, 2), 2) > HERMITIAN_TOLERANCE):
         raise NonHermitianMetric("metric is not Hermitian w.r.t. the complex structure")
@@ -167,7 +166,7 @@ def rotation_experiment(g, s, j, v, x, y, ladder=DEFAULT_EPS_LADDER) -> Experime
         defects.append(float(w @ s @ w) - base)
     slopes = [d / eps for d, eps in zip(defects, ladder)]
     measured = _extrapolate_to_zero(ladder, slopes)
-    predicted = -quad_eval(complex_tachibana_ricci(g, s, j), v, v, x, y)
+    predicted = -quad_eval(complex_tachibana_ricci(g, s), v, v, x, y)
     abs_err = abs(measured - predicted)
     rel_err = abs_err / max(abs(predicted), ABS_FLOOR)
     return ExperimentResult(tuple(ladder), tuple(defects), measured, predicted,

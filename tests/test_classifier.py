@@ -445,7 +445,7 @@ def _check_stacked_evidence(spec, count):
         for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal", "norm_dgamma"):
             assert np.array_equal(getattr(data.bundle, field)[i], getattr(b, field)), (i, field)
         rs, q = r_dot_s(b), tachibana_ricci(b.metric.g, b.ricci)
-        qc = complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
+        qc = complex_tachibana_ricci(b.metric.g, b.ricci)
         assert np.array_equal(data.rs[i], rs)
         assert np.array_equal(data.q[i], q)
         assert np.array_equal(data.qc[i], qc)

@@ -264,6 +264,8 @@ def test_pairing_is_j_invariant_bit_for_bit(n, monkeypatch):
 @pytest.mark.parametrize("nvars", range(1, 9))
 def test_trace_table_matches_the_permutation_loop(nvars):
     space = jet_space(nvars, 5)
-    for got, want in zip(metrics._trace_table(space), trace_table_loop(space)):
+    table, expand = metrics._trace_table(space)
+    assert expand.shape == (nvars,) * 3
+    for got, want in zip((table, expand), trace_table_loop(space)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)

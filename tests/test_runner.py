@@ -466,7 +466,7 @@ def test_stacked_evidence_matches_single_points(fixtures, small_plan):
         b = curvature_bundle(metric_from_potential(spec.potential(), point, spec.n))
         assert np.array_equal(data.bundle.metric.G[i], b.metric.G)
         rs = r_dot_s(b)
-        qc = complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
+        qc = complex_tachibana_ricci(b.metric.g, b.ricci)
         assert np.array_equal(data.rs[i], rs)
         assert np.array_equal(data.q[i], tachibana_ricci(b.metric.g, b.ricci))
         assert np.array_equal(data.qc[i], qc)

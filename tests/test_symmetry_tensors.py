@@ -141,7 +141,7 @@ def test_complex_tachibana_matches_loop_oracle(bundles, name):
         b = curvature_bundle(metric_from_potential(parse(source, n), point, n))
     else:
         b = bundles[name]
-    fast = complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J)
+    fast = complex_tachibana_ricci(b.metric.g, b.ricci)
     slow = brute_complex_tachibana(b.metric.g, b.ricci, b.metric.J)
     scale = max_norm(b.metric.g) * max_norm(b.ricci)
     assert max_norm(fast - slow) < 1e-13 * scale
@@ -169,7 +169,7 @@ def test_derivation_tensors_match_einsum_reference(n):
     for got, family in cases:
         assert rel_err(got, endo_family_dot_bilinear_einsum(family, s)) <= 1e-13
     s_j = 0.5 * (s + j.T @ s @ j)
-    qc = complex_tachibana_ricci(g, s_j, j)
+    qc = complex_tachibana_ricci(g, s_j)
     for i in range(len(g)):
         oracle = brute_complex_tachibana(g[i], s_j[i], j)
         assert max_norm(qc[i] - oracle) <= 1e-13 * max_norm(g[i]) * max_norm(s_j[i])
@@ -182,10 +182,9 @@ def test_derivation_tensors_match_einsum_reference(n):
 
 
 def test_complex_tachibana_rejects_non_hermitian():
-    j = standard_complex_structure(2)
     g = np.diag([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(NonHermitianMetric):
-        complex_tachibana_ricci(g, np.eye(4), j)
+        complex_tachibana_ricci(g, np.eye(4))
 
 
 def test_tachibana_of_metric_itself_vanishes():
@@ -200,7 +199,7 @@ def test_tachibana_of_metric_itself_vanishes():
         # Closed form: every entry is the difference of one sum of two
         # products taken in both orders, so exactly zero.
         assert not tachibana_ricci(g, g).any()
-        assert max_norm(complex_tachibana_ricci(g, g, j)) < 1e-12 * max_norm(g) ** 2
+        assert max_norm(complex_tachibana_ricci(g, g)) < 1e-12 * max_norm(g) ** 2
 
 
 def test_einstein_points_kill_everything(bundles):
@@ -210,7 +209,7 @@ def test_einstein_points_kill_everything(bundles):
         scale = max_norm(b.metric.g) * max_norm(b.ricci)
         assert max_norm(tachibana_ricci(b.metric.g, b.ricci)) < 1e-10 * scale
         assert (
-            max_norm(complex_tachibana_ricci(b.metric.g, b.ricci, b.metric.J))
+            max_norm(complex_tachibana_ricci(b.metric.g, b.ricci))
             < 1e-10 * scale
         )
         rs_scale = max_norm(b.r13) * max_norm(b.ricci)
@@ -242,7 +241,7 @@ def test_symmetry_class_membership(bundles, name):
     q_scale = max(max_norm(g) * max_norm(s), 1e-14)
     for t, scale in (
         (r_dot_s(b), rs_scale),
-        (complex_tachibana_ricci(g, s, j), q_scale),
+        (complex_tachibana_ricci(g, s), q_scale),
     ):
         violations = check_rs_symmetries(t, scale)
         assert max(violations.values()) < 1e-11, violations
@@ -250,7 +249,7 @@ def test_symmetry_class_membership(bundles, name):
     violations = check_rs_symmetries(q, q_scale)
     assert violations["sym_first_pair"] < 1e-11
     assert violations["antisym_last_pair"] < 1e-11
-    qc = complex_tachibana_ricci(g, s, j)
+    qc = complex_tachibana_ricci(g, s)
     assert j_rotated_symmetric_einsum(qc, j, max(q_scale, max_norm(qc)), 4) < 1e-11
 
 
