@@ -84,11 +84,12 @@ def _trace_table(space: JetSpace):
     """(table, expand): with the k-th degree-3 monomial the k-th sorted
     slot triple e <= f <= h, table[k, x, y] is the position of the order-5
     monomial of that triple and the pair (x, y), of shape (C(m+2, 3), m, m);
-    expand[e, f, h] is the k of the sorted (e, f, h), the position of its
-    monomial less the first degree-3 one, so that the C(m+2, 3) traces
-    expand to (m, m, m)."""
+    expand[e, f, h] is the k of the sorted (e, f, h), so that the
+    C(m+2, 3) traces expand to (m, m, m).  The degree-3 monomials are
+    contiguous, so k is a position less the first one."""
     slots = space.partials_table(3)
-    return space.partials_table(2, np.unique(slots)), slots - slots[(0,) * 3]
+    triples = np.arange(slots.min(), slots.max() + 1)
+    return space.partials_table(2, triples), slots - triples[0]
 
 
 def metric_from_potential(potential: Expr, point, n: int, depth: int = 3) -> MetricJet:
