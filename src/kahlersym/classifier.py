@@ -23,6 +23,7 @@ that is not positive definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .curvature import CurvatureBundle, curvature_bundle
 from .metrics import metric_from_potential
 from .symmetry_tensors import _complex_from_real, r_dot_s, tachibana_ricci
-from .tensor_algebra import floored_scale, max_norm, rel_violation
+from .tensor_algebra import floored_scale, max_norm, rel_violation, standard_complex_structure
 from .zoo import ManifoldSpec
 
 PASS = "pass"
@@ -106,6 +107,23 @@ def _unit_rows(plan: SamplePlan, stream: int, count: int, m: int) -> np.ndarray:
     return rows / norms[..., None]
 
 
+@lru_cache(maxsize=1)
+def _sample_table(seed: int, points: int, directions: int, planes: int, n: int):
+    """The plane seeds (P, planes, m) and the rows u (x) u and x (x) Jx,
+    (P, count, m*m), of a plan's samples in complex dimension n: read-only,
+    and shared by every run at that plan and n, since they depend on neither
+    the potential nor the tolerance.  Only the most recent table is held,
+    P*(planes*m + (directions + planes)*m*m) floats."""
+    plan = SamplePlan(points, directions, planes, seed)
+    m = 2 * n
+    dirs = _unit_rows(plan, _DIRECTION_STREAM, directions, m)
+    x = _unit_rows(plan, _PLANE_STREAM, planes, m)
+    table = (x, _outer_rows(dirs, dirs), _outer_rows(x, x @ standard_complex_structure(n).T))
+    for rows in table:
+        rows.flags.writeable = False
+    return table
+
+
 def direction_samples(plan: SamplePlan, point_index: int, m: int) -> np.ndarray:
     return _unit_rows(plan, _DIRECTION_STREAM, plan.directions, m)[point_index]
 
@@ -125,8 +143,8 @@ class PointData:
     curvature of all points, rs/q/qc are (P, m, m, m, m), the plane seeds
     ``planes`` (P, count, m).  The directions enter only as the rows
     u (x) u of ``dir_rows``, and the plane seeds also as the rows x (x) Jx
-    of ``plane_rows``, both flattened to (P, count, m*m) and built once
-    here for every sample contraction.  ``scales`` is the scale table of
+    of ``plane_rows``, both flattened to (P, count, m*m); all three are the
+    read-only arrays of ``_sample_table``.  ``scales`` is the scale table of
     ``_scales``, one (P,) array per name.
     """
 
@@ -176,10 +194,8 @@ def _scales(b: CurvatureBundle, rs, q, qc) -> dict[str, np.ndarray]:
 def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
     """Symmetry tensors, samples and scales at the points of a bundle
     stacked over the plan's points."""
-    j = bundle.metric.J
-    m = j.shape[0]
-    dirs = _unit_rows(plan, _DIRECTION_STREAM, plan.directions, m)
-    planes = _unit_rows(plan, _PLANE_STREAM, plan.planes, m)
+    planes, dir_rows, plane_rows = _sample_table(
+        plan.seed, plan.points, plan.directions, plan.planes, bundle.metric.n)
     rs = r_dot_s(bundle)
     q = tachibana_ricci(bundle.metric.g, bundle.ricci)
     qc = _complex_from_real(q)
@@ -189,15 +205,18 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
         q=q,
         qc=qc,
         planes=planes,
-        dir_rows=_outer_rows(dirs, dirs),
-        plane_rows=_outer_rows(planes, planes @ j.T),
+        dir_rows=dir_rows,
+        plane_rows=plane_rows,
         scales=_scales(bundle, rs, q, qc),
     )
 
 
 def sample_evidence(spec: ManifoldSpec, plan: SamplePlan) -> PointData:
     """Sample the plan's points, expand their depth-3 metric jets and
-    gather the evidence; the points are ``bundle.metric.point``."""
+    gather the evidence; the points are ``bundle.metric.point``.  The sample
+    table is looked up first, so a new plan drops the old one before the
+    expansion."""
+    _sample_table(plan.seed, plan.points, plan.directions, plan.planes, spec.n)
     points = sample_points(spec.domain, plan)
     bundle = curvature_bundle(metric_from_potential(spec.potential(), points, spec.n))
     return gather_evidence(bundle, plan)

@@ -18,7 +18,7 @@ multi-index ``a`` is the partial derivative divided by ``a!``.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement, repeat
 
 import numpy as np
@@ -78,16 +78,6 @@ class JetSpace:
         # (support_a, support_b) -> (pairs per point, tables, support of
         # the product); see _chunk_tables.
         self._pair_tables: dict[tuple, tuple] = {}
-
-    @cached_property
-    def monomials(self) -> tuple[tuple[int, ...], ...]:
-        """The exponent tuples, in the monomial order."""
-        return tuple(map(tuple, self._exponents.tolist()))
-
-    @cached_property
-    def position(self) -> dict[tuple[int, ...], int]:
-        """Exponent tuple -> its position in the monomial order."""
-        return dict(zip(self.monomials, range(self.size)))
 
     def _position_of_keys(self, keys: np.ndarray) -> np.ndarray:
         return self._by_key[np.searchsorted(self._keys, keys, sorter=self._by_key)]

@@ -19,6 +19,7 @@ of the tests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -329,12 +330,31 @@ def monomials_loop(nvars: int, degree: int):
             yield (head,) + tail
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_order(nvars: int, order: int):
+    monomials = tuple(mono for degree in range(order + 1)
+                      for mono in monomials_loop(nvars, degree))
+    return monomials, {mono: i for i, mono in enumerate(monomials)}
+
+
+def monomials_of(space) -> tuple[tuple[int, ...], ...]:
+    """The exponent tuples of a jet space in its monomial order: by degree,
+    then descending lexicographic (test_jet_space_tables_match_tuple_loops
+    pins JetSpace to this order)."""
+    return _monomial_order(space.nvars, space.order)[0]
+
+
+def position_of(space) -> dict[tuple[int, ...], int]:
+    """Exponent tuple -> its position in the monomial order of a jet space."""
+    return _monomial_order(space.nvars, space.order)[1]
+
+
 def counted(space, indices) -> int:
     """Position of the monomial that counts the variable indices given."""
     alpha = [0] * space.nvars
     for i in indices:
         alpha[i] += 1
-    return space.position[tuple(alpha)]
+    return position_of(space)[tuple(alpha)]
 
 
 def partials_table_loop(space, degree: int) -> np.ndarray:
@@ -376,14 +396,15 @@ def pair_tables_loop(space):
     time: every (i, j) with deg a_i + deg a_j <= order, in row-major order,
     and the position of a_i + a_j."""
     left, right, out = [], [], []
-    for i, a in enumerate(space.monomials):
+    monomials, position = monomials_of(space), position_of(space)
+    for i, a in enumerate(monomials):
         da = sum(a)
-        for j, b in enumerate(space.monomials):
+        for j, b in enumerate(monomials):
             if da + sum(b) > space.order:
                 continue
             left.append(i)
             right.append(j)
-            out.append(space.position[tuple(p + q for p, q in zip(a, b))])
+            out.append(position[tuple(p + q for p, q in zip(a, b))])
     return np.array(left), np.array(right), np.array(out)
 
 

@@ -301,6 +301,40 @@ def test_point_samples_do_not_depend_on_the_number_of_points():
         assert np.array_equal(plane_samples(few, i, 4), plane_samples(many, i, 4))
 
 
+@pytest.mark.parametrize("directions, planes", [(5, 3), (4, 4), (3, 5)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sample_table_is_held_once_per_plan_and_n(n, directions, planes):
+    table = classifier._sample_table
+    plan = SamplePlan(points=3, directions=directions, planes=planes, seed=n)
+    m = 2 * n
+    dirs = np.stack([direction_samples(plan, i, m) for i in range(plan.points)])
+    x = np.stack([plane_samples(plan, i, m) for i in range(plan.points)])
+    fresh = (x, _outer_rows(dirs, dirs), _outer_rows(x, x @ standard_complex_structure(n).T))
+    table.cache_clear()
+    held = table(plan.seed, plan.points, plan.directions, plan.planes, n)
+    for rows, built in zip(held, fresh):
+        assert rows.shape == built.shape and rows.tobytes() == built.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            rows[...] = 0.0
+
+    spec = ManifoldSpec(f"fs_cp{n}", n, "log(1+rsq)", ((-0.5, 0.5),) * m)
+    loose = replace(plan, tolerance=1e-3)
+    data = sample_evidence(spec, loose)
+    assert all(a is b for a, b in zip((data.planes, data.dir_rows, data.plane_rows), held))
+    assert table.cache_info().misses == 1 and table.cache_info().currsize == 1
+
+    # A hit, then a miss on each change of seed; every report as a cold run gives it.
+    runs = [plan, loose, replace(plan, seed=plan.seed + 10), plan]
+    warm = []
+    for p in runs:
+        warm.append(run(spec, p).to_json())
+        assert table.cache_info().currsize == 1
+    cold = []
+    for p in runs:
+        table.cache_clear()
+        cold.append(run(spec, p).to_json())
+    assert warm == cold
+
 def test_plan_validation():
     with pytest.raises(ValueError, match="at least 2"):
         SamplePlan(points=1)

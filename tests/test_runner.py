@@ -396,9 +396,10 @@ def test_run_expands_one_metric_jet_per_point(fixtures, small_plan, monkeypatch)
 
 
 def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypatch):
-    # One run inverts g once, builds the direction rows u(x)u and the plane
-    # rows x(x)Jx once each, forms Q(g,S) once (for Q and Qc alike), and
-    # takes one max-norm of each (P, m^4) tensor.
+    # One run inverts g once, forms Q(g,S) once (for Q and Qc alike) and
+    # takes one max-norm of each (P, m^4) tensor.  The direction rows u(x)u
+    # and the plane rows x(x)Jx are built once per (plan, n) in a process:
+    # a second run at the plan builds none, a run at another seed both.
     inverted, rows, normed, formed = [], [], [], []
     inv, outer_rows, max_norm = np.linalg.inv, classifier._outer_rows, tensor_algebra.max_norm
     tachibana = symmetry_tensors.tachibana_ricci
@@ -424,14 +425,22 @@ def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypat
     _patch_everywhere(monkeypatch, tachibana, counted_tachibana)
     _patch_everywhere(monkeypatch, outer_rows, counted_rows)
     _patch_everywhere(monkeypatch, max_norm, counted_norm)
-    run(fixtures["product_cp1_cp1_unequal"], small_plan)
+    classifier._sample_table.cache_clear()
+    spec = fixtures["product_cp1_cp1_unequal"]
+    run(spec, small_plan)
     p = small_plan.points
     assert inverted == [(p, 4, 4)]
     assert formed == [((p, 4, 4), (p, 4, 4))]
-    assert sorted(rows) == [(p, small_plan.directions, 4), (p, small_plan.planes, 4)]
+    built = [(p, small_plan.directions, 4), (p, small_plan.planes, 4)]
+    assert sorted(rows) == built
     assert normed and all(t.shape == (p,) + (4,) * 4 for t in normed)
     addresses = [t.__array_interface__["data"][0] for t in normed]
     assert len(set(addresses)) == len(addresses)
+    rows.clear()
+    run(spec, small_plan)
+    assert rows == []
+    run(spec, dataclasses.replace(small_plan, seed=small_plan.seed + 1))
+    assert sorted(rows) == built
 
 
 def test_run_working_set_stays_below_eight_and_a_half_tensors():
