@@ -44,8 +44,8 @@ _PLANE_STREAM = 2
 
 # Sample points keep this fraction of each side away from the domain's faces.
 MARGIN = 1e-3
-# A Deszcz sample is defined where |Q(g,S)(v,v;x,Jx)| exceeds this fraction
-# of the scale "Q".
+# A Deszcz sample is defined where |Qc(g,S)(v,v;x,Jx)| exceeds this fraction
+# of the scale "Qc".
 DEPENDENCE_THRESHOLD = 1e-8
 
 
@@ -88,16 +88,16 @@ def sample_points(domain, plan: SamplePlan) -> np.ndarray:
     return lo + rng.random((plan.points, len(domain))) * (hi - lo)
 
 
-def _unit_rows(plan: SamplePlan, stream: int, count: int, m: int) -> np.ndarray:
-    """``count`` random unit vectors of length m at each of the plan's points,
-    (points, count, m), from one draw of the stream seeded by the plan's seed.
+def _unit_rows(seed: int, stream: int, points: int, count: int, m: int) -> np.ndarray:
+    """``count`` random unit vectors of length m at each of ``points`` points,
+    (points, count, m), from one draw of the stream seeded by ``seed``.
 
     Point i takes the stream's values [i*count*m, (i+1)*count*m), so its
     rows do not depend on the number of points (unless a row must be
     redrawn, which has probability zero).
     """
-    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, stream]))
-    rows = rng.standard_normal((plan.points, count, m))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
+    rows = rng.standard_normal((points, count, m))
     norms = np.linalg.norm(rows, axis=-1)
     bad = norms < 1e-12
     while np.any(bad):
@@ -114,22 +114,22 @@ def _sample_table(seed: int, points: int, directions: int, planes: int, n: int):
     and shared by every run at that plan and n, since they depend on neither
     the potential nor the tolerance.  Only the most recent table is held,
     P*(planes*m + (directions + planes)*m*m) floats."""
-    plan = SamplePlan(points, directions, planes, seed)
     m = 2 * n
-    dirs = _unit_rows(plan, _DIRECTION_STREAM, directions, m)
-    x = _unit_rows(plan, _PLANE_STREAM, planes, m)
+    dirs = _unit_rows(seed, _DIRECTION_STREAM, points, directions, m)
+    x = _unit_rows(seed, _PLANE_STREAM, points, planes, m)
     table = (x, _outer_rows(dirs, dirs), _outer_rows(x, x @ standard_complex_structure(n).T))
     for rows in table:
         rows.flags.writeable = False
     return table
 
 
+# The rows of one point: the stream is drawn for the first point_index + 1 points.
 def direction_samples(plan: SamplePlan, point_index: int, m: int) -> np.ndarray:
-    return _unit_rows(plan, _DIRECTION_STREAM, plan.directions, m)[point_index]
+    return _unit_rows(plan.seed, _DIRECTION_STREAM, point_index + 1, plan.directions, m)[-1]
 
 
 def plane_samples(plan: SamplePlan, point_index: int, m: int) -> np.ndarray:
-    return _unit_rows(plan, _PLANE_STREAM, plan.planes, m)[point_index]
+    return _unit_rows(plan.seed, _PLANE_STREAM, point_index + 1, plan.planes, m)[-1]
 
 
 # -- evidence at the sampled points ----------------------------------------------
@@ -140,7 +140,7 @@ class PointData:
     """Curvature bundle, derived tensors and samples at every sampled point.
 
     Every field carries a leading point axis: ``bundle`` holds the
-    curvature of all points, rs/q/qc are (P, m, m, m, m), the plane seeds
+    curvature of all points, rs and qc are (P, m, m, m, m), the plane seeds
     ``planes`` (P, count, m).  The directions enter only as the rows
     u (x) u of ``dir_rows``, and the plane seeds also as the rows x (x) Jx
     of ``plane_rows``, both flattened to (P, count, m*m); all three are the
@@ -150,7 +150,6 @@ class PointData:
 
     bundle: CurvatureBundle
     rs: np.ndarray
-    q: np.ndarray
     qc: np.ndarray
     planes: np.ndarray
     dir_rows: np.ndarray
@@ -158,7 +157,7 @@ class PointData:
     scales: dict[str, np.ndarray]
 
 
-def _scales(b: CurvatureBundle, rs, q, qc) -> dict[str, np.ndarray]:
+def _scales(b: CurvatureBundle, rs, qc) -> dict[str, np.ndarray]:
     """The scale table: the max-norm "|T|" of each tensor T a rung or an
     identity reads, each taken once, and every scale they divide by, formed
     from those norms and named after what it judges (docs/conventions.md,
@@ -172,7 +171,7 @@ def _scales(b: CurvatureBundle, rs, q, qc) -> dict[str, np.ndarray]:
     sc = {f"|{name}|": max_norm(t, rank) for name, t, rank in (
         ("g", b.metric.g, 2), ("gamma", b.connection.gamma, 3),
         ("S", b.ricci, 2), ("dS", b.dricci, 3), ("R13", b.r13, 4), ("R04", b.r04, 4),
-        ("Q", q, 4), ("Qc", qc, 4), ("R.S", rs, 4))}
+        ("Qc", qc, 4), ("R.S", rs, 4))}
     g, s, r13, gamma = sc["|g|"], sc["|S|"], sc["|R13|"], sc["|gamma|"]
     lam = np.abs(b.scal / m)
     sc.update({
@@ -181,9 +180,8 @@ def _scales(b: CurvatureBundle, rs, q, qc) -> dict[str, np.ndarray]:
         "S - lambda g": floored_scale(s, lam * g),
         "nabla S": floored_scale(sc["|dS|"], m * gamma * s),
         "R.S": floored_scale(2.0 * m * r13 * s),
-        # The floor |g||S| keeps roundoff in an identically zero Q(g,S)
+        # The floor |g||S| keeps roundoff in an identically zero Qc(g,S)
         # (Einstein points) from counting as curvature dependence.
-        "Q": floored_scale(sc["|Q|"], g * s),
         "Qc": floored_scale(sc["|Qc|"], g * s),
         "R": floored_scale(sc["|R04|"], g * (b.norm_dgamma + m * gamma ** 2)),
         "f_S": r13 / g,
@@ -197,17 +195,15 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
     planes, dir_rows, plane_rows = _sample_table(
         plan.seed, plan.points, plan.directions, plan.planes, bundle.metric.n)
     rs = r_dot_s(bundle)
-    q = tachibana_ricci(bundle.metric.g, bundle.ricci)
-    qc = _complex_from_real(q)
+    qc = _complex_from_real(tachibana_ricci(bundle.metric.g, bundle.ricci))
     return PointData(
         bundle=bundle,
         rs=rs,
-        q=q,
         qc=qc,
         planes=planes,
         dir_rows=dir_rows,
         plane_rows=plane_rows,
-        scales=_scales(bundle, rs, q, qc),
+        scales=_scales(bundle, rs, qc),
     )
 
 
@@ -234,25 +230,19 @@ def _outer_rows(u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     return (u_rows[..., :, None] * v_rows[..., None, :]).reshape(u_rows.shape[:-1] + (m * m,))
 
 
-def _first_pair_values(t: np.ndarray, u_outer: np.ndarray) -> np.ndarray:
-    """t(u,u;.,.) for every row u (x) u of ``u_outer``, flattened: (..., K, m*m)."""
-    m = t.shape[-1]
-    return u_outer @ t.reshape(t.shape[:-4] + (m * m, m * m))
-
-
 def _plane_reduce(t: np.ndarray, u_outer: np.ndarray, x_outer: np.ndarray) -> np.ndarray:
     """Values t(u,u;x,Jx) for all sampled directions u and plane seeds x,
-    from the rows u (x) u and x (x) Jx."""
-    return _first_pair_values(t, u_outer) @ np.swapaxes(x_outer, -1, -2)
-
-
-def _paired_values(t: np.ndarray, u_outer: np.ndarray, x_rows: np.ndarray,
-                   j: np.ndarray) -> np.ndarray:
-    """Values t(u_k,u_k;x_k,Jx_k) of the k-th direction, given by its row
-    u_k (x) u_k, on the k-th plane seed."""
+    (..., directions, planes), from the rows u (x) u and x (x) Jx."""
     m = t.shape[-1]
-    tu = _first_pair_values(t, u_outer).reshape(x_rows.shape + (m,))
-    return (x_rows[..., None, :] @ tu @ (x_rows @ j.T)[..., :, None])[..., 0, 0]
+    return u_outer @ t.reshape(t.shape[:-4] + (m * m, m * m)) @ np.swapaxes(x_outer, -1, -2)
+
+
+def _fit_samples(values: np.ndarray) -> np.ndarray:
+    """The Deszcz fit's samples among plane values (..., directions, planes):
+    sample k pairs direction k mod (directions) with plane seed k."""
+    directions, planes = values.shape[-2:]
+    k = np.arange(planes)
+    return values[..., k % directions, k]
 
 
 def _parallel_plane_values(nabla_s: np.ndarray, u_outer: np.ndarray,
@@ -298,6 +288,7 @@ def _einstein(data, plan: SamplePlan):
     lams = b.scal / g.shape[-1]
     direct_pp = max_norm(b.ricci - lams[:, None, None] * g, 2) / sc["S - lambda g"]
     values = _plane_reduce(data.qc, data.dir_rows, data.plane_rows)
+    samples = _fit_samples(values)
     char_pp = rel_violation(values, sc["Qc"], 2)
     spread = (lams.max() - lams.min()) / float(np.max(sc["lambda"]))
     details = {
@@ -311,7 +302,7 @@ def _einstein(data, plan: SamplePlan):
         plan.tolerance,
         details,
     )
-    return verdict, lams, direct_pp, char_pp
+    return verdict, lams, direct_pp, char_pp, samples
 
 
 def _ricci_flat(data, plan: SamplePlan):
@@ -336,31 +327,24 @@ def _ricci_semisymmetric(data, plan: SamplePlan):
     scale = data.scales["R.S"]
     direct_pp = data.scales["|R.S|"] / scale
     values = _plane_reduce(data.rs, data.dir_rows, data.plane_rows)
+    samples = _fit_samples(values)
     char_pp = rel_violation(values, scale, 2)
     verdict = _combine(
         "ricci_semisymmetric", float(direct_pp.max()), float(char_pp.max()),
         plan.tolerance, {},
     )
-    return verdict, direct_pp, char_pp
+    return verdict, direct_pp, char_pp, samples
 
 
-def _holo_pseudosymmetric(data, plan: SamplePlan):
-    """Constancy of the Deszcz quotient over holomorphic planes, then the
-    full tensor residual R.S - f_S Qc with the fitted f_S = L/2.
+def _holo_pseudosymmetric(data, plan: SamplePlan, nums: np.ndarray, dens: np.ndarray):
+    """Constancy of the quotient f_S = R.S / Qc over holomorphic planes,
+    then the full tensor residual R.S - f_S Qc with the fitted f_S.
 
-    Sample i pairs direction i mod (directions) with plane seed i: the
-    first ``planes`` rows of the direction stack, or its rows gathered
-    when there are fewer directions than planes."""
-    attempted = plan.planes
-    if attempted <= plan.directions:
-        v = data.dir_rows[:, :attempted]
-    else:
-        v = data.dir_rows[:, np.arange(attempted) % plan.directions]
-    j = data.bundle.metric.J
-    nums = _paired_values(data.rs, v, data.planes, j)
-    dens = _paired_values(data.q, v, data.planes, j)
+    ``nums`` and ``dens`` are the (P, planes) samples R.S(v,v;x,Jx) and
+    Qc(g,S)(v,v;x,Jx) that the ricci_semisymmetric and einstein rungs
+    read off their plane values (``_fit_samples``)."""
     scale = data.scales["R.S"]
-    bound = (DEPENDENCE_THRESHOLD * data.scales["Q"])[:, None]
+    bound = (DEPENDENCE_THRESHOLD * data.scales["Qc"])[:, None]
     defined = np.abs(dens) > bound
     near = (np.abs(dens) > 0.1 * bound) & (np.abs(dens) <= 10.0 * bound)
     defined_counts = defined.sum(axis=1).tolist()
@@ -373,19 +357,18 @@ def _holo_pseudosymmetric(data, plan: SamplePlan):
     # Both dots of a point scaled by the same power of two: exact, and finite.
     e = np.frexp(np.max(np.abs(den_d), axis=1))[1][:, None]
     num_e, den_e = np.ldexp(num_d, -e), np.ldexp(den_d, -e)
-    l_bar = np.divide(np.sum(num_e * den_e, axis=1), np.sum(den_e * den_e, axis=1),
-                      out=np.zeros(len(vacuous)), where=fits)
-    spread = np.max(np.abs(num_d - l_bar[:, None] * den_d), axis=1) / scale
+    f_s = np.divide(np.sum(num_e * den_e, axis=1), np.sum(den_e * den_e, axis=1),
+                    out=np.zeros(len(vacuous)), where=fits)
+    spread = np.max(np.abs(num_d - f_s[:, None] * den_d), axis=1) / scale
     spread_pp = np.where(fits, spread, vacuous)
-    fitted = l_bar / 2.0
-    f_hats = [float(f) if fit else None for f, fit in zip(fitted, fits)]
+    f_hats = [float(f) if fit else None for f, fit in zip(f_s, fits)]
     # rs - f qc formed in place as (-f) qc + rs: the same bits.
-    residual = data.qc * -fitted[:, None, None, None, None]
+    residual = data.qc * -f_s[:, None, None, None, None]
     residual += data.rs
     residual_pp = np.where(fits, rel_violation(residual, scale, 4), vacuous)
     details = {
         "defined_samples": defined_counts,
-        "attempted_samples": [attempted] * len(vacuous),
+        "attempted_samples": [plan.planes] * len(vacuous),
         "near_threshold_samples": near.sum(axis=1).tolist(),
     }
     if sum(defined_counts) == 0 and spread_pp.max() > plan.tolerance:
@@ -459,11 +442,12 @@ def _check_lattice(criteria) -> None:
 
 def classify_evidence(data, plan: SamplePlan, n: int) -> LadderVerdict:
     """Decide every rung from prepared point evidence and enforce the chain."""
-    einstein, lams, ein_direct, ein_char = _einstein(data, plan)
+    einstein, lams, ein_direct, ein_char, qc_samples = _einstein(data, plan)
     flat, flat_pp = _ricci_flat(data, plan)
     parallel, par_direct, par_char = _ricci_parallel(data, plan)
-    semi, semi_direct, semi_char = _ricci_semisymmetric(data, plan)
-    hrps, hrps_spread, hrps_residual, f_hats = _holo_pseudosymmetric(data, plan)
+    semi, semi_direct, semi_char, rs_samples = _ricci_semisymmetric(data, plan)
+    hrps, hrps_spread, hrps_residual, f_hats = _holo_pseudosymmetric(
+        data, plan, rs_samples, qc_samples)
 
     criteria = (flat, einstein, parallel, semi, hrps)
     _check_lattice(criteria)

@@ -183,7 +183,8 @@ def _json_text(value, indent: str = "") -> str:
     json.dumps with an indent runs its pure-Python encoder.  A list of
     numbers, bools and None (no str, so no ", " inside an item) is
     encoded by the C encoder instead, and its items are split apart and
-    re-indented; everything else recurses."""
+    re-indented.  So is a list of such lists, none empty, in one call split
+    at "], [" (the rows of ``points``); everything else recurses."""
     inner = indent + "  "
     if isinstance(value, dict):
         brackets = "{}"
@@ -192,6 +193,11 @@ def _json_text(value, indent: str = "") -> str:
         brackets = "[]"
         if _SCALAR_TYPES.issuperset(map(type, value)):
             items = _SCALARS.encode(value)[1:-1].split(", ") if value else []
+        elif all(type(x) in (list, tuple) and x and _SCALAR_TYPES.issuperset(map(type, x))
+                 for x in value):
+            sep = ",\n" + inner + "  "
+            items = [f"[{sep[1:]}{row.replace(', ', sep)}\n{inner}]"
+                     for row in _SCALARS.encode(value)[2:-2].split("], [")]
         else:
             items = [_json_text(x, inner) for x in value]
     else:

@@ -28,13 +28,14 @@ import numpy as np
 from kahlersym.classifier import (
     DEPENDENCE_THRESHOLD,
     SamplePlan,
-    _paired_values,
+    direction_samples,
     gather_evidence,
 )
 from kahlersym.curvature import _first_kind, christoffel, curvature_bundle
 from kahlersym.expressions import Call, Coord, Neg, Num, PotentialDomainError, Pow
 from kahlersym.jets import JetDomainError
 from kahlersym.metrics import MetricJet, metric_from_potential
+from kahlersym.symmetry_tensors import quad_eval
 from kahlersym.tensor_algebra import (
     ABS_FLOOR,
     check_rs_symmetries,
@@ -693,24 +694,29 @@ def j_skew_einsum(t, j):
 
 def deszcz_fit_loop(data, plan):
     """(spread, residual, f_hats) of the holo_ricci_pseudosymmetric rung,
-    fitting the Deszcz quotient at one point at a time."""
-    v = data.dir_rows[:, np.arange(plan.planes) % plan.directions]
+    fitting f_S = R.S / Qc(g,S) one point at a time.  Sample k pairs
+    direction v_k = k mod (directions) with plane seed x_k; R.S and Qc are
+    evaluated on (v_k, v_k; x_k, Jx_k) one sample at a time by quad_eval."""
     j = data.bundle.metric.J
-    nums = _paired_values(data.rs, v, data.planes, j)
-    dens = _paired_values(data.q, v, data.planes, j)
+    m = j.shape[0]
     scale = data.scales["R.S"]
-    defined = np.abs(dens) > (DEPENDENCE_THRESHOLD * data.scales["Q"])[:, None]
     vacuous = max_norm(data.rs, 4) / scale
     spread = vacuous.copy()
     residual = vacuous.copy()
     f_hats = [None] * len(vacuous)
-    for p in np.flatnonzero(defined.any(axis=1)):
-        num_d, den_d = nums[p, defined[p]], dens[p, defined[p]]
+    for p in range(len(vacuous)):
+        dirs = direction_samples(plan, p, m)
+        pairs = [(dirs[k % plan.directions], x) for k, x in enumerate(data.planes[p])]
+        nums = np.array([quad_eval(data.rs[p], v, v, x, j @ x) for v, x in pairs])
+        dens = np.array([quad_eval(data.qc[p], v, v, x, j @ x) for v, x in pairs])
+        defined = np.abs(dens) > DEPENDENCE_THRESHOLD * data.scales["Qc"][p]
+        if not defined.any():
+            continue
+        num_d, den_d = nums[defined], dens[defined]
         e = np.frexp(np.max(np.abs(den_d)))[1]
         num_e, den_e = np.ldexp(num_d, -e), np.ldexp(den_d, -e)
-        l_bar = float(np.dot(num_e, den_e) / np.dot(den_e, den_e))
-        spread[p] = float(np.max(np.abs(num_d - l_bar * den_d))) / scale[p]
-        f_hats[p] = l_bar / 2.0
+        f_hats[p] = float(np.dot(num_e, den_e) / np.dot(den_e, den_e))
+        spread[p] = float(np.max(np.abs(num_d - f_hats[p] * den_d))) / scale[p]
         residual[p] = max_norm(data.rs[p] - f_hats[p] * data.qc[p]) / scale[p]
     return spread, residual, f_hats
 

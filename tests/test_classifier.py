@@ -17,11 +17,13 @@ from kahlersym.classifier import (
     LatticeError,
     SamplePlan,
     _check_lattice,
+    _einstein,
+    _fit_samples,
     _holo_pseudosymmetric,
     _outer_rows,
-    _paired_values,
     _parallel_plane_values,
     _plane_reduce,
+    _ricci_semisymmetric,
     _scales,
     direction_samples,
     plane_samples,
@@ -32,7 +34,7 @@ from kahlersym.curvature import christoffel, curvature_bundle
 from kahlersym.expressions import parse, pretty
 from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import run
-from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
+from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
 from kahlersym.zoo import ManifoldSpec
 
@@ -174,7 +176,7 @@ def test_witnesses_have_non_constant_f_s(unscaled_reports):
 
 def test_deszcz_fit_finite_for_huge_samples():
     """exp(300 rsq) is exp(rsq) in w = sqrt(300) z, a holomorphically Ricci-
-    pseudosymmetric witness; its Q(g,S) samples are so large that the fit's
+    pseudosymmetric witness; its Qc(g,S) samples are so large that the fit's
     plain dot products overflow, yet every fitted f_S stays finite and nonzero."""
     spec = ManifoldSpec("steep", 2, "exp(300*rsq)", ((-0.76, 0.76),) * 4)
     verdict = run(spec).verdict
@@ -299,6 +301,21 @@ def test_point_samples_do_not_depend_on_the_number_of_points():
     for i in range(5):
         assert np.array_equal(direction_samples(few, i, 4), direction_samples(many, i, 4))
         assert np.array_equal(plane_samples(few, i, 4), plane_samples(many, i, 4))
+
+
+def test_point_samples_draw_only_the_points_up_to_theirs():
+    # direction_samples and plane_samples draw the stream for points 0..i
+    # alone; the rows equal those of the plan's full draw and of its table.
+    plan = SamplePlan(points=400, directions=5, planes=6, seed=7)
+    dirs, x = (classifier._unit_rows(plan.seed, stream, plan.points, count, 4)
+               for stream, count in ((classifier._DIRECTION_STREAM, plan.directions),
+                                     (classifier._PLANE_STREAM, plan.planes)))
+    dir_rows = classifier._sample_table(plan.seed, plan.points, plan.directions, plan.planes, 2)[1]
+    for i in (0, 1, 199, 399):
+        d = direction_samples(plan, i, 4)
+        assert np.array_equal(d, dirs[i])
+        assert np.array_equal(plane_samples(plan, i, 4), x[i])
+        assert np.array_equal(_outer_rows(d, d), dir_rows[i])
 
 
 @pytest.mark.parametrize("directions, planes", [(5, 3), (4, 4), (3, 5)])
@@ -478,12 +495,11 @@ def _check_stacked_evidence(spec, count):
         assert np.array_equal(dgamma[i], christoffel(m).dgamma)
         for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal", "norm_dgamma"):
             assert np.array_equal(getattr(data.bundle, field)[i], getattr(b, field)), (i, field)
-        rs, q = r_dot_s(b), tachibana_ricci(b.metric.g, b.ricci)
+        rs = r_dot_s(b)
         qc = complex_tachibana_ricci(b.metric.g, b.ricci)
         assert np.array_equal(data.rs[i], rs)
-        assert np.array_equal(data.q[i], q)
         assert np.array_equal(data.qc[i], qc)
-        single = _scales(b, rs, q, qc)
+        single = _scales(b, rs, qc)
         assert data.scales.keys() == single.keys()
         for key, value in single.items():
             assert data.scales[key][i] == value, (i, key)
@@ -504,14 +520,20 @@ def _contraction_inputs(n, points, directions, planes):
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_sample_contractions_match_index_loops(n):
-    # The plane values of three rungs and the identity suite, the Deszcz
-    # samples R.S(v_k,v_k;x_k,Jx_k) and Q(g,S)(...) (the diagonal of the
-    # plane values), and the ricci_parallel values, against sums taken one
-    # index at a time; the gate is relative to the sum of |terms|.
+    # The plane values of three rungs and the identity suite, and the
+    # ricci_parallel values, against sums taken one index at a time; the
+    # gate is relative to the sum of |terms|.  The Deszcz samples are the
+    # plane values of direction k mod (directions) on plane seed k.
+    for directions, planes in ((7, 5), (6, 6), (5, 7)):
+        t, _, u, x, j = _contraction_inputs(n, 2, directions, planes)
+        values = _plane_reduce(t, _outer_rows(u, u), _outer_rows(x, x @ j.T))
+        samples = _fit_samples(values)
+        assert samples.shape == (2, planes)
+        for p, k in np.ndindex(samples.shape):
+            assert samples[p, k] == values[p, k % directions, k]
     t, nabla_s, u, x, j = _contraction_inputs(n, 2, 3, 4)
     u_outer, x_outer = _outer_rows(u, u), _outer_rows(x, x @ j.T)
     planes = _plane_reduce(t, u_outer, x_outer)
-    paired = _paired_values(t, u_outer, x[:, :3], j)
     parallel = _parallel_plane_values(nabla_s, u_outer, x, j)
     for p in range(2):
         for k in range(3):
@@ -522,8 +544,6 @@ def test_sample_contractions_match_index_loops(n):
         expected = plane_values_loop(t[p], u[p], x[p], j)
         bound = 1e-13 * plane_values_loop(a[0], a[2], a[3], a[4])
         assert np.all(np.abs(planes[p] - expected) <= bound)
-        assert np.all(np.abs(paired[p] - np.diagonal(expected[:, :3]))
-                      <= np.diagonal(bound[:, :3]))
         expected = parallel_values_loop(nabla_s[p], u[p], x[p], j)
         bound = 1e-13 * parallel_values_loop(a[1], a[2], a[3], a[4])
         assert np.all(np.abs(parallel[p] - expected) <= bound)
@@ -534,30 +554,37 @@ def test_sample_contractions_over_points_match_one_point_at_a_time(n):
     t, nabla_s, u, x, j = _contraction_inputs(n, 40 if n == 2 else 6, 20, 20)
     u_outer, x_outer = _outer_rows(u, u), _outer_rows(x, x @ j.T)
     stacked = (u_outer, x_outer, _plane_reduce(t, u_outer, x_outer),
-               _paired_values(t, u_outer, x, j), _parallel_plane_values(nabla_s, u_outer, x, j))
+               _parallel_plane_values(nabla_s, u_outer, x, j))
     for p in range(len(t)):
         u1, x1 = _outer_rows(u[p], u[p]), _outer_rows(x[p], x[p] @ j.T)
-        singles = (u1, x1, _plane_reduce(t[p], u1, x1), _paired_values(t[p], u1, x[p], j),
+        singles = (u1, x1, _plane_reduce(t[p], u1, x1),
                    _parallel_plane_values(nabla_s[p], u1, x[p], j))
         for values, single in zip(stacked, singles):
             assert np.array_equal(values[p], single), p
 
 
+def _deszcz_fit(data, plan):
+    """The holo_ricci_pseudosymmetric rung on the samples that the
+    ricci_semisymmetric and einstein rungs read off their plane values."""
+    nums = _ricci_semisymmetric(data, plan)[-1]
+    dens = _einstein(data, plan)[-1]
+    return _holo_pseudosymmetric(data, plan, nums, dens)
+
+
 def test_deszcz_fit_over_points_matches_the_point_loop(fixtures):
     # Points 1 and 4 lose every defined sample: f_S is None there and the
     # spread falls back to |R.S|, with no RuntimeWarning from the fit.  Point
-    # 2 keeps the 4 samples whose |Q(g,S)| lies above the middle ones.
+    # 2 keeps the 4 samples whose |Qc(g,S)| lies above the middle ones.
     plan = SamplePlan(points=6, directions=5, planes=7, seed=2)
     data = sample_evidence(fixtures["perturbed_flat"], plan)
-    v = data.dir_rows[2, np.arange(plan.planes) % plan.directions]
-    dens = np.abs(_paired_values(data.q[2], v, data.planes[2], data.bundle.metric.J))
-    q = data.q.copy()
-    q[[1, 4]] = 0.0
-    q[2] *= DEPENDENCE_THRESHOLD * data.scales["Q"][2] / np.sort(dens)[2:4].mean()
-    data = replace(data, q=q)
+    dens = np.abs(_einstein(data, plan)[-1][2])
+    qc = data.qc.copy()
+    qc[[1, 4]] = 0.0
+    qc[2] *= DEPENDENCE_THRESHOLD * data.scales["Qc"][2] / np.sort(dens)[2:4].mean()
+    data = replace(data, qc=qc)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verdict, spread, residual, f_hats = _holo_pseudosymmetric(data, plan)
+        verdict, spread, residual, f_hats = _deszcz_fit(data, plan)
     assert verdict.details["defined_samples"] == [7, 0, 4, 7, 0, 7]
     vacuous = max_norm(data.rs, 4) / data.scales["R.S"]
     expected = deszcz_fit_loop(data, plan)
@@ -574,11 +601,11 @@ def test_deszcz_fit_over_points_matches_the_point_loop(fixtures):
 
 @pytest.mark.parametrize("directions, planes", [(7, 5), (6, 6), (5, 7)])
 def test_deszcz_samples_pair_direction_i_mod_count_with_plane_i(fixtures, directions, planes):
-    # Fewer planes than directions read a slice of the direction rows, as
-    # many read all of them, more gather them; the loop pairs the vectors.
+    # Fewer, as many and more planes than directions: the fit reads the
+    # plane values (k mod directions, k); the loop pairs the vectors.
     plan = SamplePlan(points=3, directions=directions, planes=planes, seed=4)
     data = sample_evidence(fixtures["perturbed_flat"], plan)
-    got = _holo_pseudosymmetric(data, plan)[1:]
+    got = _deszcz_fit(data, plan)[1:]
     for values, expected in zip(got, deszcz_fit_loop(data, plan)):
         for value, want in zip(values, expected):
             assert abs(value - want) <= 1e-14 * abs(want)

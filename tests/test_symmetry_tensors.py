@@ -310,7 +310,7 @@ def test_deszcz_undefined_at_einstein_points(fixtures):
 
 
 def test_deszcz_threshold_scaling(fixtures, monkeypatch):
-    """A dependence threshold far above every |Q(g,S)| sample leaves no
+    """A dependence threshold far above every |Qc(g,S)| sample leaves no
     sample defined, and the rung cannot pass on a nonzero R.S."""
     monkeypatch.setattr(classifier, "DEPENDENCE_THRESHOLD", 1e12)
     spec = fixtures["perturbed_flat"]
@@ -324,13 +324,13 @@ def test_deszcz_threshold_scaling(fixtures, monkeypatch):
 
 
 def test_dependence_scale_floors():
-    # The scale table's "Q" entry is max(|Q|, |g||S|), floored: at points of
-    # flat C^2, g = I and S = Q = 0, and with S replaced by I it is |g||S|.
+    # The scale table's "Qc" entry is max(|Qc|, |g||S|), floored: at points of
+    # flat C^2, g = I and S = Qc = 0, and with S replaced by I it is |g||S|.
     spec = ManifoldSpec("flat", 2, "rsq", ((-1.0, 1.0),) * 4)
     data = sample_evidence(spec, SamplePlan(points=2, directions=2, planes=2))
-    assert data.scales["Q"].tolist() == [ABS_FLOOR] * 2
+    assert data.scales["Qc"].tolist() == [ABS_FLOOR] * 2
     bundle = replace(data.bundle, ricci=np.broadcast_to(np.eye(4), (2, 4, 4)))
-    assert _scales(bundle, data.rs, data.q, data.qc)["Q"].tolist() == [1.0] * 2
+    assert _scales(bundle, data.rs, data.qc)["Qc"].tolist() == [1.0] * 2
 
 
 def test_extrapolate_to_zero_exact_on_polynomials():

@@ -150,7 +150,7 @@ def test_half_block_checks_match_the_matmul_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_identity_suite_j_checks_match_the_matmul_oracle(n):
-    """The identity suite's J checks on evidence whose R.S, Q, Qc, Riemann
+    """The identity suite's J checks on evidence whose R.S, Qc, Riemann
     and Ricci tensors, dg, dS and Christoffel symbols are replaced by
     tensors without symmetry; the matmul oracle of the Kahler conditions
     that the suite leaves to the tests sees all three break."""
@@ -164,9 +164,9 @@ def test_identity_suite_j_checks_match_the_matmul_oracle(n):
         dricci=rng.standard_normal(shape[:4]),
         metric=dataclasses.replace(b.metric, dg=rng.standard_normal(shape[:4])),
         connection=dataclasses.replace(b.connection, gamma=rng.standard_normal(shape[:4])))
-    rs, q, qc = _tensors(n, 90 + n)[0], rng.standard_normal(shape), rng.standard_normal(shape)
-    data = dataclasses.replace(data, bundle=bundle, rs=rs, q=q, qc=qc,
-                               scales=_scales(bundle, rs, q, qc))
+    rs, qc = _tensors(n, 90 + n)[0], rng.standard_normal(shape)
+    data = dataclasses.replace(data, bundle=bundle, rs=rs, qc=qc,
+                               scales=_scales(bundle, rs, qc))
     got = identity_checks(data)
     for key, want in identity_j_checks_matmul(data, spec.potential()).items():
         assert np.array_equal(_bits(got[key]), _bits(want)), key
