@@ -179,7 +179,8 @@ def _scales(b: CurvatureBundle, rs, qc) -> dict[str, np.ndarray]:
         "lambda": floored_scale(lam),
         "S - lambda g": floored_scale(s, lam * g),
         "nabla S": floored_scale(sc["|dS|"], m * gamma * s),
-        "R.S": floored_scale(2.0 * m * r13 * s),
+        # An entry of R.S sums 2m products, so |R.S| <= 2m |R13||S| up to roundoff.
+        "R.S": floored_scale(sc["|R.S|"], 2.0 * m * r13 * s),
         # The floor |g||S| keeps roundoff in an identically zero Qc(g,S)
         # (Einstein points) from counting as curvature dependence.
         "Qc": floored_scale(sc["|Qc|"], g * s),
@@ -291,16 +292,12 @@ def _einstein(data, plan: SamplePlan):
     samples = _fit_samples(values)
     char_pp = rel_violation(values, sc["Qc"], 2)
     spread = (lams.max() - lams.min()) / float(np.max(sc["lambda"]))
-    details = {
-        "lambda_mean": float(np.mean(lams)),
-        "lambda_spread": float(spread),
-    }
     verdict = _combine(
         "einstein",
         max(float(direct_pp.max()), float(spread)),
         float(char_pp.max()),
         plan.tolerance,
-        details,
+        {"lambda_spread": float(spread)},
     )
     return verdict, lams, direct_pp, char_pp, samples
 
@@ -368,7 +365,6 @@ def _holo_pseudosymmetric(data, plan: SamplePlan, nums: np.ndarray, dens: np.nda
     residual_pp = np.where(fits, rel_violation(residual, scale, 4), vacuous)
     details = {
         "defined_samples": defined_counts,
-        "attempted_samples": [plan.planes] * len(vacuous),
         "near_threshold_samples": near.sum(axis=1).tolist(),
     }
     if sum(defined_counts) == 0 and spread_pp.max() > plan.tolerance:
@@ -440,8 +436,8 @@ def _check_lattice(criteria) -> None:
                 )
 
 
-def classify_evidence(data, plan: SamplePlan, n: int) -> LadderVerdict:
-    """Decide every rung from prepared point evidence and enforce the chain."""
+def classify_evidence(data, plan: SamplePlan) -> LadderVerdict:
+    """Decide every rung from point evidence (n is its metric's) and enforce the chain."""
     einstein, lams, ein_direct, ein_char, qc_samples = _einstein(data, plan)
     flat, flat_pp = _ricci_flat(data, plan)
     parallel, par_direct, par_char = _ricci_parallel(data, plan)
@@ -479,7 +475,7 @@ def classify_evidence(data, plan: SamplePlan, n: int) -> LadderVerdict:
         lambda_values=tuple(lams.tolist()),
         f_s_values=tuple(f_hats),
         f_s_constant=_f_s_constancy(f_hats, data, plan.tolerance),
-        below_theorem_dimension=n < 2,
+        below_theorem_dimension=data.bundle.metric.n < 2,
         evidence={key: tuple(values.tolist()) for key, values in evidence.items()},
     )
 

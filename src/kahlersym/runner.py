@@ -48,7 +48,7 @@ def identity_checks(d: PointData) -> dict[str, np.ndarray]:
     out["ricci_symmetric"] = rel_violation(s - np.swapaxes(s, -1, -2), sc["S"], 2)
     out["ricci_j_invariant"] = j_invariance_violation(s, sc["S"], 2)
 
-    for key, value in check_rs_symmetries(d.rs, sc["R.S"], sc["|R.S|"]).items():
+    for key, value in check_rs_symmetries(d.rs, sc["R.S"]).items():
         out[f"rs_{key}"] = value
     # Qc = Q + J^T Q J is formed by a signed gather, which keeps Q's exact
     # (u,v) symmetry and (x,y) antisymmetry and, applied twice, is the
@@ -105,7 +105,7 @@ class RunReport:
 
     def to_json(self) -> str:
         report = {
-            "schema": "kahlersym-report/5",
+            "schema": "kahlersym-report/6",
             "spec": {
                 "name": self.spec.name,
                 "n": self.spec.n,
@@ -160,7 +160,7 @@ class RunReport:
                 "defined_samples"
             ]
             lines.append(
-                f"deszcz quotient: defined samples per point {defined}; "
+                f"f_S fit: defined samples per point {defined}; "
                 f"f_S constant: {self.verdict.f_s_constant}"
             )
             if self.verdict.below_theorem_dimension:
@@ -247,7 +247,7 @@ def run(spec: ManifoldSpec, plan: SamplePlan = SamplePlan(),
     start = time.perf_counter()
     data = sample_evidence(spec, plan)
     identities = identity_suite(data)
-    verdict = classify_evidence(data, plan, spec.n) if with_classification else None
+    verdict = classify_evidence(data, plan) if with_classification else None
     elapsed = time.perf_counter() - start
     return RunReport(
         spec=spec,

@@ -28,7 +28,7 @@ from .tensor_algebra import (
     j_invariance_violation,
     max_norm,
     NonHermitianMetric,
-    wedge_g_matrix,
+    standard_complex_structure,
 )
 
 # Gate of the input checks on g: Hermitian w.r.t. J for Qc(g,S), and a
@@ -146,23 +146,23 @@ def rotation_experiment(g, s, j, v, x, y, ladder=DEFAULT_EPS_LADDER) -> Experime
 
     For an orthonormal pair (x, y) the perturbed vector is
     v'' = v + eps (x wedge_g y) v + eps (Jx wedge_g Jy) v; the slope of
-    S(v'', v'') - S(v, v) in eps converges to -Qc(g,S)(v, v; x, y).
+    S(v'', v'') - S(v, v) in eps converges to -Qc(g,S)(v, v; x, y).  Qc is
+    formed for the standard J, so a ``j`` other than J or -J raises ValueError.
     """
     _check_ladder(ladder)
-    g = np.asarray(g, float)
-    s = np.asarray(s, float)
-    j = np.asarray(j, float)
-    v = np.asarray(v, float)
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
+    g, s, j, v, x, y = (np.asarray(a, float) for a in (g, s, j, v, x, y))
     gram = np.array([[x @ g @ x, x @ g @ y], [y @ g @ x, y @ g @ y]])
     if max_norm(gram - np.eye(2)) > HERMITIAN_TOLERANCE:
         raise ValueError("plane basis must be g-orthonormal")
-    rot = wedge_g_matrix(g, x, y) + wedge_g_matrix(g, j @ x, j @ y)
+    std = standard_complex_structure(g.shape[0] // 2)
+    if not (np.array_equal(j, std) or np.array_equal(j, -std)):
+        raise ValueError("j must be the standard complex structure J or -J")
+    gv, jx, jy = g @ v, j @ x, j @ y
+    rot_v = (y @ gv) * x - (x @ gv) * y + (jy @ gv) * jx - (jx @ gv) * jy
     base = float(v @ s @ v)
     defects = []
     for eps in ladder:
-        w = v + eps * (rot @ v)
+        w = v + eps * rot_v
         defects.append(float(w @ s @ w) - base)
     slopes = [d / eps for d, eps in zip(defects, ladder)]
     measured = _extrapolate_to_zero(ladder, slopes)

@@ -59,24 +59,6 @@ def rel_violation(diff: np.ndarray, reference_scale, rank: int | None = None):
     return _largest(np.abs(diff, out=diff), rank) / np.maximum(reference_scale, ABS_FLOOR)
 
 
-def _check_dims(g, *vectors):
-    m = g.shape[0]
-    if g.shape != (m, m):
-        raise ValueError(f"metric must be square, got {g.shape}")
-    for v in vectors:
-        if v.shape != (m,):
-            raise ValueError(f"vector shape {v.shape} does not match metric dim {m}")
-
-
-def wedge_g_matrix(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Endomorphism z -> g(y,z) x - g(x,z) y as a matrix."""
-    g = np.asarray(g, float)
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    _check_dims(g, x, y)
-    return np.outer(x, g @ y) - np.outer(y, g @ x)
-
-
 # -- (0,4)-tensor symmetries -------------------------------------------------
 
 
@@ -148,23 +130,18 @@ def j_invariance_violation(t: np.ndarray, scale, rank: int, first_pair: bool = F
                       _block_violation(xy + yx, lead, scale))
 
 
-def check_rs_symmetries(t: np.ndarray, scale, norm=None) -> dict[str, np.ndarray]:
+def check_rs_symmetries(t: np.ndarray, scale) -> dict[str, np.ndarray]:
     """Violations of the algebraic symmetries of R.S, which Qc(g,S) shares.
 
     Slots are (u, v, x, y): symmetric in (u, v), antisymmetric in (x, y),
     invariant under J applied to either pair.  Invariance of a pair is
     the same number as its J-skewness (see j_invariance_violation), and
     ``j_pair_invariance`` holds the larger of the two pairs.
-    Violations are relative to the larger of the tensor's max-norm and the
-    reference ``scale`` (needed when t itself is roundoff; pass 0.0 to judge
-    t by its own norm).  ``norm`` is the tensor's max-norm when the
-    caller holds it already.  For tensors stacked on leading point axes,
-    ``scale``, ``norm`` and every violation hold one value per point.
+    Violations are relative to ``scale``, at least the tensor's max-norm (as
+    the table scales "R.S" and "Qc" are); for tensors stacked on leading
+    point axes, it and every violation hold one value per point.
     """
     t = np.asarray(t, float)
-    if norm is None:
-        norm = max_norm(t, 4)
-    scale = np.maximum(scale, norm)
     return {
         "antisym_last_pair": rel_violation(t + np.swapaxes(t, -2, -1), scale, 4),
         "sym_first_pair": rel_violation(t - np.swapaxes(t, -4, -3), scale, 4),

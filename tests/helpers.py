@@ -96,7 +96,8 @@ def wedge_tachibana(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return endo_family_dot_bilinear_einsum(wedge_family(g), np.asarray(s, float))
 
 
-def _wedge_matrix(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def wedge_g_matrix(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Endomorphism z -> g(y,z) x - g(x,z) y as a matrix, entry by entry."""
     m = g.shape[0]
     a = np.zeros((m, m))
     gy = g @ y
@@ -117,8 +118,8 @@ def brute_complex_tachibana(g: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.n
         for b in range(m):
             eb = eye[b]
             wedge = (
-                _wedge_matrix(g, ea, eb)
-                + _wedge_matrix(g, j @ ea, j @ eb)
+                wedge_g_matrix(g, ea, eb)
+                + wedge_g_matrix(g, j @ ea, j @ eb)
                 - 2.0 * float((j @ ea) @ g @ eb) * j
             )
             for i in range(m):
@@ -163,7 +164,6 @@ def rel_violation_oracle(diff, scale, rank: int):
 
 def rs_symmetries_matmul(t, j, scale) -> dict:
     """check_rs_symmetries with J applied by matrix products."""
-    scale = np.maximum(scale, max_norm(t, 4))
     return {
         "antisym_last_pair": rel_violation_oracle(t + np.swapaxes(t, -2, -1), scale, 4),
         "sym_first_pair": rel_violation_oracle(t - np.swapaxes(t, -4, -3), scale, 4),
@@ -786,7 +786,8 @@ def reconstruct_from_holomorphic(eval_uuxjx, j: np.ndarray, validate: bool = Tru
                         b(i, jdx, xa + w) - b(i, jdx, xa) - b(i, jdx, w)
                     )
     if validate:
-        worst = max(float(np.max(v)) for v in check_rs_symmetries(t, 0.0).values())
+        violations = check_rs_symmetries(t, max_norm(t, 4))
+        worst = max(float(np.max(v)) for v in violations.values())
         if worst > tol:
             raise ReconstructionError(
                 "holomorphic evaluations are inconsistent with the symmetry class "

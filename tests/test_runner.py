@@ -249,7 +249,7 @@ def test_json_round_trip_and_schema(fixtures, small_plan):
     blob = report.to_json()
     assert blob.endswith("\n")
     payload = json.loads(blob)
-    assert payload["schema"] == "kahlersym-report/5"
+    assert payload["schema"] == "kahlersym-report/6"
     assert payload["spec"]["name"] == "product_cp1_cp1_unequal"
     assert payload["spec"]["n"] == 2
     assert payload["plan"] == dataclasses.asdict(small_plan)

@@ -1,4 +1,4 @@
-"""Wedge endomorphisms, symmetry checks, polarisation."""
+"""Wedge endomorphisms (the test oracle), symmetry checks, polarisation."""
 
 import dataclasses
 
@@ -16,7 +16,6 @@ from kahlersym.tensor_algebra import (
     max_norm,
     rel_violation,
     standard_complex_structure,
-    wedge_g_matrix,
 )
 from kahlersym.symmetry_tensors import _endo_family_dot_bilinear
 
@@ -33,6 +32,7 @@ from helpers import (
     rel_violation_oracle,
     rs_symmetries_matmul,
     symmetrize_rs,
+    wedge_g_matrix,
 )
 
 
@@ -63,13 +63,6 @@ def test_wedge_g_skew_adjoint():
     assert np.allclose(g @ w, -(g @ w).T, atol=1e-12)
     # hence it annihilates g as a derivation: -g(w., .) - g(., w.) = 0
     assert max_norm(w.T @ g + g @ w) < 1e-12
-
-
-def test_wedge_dimension_mismatch():
-    with pytest.raises(ValueError, match="does not match"):
-        wedge_g_matrix(np.eye(4), np.ones(3), np.ones(4))
-    with pytest.raises(ValueError, match="square"):
-        wedge_g_matrix(np.ones((4, 3)), np.ones(4), np.ones(4))
 
 
 def test_endo_dot_bilinear_loop_oracle():
@@ -122,13 +115,12 @@ def test_half_block_checks_match_the_matmul_oracle(n):
     violations agree bit for bit, and J-skewness equals J-invariance per
     pair in the oracle too, so j_pair_invariance covers both."""
     t, j = _tensors(n, 50 + n)
-    scale = np.array([0.0, 1e-3, 2.0])
+    scale = np.maximum(np.array([0.0, 1e-3, 2.0]), max_norm(t, 4))
     got = check_rs_symmetries(t, scale)
     want = rs_symmetries_matmul(t, j, scale)
     assert got.keys() == want.keys()
     for key in want:
         assert np.array_equal(_bits(got[key]), _bits(want[key])), key
-    scale = np.maximum(scale, max_norm(t, 4))
     for first, op in ((True, j_first_pair), (False, j_last_pair)):
         skew_pair = on_first_pair(j_skew_last_pair, t, j) if first else j_skew_last_pair(t, j)
         skew = rel_violation_oracle(skew_pair, scale, 4)
@@ -201,7 +193,7 @@ def test_symmetrize_is_projection():
     j = standard_complex_structure(2)
     t = rng.normal(size=(4, 4, 4, 4))
     sym = symmetrize_rs(t, j)
-    violations = check_rs_symmetries(sym, 0.0)
+    violations = check_rs_symmetries(sym, max_norm(sym, 4))
     assert _worst(violations) <= 1e-9, violations
     twice = symmetrize_rs(sym, j)
     assert np.allclose(twice, sym, atol=1e-12)
@@ -213,7 +205,7 @@ def test_check_rs_symmetries_flags_each_violation():
     base = symmetrize_rs(rng.normal(size=(4, 4, 4, 4)), j)
     bump = np.zeros_like(base)
     bump[0, 1, 2, 3] = max_norm(base)
-    violations = check_rs_symmetries(base + bump, 0.0)
+    violations = check_rs_symmetries(base + bump, max_norm(base + bump, 4))
     assert _worst(violations) > 0.1
 
 
@@ -222,15 +214,25 @@ def test_check_rs_symmetries_scale_parameter():
     rng = np.random.default_rng(23)
     j = standard_complex_structure(2)
     noise = 1e-16 * rng.normal(size=(4, 4, 4, 4))
-    own = check_rs_symmetries(noise, 0.0)
+    own = check_rs_symmetries(noise, max_norm(noise, 4))
     assert _worst(own) > 1e-3  # relative to its own tiny norm
     scaled = check_rs_symmetries(noise, 1.0)
     assert _worst(scaled) < 1e-12
-    # supplied scale never loosens the check below the tensor's own norm
-    big = np.zeros((4, 4, 4, 4))
-    big[0, 0, 1, 1] = 1.0
-    judged = check_rs_symmetries(big, 1e-20)
-    assert _worst(judged) == _worst(check_rs_symmetries(big, 0.0))
+
+
+def test_rs_scale_is_at_least_the_norm_and_the_bound(fixtures, small_plan):
+    """The scale "R.S" that check_rs_symmetries judges R.S by is never below
+    the tensor's own norm |R.S|, nor below 2m |R13| |S|, at any zoo point,
+    nor below the norm of a stand-in for R.S far above that bound."""
+    for spec in fixtures.values():
+        data = sample_evidence(spec, small_plan)
+        b = data.bundle
+        bound = 2 * (2 * spec.n) * max_norm(b.r13, 4) * max_norm(b.ricci, 2)
+        for rs in (data.rs, data.rs + 1e3 * (1.0 + bound)[:, None, None, None, None]):
+            sc = _scales(b, rs, data.qc)
+            assert np.all(sc["R.S"] >= max_norm(rs, 4)), spec.name
+            assert np.all(sc["R.S"] >= sc["|R.S|"]), spec.name
+            assert np.all(sc["R.S"] >= bound), spec.name
 
 
 def _holo_evaluator(t, j):
