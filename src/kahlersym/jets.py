@@ -9,7 +9,8 @@ sqrt and reciprocals are evaluated by composing their univariate Taylor
 series, built for every point of the stack at once, with the nilpotent
 part of the jet.  Every jet carries a support, the monomials that may be
 nonzero, and a product forms only the pairs of coefficients within its
-operands' supports.
+operands' supports; a Horner step forms only the degrees that can reach
+the result.
 
 Coefficients are stored in the Taylor normalisation: the entry for a
 multi-index ``a`` is the partial derivative divided by ``a!``.
@@ -75,8 +76,8 @@ class JetSpace:
         # A support is an int whose bit i marks monomial i as possibly
         # nonzero; ``full`` marks every monomial.
         self.full = (1 << self.size) - 1
-        # (support_a, support_b) -> (pairs per point, tables, support of
-        # the product); see _chunk_tables.
+        # (support_a, support_b, degree) -> (pairs per point, tables,
+        # support of the product); see _chunk_tables.
         self._pair_tables: dict[tuple, tuple] = {}
 
     def _position_of_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -92,25 +93,29 @@ class JetSpace:
             keys = np.add.outer(keys, self._weights)
         return self._position_of_keys(keys)
 
-    def _chunk_tables(self, support_a: int, support_b: int, points: int):
+    def _chunk_tables(self, support_a: int, support_b: int, points: int,
+                      degree: int):
         """(pairs per point, tables, support): the rows left, right and out
         of one point's product, laid out flat for a run of points, point p's
         pairs offset by p * size; and the support of the product, the out
         positions of those pairs.  The pairs (i, j) are those with i in
-        ``support_a``, j in ``support_b`` and deg a_i + deg a_j <= order, in
-        row-major order, and out is the position of a_i + a_j.  Since the
-        monomials are graded, row i pairs with a prefix of ``support_b``.
+        ``support_a``, j in ``support_b`` and deg a_i + deg a_j <= ``degree``,
+        in row-major order, and out is the position of a_i + a_j.  Since the
+        monomials are graded, row i pairs with a prefix of ``support_b``, and
+        the pairs of a lower ``degree`` are a subsequence of those of a higher
+        one.
 
         A table covers as many points as the largest call so far, up to a
         chunk of _PAIRS_PER_CHUNK pairs, so that a space keeps no more
         table than its calls use.  A space keeps at most _MAX_PAIR_TABLES
-        tables and drops the oldest first."""
-        key = (support_a, support_b)
+        tables, keyed by (support_a, support_b, degree), and drops the
+        oldest first."""
+        key = (support_a, support_b, degree)
         cached = self._pair_tables.get(key)
         if cached is None:
             rows = np.flatnonzero(self._flags(support_a))
             cols = np.flatnonzero(self._flags(support_b))
-            lengths = np.searchsorted(self._degrees[cols], self.order - self._degrees[rows],
+            lengths = np.searchsorted(self._degrees[cols], degree - self._degrees[rows],
                                       side="right")
             left = np.repeat(rows, lengths)
             starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -137,7 +142,7 @@ class JetSpace:
         return np.unpackbits(packed, count=self.size, bitorder="little").astype(bool)
 
     def multiply(self, a: np.ndarray, b: np.ndarray, support_a: int,
-                 support_b: int) -> tuple[np.ndarray, int]:
+                 support_b: int, degree: int | None = None) -> tuple[np.ndarray, int]:
         """Truncated product of coefficient arrays of shape (..., size) whose
         coefficients outside ``support_a`` (of a) and ``support_b`` (of b)
         are zero; returns the product and its support.
@@ -151,7 +156,15 @@ class JetSpace:
         so an operand that is not finite must come with the full support,
         as JetScalar products pass it; then every pair is gathered, and the
         product has the full support.
+
+        ``degree`` (default: the order) bounds the degrees the caller needs:
+        pairs of a higher degree are not gathered, so those coefficients are
+        zero and outside the support, unless a constant operand scales the
+        other.  Every coefficient up to ``degree`` has the bits of the
+        product at full order.
         """
+        if degree is None:
+            degree = self.order
         if support_a <= 1:
             return 0.0 + a[..., :1] * b, support_b if support_a else 0
         elif support_b <= 1:
@@ -164,7 +177,7 @@ class JetSpace:
         # np.bincount adds each product in table order, starting from +0.0,
         # so every point gets the same bits whatever the points beside it.
         pairs, (left, right, out), support = self._chunk_tables(
-            support_a, support_b, len(a) // self.size)
+            support_a, support_b, len(a) // self.size, degree)
         if not pairs:
             return np.zeros(shape), support
         chunk = len(left) // pairs * self.size
@@ -291,14 +304,20 @@ class JetScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        return self._times(other)
+
+    __rmul__ = __mul__
+
+    def _times(self, other: "JetScalar", degree: int | None = None) -> "JetScalar":
+        """The product with a jet of the same space, its coefficients formed
+        up to ``degree`` (JetSpace.multiply)."""
         if self._is_finite() and other._is_finite():
             support_a, support_b = self.support, other.support
         else:
             support_a = support_b = self.space.full
-        coeffs, support = self.space.multiply(self.coeffs, other.coeffs, support_a, support_b)
+        coeffs, support = self.space.multiply(self.coeffs, other.coeffs, support_a,
+                                              support_b, degree)
         return JetScalar(self.space, coeffs, support=support)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
@@ -359,18 +378,41 @@ class JetScalar:
         return self._compose(series)
 
     def _compose(self, series: np.ndarray) -> "JetScalar":
-        """Horner evaluation of univariate series at the nilpotent part;
+        """Horner evaluation of univariate series at the nilpotent part h;
         ``series`` holds one row of coefficients per point, flat over the
         point axes: (points, K).  Each series constant is added to the
         constant term in place, which has the bits of adding a constant
-        jet, since a product holds no -0.0."""
+        jet, since a product holds no -0.0.
+
+        Each product with h raises every degree by at least one, so the
+        step that will be multiplied by h k more times reaches the result
+        only through its degrees <= order - k, and forms only those: its
+        pairs of those degrees are the full step's, in the same order, so
+        the result has the bits of full-order steps.  A skipped coefficient
+        would matter only if it were not finite, since its pair with h's
+        zero constant term is then NaN over all pairs.  So the degrees are
+        bounded only if every coefficient of the full steps is bounded
+        below 1e300: starting from B = max|series|, a step's coefficients
+        are at most B * max|h| * popcount(h.support) + max|series|.
+        Otherwise, as for a series or an h that is not finite, every step
+        runs at full order."""
         shape = self.coeffs.shape[:-1]
         series = series.reshape(shape + series.shape[-1:])
         h = JetScalar(self.space, self.coeffs.copy(), support=self.support & ~1)
         h.coeffs[..., 0] = 0.0
+        order = self.space.order
+        steps = series.shape[-1] - 1
+        # max and min rather than np.abs, which would allocate a copy; both
+        # are NaN if any entry is.
+        largest = float(max(series.max(initial=0.0), -series.min(initial=0.0)))
+        h_largest = float(max(h.coeffs.max(initial=0.0), -h.coeffs.min(initial=0.0)))
+        bound = largest
+        for _ in range(steps):
+            bound = bound * h_largest * h.support.bit_count() + largest
+        bounded = bound < 1e300
         acc = JetScalar.constant(self.space, series[..., -1])
-        for k in range(series.shape[-1] - 2, -1, -1):
-            acc = acc * h
+        for k in range(steps - 1, -1, -1):
+            acc = acc._times(h, order - k if bounded else order)
             acc.coeffs[..., 0] += series[..., k]
             acc.support |= 1
         return acc

@@ -392,16 +392,17 @@ def multi_index_entry(alpha) -> tuple[int, ...]:
     return tuple(i for i, k in enumerate(alpha) for _ in range(k))
 
 
-def pair_tables_loop(space):
+def pair_tables_loop(space, degree: int | None = None):
     """(left, right, out) of the truncated product, one monomial pair at a
-    time: every (i, j) with deg a_i + deg a_j <= order, in row-major order,
-    and the position of a_i + a_j."""
+    time: every (i, j) with deg a_i + deg a_j <= ``degree`` (default: the
+    order), in row-major order, and the position of a_i + a_j."""
+    degree = space.order if degree is None else degree
     left, right, out = [], [], []
     monomials, position = monomials_of(space), position_of(space)
     for i, a in enumerate(monomials):
         da = sum(a)
         for j, b in enumerate(monomials):
-            if da + sum(b) > space.order:
+            if da + sum(b) > degree:
                 continue
             left.append(i)
             right.append(j)

@@ -250,27 +250,30 @@ def flags_of(space, support) -> np.ndarray:
 
 @pytest.mark.parametrize("nvars", range(1, 9))
 def test_pair_tables_match_the_pair_loop(nvars):
-    """The pair tables of two supports are the rows of the pair loop whose
-    two monomials lie in their operand's support, in the same order, and
-    the product's support is the out positions of those rows."""
+    """The pair tables of two supports up to a degree are the rows of the
+    pair loop to that degree whose two monomials lie in their operand's
+    support, in the same order, and the product's support is the out
+    positions of those rows."""
     rng = np.random.default_rng(nvars)
     for order in range(MAX_ORDER + 1):
         space = JetSpace(nvars, order)
-        left, right, out = pair_tables_loop(space)
         supports = [degree_support(space, degree) for degree in range(1, order + 1)]
         for _ in range(3):
             supports.append(support_bits(space, rng.random(space.size) < rng.random()))
         supports += [support & ~1 for support in supports]
         flags = {support: flags_of(space, support) for support in supports}
-        for sa, sb in itertools.product(supports, repeat=2):
-            if sa <= 1 or sb <= 1:
-                continue  # multiply scales by a constant operand instead
-            keep = flags[sa][left] & flags[sb][right]
-            pairs, tables, support = space._chunk_tables(sa, sb, 1)
-            assert pairs == keep.sum()
-            for table, expected in zip(tables[:, :pairs], (left[keep], right[keep], out[keep])):
-                assert np.array_equal(table, expected), (order, sa, sb)
-            assert support == sum(1 << int(i) for i in np.unique(out[keep]))
+        for degree in range(order + 1):
+            left, right, out = pair_tables_loop(space, degree)
+            for sa, sb in itertools.product(supports, repeat=2):
+                if sa <= 1 or sb <= 1:
+                    continue  # multiply scales by a constant operand instead
+                keep = flags[sa][left] & flags[sb][right]
+                pairs, tables, support = space._chunk_tables(sa, sb, 1, degree)
+                assert pairs == keep.sum()
+                for table, expected in zip(tables[:, :pairs],
+                                           (left[keep], right[keep], out[keep])):
+                    assert np.array_equal(table, expected), (order, degree, sa, sb)
+                assert support == sum(1 << int(i) for i in np.unique(out[keep]))
 
 
 def bounded_coeffs(rng, space, shape, degree):
@@ -318,6 +321,14 @@ def test_multiply_over_points_matches_one_point_at_a_time():
                               product(np.tile(a[0], (70, 1)), b, da, db))
 
 
+def every_pair_multiply(monkeypatch):
+    """Make every product gather every pair at full order, as without
+    supports or degree bounds: the oracle of the full-order evaluation."""
+    multiply = JetSpace.multiply
+    monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, sa, sb, degree=None:
+                        multiply(space, a, b, space.full, space.full))
+
+
 def dense(jet):
     """The same coefficients with the full support, so that products of it
     gather every pair."""
@@ -348,9 +359,7 @@ def test_degree_bound_holds_and_keeps_the_bits(source, order, monkeypatch):
     assert np.all(jet.coeffs[..., degrees > degrees[jet.support.bit_length() - 1]] == 0.0)
     assert support_bits(jet.space, jet.coeffs) & ~jet.support == 0
 
-    multiply = JetSpace.multiply
-    monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, sa, sb:
-                        multiply(space, a, b, space.full, space.full))
+    every_pair_multiply(monkeypatch)
     every_pair = eval_jet(expr, points, order).coeffs
     assert np.array_equal(jet.coeffs, every_pair)
     assert np.array_equal(np.signbit(jet.coeffs), np.signbit(every_pair))
@@ -510,14 +519,15 @@ HORNER = [
 @pytest.mark.parametrize("source", HORNER)
 def test_products_inside_horner_are_every_pair_products(source, monkeypatch):
     """Every product eval_jet forms (the Horner steps of log, exp, sqrt and
-    1/ included) has the bits of the product over every pair."""
+    1/ included) has the bits of the product over every pair on the
+    degrees up to its bound."""
     seen = []
     multiply = JetSpace.multiply
 
-    def recorded(space, a, b, sa, sb):
-        result = multiply(space, a, b, sa, sb)
+    def recorded(space, a, b, sa, sb, degree=None):
+        result = multiply(space, a, b, sa, sb, degree)
         # A copy: Horner adds the next series constant in place.
-        seen.append((space, a, b, result[0].copy()))
+        seen.append((space, a, b, degree, result[0].copy()))
         return result
 
     monkeypatch.setattr(JetSpace, "multiply", recorded)
@@ -527,8 +537,10 @@ def test_products_inside_horner_are_every_pair_products(source, monkeypatch):
         seen.clear()
         eval_jet(parse(source, 2), rows, 5)
         assert seen
-        for space, a, b, result in seen:
-            assert_same_bits(result, every_pair_product(space, a, b))
+        assert any(degree is not None and degree < 5 for *_, degree, _ in seen)
+        for space, a, b, degree, result in seen:
+            kept = degrees_of(space) <= (space.order if degree is None else degree)
+            assert_same_bits(result[..., kept], every_pair_product(space, a, b)[..., kept])
 
 
 def test_non_finite_operand_with_zero_constant_gets_every_pair():
@@ -574,13 +586,126 @@ def test_horner_step_after_an_overflow_keeps_the_non_finite_bits(monkeypatch):
     points = np.array([[0.0, 0.3], [0.0, -0.2]])
     with np.errstate(over="ignore", invalid="ignore"):
         jet = eval_jet(expr, points, 5)
-        multiply = JetSpace.multiply
-        monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, sa, sb:
-                            multiply(space, a, b, space.full, space.full))
+        every_pair_multiply(monkeypatch)
         every_pair = eval_jet(expr, points, 5)
     assert not np.isfinite(every_pair.coeffs).all(axis=-1).any()
     assert_same_bits(jet.coeffs, every_pair.coeffs)
     assert jet.support == jet.space.full
+
+
+def horner_cases(rng, space, points):
+    """log, exp, sqrt, 1/ and a quotient of random polynomials, and a
+    composition of two of them, expanded about a stack of points."""
+
+    def poly():
+        return jet_of_poly(random_poly(rng, space.nvars, 3), space, points.T) * 0.25
+
+    def positive():
+        p = poly()
+        return p + (0.5 - float(p.coeffs[..., 0].min()))
+
+    return [
+        lambda: jet_log(positive()),
+        lambda: jet_exp(poly()),
+        lambda: jet_sqrt(positive()),
+        lambda: 1.0 / positive(),
+        lambda: poly() / positive(),
+        lambda: jet_exp(jet_log(positive()) * 0.5) - poly(),
+    ]
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_degree_bounded_horner_has_the_bits_of_every_pair(nvars, monkeypatch):
+    """log, exp, sqrt, 1/ and quotients of random polynomials, at every
+    order, on stacked points with a zero coordinate: the degree-bounded
+    Horner steps give the bits of the full-order every-pair evaluation,
+    signs of zero included."""
+    for order in range(MAX_ORDER + 1):
+        space = jet_space(nvars, order)
+        points = np.random.default_rng(order).uniform(-0.6, 0.6, (4, nvars))
+        points[1, 0] = 0.0
+        seed = 100 * nvars + order
+        got = [case() for case in horner_cases(np.random.default_rng(seed), space, points)]
+        with monkeypatch.context() as patched:
+            every_pair_multiply(patched)
+            want = [case() for case in horner_cases(np.random.default_rng(seed), space, points)]
+        for g, w in zip(got, want):
+            assert_same_bits(g.coeffs, w.coeffs)
+
+
+def horner_degrees(monkeypatch, make):
+    """The degree bounds JetSpace.multiply is asked for while ``make()``
+    runs, and its result."""
+    degrees = []
+    multiply = JetSpace.multiply
+
+    def recorded(space, a, b, sa, sb, degree=None):
+        degrees.append(space.order if degree is None else degree)
+        return multiply(space, a, b, sa, sb, degree)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(JetSpace, "multiply", recorded)
+        result = make()
+    return degrees, result
+
+
+def test_horner_past_the_overflow_guard_asks_only_full_order_products(monkeypatch):
+    """The reciprocal of 1/(0.01 + x1 + 1e148*x1^2) overflows in a Horner
+    step: the bound on its steps' coefficients is not below 1e300, so every
+    product is asked at full order, and the NaN bits of the every-pair
+    evaluation are kept."""
+    expr = parse("1/(0.01 + x1 + 1e148*x1^2) * y1", 1)
+    points = np.array([[0.0, 0.3], [0.0, -0.2]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        degrees, jet = horner_degrees(monkeypatch, lambda: eval_jet(expr, points, 5))
+        every_pair_multiply(monkeypatch)
+        every_pair = eval_jet(expr, points, 5)
+    assert degrees and set(degrees) == {5}
+    assert np.isnan(jet.coeffs).any()
+    assert_same_bits(jet.coeffs, every_pair.coeffs)
+
+
+@pytest.mark.parametrize("value, bounded", [(686.6, True), (686.7, False)])
+def test_horner_degree_bounds_stop_at_the_guard(value, bounded, monkeypatch):
+    """exp(x1 + x2) at order 5: the series is e^v / k!, h = x1 + x2, and the
+    bound on the full steps' coefficients is e^v (1 + 2 + ... + 2^5) =
+    63 e^v.  Just under 1e300 (v = 686.6) the steps are degree-bounded;
+    just over (v = 686.7), finite as every coefficient still is, they run
+    at full order.  Both give the bits of the every-pair evaluation."""
+    space = jet_space(2, 5)
+    assert (63 * math.exp(value) < 1e300) == bounded
+    x1, x2 = JetScalar.variable(space, 0, value), JetScalar.variable(space, 1, 0.0)
+    degrees, jet = horner_degrees(monkeypatch, lambda: jet_exp(x1 + x2))
+    assert np.isfinite(jet.coeffs).all()
+    assert degrees == ([1, 2, 3, 4, 5] if bounded else [5] * 5)
+    every_pair_multiply(monkeypatch)
+    assert_same_bits(jet.coeffs, jet_exp(x1 + x2).coeffs)
+
+
+@pytest.mark.parametrize("n, bounded, full", [(3, 2718, 4512), (4, 7504, 12336)])
+def test_degree_bounds_cut_the_gathered_products(n, bounded, full, monkeypatch):
+    """Products gathered per point by eval_jet("log(1+rsq)") at order 5 (the
+    fs_cp potentials of high_dim): the degree-bounded Horner steps gather
+    39% fewer than full-order steps, so a silent fall-back to full order
+    fails here."""
+    counted = []
+    chunk_tables = JetSpace._chunk_tables
+
+    def recorded(space, sa, sb, points, degree):
+        tables = chunk_tables(space, sa, sb, points, degree)
+        counted.append(tables[0] * points)
+        return tables
+
+    monkeypatch.setattr(JetSpace, "_chunk_tables", recorded)
+    points = np.random.default_rng(n).uniform(-0.5, 0.5, (7, 2 * n))
+    eval_jet(parse("log(1+rsq)", n), points, 5)
+    assert sum(counted) == 7 * bounded
+    counted.clear()
+    multiply = JetSpace.multiply
+    monkeypatch.setattr(JetSpace, "multiply", lambda space, a, b, sa, sb, degree=None:
+                        multiply(space, a, b, sa, sb))
+    eval_jet(parse("log(1+rsq)", n), points, 5)
+    assert sum(counted) == 7 * full
 
 
 @pytest.mark.parametrize("source", sorted(ZOO) + MIXED_DEGREE + HORNER)
