@@ -47,6 +47,8 @@ MARGIN = 1e-3
 # A Deszcz sample is defined where |Qc(g,S)(v,v;x,Jx)| exceeds this fraction
 # of the scale "Qc".
 DEPENDENCE_THRESHOLD = 1e-8
+# Sample tables held, one per (seed, points, directions, planes, n).
+_SAMPLE_TABLES = 4
 
 
 class LatticeError(RuntimeError):
@@ -107,12 +109,14 @@ def _unit_rows(seed: int, stream: int, points: int, count: int, m: int) -> np.nd
     return rows / norms[..., None]
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=_SAMPLE_TABLES)
 def _sample_table(seed: int, points: int, directions: int, planes: int, n: int):
     """The plane seeds (P, planes, m) and the rows u (x) u and x (x) Jx,
     (P, count, m*m), of a plan's samples in complex dimension n: read-only,
     and shared by every run at that plan and n, since they depend on neither
-    the potential nor the tolerance.  Only the most recent table is held,
+    the potential nor the tolerance.  The _SAMPLE_TABLES most recently used
+    keys are held, so runs that alternate plans or n build each table once;
+    a new key drops the least recently used.  A table is
     P*(planes*m + (directions + planes)*m*m) floats."""
     m = 2 * n
     dirs = _unit_rows(seed, _DIRECTION_STREAM, points, directions, m)
@@ -211,8 +215,8 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
 def sample_evidence(spec: ManifoldSpec, plan: SamplePlan) -> PointData:
     """Sample the plan's points, expand their depth-3 metric jets and
     gather the evidence; the points are ``bundle.metric.point``.  The sample
-    table is looked up first, so a new plan drops the old one before the
-    expansion."""
+    table is looked up first, so a new key drops the least recently used
+    table before the expansion."""
     _sample_table(plan.seed, plan.points, plan.directions, plan.planes, spec.n)
     points = sample_points(spec.domain, plan)
     bundle = curvature_bundle(metric_from_potential(spec.potential(), points, spec.n))

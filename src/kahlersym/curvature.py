@@ -21,6 +21,7 @@ released once R and dS are formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,6 +178,25 @@ def curvature_bundle(m: MetricJet) -> CurvatureBundle:
 
 # -- parallel transport --------------------------------------------------------
 
+# Stage-time tables held, one per step count.
+_STAGE_TABLES = 8
+
+
+@lru_cache(maxsize=_STAGE_TABLES)
+def _stage_times(steps: int):
+    """(times, where), read-only: the RK4 stage times t0, t0 + h/2 and
+    t0 + h of every step, h = 1/steps, merged where bitwise equal
+    (np.unique), and where[k, j] the position in times of stage j of step k."""
+    h = 1.0 / steps
+    stages = []
+    for k in range(steps):
+        t0 = k * h
+        stages.extend((t0, t0 + 0.5 * h, t0 + h))
+    times, where = np.unique(stages, return_inverse=True)
+    where = where.reshape(steps, 3)
+    times.flags.writeable = where.flags.writeable = False
+    return times, where
+
 
 def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np.ndarray:
     """Transport v0 along a polyline of chart points (W, 2n), giving (2n,),
@@ -184,9 +204,10 @@ def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np
 
     Classic fourth-order Runge-Kutta on v' = -Gamma(x(t))(x'(t), v) with
     ``steps`` fixed steps per edge.  The stage times t0, t0 + h/2 and
-    t0 + h of every step are merged where bitwise equal (np.unique), and
-    the connection at those times on every edge of a polyline is expanded
-    in one call.  The ODE is linear, so each step is the matrix
+    t0 + h of every step are merged where bitwise equal (np.unique, one
+    table per ``steps``), and the connection at those times on every edge
+    of every polyline of the stack is expanded in one depth-1 call.  The
+    ODE is linear, so each step is the matrix
 
         M = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   K1 = A0,  K2 = Am (I + h/2 K1),
         K3 = Am (I + h/2 K2),  K4 = A1 (I + h K3),
@@ -213,23 +234,17 @@ def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np
     v = np.broadcast_to(np.asarray(v0, float), (count, m))
 
     h = 1.0 / steps
-    # RK4 stage times of every step: t0, t0 + h/2 and t0 + h.
-    stages = []
-    for k in range(steps):
-        t0 = k * h
-        stages.extend((t0, t0 + 0.5 * h, t0 + h))
-    times, where = np.unique(stages, return_inverse=True)
+    times, where = _stage_times(steps)
     starts, dxs = paths[:, :-1], np.diff(paths, axis=1)
     edges = dxs.shape[1]
     stage_points = starts[:, :, None] + times[:, None] * dxs[:, :, None]
+    jet = metric_from_potential(potential, stage_points.reshape(-1, m), n, depth=1)
+    gamma = christoffel(jet).gamma.reshape(count * edges, len(times), m, m, m)
     # vel[q, e, i] = -Gamma(dx, .) on edge e of polyline q at stage time i.
-    vel = np.empty((count, edges, len(times), m, m))
-    for q, points in enumerate(stage_points):
-        jet = metric_from_potential(potential, points.reshape(-1, m), n, depth=1)
-        gamma = christoffel(jet).gamma.reshape(points.shape + (m, m))
-        vel[q] = -np.einsum("etcab,ea->etcb", gamma, dxs[q])
+    vel = -np.einsum("etcab,ea->etcb", gamma, dxs.reshape(count * edges, m)).reshape(
+        count, edges, len(times), m, m)
     # a[..., j, :, :] is A0, Am or A1 of each (edge, step), steps in order.
-    a = vel[:, :, where.reshape(steps, 3)].reshape(count, edges * steps, 3, m, m)
+    a = vel[:, :, where].reshape(count, edges * steps, 3, m, m)
     a0, am, a1 = a[:, :, 0], a[:, :, 1], a[:, :, 2]
     eye = np.eye(m)
     k2 = am @ (eye + 0.5 * h * a0)

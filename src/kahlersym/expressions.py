@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .jets import JetDomainError, JetScalar, jet_exp, jet_log, jet_space, jet_sqrt
 
 _FUNCTIONS = ("log", "exp", "sqrt")
+# Parsed trees kept, one per (source, n).
+_MAX_PARSED_TREES = 64
 _COORD_RE = re.compile(r"([xy])([0-9]+)\Z")
 _TOKEN_RE = re.compile(
     r"""(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
@@ -256,8 +259,12 @@ def _absq(k: int) -> Expr:
     return BinOp("+", Pow(Coord("x", k), 2), Pow(Coord("y", k), 2))
 
 
+@lru_cache(maxsize=_MAX_PARSED_TREES)
 def parse(source: str, n: int) -> Expr:
-    """Parse a potential for a manifold of complex dimension ``n``."""
+    """Parse a potential for a manifold of complex dimension ``n``.
+
+    The tree is immutable, so one is kept per (source, n) and every call
+    with those arguments returns it; errors are raised on every call."""
     if n < 1:
         raise ValueError("complex dimension n must be at least 1")
     parser = _Parser(_lex(source), n)

@@ -178,7 +178,7 @@ class JetSpace:
         # so every point gets the same bits whatever the points beside it.
         pairs, (left, right, out), support = self._chunk_tables(
             support_a, support_b, len(a) // self.size, degree)
-        if not pairs:
+        if not pairs or not len(a):  # an empty stack has no chunk to join
             return np.zeros(shape), support
         chunk = len(left) // pairs * self.size
         parts = []

@@ -47,6 +47,7 @@ class ManifoldSpec:
     expected_class: str | None = None
 
     def potential(self) -> Expr:
+        """The parsed potential: one immutable tree, shared by every call."""
         return parse(self.potential_source, self.n)
 
 

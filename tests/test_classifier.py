@@ -340,17 +340,43 @@ def test_sample_table_is_held_once_per_plan_and_n(n, directions, planes):
     assert all(a is b for a, b in zip((data.planes, data.dir_rows, data.plane_rows), held))
     assert table.cache_info().misses == 1 and table.cache_info().currsize == 1
 
-    # A hit, then a miss on each change of seed; every report as a cold run gives it.
+    # Runs alternating n and another dimension at one plan build each table once.
+    other_n = 3 if n == 4 else n + 1
+    other = ManifoldSpec(f"fs_cp{other_n}", other_n, "log(1+rsq)",
+                         ((-0.5, 0.5),) * (2 * other_n))
+    table.cache_clear()
+    seen = {}
+    for s in (spec, other, spec, other):
+        data = sample_evidence(s, plan)
+        rows = (data.planes, data.dir_rows, data.plane_rows)
+        first = seen.setdefault(s.n, rows)
+        assert all(a is b for a, b in zip(rows, first))
+    assert table.cache_info().misses == 2 and table.cache_info().currsize == 2
+
+    # One key beyond the bound drops the least recently used one.
+    table.cache_clear()
+    keys = [(plan.seed + k, plan.points, plan.directions, plan.planes, n)
+            for k in range(classifier._SAMPLE_TABLES + 1)]
+    tables = [table(*key) for key in keys]
+    assert table.cache_info().currsize == classifier._SAMPLE_TABLES
+    assert table(*keys[-1]) is tables[-1] and table(*keys[1]) is tables[1]
+    assert table.cache_info().misses == len(keys)
+    again = table(*keys[0])
+    assert again is not tables[0] and table.cache_info().misses == len(keys) + 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, tables[0]))
+
+    # Hits on a seen plan, a miss on each new seed; every report as a cold run gives it.
     runs = [plan, loose, replace(plan, seed=plan.seed + 10), plan]
     warm = []
     for p in runs:
         warm.append(run(spec, p).to_json())
-        assert table.cache_info().currsize == 1
+        assert table.cache_info().currsize <= classifier._SAMPLE_TABLES
     cold = []
     for p in runs:
         table.cache_clear()
         cold.append(run(spec, p).to_json())
     assert warm == cold
+
 
 def test_plan_validation():
     with pytest.raises(ValueError, match="at least 2"):

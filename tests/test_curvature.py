@@ -296,6 +296,23 @@ def test_bundle_requires_depth_three():
         christoffel(shallow)
 
 
+@pytest.mark.parametrize("source", ["log(1+rsq)", "exp(x1)", "sqrt(1+rsq)", "1/(1+rsq)",
+                                    "x1*y2"])
+def test_an_empty_stack_of_points_gives_empty_arrays(source):
+    tree = parse(source, 2)
+    empty = np.zeros((0, 4))
+    jet = eval_jet(tree, empty, 5)
+    assert jet.coeffs.shape == (0, jet.space.size)
+    assert jet.support == eval_jet(tree, np.full((1, 4), 0.3), 5).support
+    for depth in (1, 3):
+        m = metric_from_potential(tree, empty, 2, depth=depth)
+        assert m.g.shape == m.G.shape == (0, 4, 4) and m.dg.shape == (0, 4, 4, 4)
+    assert christoffel(metric_from_potential(tree, empty, 2, depth=1)).gamma.shape == (0, 4, 4, 4)
+    b = curvature_bundle(metric_from_potential(tree, empty, 2))
+    assert b.r13.shape == b.r04.shape == (0, 4, 4, 4, 4)
+    assert b.nabla_ricci.shape == (0, 4, 4, 4) and np.shape(b.scal) == (0,)
+
+
 def test_bundle_over_points_matches_each_point():
     # The bundle keeps gamma alone; d(gamma) is checked on christoffel of
     # the same stacked jet.

@@ -153,6 +153,20 @@ def test_bad_dimension_rejected():
         parse("x1", 0)
 
 
+def test_parse_keeps_one_tree_per_source_and_n():
+    tree = parse("log(1+rsq)", 2)
+    assert parse("log(1+rsq)", 2) is tree
+    assert parse("log(1+rsq)", 3) is not tree
+    assert parse("log(1+rsq)", 3) == parse("log(1 + rsq)", 3)
+    assert parse("log(1 + rsq)", 3) is not parse("log(1+rsq)", 3)
+    # Errors are raised on every call, never kept.
+    for _ in range(2):
+        with pytest.raises(PotentialSyntaxError, match="line 1, column 9"):
+            parse("x1 + (y1", 1)
+        with pytest.raises(ValueError, match="at least 1"):
+            parse("x1", 0)
+
+
 EVAL_CASES = [
     ("log(1+rsq)", 2),
     ("absq(1)+absq(2)+0.1*absq(1)*absq(2)", 2),

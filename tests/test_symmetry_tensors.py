@@ -470,8 +470,8 @@ def test_transport_experiment_rejects_a_bundle_from_elsewhere(fixtures, bundles)
 
 
 def test_transport_experiment_expands_each_loop_once(fixtures, bundles, monkeypatch):
-    """One depth-1 expansion per ladder loop, over the distinct RK4 stage
-    times of its four edges: 2 * 32 + 1 of them at steps = 32."""
+    """One depth-1 expansion per call, over the distinct RK4 stage times of
+    the four edges of both ladder loops: 2 * 32 + 1 of them at steps = 32."""
     spec = fixtures["perturbed_flat"]
     expanded = []
 
@@ -483,7 +483,11 @@ def test_transport_experiment_expands_each_loop_once(fixtures, bundles, monkeypa
     transport_experiment(spec.potential(), spec.n, POINTS["perturbed_flat"],
                          np.array([0.9, -0.2, 0.4, 0.7]), 0, 2,
                          bundle=bundles["perturbed_flat"])
-    assert expanded == [((4 * 65, 4), 1)] * 2
+    assert expanded == [((2 * 4 * 65, 4), 1)]
+    # The stage-time table is built once per step count, read-only.
+    times, where = curvature._stage_times(32)
+    assert curvature._stage_times(32)[0] is times and where.shape == (32, 3)
+    assert len(times) == 65 and not times.flags.writeable and not where.flags.writeable
 
 
 @pytest.mark.parametrize("h", [1e-200, 1e-20])
