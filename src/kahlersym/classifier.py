@@ -32,7 +32,7 @@ from .curvature import CurvatureBundle, curvature_bundle
 from .metrics import metric_from_potential
 from .symmetry_tensors import _complex_from_real, r_dot_s, tachibana_ricci
 from .tensor_algebra import floored_scale, max_norm, rel_violation, standard_complex_structure
-from .zoo import ManifoldSpec
+from .zoo import LADDER_CLASSES, ManifoldSpec
 
 PASS = "pass"
 FAIL = "fail"
@@ -287,54 +287,36 @@ def _combine(name: str, direct: float, characterization: float | None,
     return CriterionVerdict(name, INCONCLUSIVE, direct, characterization, True, details)
 
 
-def _einstein(data, plan: SamplePlan):
+def _plane_route(t: np.ndarray, data, scale: np.ndarray):
+    """The holo route of a rung read off the plane values t(u,u;x,Jx), and
+    their f_S samples (``_fit_samples``), copied out first: the route's
+    reduction overwrites the values, which are freed on return."""
+    values = _plane_reduce(t, data.dir_rows, data.plane_rows)
+    samples = _fit_samples(values)
+    return rel_violation(values, scale, 2), samples
+
+
+def _routes(data):
+    """Per-point (direct, holo) violations of the rungs decided from S,
+    keyed by rung name in ladder order (holo None where a rung has no plane
+    route), the lambda values, and the f_S samples R.S(v,v;x,Jx) and
+    Qc(g,S)(v,v;x,Jx) of ``_holo_pseudosymmetric``."""
     b, sc = data.bundle, data.scales
     g = b.metric.g
     lams = b.scal / g.shape[-1]
-    direct_pp = max_norm(b.ricci - lams[:, None, None] * g, 2) / sc["S - lambda g"]
-    values = _plane_reduce(data.qc, data.dir_rows, data.plane_rows)
-    samples = _fit_samples(values)
-    char_pp = rel_violation(values, sc["Qc"], 2)
-    spread = (lams.max() - lams.min()) / float(np.max(sc["lambda"]))
-    verdict = _combine(
-        "einstein",
-        max(float(direct_pp.max()), float(spread)),
-        float(char_pp.max()),
-        plan.tolerance,
-        {"lambda_spread": float(spread)},
-    )
-    return verdict, lams, direct_pp, char_pp, samples
-
-
-def _ricci_flat(data, plan: SamplePlan):
-    per_point = data.scales["|S|"] / data.scales["S"]
-    verdict = _combine("ricci_flat", float(per_point.max()), None, plan.tolerance, {})
-    return verdict, per_point
-
-
-def _ricci_parallel(data, plan: SamplePlan):
-    b, scale = data.bundle, data.scales["nabla S"]
-    direct_pp = max_norm(b.nabla_ricci, 3) / scale
-    values = _parallel_plane_values(b.nabla_ricci, data.dir_rows, data.planes, b.metric.J)
-    char_pp = rel_violation(values, scale, 2)
-    verdict = _combine(
-        "ricci_parallel", float(direct_pp.max()), float(char_pp.max()),
-        plan.tolerance, {},
-    )
-    return verdict, direct_pp, char_pp
-
-
-def _ricci_semisymmetric(data, plan: SamplePlan):
-    scale = data.scales["R.S"]
-    direct_pp = data.scales["|R.S|"] / scale
-    values = _plane_reduce(data.rs, data.dir_rows, data.plane_rows)
-    samples = _fit_samples(values)
-    char_pp = rel_violation(values, scale, 2)
-    verdict = _combine(
-        "ricci_semisymmetric", float(direct_pp.max()), float(char_pp.max()),
-        plan.tolerance, {},
-    )
-    return verdict, direct_pp, char_pp, samples
+    einstein_holo, dens = _plane_route(data.qc, data, sc["Qc"])
+    semi_holo, nums = _plane_route(data.rs, data, sc["R.S"])
+    routes = {
+        "ricci_flat": (sc["|S|"] / sc["S"], None),
+        "einstein": (max_norm(b.ricci - lams[:, None, None] * g, 2) / sc["S - lambda g"],
+                     einstein_holo),
+        "ricci_parallel": (
+            max_norm(b.nabla_ricci, 3) / sc["nabla S"],
+            rel_violation(_parallel_plane_values(b.nabla_ricci, data.dir_rows, data.planes,
+                                                 b.metric.J), sc["nabla S"], 2)),
+        "ricci_semisymmetric": (sc["|R.S|"] / sc["R.S"], semi_holo),
+    }
+    return routes, lams, nums, dens
 
 
 def _holo_pseudosymmetric(data, plan: SamplePlan, nums: np.ndarray, dens: np.ndarray):
@@ -414,13 +396,7 @@ class LadderVerdict:
     evidence: dict[str, tuple[float, ...]]
 
     def criteria(self):
-        return (
-            self.ricci_flat,
-            self.einstein,
-            self.ricci_parallel,
-            self.ricci_semisymmetric,
-            self.holo_ricci_pseudosymmetric,
-        )
+        return tuple(getattr(self, name) for name in LADDER_CLASSES)
 
     @property
     def any_route_mismatch(self) -> bool:
@@ -442,38 +418,27 @@ def _check_lattice(criteria) -> None:
 
 def classify_evidence(data, plan: SamplePlan) -> LadderVerdict:
     """Decide every rung from point evidence (n is its metric's) and enforce the chain."""
-    einstein, lams, ein_direct, ein_char, qc_samples = _einstein(data, plan)
-    flat, flat_pp = _ricci_flat(data, plan)
-    parallel, par_direct, par_char = _ricci_parallel(data, plan)
-    semi, semi_direct, semi_char, rs_samples = _ricci_semisymmetric(data, plan)
-    hrps, hrps_spread, hrps_residual, f_hats = _holo_pseudosymmetric(
-        data, plan, rs_samples, qc_samples)
+    routes, lams, nums, dens = _routes(data)
+    spread = float((lams.max() - lams.min()) / float(np.max(data.scales["lambda"])))
+    criteria, evidence = [], {}
+    for name in LADDER_CLASSES[:-1]:
+        direct, holo = routes[name]
+        # Einstein also needs one lambda at every point: its direct route reads the spread.
+        details = {"lambda_spread": spread} if name == "einstein" else {}
+        criteria.append(_combine(name, max([float(direct.max()), *details.values()]),
+                                 None if holo is None else float(holo.max()),
+                                 plan.tolerance, details))
+        evidence[f"{name}.direct"] = direct
+        if holo is not None:
+            evidence[f"{name}.holo"] = holo
+    hrps, spread_pp, residual_pp, f_hats = _holo_pseudosymmetric(data, plan, nums, dens)
+    criteria.append(hrps)
+    evidence[f"{hrps.name}.spread"], evidence[f"{hrps.name}.residual"] = spread_pp, residual_pp
 
-    criteria = (flat, einstein, parallel, semi, hrps)
     _check_lattice(criteria)
-    classification = "none"
-    for c in criteria:
-        if c.status == PASS:
-            classification = c.name
-            break
-
-    evidence = {
-        "ricci_flat.direct": flat_pp,
-        "einstein.direct": ein_direct,
-        "einstein.holo": ein_char,
-        "ricci_parallel.direct": par_direct,
-        "ricci_parallel.holo": par_char,
-        "ricci_semisymmetric.direct": semi_direct,
-        "ricci_semisymmetric.holo": semi_char,
-        "holo_ricci_pseudosymmetric.spread": hrps_spread,
-        "holo_ricci_pseudosymmetric.residual": hrps_residual,
-    }
+    classification = next((c.name for c in criteria if c.status == PASS), "none")
     return LadderVerdict(
-        ricci_flat=flat,
-        einstein=einstein,
-        ricci_parallel=parallel,
-        ricci_semisymmetric=semi,
-        holo_ricci_pseudosymmetric=hrps,
+        **{c.name: c for c in criteria},
         classification=classification,
         lambda_hat=float(np.mean(lams)),
         lambda_values=tuple(lams.tolist()),
@@ -482,4 +447,3 @@ def classify_evidence(data, plan: SamplePlan) -> LadderVerdict:
         below_theorem_dimension=data.bundle.metric.n < 2,
         evidence={key: tuple(values.tolist()) for key, values in evidence.items()},
     )
-

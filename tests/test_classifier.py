@@ -17,13 +17,12 @@ from kahlersym.classifier import (
     LatticeError,
     SamplePlan,
     _check_lattice,
-    _einstein,
     _fit_samples,
     _holo_pseudosymmetric,
     _outer_rows,
     _parallel_plane_values,
     _plane_reduce,
-    _ricci_semisymmetric,
+    _routes,
     _scales,
     direction_samples,
     plane_samples,
@@ -71,6 +70,29 @@ def test_no_route_mismatch_anywhere(full_reports):
         assert not report.verdict.any_route_mismatch, name
         for criterion in report.verdict.criteria():
             assert criterion.status in (PASS, FAIL), (name, criterion.name)
+
+
+@pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(points=30, directions=7, planes=11,
+                                                           seed=3)], ids=["default", "30x7x11"])
+def test_criterion_numbers_are_the_worst_of_their_evidence(fixtures, full_reports, plan):
+    """A rung's direct and characterization are the largest values of its
+    evidence series: <rung>.direct and <rung>.holo, or the spread and the
+    residual of holo_ricci_pseudosymmetric.  Einstein's direct also reads
+    the lambda spread; ricci_flat has no holo route."""
+    for name, spec in fixtures.items():
+        verdict = (full_reports[name] if plan == SamplePlan() else run(spec, plan)).verdict
+        evidence = verdict.evidence
+        for c in verdict.criteria():
+            routes = (("spread", "residual") if c.name == "holo_ricci_pseudosymmetric"
+                      else ("direct", "holo"))
+            direct, holo = (evidence.get(f"{c.name}.{route}") for route in routes)
+            worst = max(direct)
+            if c.name == "einstein":
+                worst = max(worst, c.details["lambda_spread"])
+            assert c.direct == worst, (name, c.name)
+            assert (holo is None) == (c.name == "ricci_flat"), (name, c.name)
+            assert c.characterization == (None if holo is None else max(holo)), (name, c.name)
+        assert len(evidence) == 9, name
 
 
 # Holomorphically Ricci-pseudosymmetric witnesses with a non-constant f_S.
@@ -592,8 +614,7 @@ def test_sample_contractions_over_points_match_one_point_at_a_time(n):
 def _deszcz_fit(data, plan):
     """The holo_ricci_pseudosymmetric rung on the samples that the
     ricci_semisymmetric and einstein rungs read off their plane values."""
-    nums = _ricci_semisymmetric(data, plan)[-1]
-    dens = _einstein(data, plan)[-1]
+    nums, dens = _routes(data)[2:]
     return _holo_pseudosymmetric(data, plan, nums, dens)
 
 
@@ -603,7 +624,7 @@ def test_deszcz_fit_over_points_matches_the_point_loop(fixtures):
     # 2 keeps the 4 samples whose |Qc(g,S)| lies above the middle ones.
     plan = SamplePlan(points=6, directions=5, planes=7, seed=2)
     data = sample_evidence(fixtures["perturbed_flat"], plan)
-    dens = np.abs(_einstein(data, plan)[-1][2])
+    dens = np.abs(_routes(data)[-1][2])
     qc = data.qc.copy()
     qc[[1, 4]] = 0.0
     qc[2] *= DEPENDENCE_THRESHOLD * data.scales["Qc"][2] / np.sort(dens)[2:4].mean()
