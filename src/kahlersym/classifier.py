@@ -177,16 +177,17 @@ def _scales(b: CurvatureBundle, rs, qc) -> dict[str, np.ndarray]:
         ("S", b.ricci, 2), ("dS", b.dricci, 3), ("R13", b.r13, 4), ("R04", b.r04, 4),
         ("Qc", qc, 4), ("R.S", rs, 4))}
     g, s, r13, gamma = sc["|g|"], sc["|S|"], sc["|R13|"], sc["|gamma|"]
+    s = floored_scale(s, m * r13)
     lam = np.abs(b.scal / m)
     sc.update({
-        "S": floored_scale(s, m * r13),
-        "lambda": floored_scale(lam),
+        "S": s,
+        "lambda": floored_scale(lam, s / m),
         "S - lambda g": floored_scale(s, lam * g),
         "nabla S": floored_scale(sc["|dS|"], m * gamma * s),
         # An entry of R.S sums 2m products, so |R.S| <= 2m |R13||S| up to roundoff.
         "R.S": floored_scale(sc["|R.S|"], 2.0 * m * r13 * s),
-        # The floor |g||S| keeps roundoff in an identically zero Qc(g,S)
-        # (Einstein points) from counting as curvature dependence.
+        # The floor |g| "S" keeps roundoff in an identically zero Qc(g,S)
+        # (Einstein and Ricci-flat points) from counting as curvature dependence.
         "Qc": floored_scale(sc["|Qc|"], g * s),
         "R": floored_scale(sc["|R04|"], g * (b.norm_dgamma + m * gamma ** 2)),
         "f_S": r13 / g,

@@ -1,6 +1,7 @@
 """Connection and curvature against closed forms and finite differences."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from kahlersym.expressions import eval_jet, parse
 from kahlersym.metrics import metric_from_potential
 from kahlersym.symmetry_tensors import parallelogram_loop
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
-from kahlersym.zoo import ManifoldSpec, zoo
+from kahlersym.zoo import ManifoldSpec, load_spec, zoo
 
 from helpers import (
     DegeneratePlane,
@@ -383,13 +384,16 @@ def test_kernels_match_einsum_references(n):
 
 
 # The zoo, two holomorphically Ricci-pseudosymmetric witnesses (n = 2 and
-# n = 3) and the semisymmetric witness.
+# n = 3), the semisymmetric witness and the curved Ricci-flat Eguchi-Hanson
+# metric, whose S is roundoff.
 LOG_DET_SPECS = {
     **zoo(),
     "exp_rsq": ManifoldSpec("exp_rsq", 2, "exp(rsq)", ((-0.5, 0.5),) * 4),
     "quartic_rsq": ManifoldSpec("quartic_rsq", 3, "rsq + 0.3*rsq^2", ((-0.5, 0.5),) * 6),
     "semisymmetric": ManifoldSpec("semisymmetric", 2,
                                   "log(1+absq(1)) + absq(2) + 0.2*absq(2)^2", ((-0.8, 0.8),) * 4),
+    "eguchi_hanson": load_spec(os.path.join(os.path.dirname(__file__), "manifests",
+                                            "eguchi_hanson.txt")),
 }
 
 

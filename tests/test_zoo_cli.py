@@ -15,6 +15,7 @@ from kahlersym.cli import _plan_from_args, _resolve_target, build_parser, main
 from kahlersym.zoo import LADDER_CLASSES, ManifestError, ManifoldSpec, load_spec
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+MANIFEST_DIR = os.path.join(os.path.dirname(__file__), "manifests")
 SMALL_ARGS = ["--points", "4", "--dirs", "4", "--planes", "4", "--seed", "0"]
 
 ZOO_NAMES = [
@@ -285,6 +286,20 @@ def test_cli_steep_potential_exits_zero(tmp_path, capsys, seed):
     assert main(["classify", path, "--seed", seed]) == 0
     assert "classification: holo_ricci_pseudosymmetric" in capsys.readouterr().out
     assert main(["verify-identities", path, "--seed", seed]) == 0
+
+
+EGUCHI_HANSON = ["eguchi_hanson.txt", "eguchi_hanson_times_c.txt", "eguchi_hanson_small_a.txt"]
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2", "9"])
+@pytest.mark.parametrize("manifest", EGUCHI_HANSON)
+def test_cli_curved_ricci_flat_exits_zero(capsys, manifest, seed):
+    """Eguchi-Hanson (a^2 = 1 and 0.1) and its product with C are Ricci-flat
+    but curved: S is roundoff, so a scale built from the bare |S| divided
+    roundoff by roundoff and broke the ladder (exit 3)."""
+    path = os.path.join(MANIFEST_DIR, manifest)
+    assert main(["classify", path, "--seed", seed]) == 0
+    assert "classification: ricci_flat  (expected: ricci_flat)" in capsys.readouterr().out
 
 
 def test_cli_unknown_target_is_input_error(capsys):
