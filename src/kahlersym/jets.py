@@ -210,8 +210,8 @@ class JetScalar:
     monomial i), found from how the jet was formed, not from its data: a
     constant has support {0}, a variable {0, e_k}; a sum takes the union
     of the supports; a product the out positions of the pairs it gathers
-    (every monomial if an operand is not finite); scaling and negation
-    keep it.  Every coefficient outside the support is zero while the
+    (every monomial if an operand is not finite); negation
+    keeps it.  Every coefficient outside the support is zero while the
     coefficients are finite.  A jet built from raw coefficients has the
     full support.
 
@@ -268,8 +268,6 @@ class JetScalar:
             if other.space is not self.space:
                 raise ValueError("jets belong to different spaces")
             return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return JetScalar.constant(self.space, float(other))
         return None
 
     def __add__(self, other):
@@ -279,8 +277,6 @@ class JetScalar:
         return JetScalar(self.space, self.coeffs + other.coeffs,
                          support=self.support | other.support)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -288,25 +284,14 @@ class JetScalar:
         return JetScalar(self.space, self.coeffs - other.coeffs,
                          support=self.support | other.support)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return JetScalar(self.space, other.coeffs - self.coeffs,
-                         support=self.support | other.support)
-
     def __neg__(self):
         return JetScalar(self.space, -self.coeffs, support=self.support)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return JetScalar(self.space, self.coeffs * float(other), support=self.support)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self._times(other)
-
-    __rmul__ = __mul__
 
     def _times(self, other: "JetScalar", degree: int | None = None) -> "JetScalar":
         """The product with a jet of the same space, its coefficients formed
@@ -320,20 +305,10 @@ class JetScalar:
         return JetScalar(self.space, coeffs, support=support)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            if float(other) == 0.0:
-                raise JetDomainError(f"division by zero value {float(other)!r}")
-            return JetScalar(self.space, self.coeffs / float(other), support=self.support)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.reciprocal()
 
     def __pow__(self, exponent):
         if isinstance(exponent, float) and exponent.is_integer():

@@ -51,6 +51,11 @@ def jet_of_poly(poly, space, point):
     return acc
 
 
+def const(space, value):
+    """The constant ``value`` as a jet of ``space``: jets combine only with jets."""
+    return JetScalar.constant(space, value)
+
+
 def test_space_monomial_count():
     # C(nvars + order, order) graded monomials
     space = jet_space(4, 5)
@@ -101,7 +106,7 @@ def test_quotient_of_polynomials():
     space = jet_space(2, 5)
     x = JetScalar.variable(space, 0, 0.3)
     y = JetScalar.variable(space, 1, -0.2)
-    f = (1.0 + x * y) / (2.0 + x)
+    f = (const(space, 1.0) + x * y) / (const(space, 2.0) + x)
     # check against directly computed values via finite differences of the
     # closed form at machine-tight tolerance on low orders
     def closed(p):
@@ -130,7 +135,7 @@ def test_log_exp_inverse_composition(order):
     space = jet_space(2, order)
     x = JetScalar.variable(space, 0, 0.4)
     y = JetScalar.variable(space, 1, 0.1)
-    f = 1.0 + x * x + y
+    f = const(space, 1.0) + x * x + y
     back = jet_exp(jet_log(f))
     np.testing.assert_allclose(back.coeffs, f.coeffs, rtol=0, atol=1e-13)
 
@@ -139,7 +144,7 @@ def test_sqrt_squares_back():
     space = jet_space(2, 5)
     x = JetScalar.variable(space, 0, 0.7)
     y = JetScalar.variable(space, 1, -0.3)
-    f = 2.0 + x + x * y
+    f = const(space, 2.0) + x + x * y
     r = jet_sqrt(f)
     np.testing.assert_allclose((r * r).coeffs, f.coeffs, rtol=0, atol=1e-13)
 
@@ -149,7 +154,7 @@ def test_log_derivatives_match_closed_form():
     space = jet_space(1, 5)
     a = 0.6
     t = JetScalar.variable(space, 0, a)
-    f = jet_log(1.0 + t)
+    f = jet_log(const(space, 1.0) + t)
     for k in range(1, 6):
         expected = (-1.0) ** (k + 1) * math.factorial(k - 1) / (1 + a) ** k
         assert partials(f, k)[(0,) * k] == pytest.approx(expected, rel=1e-13)
@@ -161,11 +166,11 @@ def test_domain_errors():
     with pytest.raises(JetDomainError):
         jet_log(x)  # log(0)
     with pytest.raises(JetDomainError):
-        jet_sqrt(x - 1.0)
+        jet_sqrt(x - const(space, 1.0))
     with pytest.raises(JetDomainError):
         x.reciprocal()
     with pytest.raises(JetDomainError):
-        (1.0 + x) / 0.0
+        (const(space, 1.0) + x) / const(space, 0.0)
 
 
 def test_mixed_space_rejected():
@@ -376,14 +381,15 @@ def test_supports_of_the_ring_operations():
     y = JetScalar.variable(space, 1, -1.5)
     c = JetScalar.constant(space, 3.0)
     assert (c.support, x.support, y.support) == (one, one | ex, one | ey)
-    assert (x + c).support == (c - x).support == (1.0 - x).support == one | ex
+    assert (x + c).support == (c - x).support == (const(space, 1.0) - x).support == one | ex
     assert (x + y).support == (y - x).support == one | ex | ey
     assert (x * y).support == one | ex | ey | exy
     assert (x * y + x).support == (x * y).support
-    assert (-(x * y)).support == (2.5 * x * y).support == (x * y / 4.0).support == (x * y).support
+    assert (-(x * y)).support == (const(space, 2.5) * x * y).support \
+        == (x * y / const(space, 4.0)).support == (x * y).support
     assert (x**3 * y**4).support == monomials(*[(a, b) for a in range(4) for b in range(5)
                                                 if a + b <= 5])
-    assert jet_log(1.0 + x).support == monomials(*[(a, 0) for a in range(6)])
+    assert jet_log(const(space, 1.0) + x).support == monomials(*[(a, 0) for a in range(6)])
     assert jet_exp(c).support == one
     assert JetScalar(space, x.coeffs).support == space.full
     assert JetScalar.variable(jet_space(2, 0), 1, 2.0).support == 1
@@ -410,13 +416,13 @@ def test_non_finite_products_gather_every_pair():
     x = JetScalar.variable(space, 0, 0.5)
     y = JetScalar.variable(space, 1, -1.5)
     with np.errstate(invalid="ignore", over="ignore"):
-        huge = x * 1e200 * (y * 1e200)
+        huge = x * const(space, 1e200) * (y * const(space, 1e200))
         cases = [
             (JetScalar.constant(space, np.inf), y),
             (y, JetScalar.constant(space, np.nan)),
             (huge, huge),
             (huge * x, y),
-            (x * np.inf, y * y),
+            (x * const(space, np.inf), y * y),
         ]
     for a, b in cases:
         with np.errstate(invalid="ignore", over="ignore"):
@@ -428,7 +434,7 @@ def test_non_finite_products_gather_every_pair():
     # Finite operands whose product overflows: the skipped products are
     # +0 or -0, so the result has the bits of every pair, and its support
     # stays the one the pairs give.
-    a, b = x * 1e200, y * 1e200
+    a, b = x * const(space, 1e200), y * const(space, 1e200)
     with np.errstate(over="ignore"):
         got = a * b
     assert not np.all(np.isfinite(got.coeffs))
@@ -598,19 +604,19 @@ def horner_cases(rng, space, points):
     composition of two of them, expanded about a stack of points."""
 
     def poly():
-        return jet_of_poly(random_poly(rng, space.nvars, 3), space, points.T) * 0.25
+        return jet_of_poly(random_poly(rng, space.nvars, 3), space, points.T) * const(space, 0.25)
 
     def positive():
         p = poly()
-        return p + (0.5 - float(p.coeffs[..., 0].min()))
+        return p + const(space, 0.5 - float(p.coeffs[..., 0].min()))
 
     return [
         lambda: jet_log(positive()),
         lambda: jet_exp(poly()),
         lambda: jet_sqrt(positive()),
-        lambda: 1.0 / positive(),
+        lambda: const(space, 1.0) / positive(),
         lambda: poly() / positive(),
-        lambda: jet_exp(jet_log(positive()) * 0.5) - poly(),
+        lambda: jet_exp(jet_log(positive()) * const(space, 0.5)) - poly(),
     ]
 
 
@@ -786,7 +792,7 @@ def test_integer_powers_have_the_bits_of_powers_from_one():
     x = JetScalar.variable(space, 0, [0.5, -1.5, 0.0])
     y = JetScalar.variable(space, 2, [2.0, 0.25, -0.75])
     raw = JetScalar(space, bounded_coeffs(rng, space, (3,), 2))
-    for base in (x, x * y - 0.5, raw, -raw):
+    for base in (x, x * y - const(space, 0.5), raw, -raw):
         for exponent in range(8):
             want = JetScalar.constant(space, 1.0)
             power, k = base, exponent
