@@ -420,14 +420,15 @@ def _check_lattice(criteria) -> None:
 def classify_evidence(data, plan: SamplePlan) -> LadderVerdict:
     """Decide every rung from point evidence (n is its metric's) and enforce the chain."""
     routes, lams, nums, dens = _routes(data)
-    spread = float((lams.max() - lams.min()) / float(np.max(data.scales["lambda"])))
+    spread = float(lams.max() - lams.min()) / float(np.max(data.scales["lambda"]))
     criteria, evidence = [], {}
     for name in LADDER_CLASSES[:-1]:
         direct, holo = routes[name]
-        # Einstein also needs one lambda at every point: its direct route reads the spread.
-        details = {"lambda_spread": spread} if name == "einstein" else {}
-        criteria.append(_combine(name, max([float(direct.max()), *details.values()]),
-                                 None if holo is None else float(holo.max()),
+        worst, details = float(direct.max()), {}
+        if name == "einstein":
+            # Einstein also needs one lambda at every point.
+            worst, details = max(worst, spread), {"lambda_spread": spread}
+        criteria.append(_combine(name, worst, None if holo is None else float(holo.max()),
                                  plan.tolerance, details))
         evidence[f"{name}.direct"] = direct
         if holo is not None:
