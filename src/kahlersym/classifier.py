@@ -168,8 +168,9 @@ def _scales(b: CurvatureBundle, rs, qc) -> dict[str, np.ndarray]:
     "Scales").  One value per point for stacked tensors.
 
     Scales of curvature tensors of type (1,3) do not change when the
-    potential is multiplied by a constant: "S" = max(|S|, m |R|) does not,
-    and f_S scales as 1/c under K -> cK, as "f_S" = |R| / |g| does.
+    potential is multiplied by a constant: "S" = max(|S|, m |R|) does not.
+    f_S and lambda scale as 1/c under K -> cK, as "f_S" = |R| / |g| and the
+    floor "S" / (m |g|) of "lambda" do.
     """
     m = b.metric.g.shape[-1]
     sc = {f"|{name}|": max_norm(t, rank) for name, t, rank in (
@@ -181,7 +182,7 @@ def _scales(b: CurvatureBundle, rs, qc) -> dict[str, np.ndarray]:
     lam = np.abs(b.scal / m)
     sc.update({
         "S": s,
-        "lambda": floored_scale(lam, s / m),
+        "lambda": floored_scale(lam, s / (m * g)),
         "S - lambda g": floored_scale(s, lam * g),
         "nabla S": floored_scale(sc["|dS|"], m * gamma * s),
         # An entry of R.S sums 2m products, so |R.S| <= 2m |R13||S| up to roundoff.

@@ -1,5 +1,6 @@
 """Ladder classification: sampling, evidence, verdicts, lattice checks."""
 
+import os
 import re
 import warnings
 from dataclasses import replace
@@ -35,7 +36,7 @@ from kahlersym.metrics import metric_from_potential
 from kahlersym.runner import run
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s
 from kahlersym.tensor_algebra import max_norm, standard_complex_structure
-from kahlersym.zoo import ManifoldSpec
+from kahlersym.zoo import ManifoldSpec, load_spec
 
 from helpers import (
     deszcz_fit_loop,
@@ -102,10 +103,15 @@ WITNESSES = (
 )
 
 
+# A curved Ricci-flat metric: S is roundoff, so every scale must rest on the curvature.
+EGUCHI_HANSON = load_spec(os.path.join(os.path.dirname(__file__), "manifests",
+                                       "eguchi_hanson.txt"))
+
+
 @pytest.fixture(scope="module")
 def unscaled_reports(fixtures, full_reports, full_plan):
     return [(spec, full_reports[name]) for name, spec in fixtures.items()] + [
-        (spec, run(spec, full_plan)) for spec in WITNESSES
+        (spec, run(spec, full_plan)) for spec in (EGUCHI_HANSON, *WITNESSES)
     ]
 
 
@@ -176,6 +182,20 @@ def _unitary(spec):
 
 CHART_MAPS = {f"dilation_{lam!r}": _dilation(lam) for lam in (1e-3, 1e-2, 1e2, 1e3)}
 CHART_MAPS["unitary"] = _unitary
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-3, 1e3, 1e9])
+def test_lambda_spread_is_invariant_under_potential_scaling(c):
+    """At n = 1 every metric is pointwise Einstein (S = K g), so the einstein
+    rung rests on the lambda spread alone.  K -> cK scales lambda and the
+    scale "lambda" alike, by 1/c, so the spread and the rung stay put."""
+    spec = ManifoldSpec("surface", 1, "absq(1) + 0.3*absq(1)^2", ((-0.8, 0.8),) * 2)
+    reference = run(spec).verdict.einstein
+    scaled = run(replace(spec, potential_source=f"{c!r}*({spec.potential_source})"))
+    einstein = scaled.verdict.einstein
+    assert einstein.status == reference.status
+    spread = reference.details["lambda_spread"]
+    assert abs(einstein.details["lambda_spread"] - spread) <= 1e-12 * spread
 
 
 @pytest.mark.parametrize("chart_map", CHART_MAPS.values(), ids=CHART_MAPS)
