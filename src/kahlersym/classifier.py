@@ -5,6 +5,8 @@ Ricci-semisymmetric, holomorphically Ricci-pseudosymmetric) is decided by
 two independent routes: the direct tensor definition and the
 holomorphic-plane characterization.  A rung passes only when both routes
 pass; disagreement is reported as inconclusive, never silently resolved.
+The four rungs read from S are one table of per-point routes (``_routes``),
+decided in ladder order by one loop.
 The inclusion chain between rungs is enforced after the fact: an upstream
 pass combined with a downstream fail raises LatticeError, because it can
 only come from a bookkeeping bug.
