@@ -32,7 +32,7 @@ import numpy as np
 
 from .curvature import CurvatureBundle, curvature_bundle
 from .metrics import metric_from_potential
-from .symmetry_tensors import _complex_from_real, r_dot_s, tachibana_ricci
+from .symmetry_tensors import complex_tachibana_ricci, r_dot_s
 from .tensor_algebra import floored_scale, max_norm, rel_violation, standard_complex_structure
 from .zoo import LADDER_CLASSES, ManifoldSpec
 
@@ -176,7 +176,7 @@ def _scales(b: CurvatureBundle, rs, qc) -> dict[str, np.ndarray]:
     """
     m = b.metric.g.shape[-1]
     sc = {f"|{name}|": max_norm(t, rank) for name, t, rank in (
-        ("g", b.metric.g, 2), ("gamma", b.connection.gamma, 3),
+        ("g", b.metric.g, 2), ("gamma", b.gamma, 3),
         ("S", b.ricci, 2), ("dS", b.dricci, 3), ("R13", b.r13, 4), ("R04", b.r04, 4),
         ("Qc", qc, 4), ("R.S", rs, 4))}
     g, s, r13, gamma = sc["|g|"], sc["|S|"], sc["|R13|"], sc["|gamma|"]
@@ -204,7 +204,7 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
     planes, dir_rows, plane_rows = _sample_table(
         plan.seed, plan.points, plan.directions, plan.planes, bundle.metric.n)
     rs = r_dot_s(bundle)
-    qc = _complex_from_real(tachibana_ricci(bundle.metric.g, bundle.ricci))
+    qc = complex_tachibana_ricci(bundle.metric.g, bundle.ricci)
     return PointData(
         bundle=bundle,
         rs=rs,

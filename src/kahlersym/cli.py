@@ -26,8 +26,7 @@ from .classifier import (
     sample_points,
 )
 from .curvature import curvature_bundle
-from .expressions import PotentialError
-from .metrics import MetricError, NotPositiveDefinite, metric_from_potential
+from .metrics import NotPositiveDefinite, metric_from_potential
 from .runner import run
 from .symmetry_tensors import (
     DEFAULT_EPS_LADDER,
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
     except NotPositiveDefinite as err:
         sys.stderr.write(f"not Kahler: {err}\n")
         return EXIT_NOT_KAHLER
-    except (ManifestError, PotentialError, MetricError, ValueError) as err:
+    except ValueError as err:
         sys.stderr.write(f"input error: {err}\n")
         return EXIT_INPUT
     except LatticeError as err:

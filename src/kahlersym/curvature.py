@@ -14,8 +14,8 @@ S_bc = r13[a,a,b,c], equal to contracting r04 with the inverse metric in
 its first and last slots.  The connection stops at d(gamma): dS comes
 from the Ricci potential log det g of the metric jet, with no
 connection (see _ricci_derivative).  A curvature bundle keeps the
-depth-1 part of its jet and gamma alone: ddg, t and d(gamma) are
-released once R and dS are formed.
+depth-1 part of its jet and gamma, not d(gamma): ddg, t and d(gamma)
+are released once R and dS are formed.
 """
 
 from __future__ import annotations
@@ -31,28 +31,19 @@ from .tensor_algebra import j_conjugate_last_pair, max_norm
 
 
 @dataclass(frozen=True)
-class Connection:
-    """gamma[c,a,b]; dgamma[e,c,a,b] = d_e gamma[c,a,b] from a depth >= 2 jet,
-    else None, and None in a curvature bundle."""
-
-    gamma: np.ndarray
-    dgamma: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class CurvatureBundle:
     """Curvature at one point, or at several stacked on a leading point axis.
 
     ``metric`` is the depth-1 part of the jet the bundle was built from
-    (ddg = t = None) and ``connection`` holds gamma alone (dgamma = None):
-    the jet's ddg and t and d(gamma) feed only R and dS, so they are not
-    kept.  ``norm_dgamma`` is the max-norm of d(gamma) at each point, the
-    one value read of it afterwards; ``christoffel`` of a depth >= 2 jet
-    gives d(gamma) itself.
+    (ddg = t = None) and ``gamma`` its Christoffel symbols: the jet's ddg
+    and t and d(gamma) feed only R and dS, so they are not kept.
+    ``norm_dgamma`` is the max-norm of d(gamma) at each point, the one
+    value read of it afterwards; ``christoffel`` of a depth >= 2 jet gives
+    d(gamma) itself.
     """
 
     metric: MetricJet
-    connection: Connection
+    gamma: np.ndarray
     r13: np.ndarray
     r04: np.ndarray
     ricci: np.ndarray
@@ -68,8 +59,9 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return 0.5 * (np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg)
 
 
-def christoffel(m: MetricJet) -> Connection:
-    """Christoffel symbols, and their first derivatives when the jet has ddg.
+def christoffel(m: MetricJet) -> tuple[np.ndarray, np.ndarray | None]:
+    """(gamma, dgamma): gamma[c,a,b], and dgamma[e,c,a,b] = d_e gamma[c,a,b]
+    when the jet has ddg, else None.
 
     g . gamma = gamma_1 (symbols of the first kind), and differentiated
     g d(gamma) = d(gamma_1) - dg . gamma.  The contractions are batched
@@ -86,14 +78,13 @@ def christoffel(m: MetricJet) -> Connection:
              - m.dg.reshape(lead + (d * d, d)) @ gamma)
         dgamma = (m.G[..., None, :, :] @ t.reshape(lead + (d, d, d * d))
                   ).reshape(lead + (d,) * 4)
-    return Connection(gamma.reshape(lead + (d,) * 3), dgamma)
+    return gamma.reshape(lead + (d,) * 3), dgamma
 
 
-def riemann(m: MetricJet, conn: Connection):
+def riemann(m: MetricJet, gamma: np.ndarray, dgamma: np.ndarray):
     """(r13, r04) from the Christoffel symbols and their first derivatives."""
-    if conn.dgamma is None:
+    if dgamma is None:
         raise ValueError("riemann needs first derivatives of the Christoffel symbols")
-    gamma, dgamma = conn.gamma, conn.dgamma
     lead, d = m.g.shape[:-2], m.g.shape[-1]
     # gg[d,a,b,c] = gamma[d,a,m] gamma[m,b,c]; the second product is its (a,b) swap.
     gg = (gamma.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))
@@ -120,9 +111,8 @@ def scalar_curvature(s: np.ndarray, ginv: np.ndarray):
     return float(scal) if np.ndim(scal) == 0 else scal
 
 
-def nabla_ricci(conn: Connection, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
+def nabla_ricci(gamma: np.ndarray, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """(nabla_c S)_ab from the plain derivative ds[c,a,b] of the components."""
-    gamma = conn.gamma
     return (
         ds
         - np.einsum("...mca,...mb->...cab", gamma, s)
@@ -165,15 +155,14 @@ def curvature_bundle(m: MetricJet) -> CurvatureBundle:
     (see CurvatureBundle)."""
     if m.t is None:
         raise ValueError("curvature_bundle needs a depth-3 metric jet")
-    conn = christoffel(m)
-    r13, r04 = riemann(m, conn)
+    gamma, dgamma = christoffel(m)
+    r13, r04 = riemann(m, gamma, dgamma)
     s = ricci(r13)
     ds = _ricci_derivative(m)
-    ns = nabla_ricci(conn, s, ds)
+    ns = nabla_ricci(gamma, s, ds)
     scal = scalar_curvature(s, m.G)
-    norm_dgamma = max_norm(conn.dgamma, 4)
-    return CurvatureBundle(replace(m, ddg=None, t=None), Connection(conn.gamma, None),
-                           r13, r04, s, ds, ns, scal, norm_dgamma)
+    return CurvatureBundle(replace(m, ddg=None, t=None), gamma,
+                           r13, r04, s, ds, ns, scal, max_norm(dgamma, 4))
 
 
 # -- parallel transport --------------------------------------------------------
@@ -239,7 +228,7 @@ def parallel_transport(potential: Expr, n: int, path, v0, steps: int = 32) -> np
     edges = dxs.shape[1]
     stage_points = starts[:, :, None] + times[:, None] * dxs[:, :, None]
     jet = metric_from_potential(potential, stage_points.reshape(-1, m), n, depth=1)
-    gamma = christoffel(jet).gamma.reshape(count * edges, len(times), m, m, m)
+    gamma = christoffel(jet)[0].reshape(count * edges, len(times), m, m, m)
     # vel[q, e, i] = -Gamma(dx, .) on edge e of polyline q at stage time i.
     vel = -np.einsum("etcab,ea->etcb", gamma, dxs.reshape(count * edges, m)).reshape(
         count, edges, len(times), m, m)

@@ -9,7 +9,7 @@ Qc's pair symmetries, its last pair's J-invariance and the vanishing of
 Qc - 2Q, Qc and S on holomorphic planes, and the Kahler conditions
 themselves (closed Kahler and Ricci forms, a parallel J), since g, dg
 and dS are J-pairings of fully symmetric partials.  The J checks apply
-J by half-swap slices, not by products.
+J by the signed half-swap gather, not by products.
 
 Reports serialize to JSON deterministically: keys sorted, no timings, all
 values plain Python floats, so byte-identical runs are reproducible from
@@ -27,15 +27,16 @@ from typing import Any
 import numpy as np
 
 from .classifier import LadderVerdict, PointData, SamplePlan, classify_evidence, sample_evidence
-from .tensor_algebra import (
-    _permute_slots,
-    check_rs_symmetries,
-    j_invariance_violation,
-    rel_violation,
-)
+from .tensor_algebra import check_rs_symmetries, j_invariance_violation, rel_violation
 from .zoo import ManifoldSpec
 
 IDENTITY_TOLERANCE = 1e-8
+
+
+def _permute_slots(t: np.ndarray, *order: int) -> np.ndarray:
+    """Reorder the trailing len(order) axes of t, leaving point axes in front."""
+    lead = t.ndim - len(order)
+    return np.transpose(t, (*range(lead), *(lead + k for k in order)))
 
 
 def identity_checks(d: PointData) -> dict[str, np.ndarray]:

@@ -80,23 +80,21 @@ def tachibana_ricci(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.subtract(w, np.swapaxes(w, -2, -1), out=a)
 
 
-def _complex_from_real(q: np.ndarray) -> np.ndarray:
-    """Qc(g,S) = Q + J^T Q J on the last slot pair, one signed gather, for a
-    J-invariant S: of the complex wedge x^y + Jx^Jy - 2 g(Jx,y) J, the last
-    term acts on such an S as zero, since S(Ju, v) = -S(u, Jv)."""
-    qc = j_conjugate_last_pair(q)
-    qc += q
-    return qc
-
-
 def complex_tachibana_ricci(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Qc(g,S) for the standard J (``MetricJet.J``), a g Hermitian for it and
     a J-invariant S (not checked: a Ricci-flat S is roundoff, which no check
-    relative to |S| passes)."""
+    relative to |S| passes).
+
+    Qc = Q + J^T Q J on the last slot pair, one signed gather: of the
+    complex wedge x^y + Jx^Jy - 2 g(Jx,y) J, the last term acts on such an
+    S as zero, since S(Ju, v) = -S(u, Jv)."""
     g = np.asarray(g, float)
     if np.any(j_invariance_violation(g, max_norm(g, 2), 2) > HERMITIAN_TOLERANCE):
         raise NonHermitianMetric("metric is not Hermitian w.r.t. the complex structure")
-    return _complex_from_real(tachibana_ricci(g, s))
+    q = tachibana_ricci(g, s)
+    qc = j_conjugate_last_pair(q)
+    qc += q
+    return qc
 
 
 def quad_eval(t: np.ndarray, u, v, x, y) -> float:

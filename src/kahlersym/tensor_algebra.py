@@ -62,33 +62,6 @@ def rel_violation(diff: np.ndarray, reference_scale, rank: int | None = None):
 # -- (0,4)-tensor symmetries -------------------------------------------------
 
 
-def _permute_slots(t: np.ndarray, *order: int) -> np.ndarray:
-    """Reorder the trailing len(order) axes of t, leaving point axes in front."""
-    lead = t.ndim - len(order)
-    return np.transpose(t, (*range(lead), *(lead + k for k in order)))
-
-
-def _half_blocks(t: np.ndarray, rank: int, first_pair: bool):
-    """Views of the half blocks XX, XY, YX, YY of one slot pair of the
-    rank-``rank`` tensor t: its first two slots with ``first_pair``, else
-    its last two.  The other slots are merged into one trailing axis, or
-    with the point axes into one leading axis, so that a block is walked
-    in long runs."""
-    m = t.shape[-1]
-    x, y = slice(None, m // 2), slice(m // 2, None)
-    if first_pair:
-        t = t.reshape(t.shape[:t.ndim - rank] + (m, m, -1))
-        return [t[..., r, c, :] for r in (x, y) for c in (x, y)]
-    t = t.reshape(-1, m, m)
-    return [t[:, r, c] for r in (x, y) for c in (x, y)]
-
-
-def _block_violation(block: np.ndarray, lead: tuple, scale):
-    """rel_violation of a temporary block per point; ``lead`` is the shape of
-    the point axes."""
-    return rel_violation(block.reshape(lead + (-1,)), scale, 1)
-
-
 @lru_cache(maxsize=None)
 def _half_swap(m: int) -> tuple[np.ndarray, np.ndarray]:
     """(positions, signs) of J^T M J in a flattened m x m matrix M: J is the
@@ -116,18 +89,27 @@ def j_conjugate_last_pair(t: np.ndarray) -> np.ndarray:
 
 def j_invariance_violation(t: np.ndarray, scale, rank: int, first_pair: bool = False):
     """Max-norm of t - J^T t J, J acting on one slot pair of the rank-``rank``
-    tensor t (see _half_blocks), relative to ``scale``.
+    tensor t (its first two slots with ``first_pair``, else its last two),
+    relative to ``scale``.
 
-    J = [[0, -I], [I, 0]] is a signed half swap: J^T M J has the half
-    blocks [[M_YY, -M_YX], [-M_XY, M_XX]], so the violation is the larger
-    of |M_XX - M_YY| and |M_XY + M_YX|, read off the blocks with no
-    product.  M J + J^T M holds the same numbers up to sign and place, so
-    this is also the pair's J-skew violation, bit for bit.
+    J^T t J is the signed gather of j_conjugate_last_pair: J is a signed
+    permutation, so t - J^T t J holds exactly the numbers M_XX - M_YY and
+    M_XY + M_YX of the pair's half blocks, up to sign.  M J + J^T M holds
+    the same numbers up to sign and place, so this is also the pair's
+    J-skew violation, bit for bit.
     """
-    lead = t.shape[:t.ndim - rank]
-    xx, xy, yx, yy = _half_blocks(t, rank, first_pair)
-    return np.maximum(_block_violation(xx - yy, lead, scale),
-                      _block_violation(xy + yx, lead, scale))
+    lead, m = t.shape[:t.ndim - rank], t.shape[-1]
+    positions, signs = _half_swap(m)
+    rest = m ** (rank - 2)
+    if first_pair:
+        t = t.reshape(lead + (m * m, rest))
+        conj = t.take(positions, axis=-2)
+        conj *= signs[:, None]
+    else:
+        t = t.reshape(lead + (rest, m * m))
+        conj = t.take(positions, axis=-1)
+        conj *= signs
+    return rel_violation(np.subtract(t, conj, out=conj).reshape(lead + (-1,)), scale, 1)
 
 
 def check_rs_symmetries(t: np.ndarray, scale) -> dict[str, np.ndarray]:

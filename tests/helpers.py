@@ -7,7 +7,7 @@ the Ricci potential log det g, derivatives come from central finite
 differences, curvature of surfaces from the conformal-factor formula,
 and the batched-matmul contractions have their einsum forms kept
 here as references, as do the matrix products with J that the identity
-suite's half-block reads are checked against.  The oracles of the
+suite's half-swap gathers are checked against.  The oracles of the
 holomorphic-plane characterizations live here too, outside the package
 they check: sectional and holomorphic sectional curvature, the
 polarisation that rebuilds an R.S-class tensor from its (u,u;x,Jx)
@@ -220,11 +220,11 @@ def identity_j_checks_matmul(d, potential) -> dict:
     b = d.bundle
     s, j, r04 = b.ricci, b.metric.J, b.r04
     m = j.shape[0]
-    dgamma = christoffel(metric_from_potential(potential, b.metric.point, b.metric.n)).dgamma
+    _, dgamma = christoffel(metric_from_potential(potential, b.metric.point, b.metric.n))
     scale_r = np.maximum(
         np.maximum(max_norm(r04, 4), max_norm(b.metric.g, 2)
                    * (max_norm(dgamma, 4)
-                      + m * max_norm(b.connection.gamma, 3) ** 2)),
+                      + m * max_norm(b.gamma, 3) ** 2)),
         ABS_FLOOR,
     )
     out = {
@@ -273,14 +273,14 @@ def hand_metric(point, n: int, g, dg, ddg=None, t=None) -> MetricJet:
 def evidence_at(potential, points, n: int, **changes):
     """The evidence of the potential's metric at a stack of points, with
     two directions and two planes per point.  Each change replaces the
-    field of its name of the curvature bundle, of its metric jet (``dg``,
-    ``g``, ...) or of its connection (``gamma``) before the evidence, its
-    R.S, Q, Qc and scale table included, is gathered."""
+    field of its name of the curvature bundle (``gamma``, ...) or of its
+    metric jet (``dg``, ``g``, ...) before the evidence, its R.S, Q, Qc
+    and scale table included, is gathered."""
     def changed(part):
         return dataclasses.replace(part, **{k: v for k, v in changes.items() if hasattr(part, k)})
 
     b = curvature_bundle(metric_from_potential(potential, points, n))
-    b = changed(dataclasses.replace(b, metric=changed(b.metric), connection=changed(b.connection)))
+    b = changed(dataclasses.replace(b, metric=changed(b.metric)))
     return gather_evidence(b, SamplePlan(points=len(points), directions=2, planes=2))
 
 
@@ -462,7 +462,7 @@ def parallel_transport_stagewise(potential, n: int, path, v0, steps: int = 32):
 
     def vel_matrix(x, dx):
         g = metric_from_potential(potential, x, n, depth=1)
-        return -np.einsum("cab,a->cb", christoffel(g).gamma, dx)
+        return -np.einsum("cab,a->cb", christoffel(g)[0], dx)
 
     h = 1.0 / steps
     for p, q in zip(waypoints[:-1], waypoints[1:]):

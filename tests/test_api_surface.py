@@ -3,9 +3,9 @@ itself uses: the "Library use" example runs, no public top-level
 function or class, nor a public method or property of such a class, nor
 a public module-level constant, sits in ``src/`` unused, no private
 function or method is left unreferenced in ``src/``, and no module
-imports a name it does not use.  A name
-counts as documented when it appears in an inline code span of the README
-or in its "Library use" block."""
+imports a name it does not use, nor a private name of another module.
+A name counts as documented when it appears in an inline code span of
+the README or in its "Library use" block."""
 
 import ast
 import os
@@ -169,6 +169,17 @@ def test_every_imported_name_is_used():
                     if bound not in references:
                         unused.append(f"{module}: {alias.name}")
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A private name is used only in the module that defines it: no
+    relative ``from .x import _y`` in ``src/``."""
+    imported = [f"{module}: {alias.name}"
+                for module, tree in _modules().items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                for alias in node.names if alias.name.startswith("_")]
+    assert imported == []
 
 
 def test_floored_scale_is_called_in_the_scale_table_alone():

@@ -437,7 +437,7 @@ KAHLER_KEYS = ("kahler_form_closed", "kahler_j_parallel")
 
 def _kahler_checks(m):
     """d(omega) and nabla J of a depth>=1 jet, one value per point."""
-    return kahler_checks_matmul(m, christoffel(m).gamma)
+    return kahler_checks_matmul(m, christoffel(m)[0])
 
 
 def test_kahler_conditions_hold_on_zoo(fixtures, full_reports):
@@ -460,7 +460,7 @@ def test_kahler_checks_of_depth_one_jets_match_the_bundle(fixtures):
     for key, values in checks.items():
         assert values.shape == (5,) and (values <= 1e-9).all(), key
     b = evidence_at(spec.potential(), pts, spec.n).bundle
-    closed = kahler_checks_matmul(b.metric, b.connection.gamma)["kahler_form_closed"]
+    closed = kahler_checks_matmul(b.metric, b.gamma)["kahler_form_closed"]
     assert np.array_equal(closed, checks["kahler_form_closed"])
 
 
@@ -470,7 +470,7 @@ def test_kahler_checks_of_evidence_jets_match_depth_one_jets(fixtures, full_repo
     for name, spec in fixtures.items():
         report = full_reports[name]
         b = sample_evidence(spec, report.plan).bundle
-        shared = kahler_checks_matmul(b.metric, b.connection.gamma)
+        shared = kahler_checks_matmul(b.metric, b.gamma)
         alone = _kahler_checks(metric_from_potential(spec.potential(), report.points, spec.n,
                                                      depth=1))
         for key, values in alone.items():
@@ -488,7 +488,7 @@ def test_kahler_checks_of_stacked_jets_match_single_points(fixtures):
     dg = np.zeros((4, 4, 4, 4))
     dg[1:, 2, 0, 1] = dg[1:, 2, 1, 0] = [0.1, 0.3, 0.3]  # d_{x2} g_{x1 y1}
     flat = evidence_at(parse("rsq", 2), np.zeros((4, 4)), 2, dg=dg).bundle
-    closed = kahler_checks_matmul(flat.metric, flat.connection.gamma)["kahler_form_closed"]
+    closed = kahler_checks_matmul(flat.metric, flat.gamma)["kahler_form_closed"]
     assert closed[0] == 0.0
     assert 1e-3 < closed[1] < closed[2] == closed[3]
 
@@ -515,16 +515,16 @@ def test_evidence_across_blocks_matches_each_point_at_every_n(n):
 
 def test_run_holds_no_tensor_above_rank_four_per_point():
     # No (2n)^5 tensor at n = 4: every array of the evidence run() gathers,
-    # its curvature bundle, metric jet and connection included, holds at
-    # most (2n)^4 entries per point; so do the depth-3 jet and the connection
-    # with d(gamma) that the bundle is built from, as metric_from_potential
-    # and christoffel give them.
+    # its curvature bundle, metric jet and gamma included, holds at most
+    # (2n)^4 entries per point; so do the depth-3 jet, gamma and d(gamma)
+    # that the bundle is built from, as metric_from_potential and
+    # christoffel give them.
     spec, count = STACK_SPECS[4]
     data = sample_evidence(spec, SamplePlan(points=count, directions=4, planes=4, seed=3))
     b = data.bundle
     jet = metric_from_potential(spec.potential(), b.metric.point, spec.n)
-    parts = (data, b, b.metric, b.connection, jet, christoffel(jet))
-    arrays = [v for part in parts for v in vars(part).values()
+    values = [v for part in (data, b, b.metric, jet) for v in vars(part).values()]
+    arrays = [v for v in (*values, *christoffel(jet))
               if isinstance(v, np.ndarray) and v.ndim > 2]
     assert arrays and all(v.size <= count * 8**4 for v in arrays)
     assert jet.t.shape == (count, 8, 8, 8)
@@ -536,15 +536,16 @@ def _check_stacked_evidence(spec, count):
     data = sample_evidence(spec, plan)
     points = sample_points(spec.domain, plan)
     b = data.bundle
-    kahler = kahler_checks_matmul(b.metric, b.connection.gamma, b.dricci, data.scales["S"])
+    kahler = kahler_checks_matmul(b.metric, b.gamma, b.dricci, data.scales["S"])
     potential = spec.potential()
     # The bundle keeps no ddg, t or d(gamma); those of the stacked jet the
     # run expands are checked point by point as metric_from_potential and
     # christoffel give them.
     jet = metric_from_potential(potential, points, spec.n)
-    dgamma = christoffel(jet).dgamma
+    _, dgamma = christoffel(jet)
     assert data.bundle.metric.ddg is None and data.bundle.metric.t is None
-    assert data.bundle.connection.dgamma is None
+    assert not hasattr(data.bundle, "dgamma")
+    assert not any(np.array_equal(v, dgamma) for v in vars(data.bundle).values())
     assert np.array_equal(data.bundle.norm_dgamma, max_norm(dgamma, 4))
     for i, point in enumerate(points):
         m = metric_from_potential(potential, point, spec.n)
@@ -559,8 +560,8 @@ def _check_stacked_evidence(spec, count):
                                   getattr(b.metric, field)), (i, field)
         for field in ("g", "G", "dg", "ddg", "t"):
             assert np.array_equal(getattr(jet, field)[i], getattr(m, field)), (i, field)
-        assert np.array_equal(data.bundle.connection.gamma[i], b.connection.gamma)
-        assert np.array_equal(dgamma[i], christoffel(m).dgamma)
+        assert np.array_equal(data.bundle.gamma[i], b.gamma)
+        assert np.array_equal(dgamma[i], christoffel(m)[1])
         for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal", "norm_dgamma"):
             assert np.array_equal(getattr(data.bundle, field)[i], getattr(b, field)), (i, field)
         rs = r_dot_s(b)
@@ -571,7 +572,7 @@ def _check_stacked_evidence(spec, count):
         assert data.scales.keys() == single.keys()
         for key, value in single.items():
             assert data.scales[key][i] == value, (i, key)
-        for key, value in kahler_checks_matmul(m, b.connection.gamma, b.dricci,
+        for key, value in kahler_checks_matmul(m, b.gamma, b.dricci,
                                                single["S"]).items():
             assert kahler[key][i] == value, (i, key)
 

@@ -61,7 +61,7 @@ def rng_points(n, count, lo, hi, seed):
 
 def test_flat_curvature_exactly_zero():
     b = bundle(FLAT2, [0.4, -1.3, 0.2, 0.9], 2)
-    assert np.array_equal(b.connection.gamma, np.zeros((4, 4, 4)))
+    assert np.array_equal(b.gamma, np.zeros((4, 4, 4)))
     assert np.array_equal(b.r04, np.zeros((4, 4, 4, 4)))
     assert np.array_equal(b.ricci, np.zeros((4, 4)))
     assert np.array_equal(b.nabla_ricci, np.zeros((4, 4, 4)))
@@ -156,12 +156,12 @@ def test_christoffel_against_metric_differences():
         return metric_from_potential(PERT2, p, 2, depth=0).g
 
     m = metric_from_potential(PERT2, base, 2)
-    conn = christoffel(m)
+    gamma, _ = christoffel(m)
     g = m.g
     dg_fd = np.stack([central_difference(g_at, base, c) for c in range(4)])
     t = np.einsum("adb->dab", dg_fd) + np.einsum("bda->dab", dg_fd) - dg_fd
     gamma_fd = 0.5 * np.einsum("cd,dab->cab", np.linalg.inv(g), t)
-    assert rel_err(conn.gamma, gamma_fd) < 1e-8
+    assert rel_err(gamma, gamma_fd) < 1e-8
 
 
 def test_christoffel_derivatives_against_differences():
@@ -169,16 +169,16 @@ def test_christoffel_derivatives_against_differences():
                          (GEN3, 3, GEN3_BASE)):
 
         def gamma_at(p):
-            return christoffel(metric_from_potential(pot, p, n, depth=1)).gamma
+            return christoffel(metric_from_potential(pot, p, n, depth=1))[0]
 
         def dgamma_at(p):
-            return christoffel(metric_from_potential(pot, p, n, depth=2)).dgamma
+            return christoffel(metric_from_potential(pot, p, n, depth=2))[1]
 
         m = metric_from_potential(pot, base, n)
-        conn = christoffel(m)
+        _, dgamma = christoffel(m)
         ddgamma = christoffel_einsum(m, dddg_oracle(eval_jet(pot, base, 5), n))[2]
         for c in range(2 * n):
-            assert rel_err(conn.dgamma[c], central_difference(gamma_at, base, c)) < 1e-8
+            assert rel_err(dgamma[c], central_difference(gamma_at, base, c)) < 1e-8
             assert rel_err(ddgamma[c], central_difference(dgamma_at, base, c)) < 1e-7
 
 
@@ -215,7 +215,7 @@ def test_nabla_ricci_against_differences():
 
         def s_at(p):
             m = metric_from_potential(pot, p, n, depth=2)
-            r13, _ = riemann(m, christoffel(m))
+            r13, _ = riemann(m, *christoffel(m))
             return ricci(r13)
 
         b = bundle(pot, base, n)
@@ -223,7 +223,7 @@ def test_nabla_ricci_against_differences():
             fd = central_difference(s_at, base, c)
             assert rel_err(b.dricci[c], fd) < 1e-7
         # covariant correction applied on top of the component derivative
-        gamma = b.connection.gamma
+        gamma = b.gamma
         expected = b.dricci - np.einsum("mca,mb->cab", gamma, b.ricci) - np.einsum(
             "mcb,am->cab", gamma, b.ricci
         )
@@ -308,14 +308,14 @@ def test_an_empty_stack_of_points_gives_empty_arrays(source):
     for depth in (1, 3):
         m = metric_from_potential(tree, empty, 2, depth=depth)
         assert m.g.shape == m.G.shape == (0, 4, 4) and m.dg.shape == (0, 4, 4, 4)
-    assert christoffel(metric_from_potential(tree, empty, 2, depth=1)).gamma.shape == (0, 4, 4, 4)
+    assert christoffel(metric_from_potential(tree, empty, 2, depth=1))[0].shape == (0, 4, 4, 4)
     b = curvature_bundle(metric_from_potential(tree, empty, 2))
     assert b.r13.shape == b.r04.shape == (0, 4, 4, 4, 4)
     assert b.nabla_ricci.shape == (0, 4, 4, 4) and np.shape(b.scal) == (0,)
 
 
 def test_bundle_over_points_matches_each_point():
-    # The bundle keeps gamma alone; d(gamma) is checked on christoffel of
+    # The bundle keeps gamma, not d(gamma); d(gamma) is checked on christoffel of
     # the same stacked jet.
     points = rng_points(2, 6, -0.4, 0.4, seed=11)
     jet = metric_from_potential(PERT2, points, 2)
@@ -324,13 +324,12 @@ def test_bundle_over_points_matches_each_point():
     connection = christoffel(jet)
     for i, point in enumerate(points):
         alone = bundle(PERT2, point, 2)
-        for field in ("r13", "r04", "ricci", "dricci", "nabla_ricci", "scal", "norm_dgamma"):
+        for field in ("gamma", "r13", "r04", "ricci", "dricci", "nabla_ricci", "scal",
+                      "norm_dgamma"):
             assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field)), field
-        assert np.array_equal(stacked.connection.gamma[i], alone.connection.gamma)
         alone_connection = christoffel(metric_from_potential(PERT2, point, 2))
-        for field in ("gamma", "dgamma"):
-            assert np.array_equal(getattr(connection, field)[i],
-                                  getattr(alone_connection, field)), field
+        for field, got, want in zip(("gamma", "dgamma"), connection, alone_connection):
+            assert np.array_equal(got[i], want), field
 
 
 def _random_jet_slot(rng, points, m, order):
@@ -369,12 +368,12 @@ def test_kernels_match_einsum_references(n):
     point = rng.standard_normal((3, m))
     jet = hand_metric(point, n, g, *(_random_jet_slot(rng, 3, m, k) for k in (1, 2)), t)
     b = curvature_bundle(jet)
-    conn = christoffel(jet)
+    gamma, dgamma = christoffel(jet)
     expected = christoffel_einsum(jet, pair_second_partials(p5, n))
-    for got, want in zip((conn.gamma, conn.dgamma), expected):
+    for got, want in zip((gamma, dgamma), expected):
         assert rel_err(got, want) <= 1e-13
-    assert np.array_equal(b.connection.gamma, conn.gamma)
-    r13, r04 = riemann_einsum(jet.g, conn.gamma, conn.dgamma)
+    assert np.array_equal(b.gamma, gamma)
+    r13, r04 = riemann_einsum(jet.g, gamma, dgamma)
     assert rel_err(b.r13, r13) <= 1e-13
     assert rel_err(b.r04, r04) <= 1e-13
     kahler = hand_metric(point, n, g, *(pair_second_partials(_random_partials(rng, 3, m, k), n)
@@ -412,7 +411,7 @@ def test_ricci_and_its_derivative_match_the_log_det_route(name):
     scale_s = np.maximum(max_norm(b.ricci, 2), m * max_norm(b.r13, 4))
     assert np.all(max_norm(s - b.ricci, 2) <= 1e-12 * scale_s)
     scale_ds = np.maximum(max_norm(b.dricci, 3),
-                          m * max_norm(b.connection.gamma, 3) * scale_s)
+                          m * max_norm(b.gamma, 3) * scale_s)
     assert np.all(max_norm(ds - b.dricci, 3) <= 1e-10 * scale_ds)
 
 
@@ -453,9 +452,9 @@ def test_ricci_and_its_derivatives_match_the_closed_form(name):
     scale_s = np.maximum(max_norm(b.ricci, 2), m * max_norm(b.r13, 4))
     assert np.all(max_norm(s - b.ricci, 2) <= 1e-12 * scale_s)
     scale_ds = np.maximum(max_norm(b.dricci, 3),
-                          m * max_norm(b.connection.gamma, 3) * scale_s)
+                          m * max_norm(b.gamma, 3) * scale_s)
     assert np.all(max_norm(ds - b.dricci, 3) <= 1e-10 * scale_ds)
-    nabla_s = nabla_ricci(b.connection, s, ds)
+    nabla_s = nabla_ricci(b.gamma, s, ds)
     assert np.all(max_norm(nabla_s - b.nabla_ricci, 3) <= 1e-10 * scale_ds)
 
 

@@ -84,11 +84,11 @@ def test_identities_pass_across_zoo(full_reports):
 
 def _flat_kahler_checks_with(**changes):
     """The matmul Kahler conditions of a flat metric at two points, gathered
-    with ``dg`` of its metric jet, ``gamma`` of its connection or ``dricci``
-    replaced."""
+    with ``dg`` of its metric jet, or ``gamma`` or ``dricci`` of its
+    curvature bundle, replaced."""
     d = evidence_at(parse("rsq", 2), np.zeros((2, 4)), 2, **changes)
     b = d.bundle
-    return kahler_checks_matmul(b.metric, b.connection.gamma, b.dricci, d.scales["S"])
+    return kahler_checks_matmul(b.metric, b.gamma, b.dricci, d.scales["S"])
 
 
 def test_kahler_checks_flag_nonclosed_form():
@@ -137,7 +137,7 @@ def test_every_identity_check_can_fail(name):
     points = np.array([[0.1, 0.2, -0.3, 0.4], [0.3, -0.1, 0.2, 0.5]])
     field, entry = _BREAKING_ENTRY[name]
     b = evidence_at(potential, points, 2).bundle
-    value = next(getattr(part, field) for part in (b, b.metric, b.connection)
+    value = next(getattr(part, field) for part in (b, b.metric)
                  if hasattr(part, field)).copy()
     value[(1, *entry)] += 1.0
     check = identity_checks(evidence_at(potential, points, 2, **{field: value}))[name]
@@ -191,7 +191,7 @@ def test_kahler_conditions_hold_by_construction(spec, seed):
     Eguchi-Hanson."""
     d = sample_evidence(spec, SamplePlan(seed=seed))
     b = d.bundle
-    checks = kahler_checks_matmul(b.metric, b.connection.gamma, b.dricci, d.scales["S"])
+    checks = kahler_checks_matmul(b.metric, b.gamma, b.dricci, d.scales["S"])
     assert checks.keys() == KAHLER_BOUNDS.keys()
     for name, bound in KAHLER_BOUNDS.items():
         assert np.max(checks[name]) <= bound, (name, np.max(checks[name]))
@@ -402,13 +402,15 @@ def test_run_expands_one_metric_jet_per_point(fixtures, small_plan, monkeypatch)
 
 
 def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypatch):
-    # One run inverts g once, forms Q(g,S) once (for Qc) and
-    # takes one max-norm of each (P, m^4) tensor.  The direction rows u(x)u
-    # and the plane rows x(x)Jx are built once per (plan, n) in a process:
-    # a second run at the plan builds none, a run at another seed both.
-    inverted, rows, normed, formed = [], [], [], []
+    # One run inverts g once, forms Q(g,S) once and Qc(g,S) from it once,
+    # through complex_tachibana_ricci, and takes one max-norm of each
+    # (P, m^4) tensor.  The direction rows u(x)u and the plane rows x(x)Jx
+    # are built once per (plan, n) in a process: a second run at the plan
+    # builds none, a run at another seed both.
+    inverted, rows, normed, formed, complexes = [], [], [], [], []
     inv, outer_rows, max_norm = np.linalg.inv, classifier._outer_rows, tensor_algebra.max_norm
     tachibana = symmetry_tensors.tachibana_ricci
+    complex_tachibana = symmetry_tensors.complex_tachibana_ricci
 
     def counted_inv(a):
         inverted.append(a.shape)
@@ -427,8 +429,13 @@ def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypat
         formed.append((g.shape, s.shape))
         return tachibana(g, s)
 
+    def counted_complex(g, s):
+        complexes.append((g.shape, s.shape))
+        return complex_tachibana(g, s)
+
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     _patch_everywhere(monkeypatch, tachibana, counted_tachibana)
+    _patch_everywhere(monkeypatch, complex_tachibana, counted_complex)
     _patch_everywhere(monkeypatch, outer_rows, counted_rows)
     _patch_everywhere(monkeypatch, max_norm, counted_norm)
     classifier._sample_table.cache_clear()
@@ -436,7 +443,7 @@ def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypat
     run(spec, small_plan)
     p = small_plan.points
     assert inverted == [(p, 4, 4)]
-    assert formed == [((p, 4, 4), (p, 4, 4))]
+    assert formed == complexes == [((p, 4, 4), (p, 4, 4))]
     built = [(p, small_plan.directions, 4), (p, small_plan.planes, 4)]
     assert sorted(rows) == built
     assert normed and all(t.shape == (p,) + (4,) * 4 for t in normed)
@@ -447,6 +454,7 @@ def test_run_forms_each_shared_intermediate_once(fixtures, small_plan, monkeypat
     assert rows == []
     run(spec, dataclasses.replace(small_plan, seed=small_plan.seed + 1))
     assert sorted(rows) == built
+    assert formed == complexes == [((p, 4, 4), (p, 4, 4))] * 3
 
 
 def test_run_working_set_stays_below_seven_and_a_half_tensors():

@@ -84,7 +84,7 @@ def test_endo_dot_bilinear_loop_oracle():
 def test_j_skew_matches_einsum_reference(n):
     # J is a signed permutation, so the einsum form of t J + J^T t sums a
     # single nonzero product per entry: its violation equals the one read
-    # off the half blocks, bit for bit.
+    # from the signed half-swap gather, bit for bit.
     t = np.random.default_rng(40 + n).standard_normal((3,) + (2 * n,) * 4)
     scale = max_norm(t, 4)
     first, last = j_skew_einsum(t, standard_complex_structure(n))
@@ -110,10 +110,11 @@ def _tensors(n, seed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_half_block_checks_match_the_matmul_oracle(n):
-    """Each J check reads half blocks where the oracle multiplies by J: the
-    violations agree bit for bit, and J-skewness equals J-invariance per
-    pair in the oracle too, so j_pair_invariance covers both."""
+def test_half_swap_checks_match_the_matmul_oracle(n):
+    """Each J check reads a signed half-swap gather where the oracle
+    multiplies by J: the violations agree bit for bit, and J-skewness
+    equals J-invariance per pair in the oracle too, so j_pair_invariance
+    covers both."""
     t, j = _tensors(n, 50 + n)
     scale = np.maximum(np.array([0.0, 1e-3, 2.0]), max_norm(t, 4))
     got = check_rs_symmetries(t, scale)
@@ -155,7 +156,7 @@ def test_identity_suite_j_checks_match_the_matmul_oracle(n):
         b, r04=rng.standard_normal(shape), ricci=rng.standard_normal(shape[:3]),
         dricci=rng.standard_normal(shape[:4]),
         metric=dataclasses.replace(b.metric, dg=rng.standard_normal(shape[:4])),
-        connection=dataclasses.replace(b.connection, gamma=rng.standard_normal(shape[:4])))
+        gamma=rng.standard_normal(shape[:4]))
     rs, qc = _tensors(n, 90 + n)[0], rng.standard_normal(shape)
     data = dataclasses.replace(data, bundle=bundle, rs=rs, qc=qc,
                                scales=_scales(bundle, rs, qc))
@@ -164,7 +165,7 @@ def test_identity_suite_j_checks_match_the_matmul_oracle(n):
         assert np.array_equal(_bits(got[key]), _bits(want)), key
     assert min(got[key][0] for key in ("rs_j_pair_invariance", "qc_j_pair_invariance",
                                        "kahler_j_invariance")) > 1e-3
-    kahler = kahler_checks_matmul(bundle.metric, bundle.connection.gamma, bundle.dricci,
+    kahler = kahler_checks_matmul(bundle.metric, bundle.gamma, bundle.dricci,
                                   data.scales["S"])
     assert min(values[0] for values in kahler.values()) > 1e-3
 
