@@ -5,7 +5,7 @@ Ricci-semisymmetric, holomorphically Ricci-pseudosymmetric) is decided by
 two independent routes: the direct tensor definition and the
 holomorphic-plane characterization.  A rung passes only when both routes
 pass; disagreement is reported as inconclusive, never silently resolved.
-The four rungs read from S are one table of per-point routes (``_routes``),
+The five rungs are one table of per-point route series (``_routes``),
 decided in ladder order by one loop.
 The inclusion chain between rungs is enforced after the fact: an upstream
 pass combined with a downstream fail raises LatticeError, because it can
@@ -113,17 +113,19 @@ def _unit_rows(seed: int, stream: int, points: int, count: int, m: int) -> np.nd
 
 @lru_cache(maxsize=_SAMPLE_TABLES)
 def _sample_table(seed: int, points: int, directions: int, planes: int, n: int):
-    """The plane seeds (P, planes, m) and the rows u (x) u and x (x) Jx,
-    (P, count, m*m), of a plan's samples in complex dimension n: read-only,
-    and shared by every run at that plan and n, since they depend on neither
-    the potential nor the tolerance.  The _SAMPLE_TABLES most recently used
-    keys are held, so runs that alternate plans or n build each table once;
-    a new key drops the least recently used.  A table is
-    P*(planes*m + (directions + planes)*m*m) floats."""
+    """The rows x + Jx (P, planes, m) of the plane seeds x, and the rows
+    u (x) u and x (x) Jx (P, count, m*m), of a plan's samples in complex
+    dimension n, Jx formed once: read-only, and shared by every run at that
+    plan and n, since they depend on neither the potential nor the
+    tolerance.  The _SAMPLE_TABLES most recently used keys are held, so runs
+    that alternate plans or n build each table once; a new key drops the
+    least recently used.  A table is P*(planes*m + (directions + planes)*m*m)
+    floats."""
     m = 2 * n
     dirs = _unit_rows(seed, _DIRECTION_STREAM, points, directions, m)
     x = _unit_rows(seed, _PLANE_STREAM, points, planes, m)
-    table = (x, _outer_rows(dirs, dirs), _outer_rows(x, x @ standard_complex_structure(n).T))
+    jx = x @ standard_complex_structure(n).T
+    table = (x + jx, _outer_rows(dirs, dirs), _outer_rows(x, jx))
     for rows in table:
         rows.flags.writeable = False
     return table
@@ -146,18 +148,18 @@ class PointData:
     """Curvature bundle, derived tensors and samples at every sampled point.
 
     Every field carries a leading point axis: ``bundle`` holds the
-    curvature of all points, rs and qc are (P, m, m, m, m), the plane seeds
-    ``planes`` (P, count, m).  The directions enter only as the rows
-    u (x) u of ``dir_rows``, and the plane seeds also as the rows x (x) Jx
-    of ``plane_rows``, both flattened to (P, count, m*m); all three are the
-    read-only arrays of ``_sample_table``.  ``scales`` is the scale table of
-    ``_scales``, one (P,) array per name.
+    curvature of all points, rs and qc are (P, m, m, m, m).  The directions
+    enter only as the rows u (x) u of ``dir_rows``, the plane seeds x as the
+    rows x + Jx (P, count, m) of ``parallel_rows`` and x (x) Jx of
+    ``plane_rows``, outer rows flattened to (P, count, m*m); all three are
+    the read-only arrays of ``_sample_table``.  ``scales`` is the scale
+    table of ``_scales``, one (P,) array per name.
     """
 
     bundle: CurvatureBundle
     rs: np.ndarray
     qc: np.ndarray
-    planes: np.ndarray
+    parallel_rows: np.ndarray
     dir_rows: np.ndarray
     plane_rows: np.ndarray
     scales: dict[str, np.ndarray]
@@ -201,7 +203,7 @@ def _scales(b: CurvatureBundle, rs, qc) -> dict[str, np.ndarray]:
 def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
     """Symmetry tensors, samples and scales at the points of a bundle
     stacked over the plan's points."""
-    planes, dir_rows, plane_rows = _sample_table(
+    parallel_rows, dir_rows, plane_rows = _sample_table(
         plan.seed, plan.points, plan.directions, plan.planes, bundle.metric.n)
     rs = r_dot_s(bundle)
     qc = complex_tachibana_ricci(bundle.metric.g, bundle.ricci)
@@ -209,7 +211,7 @@ def gather_evidence(bundle: CurvatureBundle, plan: SamplePlan) -> PointData:
         bundle=bundle,
         rs=rs,
         qc=qc,
-        planes=planes,
+        parallel_rows=parallel_rows,
         dir_rows=dir_rows,
         plane_rows=plane_rows,
         scales=_scales(bundle, rs, qc),
@@ -239,11 +241,13 @@ def _outer_rows(u_rows: np.ndarray, v_rows: np.ndarray) -> np.ndarray:
     return (u_rows[..., :, None] * v_rows[..., None, :]).reshape(u_rows.shape[:-1] + (m * m,))
 
 
-def _plane_reduce(t: np.ndarray, u_outer: np.ndarray, x_outer: np.ndarray) -> np.ndarray:
-    """Values t(u,u;x,Jx) for all sampled directions u and plane seeds x,
-    (..., directions, planes), from the rows u (x) u and x (x) Jx."""
-    m = t.shape[-1]
-    return u_outer @ t.reshape(t.shape[:-4] + (m * m, m * m)) @ np.swapaxes(x_outer, -1, -2)
+def _sample_values(left: np.ndarray, t: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The values left_k . t . right_l, (..., K, L), of t read as the (a, b)
+    matrix between the rows ``left`` (..., K, a) and ``right`` (..., L, b),
+    which carry t's leading point axes: t(u,u;x,Jx) from the rows u (x) u
+    and x (x) Jx, and (nabla_{x+Jx} S)(u,u) from x + Jx and u (x) u."""
+    a, b = left.shape[-1], right.shape[-1]
+    return left @ t.reshape(left.shape[:-2] + (a, b)) @ np.swapaxes(right, -1, -2)
 
 
 def _fit_samples(values: np.ndarray) -> np.ndarray:
@@ -252,15 +256,6 @@ def _fit_samples(values: np.ndarray) -> np.ndarray:
     directions, planes = values.shape[-2:]
     k = np.arange(planes)
     return values[..., k % directions, k]
-
-
-def _parallel_plane_values(nabla_s: np.ndarray, u_outer: np.ndarray,
-                           x_rows: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Values (nabla_{x+Jx} S)(u,u) for all plane seeds x and directions u,
-    the directions given by their rows u (x) u."""
-    m = nabla_s.shape[-1]
-    grad = (x_rows + x_rows @ j.T) @ nabla_s.reshape(nabla_s.shape[:-3] + (m, m * m))
-    return grad @ np.swapaxes(u_outer, -1, -2)
 
 
 # -- criterion verdicts ----------------------------------------------------------
@@ -280,52 +275,56 @@ class CriterionVerdict:
 
 def _combine(name: str, direct: float, characterization: float | None,
              tol: float, details: dict[str, Any]) -> CriterionVerdict:
+    """A rung's verdict from its worst value on each route.  An agreeing
+    fail whose details carry a ``reason`` (no sample decides it) is inconclusive."""
     direct_ok = direct <= tol
-    if characterization is None:
-        status = PASS if direct_ok else FAIL
-        return CriterionVerdict(name, status, direct, None, False, details)
-    char_ok = characterization <= tol
-    if direct_ok == char_ok:
-        status = PASS if direct_ok else FAIL
-        return CriterionVerdict(name, status, direct, characterization, False, details)
-    return CriterionVerdict(name, INCONCLUSIVE, direct, characterization, True, details)
+    char_ok = direct_ok if characterization is None else characterization <= tol
+    if direct_ok != char_ok:
+        return CriterionVerdict(name, INCONCLUSIVE, direct, characterization, True, details)
+    status = PASS if direct_ok else INCONCLUSIVE if "reason" in details else FAIL
+    return CriterionVerdict(name, status, direct, characterization, False, details)
 
 
 def _plane_route(t: np.ndarray, data, scale: np.ndarray):
     """The holo route of a rung read off the plane values t(u,u;x,Jx), and
     their f_S samples (``_fit_samples``), copied out first: the route's
     reduction overwrites the values, which are freed on return."""
-    values = _plane_reduce(t, data.dir_rows, data.plane_rows)
+    values = _sample_values(data.dir_rows, t, data.plane_rows)
     samples = _fit_samples(values)
     return rel_violation(values, scale, 2), samples
 
 
-def _routes(data):
-    """Per-point (direct, holo) violations of the rungs decided from S,
-    keyed by rung name in ladder order (holo None where a rung has no plane
-    route), the lambda values, and the f_S samples R.S(v,v;x,Jx) and
-    Qc(g,S)(v,v;x,Jx) of ``_holo_pseudosymmetric``."""
+def _routes(data, tol: float):
+    """The route table: for each rung in ladder order, its per-point series
+    keyed by evidence name (the one behind ``direct`` first, then the one
+    behind ``characterization``, if any) and its details; then the lambda
+    values and the fitted f_S values.  ``tol`` decides only whether
+    ``_holo_pseudosymmetric`` adds a ``reason``."""
     b, sc = data.bundle, data.scales
-    g = b.metric.g
-    lams = b.scal / g.shape[-1]
+    lams = b.scal / b.metric.g.shape[-1]
+    spread = float(lams.max() - lams.min()) / float(np.max(sc["lambda"]))
     einstein_holo, dens = _plane_route(data.qc, data, sc["Qc"])
     semi_holo, nums = _plane_route(data.rs, data, sc["R.S"])
+    pseudo, pseudo_details, f_hats = _holo_pseudosymmetric(data, tol, nums, dens)
+    parallel_holo = _sample_values(data.parallel_rows, b.nabla_ricci, data.dir_rows)
     routes = {
-        "ricci_flat": (sc["|S|"] / sc["S"], None),
-        "einstein": (max_norm(b.ricci - lams[:, None, None] * g, 2) / sc["S - lambda g"],
-                     einstein_holo),
-        "ricci_parallel": (
-            max_norm(b.nabla_ricci, 3) / sc["nabla S"],
-            rel_violation(_parallel_plane_values(b.nabla_ricci, data.dir_rows, data.planes,
-                                                 b.metric.J), sc["nabla S"], 2)),
-        "ricci_semisymmetric": (sc["|R.S|"] / sc["R.S"], semi_holo),
+        "ricci_flat": ({"direct": sc["|S|"] / sc["S"]}, {}),
+        # Einstein also needs one lambda at every point.
+        "einstein": ({"direct": max_norm(b.ricci - lams[:, None, None] * b.metric.g, 2)
+                      / sc["S - lambda g"], "holo": einstein_holo},
+                     {"lambda_spread": spread}),
+        "ricci_parallel": ({"direct": max_norm(b.nabla_ricci, 3) / sc["nabla S"],
+                            "holo": rel_violation(parallel_holo, sc["nabla S"], 2)}, {}),
+        "ricci_semisymmetric": ({"direct": sc["|R.S|"] / sc["R.S"], "holo": semi_holo}, {}),
+        "holo_ricci_pseudosymmetric": (pseudo, pseudo_details),
     }
-    return routes, lams, nums, dens
+    return routes, lams, f_hats
 
 
-def _holo_pseudosymmetric(data, plan: SamplePlan, nums: np.ndarray, dens: np.ndarray):
+def _holo_pseudosymmetric(data, tol: float, nums: np.ndarray, dens: np.ndarray):
     """Constancy of the quotient f_S = R.S / Qc over holomorphic planes,
-    then the full tensor residual R.S - f_S Qc with the fitted f_S.
+    then the full tensor residual R.S - f_S Qc with the fitted f_S: the
+    series ``spread`` and ``residual``, the details and the f_S values.
 
     ``nums`` and ``dens`` are the (P, planes) samples R.S(v,v;x,Jx) and
     Qc(g,S)(v,v;x,Jx) that the ricci_semisymmetric and einstein rungs
@@ -353,22 +352,11 @@ def _holo_pseudosymmetric(data, plan: SamplePlan, nums: np.ndarray, dens: np.nda
     residual = data.qc * -f_s[:, None, None, None, None]
     residual += data.rs
     residual_pp = np.where(fits, rel_violation(residual, scale, 4), vacuous)
-    details = {
-        "defined_samples": defined_counts,
-        "near_threshold_samples": near.sum(axis=1).tolist(),
-    }
-    if sum(defined_counts) == 0 and spread_pp.max() > plan.tolerance:
-        verdict = CriterionVerdict(
-            "holo_ricci_pseudosymmetric", INCONCLUSIVE, float(spread_pp.max()),
-            float(residual_pp.max()), False,
-            {**details, "reason": "no curvature-dependent samples but R.S != 0"},
-        )
-    else:
-        verdict = _combine(
-            "holo_ricci_pseudosymmetric", float(spread_pp.max()),
-            float(residual_pp.max()), plan.tolerance, details,
-        )
-    return verdict, spread_pp, residual_pp, f_hats
+    details = {"defined_samples": defined_counts,
+               "near_threshold_samples": near.sum(axis=1).tolist()}
+    if sum(defined_counts) == 0 and spread_pp.max() > tol:
+        details["reason"] = "no curvature-dependent samples but R.S != 0"
+    return {"spread": spread_pp, "residual": residual_pp}, details, f_hats
 
 
 def _f_s_constancy(f_hats, data, tol: float) -> bool | None:
@@ -422,23 +410,15 @@ def _check_lattice(criteria) -> None:
 
 def classify_evidence(data, plan: SamplePlan) -> LadderVerdict:
     """Decide every rung from point evidence (n is its metric's) and enforce the chain."""
-    routes, lams, nums, dens = _routes(data)
-    spread = float(lams.max() - lams.min()) / float(np.max(data.scales["lambda"]))
+    routes, lams, f_hats = _routes(data, plan.tolerance)
     criteria, evidence = [], {}
-    for name in LADDER_CLASSES[:-1]:
-        direct, holo = routes[name]
-        worst, details = float(direct.max()), {}
-        if name == "einstein":
-            # Einstein also needs one lambda at every point.
-            worst, details = max(worst, spread), {"lambda_spread": spread}
-        criteria.append(_combine(name, worst, None if holo is None else float(holo.max()),
-                                 plan.tolerance, details))
-        evidence[f"{name}.direct"] = direct
-        if holo is not None:
-            evidence[f"{name}.holo"] = holo
-    hrps, spread_pp, residual_pp, f_hats = _holo_pseudosymmetric(data, plan, nums, dens)
-    criteria.append(hrps)
-    evidence[f"{hrps.name}.spread"], evidence[f"{hrps.name}.residual"] = spread_pp, residual_pp
+    for name in LADDER_CLASSES:
+        series, details = routes[name]
+        first, *second = series.values()
+        direct = max(float(first.max()), details.get("lambda_spread", -np.inf))
+        characterization = float(second[0].max()) if second else None
+        criteria.append(_combine(name, direct, characterization, plan.tolerance, details))
+        evidence.update((f"{name}.{key}", values) for key, values in series.items())
 
     _check_lattice(criteria)
     classification = next((c.name for c in criteria if c.status == PASS), "none")

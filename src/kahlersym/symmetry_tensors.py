@@ -110,9 +110,15 @@ class ExperimentResult:
     defects: tuple[float, ...]
     measured: float  # extrapolated leading coefficient
     predicted: float
-    abs_error: float
-    rel_error: float
     details: dict = field(default_factory=dict)
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.measured - self.predicted)
+
+    @property
+    def rel_error(self) -> float:
+        return self.abs_error / max(abs(self.predicted), ABS_FLOOR)
 
 
 def _extrapolate_to_zero(xs, ys) -> float:
@@ -165,10 +171,7 @@ def rotation_experiment(g, s, j, v, x, y, ladder=DEFAULT_EPS_LADDER) -> Experime
     slopes = [d / eps for d, eps in zip(defects, ladder)]
     measured = _extrapolate_to_zero(ladder, slopes)
     predicted = -quad_eval(complex_tachibana_ricci(g, s), v, v, x, y)
-    abs_err = abs(measured - predicted)
-    rel_err = abs_err / max(abs(predicted), ABS_FLOOR)
-    return ExperimentResult(tuple(ladder), tuple(defects), measured, predicted,
-                            abs_err, rel_err)
+    return ExperimentResult(tuple(ladder), tuple(defects), measured, predicted)
 
 
 def parallelogram_loop(point, axis_a: int, axis_b: int, h: float):
@@ -220,12 +223,9 @@ def transport_experiment(potential: Expr, n: int, point, v, axis_a: int, axis_b:
     ea = np.eye(2 * n)[axis_a]
     eb = np.eye(2 * n)[axis_b]
     predicted = quad_eval(rs, v, v, ea, eb)
-    abs_err = abs(measured - predicted)
-    rel_err = abs_err / max(abs(predicted), ABS_FLOOR)
     details = {
         "vector_defects": [w.tolist() for w in vector_defects],
         "vector_predicted": (bundle.r13[:, axis_a, axis_b, :] @ v).tolist(),
         "transported": [w.tolist() for w in transported],
     }
-    return ExperimentResult(tuple(ladder), tuple(defects), measured, predicted,
-                            abs_err, rel_err, details)
+    return ExperimentResult(tuple(ladder), tuple(defects), measured, predicted, details)

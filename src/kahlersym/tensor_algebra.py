@@ -96,19 +96,22 @@ def j_invariance_violation(t: np.ndarray, scale, rank: int, first_pair: bool = F
     permutation, so t - J^T t J holds exactly the numbers M_XX - M_YY and
     M_XY + M_YX of the pair's half blocks, up to sign.  M J + J^T M holds
     the same numbers up to sign and place, so this is also the pair's
-    J-skew violation, bit for bit.
+    J-skew violation, bit for bit.  Entry (x', y') of t - J^T t J is -s_x s_y
+    times entry (x, y), bit for bit, so only the pair's rows x < n are formed.
     """
     lead, m = t.shape[:t.ndim - rank], t.shape[-1]
     positions, signs = _half_swap(m)
-    rest = m ** (rank - 2)
+    half, rest = m * m // 2, m ** (rank - 2)
     if first_pair:
         t = t.reshape(lead + (m * m, rest))
-        conj = t.take(positions, axis=-2)
-        conj *= signs[:, None]
+        conj = t.take(positions[:half], axis=-2)
+        conj *= signs[:half, None]
+        t = t[..., :half, :]
     else:
         t = t.reshape(lead + (rest, m * m))
-        conj = t.take(positions, axis=-1)
-        conj *= signs
+        conj = t.take(positions[:half], axis=-1)
+        conj *= signs[:half]
+        t = t[..., :half]
     return rel_violation(np.subtract(t, conj, out=conj).reshape(lead + (-1,)), scale, 1)
 
 

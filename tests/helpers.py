@@ -30,6 +30,7 @@ from kahlersym.classifier import (
     SamplePlan,
     direction_samples,
     gather_evidence,
+    plane_samples,
 )
 from kahlersym.curvature import _first_kind, christoffel, curvature_bundle
 from kahlersym.expressions import Call, Coord, Neg, Num, PotentialDomainError, Pow
@@ -707,7 +708,8 @@ def deszcz_fit_loop(data, plan):
     f_hats = [None] * len(vacuous)
     for p in range(len(vacuous)):
         dirs = direction_samples(plan, p, m)
-        pairs = [(dirs[k % plan.directions], x) for k, x in enumerate(data.planes[p])]
+        pairs = [(dirs[k % plan.directions], x)
+                 for k, x in enumerate(plane_samples(plan, p, m))]
         nums = np.array([quad_eval(data.rs[p], v, v, x, j @ x) for v, x in pairs])
         dens = np.array([quad_eval(data.qc[p], v, v, x, j @ x) for v, x in pairs])
         defined = np.abs(dens) > DEPENDENCE_THRESHOLD * data.scales["Qc"][p]

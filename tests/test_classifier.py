@@ -19,12 +19,11 @@ from kahlersym.classifier import (
     SamplePlan,
     _check_lattice,
     _fit_samples,
-    _holo_pseudosymmetric,
     _outer_rows,
-    _parallel_plane_values,
-    _plane_reduce,
     _routes,
+    _sample_values,
     _scales,
+    classify_evidence,
     direction_samples,
     plane_samples,
     sample_evidence,
@@ -368,7 +367,8 @@ def test_sample_table_is_held_once_per_plan_and_n(n, directions, planes):
     m = 2 * n
     dirs = np.stack([direction_samples(plan, i, m) for i in range(plan.points)])
     x = np.stack([plane_samples(plan, i, m) for i in range(plan.points)])
-    fresh = (x, _outer_rows(dirs, dirs), _outer_rows(x, x @ standard_complex_structure(n).T))
+    jx = x @ standard_complex_structure(n).T
+    fresh = (x + jx, _outer_rows(dirs, dirs), _outer_rows(x, jx))
     table.cache_clear()
     held = table(plan.seed, plan.points, plan.directions, plan.planes, n)
     for rows, built in zip(held, fresh):
@@ -379,7 +379,7 @@ def test_sample_table_is_held_once_per_plan_and_n(n, directions, planes):
     spec = ManifoldSpec(f"fs_cp{n}", n, "log(1+rsq)", ((-0.5, 0.5),) * m)
     loose = replace(plan, tolerance=1e-3)
     data = sample_evidence(spec, loose)
-    assert all(a is b for a, b in zip((data.planes, data.dir_rows, data.plane_rows), held))
+    assert all(a is b for a, b in zip((data.parallel_rows, data.dir_rows, data.plane_rows), held))
     assert table.cache_info().misses == 1 and table.cache_info().currsize == 1
 
     # Runs alternating n and another dimension at one plan build each table once.
@@ -390,7 +390,7 @@ def test_sample_table_is_held_once_per_plan_and_n(n, directions, planes):
     seen = {}
     for s in (spec, other, spec, other):
         data = sample_evidence(s, plan)
-        rows = (data.planes, data.dir_rows, data.plane_rows)
+        rows = (data.parallel_rows, data.dir_rows, data.plane_rows)
         first = seen.setdefault(s.n, rows)
         assert all(a is b for a, b in zip(rows, first))
     assert table.cache_info().misses == 2 and table.cache_info().currsize == 2
@@ -552,7 +552,7 @@ def _check_stacked_evidence(spec, count):
         b = curvature_bundle(m)
         assert np.array_equal(data.bundle.metric.point[i], point)
         dirs, planes = direction_samples(plan, i, 2 * spec.n), plane_samples(plan, i, 2 * spec.n)
-        assert np.array_equal(data.planes[i], planes)
+        assert np.array_equal(data.parallel_rows[i], planes + planes @ m.J.T)
         assert np.array_equal(data.dir_rows[i], _outer_rows(dirs, dirs))
         assert np.array_equal(data.plane_rows[i], _outer_rows(planes, planes @ m.J.T))
         for field in ("g", "G", "dg"):
@@ -595,15 +595,15 @@ def test_sample_contractions_match_index_loops(n):
     # plane values of direction k mod (directions) on plane seed k.
     for directions, planes in ((7, 5), (6, 6), (5, 7)):
         t, _, u, x, j = _contraction_inputs(n, 2, directions, planes)
-        values = _plane_reduce(t, _outer_rows(u, u), _outer_rows(x, x @ j.T))
+        values = _sample_values(_outer_rows(u, u), t, _outer_rows(x, x @ j.T))
         samples = _fit_samples(values)
         assert samples.shape == (2, planes)
         for p, k in np.ndindex(samples.shape):
             assert samples[p, k] == values[p, k % directions, k]
     t, nabla_s, u, x, j = _contraction_inputs(n, 2, 3, 4)
     u_outer, x_outer = _outer_rows(u, u), _outer_rows(x, x @ j.T)
-    planes = _plane_reduce(t, u_outer, x_outer)
-    parallel = _parallel_plane_values(nabla_s, u_outer, x, j)
+    planes = _sample_values(u_outer, t, x_outer)
+    parallel = _sample_values(x + x @ j.T, nabla_s, u_outer)
     for p in range(2):
         for k in range(3):
             assert np.array_equal(u_outer[p, k], np.outer(u[p, k], u[p, k]).ravel())
@@ -622,21 +622,24 @@ def test_sample_contractions_match_index_loops(n):
 def test_sample_contractions_over_points_match_one_point_at_a_time(n):
     t, nabla_s, u, x, j = _contraction_inputs(n, 40 if n == 2 else 6, 20, 20)
     u_outer, x_outer = _outer_rows(u, u), _outer_rows(x, x @ j.T)
-    stacked = (u_outer, x_outer, _plane_reduce(t, u_outer, x_outer),
-               _parallel_plane_values(nabla_s, u_outer, x, j))
+    stacked = (u_outer, x_outer, _sample_values(u_outer, t, x_outer),
+               _sample_values(x + x @ j.T, nabla_s, u_outer))
     for p in range(len(t)):
         u1, x1 = _outer_rows(u[p], u[p]), _outer_rows(x[p], x[p] @ j.T)
-        singles = (u1, x1, _plane_reduce(t[p], u1, x1),
-                   _parallel_plane_values(nabla_s[p], u1, x[p], j))
+        singles = (u1, x1, _sample_values(u1, t[p], x1),
+                   _sample_values(x[p] + x[p] @ j.T, nabla_s[p], u1))
         for values, single in zip(stacked, singles):
             assert np.array_equal(values[p], single), p
 
 
 def _deszcz_fit(data, plan):
-    """The holo_ricci_pseudosymmetric rung on the samples that the
-    ricci_semisymmetric and einstein rungs read off their plane values."""
-    nums, dens = _routes(data)[2:]
-    return _holo_pseudosymmetric(data, plan, nums, dens)
+    """The details, spread and residual series and f_S values of the
+    holo_ricci_pseudosymmetric entry of the route table, fitted on the
+    samples that the ricci_semisymmetric and einstein rungs read off their
+    plane values."""
+    routes, _, f_hats = _routes(data, plan.tolerance)
+    series, details = routes["holo_ricci_pseudosymmetric"]
+    return details, series["spread"], series["residual"], f_hats
 
 
 def test_deszcz_fit_over_points_matches_the_point_loop(fixtures):
@@ -645,15 +648,15 @@ def test_deszcz_fit_over_points_matches_the_point_loop(fixtures):
     # 2 keeps the 4 samples whose |Qc(g,S)| lies above the middle ones.
     plan = SamplePlan(points=6, directions=5, planes=7, seed=2)
     data = sample_evidence(fixtures["perturbed_flat"], plan)
-    dens = np.abs(_routes(data)[-1][2])
+    dens = np.abs(_fit_samples(_sample_values(data.dir_rows, data.qc, data.plane_rows))[2])
     qc = data.qc.copy()
     qc[[1, 4]] = 0.0
     qc[2] *= DEPENDENCE_THRESHOLD * data.scales["Qc"][2] / np.sort(dens)[2:4].mean()
     data = replace(data, qc=qc)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verdict, spread, residual, f_hats = _deszcz_fit(data, plan)
-    assert verdict.details["defined_samples"] == [7, 0, 4, 7, 0, 7]
+        details, spread, residual, f_hats = _deszcz_fit(data, plan)
+    assert details["defined_samples"] == [7, 0, 4, 7, 0, 7]
     vacuous = max_norm(data.rs, 4) / data.scales["R.S"]
     expected = deszcz_fit_loop(data, plan)
     for p in range(6):
@@ -677,6 +680,24 @@ def test_deszcz_samples_pair_direction_i_mod_count_with_plane_i(fixtures, direct
     for values, expected in zip(got, deszcz_fit_loop(data, plan)):
         for value, want in zip(values, expected):
             assert abs(value - want) <= 1e-14 * abs(want)
+
+
+def test_no_defined_sample_with_nonzero_r_dot_s_is_inconclusive(fixtures):
+    # With Qc(g,S) zeroed no point has a defined sample, so both routes of
+    # the pseudosymmetric rung fall back to |R.S| / "R.S", which exceeds the
+    # tolerance on perturbed_flat: the routes agree on a fail that no sample
+    # could decide, reported inconclusive with its reason.
+    plan = SamplePlan(points=6, seed=2)
+    data = sample_evidence(fixtures["perturbed_flat"], plan)
+    data = replace(data, qc=np.zeros_like(data.qc))
+    verdict = classify_evidence(data, plan).holo_ricci_pseudosymmetric
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.route_mismatch is False
+    assert verdict.details["reason"] == "no curvature-dependent samples but R.S != 0"
+    assert verdict.details["defined_samples"] == [0] * plan.points
+    fallback = float(np.max(max_norm(data.rs, 4) / data.scales["R.S"]))
+    assert fallback > plan.tolerance
+    assert verdict.direct == verdict.characterization == fallback
 
 
 # -- lattice ------------------------------------------------------------------

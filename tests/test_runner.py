@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from kahlersym import classifier, symmetry_tensors, tensor_algebra
 from kahlersym.classifier import (
     SamplePlan,
-    _plane_reduce,
+    _sample_values,
     direction_samples,
     plane_samples,
     sample_evidence,
@@ -32,7 +32,7 @@ from kahlersym.runner import (
 )
 from kahlersym.symmetry_tensors import complex_tachibana_ricci, r_dot_s, tachibana_ricci
 from kahlersym.tensor_algebra import check_rs_symmetries, j_conjugate_last_pair
-from kahlersym.zoo import ManifoldSpec, zoo
+from kahlersym.zoo import LADDER_CLASSES, ManifoldSpec, zoo
 
 from helpers import (
     evidence_at,
@@ -165,7 +165,7 @@ def test_facts_that_hold_by_construction(spec):
     assert np.all(holomorphic <= (checks["ricci_j_invariant"] + checks["ricci_symmetric"]) / 2)
     # Qc = 2Q on holomorphic planes, since Q is (x,y)-antisymmetric.
     q = tachibana_ricci(d.bundle.metric.g, d.bundle.ricci)
-    double = _plane_reduce(qc - 2.0 * q, d.dir_rows, d.plane_rows)
+    double = _sample_values(d.dir_rows, qc - 2.0 * q, d.plane_rows)
     assert np.all(rel_violation_oracle(double, sc["Qc"], 2) <= 1e-15)
 
 
@@ -279,14 +279,18 @@ REPORT_SCHEMA_DOC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath
 
 def test_report_schema_doc_matches_the_report(fixtures, small_plan):
     """docs/report-schema.md names exactly the checks identity_checks
-    returns in its `identities` section, and the schema tag to_json writes."""
+    returns in its `identities` section, the evidence keys of the verdict
+    in its `verdict` section, and the schema tag to_json writes."""
     with open(REPORT_SCHEMA_DOC, encoding="utf-8") as fh:
         text = fh.read()
     section = text.split("## `identities`", 1)[1].split("\n## ", 1)[0]
     checks = identity_checks(sample_evidence(fixtures["fs_cp2"], small_plan))
     assert set(re.findall(r"`([a-z][a-z_]*)`", section)) == set(checks)
-    schema = json.loads(run(fixtures["fs_cp2"], small_plan, with_classification=False)
-                        .to_json())["schema"]
+    report = json.loads(run(fixtures["fs_cp2"], small_plan).to_json())
+    section = text.split("## `verdict`", 1)[1].split("\n## ", 1)[0]
+    rung_keys = re.findall(rf"`((?:{'|'.join(LADDER_CLASSES)})\.[a-z_]+)`", section)
+    assert set(rung_keys) == report["verdict"]["evidence"].keys()
+    schema = report["schema"]
     tags = re.findall(r"schema tag `([^`]+)`", text) + re.findall(r'always `"([^"]+)"`', text)
     assert tags == [schema, schema]
 
