@@ -154,17 +154,9 @@ def _cmd_experiment(args) -> int:
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     if args.json:
-        payload = {
-            "experiment": args.kind,
-            "fixture": spec.name,
-            "point": [float(c) for c in point],
-            "ladder": [float(h) for h in result.ladder],
-            "defects": [float(d) for d in result.defects],
-            "measured": float(result.measured),
-            "predicted": float(result.predicted),
-            "abs_error": float(result.abs_error),
-            "rel_error": float(result.rel_error),
-        }
+        payload = {"experiment": args.kind, "fixture": spec.name, "point": point.tolist()}
+        for key in ("ladder", "defects", "measured", "predicted", "abs_error", "rel_error"):
+            payload[key] = getattr(result, key)
         _write_json(args.json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         sys.stdout.write(f"report written to {args.json}\n")
     return EXIT_OK

@@ -21,6 +21,7 @@ integer literals.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +30,8 @@ import numpy as np
 
 from .jets import JetDomainError, JetScalar, jet_exp, jet_log, jet_space, jet_sqrt
 
-_FUNCTIONS = ("log", "exp", "sqrt")
+_FUNCTIONS = {"log": jet_log, "exp": jet_exp, "sqrt": jet_sqrt}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 # Parsed trees kept, one per (source, n).
 _MAX_PARSED_TREES = 64
 _COORD_RE = re.compile(r"([xy])([0-9]+)\Z")
@@ -341,34 +343,18 @@ def eval_jet(e: Expr, point, order: int) -> JetScalar:
             return JetScalar.variable(space, idx, point[..., idx])
         if isinstance(node, Neg):
             return -rec(node.arg)
-        if isinstance(node, Pow):
-            base = rec(node.base)
-            try:
-                return base**node.exponent
-            except JetDomainError as err:
-                raise PotentialDomainError(str(err), node)
-        if isinstance(node, Call):
-            arg = rec(node.arg)
-            try:
-                if node.fn == "log":
-                    return jet_log(arg)
-                if node.fn == "exp":
-                    return jet_exp(arg)
-                return jet_sqrt(arg)
-            except JetDomainError as err:
-                raise PotentialDomainError(str(err), node.arg)
-        lhs = rec(node.lhs)
-        rhs = rec(node.rhs)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
+        # Only a power, a call or a quotient can leave a domain; the error
+        # names a call's argument, a quotient's divisor or the power itself.
         try:
-            return lhs / rhs
+            if isinstance(node, Pow):
+                return rec(node.base) ** node.exponent
+            if isinstance(node, Call):
+                return _FUNCTIONS[node.fn](rec(node.arg))
+            return _OPERATORS[node.op](rec(node.lhs), rec(node.rhs))
         except JetDomainError as err:
-            raise PotentialDomainError(str(err), node.rhs)
+            blamed = (node.arg if isinstance(node, Call)
+                      else node.rhs if isinstance(node, BinOp) else node)
+            raise PotentialDomainError(str(err), blamed)
 
     jet = rec(e)
     if jet.coeffs.ndim < point.ndim:  # a constant expression: give it the point axes

@@ -263,24 +263,21 @@ class JetScalar:
 
     # -- ring operations -------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, JetScalar):
-            if other.space is not self.space:
-                raise ValueError("jets belong to different spaces")
-            return other
-        return None
+    def _operand(self, other) -> "JetScalar":
+        """``other``, if it is a jet of this space: jets combine only with jets."""
+        if not isinstance(other, JetScalar):
+            raise TypeError(f"jets combine only with jets, not {type(other).__name__}")
+        if other.space is not self.space:
+            raise ValueError("jets belong to different spaces")
+        return other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        other = self._operand(other)
         return JetScalar(self.space, self.coeffs + other.coeffs,
                          support=self.support | other.support)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        other = self._operand(other)
         return JetScalar(self.space, self.coeffs - other.coeffs,
                          support=self.support | other.support)
 
@@ -288,10 +285,7 @@ class JetScalar:
         return JetScalar(self.space, -self.coeffs, support=self.support)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._times(other)
+        return self._times(self._operand(other))
 
     def _times(self, other: "JetScalar", degree: int | None = None) -> "JetScalar":
         """The product with a jet of the same space, its coefficients formed
@@ -305,10 +299,7 @@ class JetScalar:
         return JetScalar(self.space, coeffs, support=support)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.reciprocal()
+        return self * self._operand(other).reciprocal()
 
     def __pow__(self, exponent):
         if isinstance(exponent, float) and exponent.is_integer():

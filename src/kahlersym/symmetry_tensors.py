@@ -141,6 +141,15 @@ def _check_ladder(ladder) -> None:
         raise ValueError(f"ladder values must be finite, got {list(ladder)}")
 
 
+def _response(s, v, moved, ladder, power: int) -> tuple[tuple[float, ...], float]:
+    """The defects S(w,w) - S(v,v) of the vectors w ``moved`` by each ladder
+    value h, and their coefficient of h^power extrapolated to h = 0."""
+    base = float(v @ s @ v)
+    defects = tuple(float(w @ s @ w) - base for w in moved)
+    coeffs = [d / h**power for d, h in zip(defects, ladder)]
+    return defects, _extrapolate_to_zero(ladder, coeffs)
+
+
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3)
 DEFAULT_H_LADDER = (0.02, 0.01)
 
@@ -163,15 +172,9 @@ def rotation_experiment(g, s, j, v, x, y, ladder=DEFAULT_EPS_LADDER) -> Experime
         raise ValueError("j must be the standard complex structure J or -J")
     gv, jx, jy = g @ v, j @ x, j @ y
     rot_v = (y @ gv) * x - (x @ gv) * y + (jy @ gv) * jx - (jx @ gv) * jy
-    base = float(v @ s @ v)
-    defects = []
-    for eps in ladder:
-        w = v + eps * rot_v
-        defects.append(float(w @ s @ w) - base)
-    slopes = [d / eps for d, eps in zip(defects, ladder)]
-    measured = _extrapolate_to_zero(ladder, slopes)
+    defects, measured = _response(s, v, [v + eps * rot_v for eps in ladder], ladder, 1)
     predicted = -quad_eval(complex_tachibana_ricci(g, s), v, v, x, y)
-    return ExperimentResult(tuple(ladder), tuple(defects), measured, predicted)
+    return ExperimentResult(tuple(ladder), defects, measured, predicted)
 
 
 def parallelogram_loop(point, axis_a: int, axis_b: int, h: float):
@@ -212,20 +215,13 @@ def transport_experiment(potential: Expr, n: int, point, v, axis_a: int, axis_b:
                 "to 0 or a loop corner equals the base point in floats"
             )
     v = np.asarray(v, float)
-    s = bundle.ricci
-    base = float(v @ s @ v)
     transported = parallel_transport(potential, n, loops, v, steps=steps)
-    defects = [float(vh @ s @ vh) - base for vh in transported]
-    vector_defects = [(v - vh) / h**2 for vh, h in zip(transported, ladder)]
-    coeffs = [d / h**2 for d, h in zip(defects, ladder)]
-    measured = _extrapolate_to_zero(ladder, coeffs)
-    rs = r_dot_s(bundle)
+    defects, measured = _response(bundle.ricci, v, transported, ladder, 2)
     ea = np.eye(2 * n)[axis_a]
     eb = np.eye(2 * n)[axis_b]
-    predicted = quad_eval(rs, v, v, ea, eb)
+    predicted = quad_eval(r_dot_s(bundle), v, v, ea, eb)
     details = {
-        "vector_defects": [w.tolist() for w in vector_defects],
+        "vector_defects": [((v - vh) / h**2).tolist() for vh, h in zip(transported, ladder)],
         "vector_predicted": (bundle.r13[:, axis_a, axis_b, :] @ v).tolist(),
-        "transported": [w.tolist() for w in transported],
     }
-    return ExperimentResult(tuple(ladder), tuple(defects), measured, predicted, details)
+    return ExperimentResult(tuple(ladder), defects, measured, predicted, details)

@@ -242,6 +242,26 @@ def test_zero_division_names_the_value(source, sub):
     assert pretty(exc.value.subexpression) == sub
 
 
+@pytest.mark.parametrize("source, message, sub", [
+    ("log(x1-1)", "log of non-positive value 0.0", "x1-1"),
+    ("exp(1000*x1)", "exp of 1000.0 overflows a float", "1000*x1"),
+    ("sqrt(x1-1)", "sqrt of non-positive value 0.0", "x1-1"),
+    ("1/(x1-1)", "division by zero value 0.0", "x1-1"),
+    ("(x1-1)^-2", "division by zero value 0.0", "(x1-1)^-2"),
+    ("log(1e-100*x1)", "log of 1e-100 has Taylor coefficients outside the float range",
+     "1e-100*x1"),
+    ("1/(1e100*x1)", "reciprocal of 1e+100 has Taylor coefficients outside the float range",
+     "1e+100*x1"),
+])
+def test_domain_error_blames_by_node_kind(source, message, sub):
+    """A call blames its argument, a quotient its divisor and a negative
+    power the power itself."""
+    with pytest.raises(PotentialDomainError) as exc:
+        eval_jet(parse(source, 1), [1.0, 0.0], order=5)
+    assert str(exc.value) == f"{message} in sub-expression `{sub}`"
+    assert pretty(exc.value.subexpression) == sub
+
+
 def test_domain_error_is_potential_error():
     assert issubclass(PotentialDomainError, PotentialError)
     assert issubclass(PotentialSyntaxError, PotentialError)

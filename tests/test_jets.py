@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import re
 
 import numpy as np
@@ -176,8 +177,24 @@ def test_domain_errors():
 def test_mixed_space_rejected():
     a = JetScalar.variable(jet_space(2, 3), 0, 1.0)
     b = JetScalar.variable(jet_space(2, 2), 0, 1.0)
-    with pytest.raises(ValueError):
-        a + b
+    for combine in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError):
+            combine(a, b)
+
+
+@pytest.mark.parametrize("combine", [
+    lambda x: x + 1.0,
+    lambda x: 1.0 + x,
+    lambda x: x * np.float64(2),
+    lambda x: np.float64(2) * x,
+    lambda x: x - np.float64(1),
+    lambda x: x / 2,
+    lambda x: np.array(2.0) * x,
+])
+def test_jets_combine_only_with_jets(combine):
+    x = JetScalar.variable(jet_space(2, 3), 0, 1.0)
+    with pytest.raises(TypeError):
+        combine(x)
 
 
 def test_order_cap_enforced():

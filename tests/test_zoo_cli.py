@@ -10,13 +10,24 @@ import sys
 import pytest
 
 from kahlersym import cli
-from kahlersym.classifier import LatticeError, SamplePlan, sample_points
+from kahlersym.classifier import (
+    LatticeError,
+    SamplePlan,
+    direction_samples,
+    plane_samples,
+    sample_points,
+)
 from kahlersym.cli import _plan_from_args, _resolve_target, build_parser, main
+from kahlersym.curvature import curvature_bundle
+from kahlersym.metrics import metric_from_potential
+from kahlersym.symmetry_tensors import rotation_experiment, transport_experiment
 from kahlersym.zoo import LADDER_CLASSES, ManifestError, ManifoldSpec, load_spec
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 MANIFEST_DIR = os.path.join(os.path.dirname(__file__), "manifests")
 SMALL_ARGS = ["--points", "4", "--dirs", "4", "--planes", "4", "--seed", "0"]
+REPORT_SCHEMA_DOC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                 "docs", "report-schema.md")
 
 ZOO_NAMES = [
     "flat_c2",
@@ -572,6 +583,40 @@ def test_cli_experiment_transport_with_json(tmp_path, capsys):
     assert payload["fixture"] == "perturbed_flat"
     assert payload["rel_error"] < 1e-2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["rotation", "transport"])
+def test_cli_experiment_payload_is_the_result(tmp_path, capsys, fixtures, kind):
+    """The experiment --json payload holds exactly the keys of the
+    "Experiment payload" section of docs/report-schema.md, each value the
+    field or property of that name of the experiment's result at the same
+    seed and point."""
+    with open(REPORT_SCHEMA_DOC, encoding="utf-8") as fh:
+        section = fh.read().split("## Experiment payload", 1)[1].split("\n## ", 1)[0]
+    target = tmp_path / "exp.json"
+    assert main(["experiment", kind, "perturbed_flat", "--seed", "3",
+                 "--json", str(target)]) == 0
+    capsys.readouterr()
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    assert payload.keys() == set(re.findall(r"`([a-z_]+)`", section))
+
+    spec = fixtures["perturbed_flat"]
+    plan = SamplePlan(seed=3)
+    point = sample_points(spec.domain, plan)[0]
+    bundle = curvature_bundle(metric_from_potential(spec.potential(), point, spec.n))
+    v = direction_samples(plan, 0, 2 * spec.n)[0]
+    if kind == "rotation":
+        planes = plane_samples(plan, 0, 2 * spec.n)
+        x, y = cli._orthonormal_pair(bundle.metric.g, planes[0], planes[1])
+        result = rotation_experiment(bundle.metric.g, bundle.ricci, bundle.metric.J, v, x, y)
+    else:
+        result = transport_experiment(spec.potential(), spec.n, point, v, 0, 1,
+                                      bundle=bundle)
+    assert (payload["experiment"], payload["fixture"], payload["point"]) == (
+        kind, spec.name, point.tolist())
+    for key in payload.keys() - {"experiment", "fixture", "point"}:
+        value = getattr(result, key)
+        assert payload[key] == (list(value) if isinstance(value, tuple) else value), key
 
 
 def test_cli_experiment_custom_eps(capsys):
